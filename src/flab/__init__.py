@@ -66,7 +66,6 @@ from .lattice import (
     diffusion_semigroup_on_sector,
     dispersion_bound,
     mode_contraction_k1,
-    sample_field,
     smoother_apply,
     high_momentum_suppression_probe,
     swap_factorization_probe,
@@ -93,14 +92,12 @@ from .operators import (
     symmetric_klocal_basis,
     symmetric_word_operator,
     symmetric_words,
-    tensor_product,
 )
 from .reporting import Report
 from .sampling import (
     haar_unitary,
     random_cptp_channel,
     random_positive_density,
-    random_sector_mix,
     random_zero_mean_hermitian,
     task_rng,
 )

@@ -8,17 +8,15 @@ lattice walkers live here as well.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import NumericalError
-from .operators import QuditSystem, as_matrix, permute_sites
+from .operators import QuditSystem, as_matrix
 
 TRACE_PRESERVING_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
-EXACT_SUM_MAX_SITES = 6
 
 
 class Channel:
@@ -124,31 +122,15 @@ class PermutationAverage(Channel):
     """Average over all site permutations, i.e. the orthogonal projector
     onto permutation-invariant operators.
 
-    Modes:
-      "exact-sum"           literal sum over all n! permutations (n <= 6)
-      "symmetric-projector" orbit averaging over elementary tensor words;
-                            exact for any n and the default above 6 sites
+    Matrix entries are grouped into orbits of the site permutations acting
+    jointly on row and column labels; the average replaces every entry by
+    its orbit mean, which is exact for any n.
     """
 
-    def __init__(self, system: QuditSystem, mode: str | None = None):
-        if mode is None:
-            mode = "exact-sum" if system.n <= EXACT_SUM_MAX_SITES else "symmetric-projector"
-        if mode not in ("exact-sum", "symmetric-projector"):
-            raise ValueError(f"unknown permutation-average mode {mode!r}")
-        if mode == "exact-sum" and system.n > EXACT_SUM_MAX_SITES:
-            raise ValueError(
-                f"exact-sum mode is limited to n <= {EXACT_SUM_MAX_SITES}, got n={system.n}"
-            )
+    def __init__(self, system: QuditSystem):
         self.system = system
-        self.mode = mode
         self.dim = system.dim
-        self._orbit_index = None
-        self._orbit_size = None
-        if mode == "symmetric-projector":
-            self._build_orbits()
-
-    def _build_orbits(self):
-        d, n, dim = self.system.d, self.system.n, self.dim
+        d, n, dim = system.d, system.n, system.dim
         idx = np.arange(dim)
         digits = np.empty((dim, n), dtype=np.int64)
         for i in range(n):
@@ -165,13 +147,6 @@ class PermutationAverage(Channel):
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)
-        if self.mode == "exact-sum":
-            total = np.zeros_like(X, dtype=complex)
-            count = 0
-            for perm in itertools.permutations(range(self.system.n)):
-                total += permute_sites(X, perm, self.system)
-                count += 1
-            return total / count
         flat = X.ravel()
         sums = np.bincount(self._orbit_index, weights=flat.real) + 1j * np.bincount(
             self._orbit_index, weights=flat.imag
@@ -206,9 +181,9 @@ class HomogeneousCoarseGraining(ComposedChannel):
     The two factors commute, so the composition order is a convention.
     """
 
-    def __init__(self, system: QuditSystem, y: float, mode: str | None = None):
+    def __init__(self, system: QuditSystem, y: float):
         depol = ProductChannel(DepolarizingChannel(y, system.d), system)
-        perm = PermutationAverage(system, mode=mode)
+        perm = PermutationAverage(system)
         super().__init__(perm, depol)
         self.system = system
         self.y = float(y)
@@ -216,8 +191,8 @@ class HomogeneousCoarseGraining(ComposedChannel):
         self.product_depolarizing = depol
 
 
-def homogeneous_coarse_graining(system: QuditSystem, y: float, mode: str | None = None) -> HomogeneousCoarseGraining:
-    return HomogeneousCoarseGraining(system, y, mode=mode)
+def homogeneous_coarse_graining(system: QuditSystem, y: float) -> HomogeneousCoarseGraining:
+    return HomogeneousCoarseGraining(system, y)
 
 
 def commutation_deviation(system: QuditSystem, y: float, X) -> float:

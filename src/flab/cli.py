@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from .channels import PAIR_WALKER_MAX_SITES, SINGLE_WALKER_MAX_SITES
 from .errors import ConfigError, DimensionBudgetError, FlabError, NumericalError
 from .focklimit import (
     beta_bound_decreasing,
@@ -255,21 +256,31 @@ def run_bound_check(params: dict) -> Report:
 
 def run_lattice(params: dict) -> Report:
     _reject_unknown(params, {"L", "spacing", "y", "sigma_list", "cutoff", "pair_probe", "probe_samples"})
-    L = _require(params, "L", int, lambda v: v >= 8 and v % 2 == 0, "need even L >= 8")
+    L = _require(
+        params,
+        "L",
+        int,
+        lambda v: 8 <= v <= SINGLE_WALKER_MAX_SITES and v % 2 == 0,
+        f"need even L in [8, {SINGLE_WALKER_MAX_SITES}]",
+    )
     spacing = _require(params, "spacing", float, lambda v: v > 0, "need spacing > 0")
     y = _require(params, "y", float, lambda v: v >= 1.0, "need y >= 1")
     sigma_list = _float_list(params, "sigma_list")
     lattice = RingLattice(L, spacing)
+    # the probes draw profiles from the modes at or above the cutoff, and the
+    # highest mode below Nyquist is L/2 - 1
+    top_momentum = lattice.momentum(L // 2 - 1)
     cutoff = _optional(
         params,
         "cutoff",
         float,
         0.5 * lattice.nyquist,
-        lambda v: 0 < v <= lattice.nyquist,
-        "cutoff must lie in (0, pi/spacing]",
+        lambda v: 0 < v <= top_momentum,
+        f"cutoff must lie in (0, {top_momentum:.6g}], the highest sub-Nyquist momentum",
     )
-    pair_default = L <= 24
-    pair_probe = _optional(params, "pair_probe", bool, pair_default)
+    pair_probe = _optional(params, "pair_probe", bool, L <= PAIR_WALKER_MAX_SITES)
+    if pair_probe and L > PAIR_WALKER_MAX_SITES:
+        raise ConfigError(f"config key 'pair_probe' needs L <= {PAIR_WALKER_MAX_SITES}, got L={L}")
     probe_samples = _optional(params, "probe_samples", int, 32, lambda v: v >= 1, "need >= 1")
     seed = _seed(params)
     report = Report("lattice", params, seed)
@@ -424,15 +435,6 @@ def run_experiment(name: str, params: dict) -> Report:
         raise ConfigError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
     _check_flat(params)
     return EXPERIMENTS[name](params)
-
-
-def run_config(config: dict) -> Report:
-    """Run from a single dict holding 'experiment' plus its parameters."""
-    params = dict(config)
-    name = params.pop("experiment", None)
-    if not isinstance(name, str):
-        raise ConfigError("config must carry an 'experiment' name")
-    return run_experiment(name, params)
 
 
 def _load_config(path: str) -> dict:

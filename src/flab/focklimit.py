@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import pushforward_norm, bures_norm, whiten_psd
+from .geometry import bures_norm, pushforward_norm, whiten_psd, whitened_contraction
 from .operators import (
     DensityMatrix,
     QuditSystem,
@@ -159,23 +159,42 @@ def single_particle_channel_matrix(
     return m
 
 
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent by direct expansion; intended for small word sizes."""
-    mat = np.asarray(matrix)
-    size = mat.shape[0]
-    if mat.shape != (size, size):
-        raise ValueError(f"permanent needs a square matrix, got {mat.shape}")
-    if size == 0:
-        return 1.0 + 0.0j
+def _permanent_expansion(minors: np.ndarray):
+    """Direct expansion sum_p prod_i minors[i, p(i)] over the two leading axes.
+
+    minors is one (j, j) matrix or a (j, j, ...) stack of them, expanded
+    entrywise in one pass.  The j! products run in lexicographic permutation
+    order with factors multiplied left to right.
+    """
+    size = minors.shape[0]
+    if minors.shape[:2] != (size, size):
+        raise ValueError(f"permanent needs square matrices, got {minors.shape[:2]}")
     if size > PERMANENT_MAX_SIZE:
         raise ValueError(f"permanent expansion capped at size {PERMANENT_MAX_SIZE}")
-    total = 0.0 + 0.0j
+    total = np.zeros(minors.shape[2:], dtype=complex)
     for perm in itertools.permutations(range(size)):
         prod = 1.0 + 0.0j
         for i, j in enumerate(perm):
-            prod *= mat[i, j]
-        total += prod
+            prod = prod * minors[i, j]
+        total = total + prod
     return total
+
+
+def permanent_gram(kernel: np.ndarray, rows, cols) -> np.ndarray:
+    """Gram of permanents: out[r, c] = permanent(kernel[rows[r], cols[c]]).
+
+    rows and cols are lists of letter words of one common degree j.  All
+    minors are stacked as one (j, j, R, C) array and expanded together.
+    """
+    rows = np.asarray(rows, dtype=np.intp).T
+    cols = np.asarray(cols, dtype=np.intp).T
+    minors = np.asarray(kernel)[rows[:, None, :, None], cols[None, :, None, :]]
+    return _permanent_expansion(minors)
+
+
+def permanent(matrix: np.ndarray) -> complex:
+    """Permanent by direct expansion; intended for small word sizes."""
+    return _permanent_expansion(np.asarray(matrix))
 
 
 def distinct_site_factor(n: int, j: int) -> float:
@@ -346,12 +365,7 @@ def fock_block_spectrum(
 
     w_fine, _ = whiten_psd(gram_fine, null_threshold)
     w_coarse, _ = whiten_psd(gram_coarse, null_threshold)
-    small = w_fine.T @ pairing @ w_coarse
-    t_mat = small @ small.T
-    vals, vecs = np.linalg.eigh(t_mat)
-    order = np.argsort(vals)[::-1]
-    vals = np.clip(vals[order], 0.0, None)
-    coeffs = w_fine @ vecs[:, order]
+    vals, coeffs = whitened_contraction(w_fine, w_coarse, pairing)
 
     dim_tuple = fine_red.dim**k
     padded = np.zeros(dim_tuple)
@@ -397,14 +411,6 @@ def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None
     return sp_fine, sp_coarse, m
 
 
-def _word_gram(kernel: np.ndarray, words_row, words_col) -> np.ndarray:
-    out = np.empty((len(words_row), len(words_col)), dtype=complex)
-    for i, u in enumerate(words_row):
-        for j, v in enumerate(words_col):
-            out[i, j] = permanent(kernel[np.ix_(u, v)])
-    return out
-
-
 def _sector_blocks(
     n: int | None,
     sp_fine: SingleParticleSpace,
@@ -429,28 +435,19 @@ def _sector_blocks(
         factor = 1.0 if n is None else distinct_site_factor(n, j)
         words_f = [w for w in symmetric_words(fine_red.dim, j) if len(w) == j]
         words_c = [w for w in symmetric_words(sp_coarse.dim, j) if len(w) == j]
-        gram_f = factor * np.real(_word_gram(fine_red.kernel, words_f, words_f))
-        gram_c = factor * np.real(_word_gram(sp_coarse.kernel, words_c, words_c))
-        pairing = factor * np.real(_word_gram_mixed(pair_single, words_f, words_c))
+        gram_f = factor * np.real(permanent_gram(fine_red.kernel, words_f, words_f))
+        gram_c = factor * np.real(permanent_gram(sp_coarse.kernel, words_c, words_c))
+        pairing = factor * np.real(permanent_gram(pair_single, words_f, words_c))
         w_f, _ = whiten_psd(gram_f, null_threshold)
         w_c, _ = whiten_psd(gram_c, null_threshold)
-        small = w_f.T @ pairing @ w_c
-        vals = np.linalg.eigvalsh(small @ small.T)
+        vals, _ = whitened_contraction(w_f, w_c, pairing)
         blocks[j] = {
-            "eigenvalues": np.clip(vals[::-1], 0.0, None),
+            "eigenvalues": vals,
             "words_fine": words_f,
             "words_coarse": words_c,
             "dim": len(words_f),
         }
     return blocks
-
-
-def _word_gram_mixed(pair_single: np.ndarray, words_row, words_col) -> np.ndarray:
-    out = np.empty((len(words_row), len(words_col)), dtype=complex)
-    for i, u in enumerate(words_row):
-        for j, v in enumerate(words_col):
-            out[i, j] = permanent(pair_single[np.ix_(u, v)])
-    return out
 
 
 def symmetric_sector_spectrum(
@@ -471,8 +468,7 @@ def symmetric_sector_spectrum(
     identity direction, exactly invariant under the channel, is excluded
     unless requested.
     """
-    site = state if state is not None else basis_pure_density(d)
-    sp_fine, sp_coarse, m = _depolarizing_spaces(d, y, site)
+    sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state)
     blocks = _sector_blocks(n, sp_fine, sp_coarse, m, k, null_threshold)
     eigs = [b["eigenvalues"] for b in blocks.values()]
     if include_identity:
@@ -484,17 +480,6 @@ def symmetric_sector_spectrum(
         "by_degree": {j: b["eigenvalues"] for j, b in blocks.items()},
         "blocks": blocks,
     }
-
-
-def _depolarizing_spaces(d: int, y: float, site: DensityMatrix):
-    from .channels import DepolarizingChannel
-
-    sp_fine = SingleParticleSpace.from_state(site)
-    channel = DepolarizingChannel(y, d)
-    coarse_state = DensityMatrix(channel.apply(site.matrix), check=False)
-    sp_coarse = SingleParticleSpace.from_state(coarse_state)
-    m = single_particle_channel_matrix(sp_fine, sp_coarse, channel)
-    return sp_fine, sp_coarse, m
 
 
 def finite_limit_comparison(

@@ -17,7 +17,7 @@ degree is probed by `klocal_decay_check`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,6 +258,20 @@ def _fix_signs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def whitened_contraction(w_fine: np.ndarray, w_coarse: np.ndarray, pairing: np.ndarray):
+    """Eigendata of the squared contraction between two whitened families.
+
+    The pairing B (fine rows, coarse columns) is transported into the
+    whitened frames, S = W_f^T B W_c, and T = S S^T is diagonalized.
+    Returns the eigenvalues of T in descending order, clipped at 0, and the
+    fine-side coefficients W_f V of its eigenvectors.
+    """
+    small = w_fine.T @ pairing @ w_coarse
+    vals, vecs = np.linalg.eigh(small @ small.T)
+    order = np.argsort(vals)[::-1]
+    return np.clip(vals[order], 0.0, None), w_fine @ vecs[:, order]
+
+
 @dataclass
 class ContractionSpectrum:
     """Eigendata of the channel's squared contraction on a GNS family."""
@@ -266,7 +280,6 @@ class ContractionSpectrum:
     coefficients: np.ndarray
     out_space: GnsSpace
     in_space: GnsSpace
-    t_matrix: np.ndarray = field(repr=False, default=None)
 
     def contraction_factors(self) -> np.ndarray:
         return np.sqrt(np.clip(self.eigenvalues, 0.0, None))
@@ -286,27 +299,21 @@ def contraction_spectrum(
 
     The fine side lives at `state`; the coarse side at the channel output
     state uses `basis` again unless `out_basis` names a different coarse
-    family.  Both sides are whitened (null directions quotiented), the
-    pairing matrix is transported into the whitened frames, and the
-    eigenvalues of T = M M^T are returned in descending order together with
-    fine-side basis coefficients of the eigenvectors.
+    family.  Both sides are whitened (null directions quotiented) and the
+    pairing matrix goes through `whitened_contraction`; the eigenvalues come
+    back in descending order together with fine-side basis coefficients of
+    the eigenvectors.
     """
     coarse_state = DensityMatrix(channel.apply(state.matrix), check=False)
     fine = gns_build(state, basis, null_threshold)
     coarse = gns_build(coarse_state, out_basis if out_basis is not None else basis, null_threshold)
     pairing = channel_pairing_matrix(channel, fine, coarse)
-    small = fine.whitener.T @ pairing @ coarse.whitener
-    t_mat = small @ small.T
-    vals, vecs = np.linalg.eigh(t_mat)
-    order = np.argsort(vals)[::-1]
-    vals = np.clip(vals[order], 0.0, None)
-    coeffs = _fix_signs(fine.whitener @ vecs[:, order])
+    vals, coeffs = whitened_contraction(fine.whitener, coarse.whitener, pairing)
     return ContractionSpectrum(
         eigenvalues=vals,
-        coefficients=coeffs,
+        coefficients=_fix_signs(coeffs),
         out_space=fine,
         in_space=coarse,
-        t_matrix=t_mat,
     )
 
 
@@ -327,10 +334,11 @@ def symmetric_sector_dense_spectrum(
     independent again.
     """
     from .channels import homogeneous_coarse_graining
-    from .operators import symmetric_klocal_basis
+    from .operators import _greedy_gram_prune, symmetric_klocal_basis
 
-    basis = symmetric_klocal_basis(k, system, state, null_threshold=null_threshold)
     full = symmetric_klocal_basis(k, system, state, prune=False)
+    keep = _greedy_gram_prune([op.matrix for op in full], state, null_threshold)
+    basis = [full[i] for i in keep]
     channel = homogeneous_coarse_graining(system, y)
     return contraction_spectrum(channel, state, basis, out_basis=full, null_threshold=null_threshold)
 

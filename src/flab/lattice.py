@@ -22,8 +22,8 @@ import numpy as np
 
 from .channels import SwapDiffusion
 from .errors import NumericalError
-from .focklimit import SingleParticleSpace, single_particle_channel_matrix
-from .operators import DensityMatrix, basis_pure_density
+from .focklimit import depolarizing_fock_setup
+from .operators import DensityMatrix
 
 FIELD_SYMMETRY_TOL = 1e-10
 MIN_RING_SITES = 8
@@ -67,14 +67,6 @@ class RingLattice:
         """Unit-norm complex profile e^{i p x} over the sites."""
         p = self.momentum(m)
         return np.exp(1j * p * self.positions()) / math.sqrt(self.n_sites)
-
-    def laplacian(self) -> np.ndarray:
-        L = self.n_sites
-        lap = -2.0 * np.eye(L)
-        for i in range(L):
-            lap[i, (i + 1) % L] += 1.0
-            lap[i, (i - 1) % L] += 1.0
-        return lap
 
 
 @dataclass
@@ -149,10 +141,6 @@ class BandlimitedField:
         return cls(lattice, coeffs, cutoff=cutoff)
 
 
-def sample_field(field: BandlimitedField) -> np.ndarray:
-    return field.sample()
-
-
 def smoother_apply(field: BandlimitedField, sigma: float) -> BandlimitedField:
     """Gaussian momentum smoother: amplitude at momentum p gains e^{-sigma^2 p^2 / 2}."""
     if sigma < 0:
@@ -182,24 +170,6 @@ def diffusion_semigroup_on_sector(sd: SwapDiffusion, k: int, coefficients) -> np
     return W @ c
 
 
-def _letter_data(state_1site: DensityMatrix | None, y: float, letter_index: int):
-    """Kernel entries and letter factor for the depolarizing step."""
-    from .channels import DepolarizingChannel
-
-    site = state_1site if state_1site is not None else basis_pure_density(2)
-    sp_fine = SingleParticleSpace.from_state(site)
-    channel = DepolarizingChannel(y, site.dim)
-    coarse_state = DensityMatrix(channel.apply(site.matrix), check=False)
-    sp_coarse = SingleParticleSpace.from_state(coarse_state)
-    m = single_particle_channel_matrix(sp_fine, sp_coarse, channel)
-    k_fine = float(np.real(sp_fine.kernel[letter_index, letter_index]))
-    k_coarse = float(np.real(sp_coarse.kernel[letter_index, letter_index]))
-    off_diag = np.max(np.abs(m - np.diag(np.diag(m))))
-    if off_diag > 1e-12:
-        raise NumericalError("letter matrix is not diagonal; single-letter sectors do not close")
-    return k_fine, k_coarse, float(m[letter_index, letter_index])
-
-
 def mode_contraction_k1(
     lattice: RingLattice,
     sigma: float,
@@ -215,7 +185,13 @@ def mode_contraction_k1(
     kernel.  For the default pure-qubit letter both kernel entries are 1
     and the value reduces to y^{-1} e^{-(sigma/eps)^2 (1 - cos(p eps))}.
     """
-    k_fine, k_coarse, letter_factor = _letter_data(state_1site, y, letter_index)
+    d = state_1site.dim if state_1site is not None else 2
+    sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state_1site)
+    if np.max(np.abs(m - np.diag(np.diag(m)))) > 1e-12:
+        raise NumericalError("letter matrix is not diagonal; single-letter sectors do not close")
+    k_fine = float(np.real(sp_fine.kernel[letter_index, letter_index]))
+    k_coarse = float(np.real(sp_coarse.kernel[letter_index, letter_index]))
+    letter_factor = float(m[letter_index, letter_index])
     sd = SwapDiffusion(lattice, sigma)
     W = sd.single_walker_semigroup()
     c = lattice.plane_wave(mode_index)

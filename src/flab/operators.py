@@ -100,26 +100,6 @@ class DenseOperator:
         self.hermitian = hermitian
         self.label = label
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.system, self.matrix.conj().T, hermitian=self.hermitian)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def __add__(self, other):
-        return DenseOperator(self.system, self.matrix + as_matrix(other))
-
-    def __sub__(self, other):
-        return DenseOperator(self.system, self.matrix - as_matrix(other))
-
-    def __mul__(self, scalar):
-        return DenseOperator(self.system, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return DenseOperator(self.system, self.matrix @ as_matrix(other))
-
     def __repr__(self):
         tag = self.label or "operator"
         return f"DenseOperator({tag}, d={self.system.d}, n={self.system.n})"
@@ -277,10 +257,6 @@ def single_site_zero_mean_basis(state: DensityMatrix) -> list[np.ndarray]:
         mean = np.trace(state.matrix @ rotated).real
         basis.append(rotated - mean * np.eye(d))
     return basis
-
-
-def tensor_product(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def tensor_many(ops) -> np.ndarray:

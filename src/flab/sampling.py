@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
 from .operators import DensityMatrix
 
 
@@ -64,14 +63,3 @@ def random_cptp_channel(dim: int, kraus_count: int, rng: np.random.Generator):
     iso = big[:, :dim]
     kraus = [iso[k * dim : (k + 1) * dim, :] for k in range(kraus_count)]
     return SuperoperatorChannel(kraus)
-
-
-def random_sector_mix(matrices: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Real random combination of the given (hermitian) operators."""
-    if not matrices:
-        raise NumericalError("cannot sample from an empty operator family")
-    coeffs = rng.standard_normal(len(matrices))
-    out = np.zeros_like(matrices[0])
-    for c, mat in zip(coeffs, matrices):
-        out = out + c * mat
-    return out

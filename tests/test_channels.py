@@ -1,5 +1,7 @@
 """Channel actions: depolarizing, product, permutation average, swaps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -98,13 +100,13 @@ def test_permutation_average_is_projector():
 
 
 def test_permutation_average_modes_agree():
-    system = QuditSystem(2, 3)
-    exact = PermutationAverage(system, mode="exact-sum")
-    orbit = PermutationAverage(system, mode="symmetric-projector")
-    x = random_matrix(8, 8)
-    assert_close(exact.apply(x), orbit.apply(x), tol=1e-12)
-    with pytest.raises(ValueError):
-        PermutationAverage(system, mode="montecarlo")
+    # oracle: the literal average of U_pi X U_pi^dagger over all n! permutations
+    for d, n in ((2, 3), (3, 3)):
+        system = QuditSystem(d, n)
+        x = random_matrix(system.dim, 8)
+        perms = list(itertools.permutations(range(n)))
+        exact = sum(permute_sites(x, p, system) for p in perms) / len(perms)
+        assert_close(PermutationAverage(system).apply(x), exact, tol=1e-12)
 
 
 def test_coarse_graining_factors_commute():

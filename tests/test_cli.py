@@ -1,10 +1,11 @@
 """Command-line entry: configs, exit codes, determinism of reports."""
 
 import json
+import math
 
 import pytest
 
-from flab.cli import main, run_config, run_experiment
+from flab.cli import main, run_experiment
 from flab.errors import ConfigError
 
 
@@ -85,6 +86,22 @@ def test_config_errors(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"L": 26, "pair_probe": True},  # beyond the pair-walker generator
+        {"L": 66},  # beyond the single-walker generator
+        {"L": 8, "cutoff": math.pi},  # above the highest sub-Nyquist momentum
+    ],
+)
+def test_lattice_limits_are_config_errors(tmp_path, capsys, overrides):
+    payload = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0], "probe_samples": 4, **overrides}
+    out = tmp_path / "report.json"
+    assert main(["lattice", "--config", write_config(tmp_path, "lat", payload), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_budget_maps_to_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("FLAB_MAX_DIM", "8")
     cfg = write_config(tmp_path, "big", {"d": 2, "n": 5, "y": 2.0, "k": 1})
@@ -94,8 +111,6 @@ def test_budget_maps_to_config_error(tmp_path, monkeypatch):
 def test_unknown_experiment():
     with pytest.raises(ConfigError):
         run_experiment("nonsense", {})
-    with pytest.raises(ConfigError):
-        run_config({"d": 2})  # missing experiment name
 
 
 def test_seed_override_and_determinism(tmp_path):

@@ -1,5 +1,7 @@
 """Single-particle kernels, permanents, and the limiting block spectra."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from flab.focklimit import (
     generating_overlap,
     limiting_inner,
     permanent,
+    permanent_gram,
     single_particle_channel_matrix,
     symmetric_sector_spectrum,
     vertex_overlap,
@@ -130,6 +133,30 @@ def test_finite_inner_against_dense_words():
             want = np.trace(state.matrix @ dense[u].conj().T @ dense[v])
             got = finite_n_inner(sp, u, v, n)
             assert abs(got - want) < 1e-11, (u, v)
+
+
+def test_permanent_gram_matches_ryser():
+    def ryser(a):
+        # perm(A) = (-1)^m sum over column subsets S of (-1)^|S| prod_i sum_{j in S} a_ij
+        size = a.shape[0]
+        total = 0j
+        for r in range(1, size + 1):
+            for subset in itertools.combinations(range(size), r):
+                total += (-1) ** r * np.prod(a[:, subset].sum(axis=1))
+        return (-1) ** size * total
+
+    rng = task_rng(31)
+    kernel = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for j in range(1, 5):
+        rows = list(itertools.combinations_with_replacement(range(4), j))[:5]
+        cols = list(itertools.product(range(4), repeat=j))[1::5][:3]
+        got = permanent_gram(kernel, rows, cols)
+        assert got.shape == (len(rows), len(cols))
+        for r, u in enumerate(rows):
+            for c, v in enumerate(cols):
+                assert abs(got[r, c] - ryser(kernel[np.ix_(u, v)])) < 1e-12
+    with pytest.raises(ValueError):
+        permanent_gram(kernel, [(0,)], [(0, 1)])
 
 
 def test_limiting_inner_is_permanent():

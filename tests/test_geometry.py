@@ -5,6 +5,7 @@ import pytest
 
 from flab.channels import DepolarizingChannel, ProductChannel, homogeneous_coarse_graining
 from flab.errors import NumericalError
+from flab.focklimit import symmetric_sector_spectrum
 from flab.geometry import (
     bures_inner,
     bures_norm,
@@ -21,12 +22,14 @@ from flab.geometry import (
     pushforward_norm,
     symmetric_sector_dense_spectrum,
     whiten_psd,
+    whitened_contraction,
 )
 from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
     maximally_mixed_density,
+    product_density,
     single_site_zero_mean_basis,
 )
 from flab.sampling import (
@@ -119,6 +122,33 @@ def test_whiten_psd():
         whiten_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_whitened_contraction_closed_forms():
+    rng = task_rng(9)
+    z = rng.standard_normal((4, 4))
+    gram = z @ z.T + 0.1 * np.eye(4)
+    w, _ = whiten_psd(gram)
+    # pairing equal to both Grams: every whitened direction is kept whole
+    vals, coeffs = whitened_contraction(w, w, gram)
+    assert_close(vals, np.ones(4), tol=1e-10)
+    assert_close(coeffs.T @ gram @ coeffs, np.eye(4), tol=1e-10)
+    vals, _ = whitened_contraction(w, w, 0.5 * gram)
+    assert_close(vals, np.full(4, 0.25), tol=1e-10)
+    # rank-3 fine Gram: exactly its null direction drops out
+    b = rng.standard_normal((4, 3))
+    fine = b @ b.T
+    null = np.linalg.svd(b.T)[2][-1]
+    w_f, _ = whiten_psd(fine)
+    vals, coeffs = whitened_contraction(w_f, w_f, fine)
+    assert vals.shape == (3,) and coeffs.shape == (4, 3)
+    assert_close(vals, np.ones(3), tol=1e-10)
+    assert_close(null @ coeffs, np.zeros(3), tol=1e-10)
+    # rank-2 pairing: descending, and the zero eigenvalues are clipped at 0
+    pairing = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+    vals, _ = whitened_contraction(w, w, pairing)
+    assert np.all(np.diff(vals) <= 0.0)
+    assert vals.min() >= 0.0 and vals[2] < 1e-12
+
+
 def test_gns_build_rank_and_hermiticity_check():
     pure = basis_pure_density(2)
     letters = single_site_zero_mean_basis(pure)
@@ -180,8 +210,6 @@ def test_contraction_spectrum_depolarizing_mixed_site():
 
 
 def test_dense_sector_spectrum_matches_closed_form(qubit_triple, pure_triple):
-    from flab.focklimit import symmetric_sector_spectrum
-
     dense = symmetric_sector_dense_spectrum(qubit_triple, pure_triple, 2.0, 2)
     closed = symmetric_sector_spectrum(3, 2, 2.0, 2, include_identity=True)
     want = np.sort(closed["eigenvalues"])[::-1]
@@ -189,6 +217,17 @@ def test_dense_sector_spectrum_matches_closed_form(qubit_triple, pure_triple):
     assert len(got) == len(want)
     assert_close(got, want, tol=1e-10, what="dense vs closed-form spectrum")
     assert_close(want, [1.0, 0.25, 0.25, 0.1, 0.1], tol=1e-12)
+
+
+def test_dense_sector_spectrum_matches_closed_form_at_mixed_states():
+    rng = task_rng(20261017)
+    for d, n, k in ((2, 3, 1), (2, 4, 2), (3, 3, 1), (3, 3, 2)):
+        y = float(rng.uniform(1.5, 4.0))
+        site = random_positive_density(d, rng, min_eigenvalue=0.05)
+        dense = symmetric_sector_dense_spectrum(QuditSystem(d, n), product_density(site, n), y, k)
+        closed = symmetric_sector_spectrum(n, d, y, k, state=site, include_identity=True)
+        assert dense.eigenvalues.shape == closed["eigenvalues"].shape
+        assert_close(dense.eigenvalues, closed["eigenvalues"], tol=1e-10, what=f"d={d} n={n} k={k}")
 
 
 def test_klocal_decay_check_output_and_validation():
