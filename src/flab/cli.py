@@ -153,14 +153,14 @@ def run_fock(params: dict) -> Report:
     k_max = _require(params, "k_max", int, lambda v: 1 <= v <= 4, "need 1 <= k_max <= 4")
     report = Report("fock", params, _seed(params))
     sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y)
+    # largest block first, so one over the dimension budget is refused
+    # before any smaller block has run
+    blocks = [fock_block_spectrum(sp_fine, sp_coarse, m, k) for k in range(k_max, 0, -1)]
     rows = []
     worst = 0.0
-    for k in range(1, k_max + 1):
-        block = fock_block_spectrum(sp_fine, sp_coarse, m, k)
-        for i, v in enumerate(block.eigenvalues):
-            rows.append(
-                {"k": k, "index": i, "eigenvalue": float(v), "eigenvector": block.eigen_labels[i]}
-            )
+    for block in reversed(blocks):
+        for i, (v, label) in enumerate(zip(block.eigenvalues, block.eigen_labels)):
+            rows.append({"k": block.k, "index": i, "eigenvalue": float(v), "eigenvector": label})
             worst = max(worst, float(v))
     report.add_table("blocks", rows)
     report.add_assertion(

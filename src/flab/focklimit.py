@@ -14,28 +14,38 @@ operators of the form prod_i (1 + i a/sqrt(n)) converge likewise to
 exponential vectors with overlap exp(tr(rho a^dagger b)).
 
 Coarse-graining channels act letterwise in this picture, so their
-contraction spectra reduce to small whitened eigenproblems over tensor
-powers of K: `fock_block_spectrum` for the limiting blocks on k-letter tuple
-spaces, `symmetric_sector_spectrum` for the exact finite-n spectrum on the
+contraction spectra reduce to whitened eigenproblems over tensor powers of
+K: `fock_block_spectrum` for the limiting blocks on k-letter tuple spaces
+(whose coarse metric, a Kronecker power of the letter kernel, is inverted
+factor by factor rather than as one dense tuple Gram),
+`symmetric_sector_spectrum` for the exact finite-n spectrum on the
 symmetric k-local sector, and `beta_bound_test` for the sector-wise norm
 bound under sitewise depolarizing noise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
-from .geometry import bures_norm, pushforward_norm, whiten_psd, whitened_contraction
+from .errors import DimensionBudgetError, NumericalError
+from .geometry import (
+    bures_norm,
+    pushforward_norm,
+    transported_contraction,
+    whiten_psd,
+    whitened_contraction,
+)
 from .operators import (
     DensityMatrix,
     QuditSystem,
     as_matrix,
     basis_pure_density,
+    dense_dim_budget,
     gell_mann_basis,
     klocal_basis,
     product_density,
@@ -45,6 +55,11 @@ from .operators import (
 
 NULL_LETTER_THRESHOLD = 1e-10
 PERMANENT_MAX_SIZE = 8
+# Largest cond(K')^k for which a coarse tuple metric is inverted in factored
+# form.  That route passes through K'^{-1/2}, so its roundoff grows like
+# eps * cond(K')^k (about 3e-17 cond^k, measured on nearly pure qubits and
+# qutrits at y = 1); this keeps it below 1e-12.
+FACTORED_COND_MAX = 1e4
 
 
 @dataclass
@@ -306,6 +321,53 @@ def _kron_power(mat: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _kron_apply(mat: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """mat^{(x)k} @ x as k mode products on a (cols, ..., cols, x-cols) reshape."""
+    rows, cols = mat.shape
+    out = x.reshape((cols,) * k + (x.shape[1],))
+    for axis in range(k):
+        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
+    return out.reshape(rows**k, x.shape[1])
+
+
+def _check_tuple_budget(side: str, letters: int, k: int) -> None:
+    budget = dense_dim_budget()
+    if letters**k > budget:
+        raise DimensionBudgetError(
+            f"dense {side} tuple dimension {letters}**{k} exceeds budget {budget}; "
+            "set FLAB_MAX_DIM to override"
+        )
+
+
+def _coarse_inverse_factors(kernel: np.ndarray, k: int, null_threshold: float):
+    """Factors of the inverse of Re(K'^{(x)k}), or None if it is not certified.
+
+    With lambda the eigenvalues of K', the spectrum of Re(K'^{(x)k}) =
+    (X + conj(X)) / 2, X = K'^{(x)k}, lies in [lambda_min^k, lambda_max^k]
+    (Weyl: conj(X) has the spectrum of X).  When lambda_min^k exceeds
+    null_threshold * lambda_max^k, whitening keeps every direction and the
+    inverse is exact; it is used only while lambda_max^k <= FACTORED_COND_MAX
+    * lambda_min^k, which bounds its roundoff.  With Q = K'^{-1/2} and
+    Q conj(K') Q = V diag(Lambda) V^dagger, Z = V^dagger Q gives
+    Z K' Z^dagger = 1, Z conj(K') Z^dagger = diag(Lambda) and
+
+        Re(K'^{(x)k})^{-1} = 2 Z^{dagger (x)k} diag(1 / (1 + Lambda^{(x)k})) Z^{(x)k}.
+
+    Returns (Z, Lambda) in that case and None otherwise.
+    """
+    vals, vecs = np.linalg.eigh(kernel)
+    low, high = vals[0], vals[-1]
+    if not (
+        low > 0.0
+        and low**k > null_threshold * high**k
+        and high**k <= FACTORED_COND_MAX * low**k
+    ):
+        return None
+    root_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    lam, rot = np.linalg.eigh(root_inv @ kernel.conj() @ root_inv)
+    return rot.conj().T @ root_inv, lam
+
+
 def _combo_label(coeffs: np.ndarray, names: list[str], tol: float = 1e-8) -> str:
     parts = []
     for c, name in zip(coeffs, names):
@@ -340,12 +402,25 @@ def fock_block_spectrum(
 ) -> FockBlock:
     """Contraction spectrum of the channel on the k-letter tuple space.
 
-    The fine space is reduced to its non-null letters (count r); the block
-    then whitens Re(K^{(x)k}) and Re(K'^{(x)k}) and transports the pairing
-    Re((K m)^{(x)k}) between them.  Eigenvalues are reported in descending
-    order, zero padded to the full r^k tuple dimension so that directions
-    annihilated by the metric appear explicitly.  Eigenvector coefficients
-    are given over the fine tuple basis, with readable combination labels.
+    The fine space is reduced to its non-null letters (count r) and its
+    tuple Gram Re(K^{(x)k}) is whitened.  The pairing P = Re((K m)^{(x)k})
+    is transported through the inverse coarse metric Re(K'^{(x)k})^{-1}.
+    When the eigenvalues of the coarse letter kernel satisfy
+    lambda_min^k > null_threshold * lambda_max^k, whitening would keep every
+    coarse direction; if also lambda_max^k <= FACTORED_COND_MAX *
+    lambda_min^k, that inverse is applied in factored form,
+    2 Z^{dagger (x)k} diag(1 / (1 + Lambda^{(x)k})) Z^{(x)k}, by mode
+    products on the c letters (see `_coarse_inverse_factors`); no
+    (c^k)-square array is built.  Otherwise (a singular or ill-conditioned
+    coarse kernel, as at y = 1) Re(K'^{(x)k}) is built and whitened densely.
+
+    Eigenvalues are reported in descending order, zero padded to the full
+    r^k tuple dimension so that directions annihilated by the metric appear
+    explicitly.  Eigenvector coefficients are given over the fine tuple
+    basis, with readable combination labels.  Every tuple dimension built
+    densely (r^k always, c^k on the dense coarse path) is checked against
+    `dense_dim_budget` before allocation; DimensionBudgetError if it exceeds
+    it.
     """
     if k < 1:
         raise ValueError("block degree k must be >= 1")
@@ -358,14 +433,28 @@ def fock_block_spectrum(
     k_fine = fine_red.kernel
     k_coarse = sp_coarse.kernel
     pair_single = k_fine @ m[kept, :]
+    factors = _coarse_inverse_factors(k_coarse, k, null_threshold)
+    _check_tuple_budget("fine", fine_red.dim, k)
+    if factors is None:
+        _check_tuple_budget("coarse", sp_coarse.dim, k)
 
-    gram_fine = np.real(_kron_power(k_fine, k))
-    gram_coarse = np.real(_kron_power(k_coarse, k))
-    pairing = np.real(_kron_power(pair_single, k))
-
-    w_fine, _ = whiten_psd(gram_fine, null_threshold)
-    w_coarse, _ = whiten_psd(gram_coarse, null_threshold)
-    vals, coeffs = whitened_contraction(w_fine, w_coarse, pairing)
+    w_fine, _ = whiten_psd(np.real(_kron_power(k_fine, k)), null_threshold)
+    if factors is None:
+        gram_coarse = np.real(_kron_power(k_coarse, k))
+        pairing = np.real(_kron_power(pair_single, k))
+        w_coarse, _ = whiten_psd(gram_coarse, null_threshold)
+        vals, coeffs = whitened_contraction(w_fine, w_coarse, pairing)
+    else:
+        z, lam = factors
+        # Z^{(x)k} P^T W_f, with P^T = ((K m)^{T (x)k} + conj(K m)^{T (x)k}) / 2
+        lifted = 0.5 * (
+            _kron_apply(z @ pair_single.T, w_fine, k)
+            + _kron_apply(z @ pair_single.conj().T, w_fine, k)
+        )
+        weight = np.sqrt(2.0 / (1.0 + functools.reduce(np.kron, [lam] * k)))
+        small = (lifted * weight[:, None]).conj().T
+        # Re(S S^dagger) = [Re S, Im S] [Re S, Im S]^T
+        vals, coeffs = transported_contraction(w_fine, np.hstack([small.real, small.imag]))
 
     dim_tuple = fine_red.dim**k
     padded = np.zeros(dim_tuple)

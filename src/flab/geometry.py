@@ -262,11 +262,19 @@ def whitened_contraction(w_fine: np.ndarray, w_coarse: np.ndarray, pairing: np.n
     """Eigendata of the squared contraction between two whitened families.
 
     The pairing B (fine rows, coarse columns) is transported into the
-    whitened frames, S = W_f^T B W_c, and T = S S^T is diagonalized.
-    Returns the eigenvalues of T in descending order, clipped at 0, and the
-    fine-side coefficients W_f V of its eigenvectors.
+    whitened frames, S = W_f^T B W_c, and handed to `transported_contraction`.
     """
-    small = w_fine.T @ pairing @ w_coarse
+    return transported_contraction(w_fine, w_fine.T @ pairing @ w_coarse)
+
+
+def transported_contraction(w_fine: np.ndarray, small: np.ndarray):
+    """Eigendata of T = S S^T for a real transported block S.
+
+    S has one row per whitened fine direction and any number of columns
+    spanning the coarse side.  Returns the eigenvalues of T in descending
+    order, clipped at 0, and the fine-side coefficients W_f V of its
+    eigenvectors.
+    """
     vals, vecs = np.linalg.eigh(small @ small.T)
     order = np.argsort(vals)[::-1]
     return np.clip(vals[order], 0.0, None), w_fine @ vecs[:, order]

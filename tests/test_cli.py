@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from flab import cli
 from flab.cli import main, run_experiment
 from flab.errors import ConfigError
 
@@ -106,6 +107,43 @@ def test_budget_maps_to_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("FLAB_MAX_DIM", "8")
     cfg = write_config(tmp_path, "big", {"d": 2, "n": 5, "y": 2.0, "k": 1})
     assert main(["spectrum", "--config", cfg]) == 2
+
+
+def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
+    # y = 1 leaves the coarse kernel singular, so the 8**2 coarse tuple Gram
+    # would be built densely; it is refused before allocation
+    monkeypatch.setenv("FLAB_MAX_DIM", "50")
+    cfg = write_config(tmp_path, "fock", {"d": 3, "y": 1.0, "k_max": 2})
+    out = tmp_path / "report.json"
+    assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
+    assert "exceeds budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fock_refuses_largest_block_first(tmp_path, monkeypatch, capsys):
+    # at d = 3, y = 2 the fine side has 4 letters: 4**2 fits a budget of 50,
+    # 4**3 does not; the k = 3 block is refused before k = 1, 2 have run
+    built = []
+    real_block = cli.fock_block_spectrum
+
+    def recording_block(sp_fine, sp_coarse, m, k):
+        built.append(k)
+        return real_block(sp_fine, sp_coarse, m, k)
+
+    monkeypatch.setattr(cli, "fock_block_spectrum", recording_block)
+    monkeypatch.setenv("FLAB_MAX_DIM", "50")
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "fock", {"d": 3, "y": 2.0, "k_max": 2})
+    assert main(["fock", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["tables"]["blocks"]
+    assert [row["k"] for row in rows] == [1] * 4 + [2] * 16
+    out.unlink()
+    built.clear()
+    cfg = write_config(tmp_path, "fock", {"d": 3, "y": 2.0, "k_max": 3})
+    assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
+    assert "fine tuple dimension 4**3" in capsys.readouterr().err
+    assert built == [3]
+    assert not out.exists()
 
 
 def test_unknown_experiment():

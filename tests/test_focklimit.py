@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from flab import focklimit
 from flab.channels import DepolarizingChannel
-from flab.errors import NumericalError
+from flab.errors import DimensionBudgetError, NumericalError
 from flab.focklimit import (
+    NULL_LETTER_THRESHOLD,
     SingleParticleSpace,
     beta_bound_decreasing,
     beta_bound_test,
@@ -27,6 +29,7 @@ from flab.focklimit import (
     symmetric_sector_spectrum,
     vertex_overlap,
 )
+from flab.geometry import whiten_psd
 from flab.operators import (
     DensityMatrix,
     QuditSystem,
@@ -222,6 +225,123 @@ def test_fock_block_labels():
     assert set(b1.tuple_labels) == {"x", "p"}
     b2 = fock_block_spectrum(sp_f, sp_c, m, 2)
     assert "x(x)x" in b2.tuple_labels or "x(x)p" in b2.tuple_labels
+
+
+def _dense_fock_oracle(sp_f, sp_c, m, k):
+    """The dense tuple-Gram route: kron powers, whiten_psd on both sides, transport, eigh."""
+    fine_red, kept = sp_f.reduced(NULL_LETTER_THRESHOLD)
+
+    def real_power(mat):
+        out = np.ones((1, 1))
+        for _ in range(k):
+            out = np.kron(out, mat)
+        return np.real(out)
+
+    w_f, _ = whiten_psd(real_power(fine_red.kernel), NULL_LETTER_THRESHOLD)
+    w_c, _ = whiten_psd(real_power(sp_c.kernel), NULL_LETTER_THRESHOLD)
+    small = w_f.T @ real_power(fine_red.kernel @ m[kept, :]) @ w_c
+    vals, vecs = np.linalg.eigh(small @ small.T)
+    order = np.argsort(vals)[::-1]
+    return np.clip(vals[order], 0.0, None), w_f @ vecs[:, order]
+
+
+def _clusters(vals, rel_gap=1e-9):
+    """Index ranges of descending eigenvalues split where the gap exceeds rel_gap * top."""
+    cuts = np.flatnonzero(-np.diff(vals) > rel_gap * vals[0])
+    return np.split(np.arange(vals.size), cuts + 1)
+
+
+def _nearly_pure(d, eps):
+    return DensityMatrix(np.diag([1.0 - (d - 1) * eps] + [eps] * (d - 1)).astype(complex))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("state", ["pure", "mixed", "nearly-pure"])
+def test_fock_block_matches_dense_oracle(d, state):
+    # nearly pure at y = 1: cond(K') ~ 1e4, where an uncapped factored
+    # inverse was 2.7e-9 off at k = 2 (d = 3) against 2.9e-12 for the dense
+    # route.  It is not taken at y > 1: at k = 3 there it has eigenvalue
+    # clusters near 1e-9 spaced by ~1e-10, whose projectors move by up to
+    # 2e-8 relative when one product of the dense route is re-associated.
+    site = {
+        "pure": None,
+        "mixed": random_positive_density(d, task_rng(20261018, d), min_eigenvalue=0.05),
+        "nearly-pure": _nearly_pure(d, 1e-4),
+    }[state]
+    for y in (1.0,) if state == "nearly-pure" else (1.0, 1.5, 3.0):
+        sp_f, sp_c, m = depolarizing_fock_setup(d, y, site)
+        for k in (1, 2, 3):
+            block = fock_block_spectrum(sp_f, sp_c, m, k)
+            want_vals, want_coeffs = _dense_fock_oracle(sp_f, sp_c, m, k)
+            what = f"d={d} {state} y={y} k={k}"
+            assert block.fine_rank == want_vals.size, what
+            assert np.max(np.abs(block.eigenvalues[want_vals.size :]), initial=0.0) == 0.0
+            assert_close(block.eigenvalues[: want_vals.size], want_vals, tol=1e-12, what=what)
+            got_coeffs = block.coefficients[:, : want_vals.size]
+            for idx in _clusters(want_vals):
+                want_proj = want_coeffs[:, idx] @ want_coeffs[:, idx].T
+                got_proj = got_coeffs[:, idx] @ got_coeffs[:, idx].T
+                dev = np.max(np.abs(got_proj - want_proj))
+                assert dev <= 1e-8 * np.max(np.abs(want_proj)), f"{what} cluster {idx}: {dev:.3e}"
+
+
+@pytest.mark.parametrize(
+    "y, eps, dense_degrees",
+    [(2.0, 0.0, ()), (1.0, 0.0, (1, 2, 3)), (1.0, 0.03, (3,))],
+    ids=["pure-y2", "pure-y1", "nearly-pure-y1"],
+)
+def test_fock_block_whitens_coarse_tuples_only_when_uncertified(monkeypatch, y, eps, dense_degrees):
+    # the coarse tuple Gram is whitened densely exactly when
+    # lambda_min(K')^k <= threshold * lambda_max(K')^k or cond(K')^k >
+    # FACTORED_COND_MAX: always for the singular kernel of a pure coarse
+    # state (y = 1), from k = 3 on for cond(K') = 31 (eps = 0.03), never at
+    # y = 2 with a pure fine state
+    sizes = []
+
+    def recording_whiten(gram, threshold):
+        sizes.append(gram.shape[0])
+        return whiten_psd(gram, threshold)
+
+    monkeypatch.setattr(focklimit, "whiten_psd", recording_whiten)
+    sp_f, sp_c, m = depolarizing_fock_setup(3, y, _nearly_pure(3, eps))
+    for k in (1, 2, 3):
+        sizes.clear()
+        fock_block_spectrum(sp_f, sp_c, m, k)
+        # the fine tuple Gram first, then the coarse one if it is dense
+        assert sizes[1:] == ([sp_c.dim**k] if k in dense_degrees else []), (k, sizes)
+
+
+def test_real_part_of_kron_power_is_bracketed_by_kernel_extremes():
+    # the rule that picks the factored coarse inverse rests on this bound
+    rng = task_rng(20261018, 99)
+    for dim in (3, 8):
+        for _ in range(3):
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            kernel = z @ z.conj().T + 0.05 * np.eye(dim)
+            low, high = np.linalg.eigvalsh(kernel)[[0, -1]]
+            power = np.ones((1, 1))
+            for k in (1, 2, 3):
+                power = np.kron(power, kernel)
+                vals = np.linalg.eigvalsh(np.real(power))
+                slack = 1e-12 * high**k
+                assert vals[0] >= low**k - slack and vals[-1] <= high**k + slack, (dim, k)
+
+
+def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
+    monkeypatch.setenv("FLAB_MAX_DIM", "50")
+    # y = 2: the 64-dim coarse side is factored, the 16-dim fine side fits
+    fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
+
+    def no_allocation(mat, k):
+        raise AssertionError("tuple Gram built before the budget check")
+
+    monkeypatch.setattr(focklimit, "_kron_power", no_allocation)
+    # y = 1: the singular coarse kernel needs the dense 64-dim coarse Gram
+    with pytest.raises(DimensionBudgetError, match="coarse tuple dimension 8\\*\\*2"):
+        fock_block_spectrum(*depolarizing_fock_setup(3, 1.0), 2)
+    monkeypatch.setenv("FLAB_MAX_DIM", "15")
+    with pytest.raises(DimensionBudgetError, match="fine tuple dimension 4\\*\\*2"):
+        fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
 
 
 def test_sector_spectrum_is_n_independent():
