@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .operators import QuditSystem, as_matrix
+from .operators import QuditSystem, as_matrix, kron_apply
 
 TRACE_PRESERVING_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
@@ -98,18 +98,17 @@ class ProductChannel(Channel):
         self.system = system
         self.dim = system.dim
         d = system.d
-        self._superop = single_site_superoperator(site_channel, d).reshape(d, d, d, d)
-        self._superop_adj = single_site_superoperator(site_channel, d, adjoint=True).reshape(d, d, d, d)
+        self._superop = single_site_superoperator(site_channel, d)
+        self._superop_adj = single_site_superoperator(site_channel, d, adjoint=True)
 
-    def _apply_all_sites(self, X, S4: np.ndarray) -> np.ndarray:
+    def _apply_all_sites(self, X, superop: np.ndarray) -> np.ndarray:
+        """superop^{(x)n} on X, with each site's (row, column) pair as one mode."""
         d, n = self.system.d, self.system.n
-        out = as_matrix(X)
-        for site in range(n):
-            dl, dr = d**site, d ** (n - 1 - site)
-            tens = out.reshape(dl, d, dr, dl, d, dr)
-            tens = np.einsum("acbe,LbRMeS->LaRMcS", S4, tens)
-            out = tens.reshape(self.dim, self.dim)
-        return out
+        # (r_0..r_{n-1}, c_0..c_{n-1}) -> (r_0, c_0, r_1, c_1, ...) and back
+        pairs = [a for site in range(n) for a in (site, n + site)]
+        tens = as_matrix(X).reshape((d,) * (2 * n)).transpose(pairs)
+        out = kron_apply(superop, tens.reshape(-1, 1), n)
+        return out.reshape((d,) * (2 * n)).transpose(np.argsort(pairs)).reshape(self.dim, self.dim)
 
     def apply(self, X) -> np.ndarray:
         return self._apply_all_sites(X, self._superop)
@@ -131,19 +130,21 @@ class PermutationAverage(Channel):
         self.system = system
         self.dim = system.dim
         d, n, dim = system.d, system.n, system.dim
+        # an orbit is fixed by how many sites carry each joint (row, column)
+        # label; those counts are folded into one key per entry, label by
+        # label, re-compressed after each fold so the key never overflows
         idx = np.arange(dim)
-        digits = np.empty((dim, n), dtype=np.int64)
-        for i in range(n):
-            digits[:, i] = (idx // d ** (n - 1 - i)) % d
-        # joint row/column site labels; permutations act on sites of both at once
-        pair_label = digits[:, None, :] * d + digits[None, :, :]
-        canon = np.sort(pair_label, axis=2)
-        flat = canon.reshape(dim * dim, n)
-        _, orbit_index, counts = np.unique(
-            flat, axis=0, return_inverse=True, return_counts=True
-        )
-        self._orbit_index = orbit_index
-        self._orbit_size = counts
+        digits = [(idx // d ** (n - 1 - i)) % d for i in range(n)]
+        key = np.zeros(dim * dim, dtype=np.int64)
+        # the last label's count is n minus the others
+        for label in range(d * d - 1):
+            a, b = divmod(label, d)
+            count = np.zeros((dim, dim), dtype=np.int64)
+            for site in digits:
+                count += np.outer(site == a, site == b)
+            _, key = np.unique(key * (n + 1) + count.ravel(), return_inverse=True)
+        self._orbit_index = key
+        self._orbit_size = np.bincount(key)
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)

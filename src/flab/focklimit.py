@@ -48,6 +48,7 @@ from .operators import (
     dense_dim_budget,
     gell_mann_basis,
     klocal_basis,
+    kron_apply,
     product_density,
     sector_span,
     symmetric_words,
@@ -321,15 +322,6 @@ def _kron_power(mat: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _kron_apply(mat: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """mat^{(x)k} @ x as k mode products on a (cols, ..., cols, x-cols) reshape."""
-    rows, cols = mat.shape
-    out = x.reshape((cols,) * k + (x.shape[1],))
-    for axis in range(k):
-        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
-    return out.reshape(rows**k, x.shape[1])
-
-
 def _check_tuple_budget(side: str, letters: int, k: int) -> None:
     budget = dense_dim_budget()
     if letters**k > budget:
@@ -448,8 +440,8 @@ def fock_block_spectrum(
         z, lam = factors
         # Z^{(x)k} P^T W_f, with P^T = ((K m)^{T (x)k} + conj(K m)^{T (x)k}) / 2
         lifted = 0.5 * (
-            _kron_apply(z @ pair_single.T, w_fine, k)
-            + _kron_apply(z @ pair_single.conj().T, w_fine, k)
+            kron_apply(z @ pair_single.T, w_fine, k)
+            + kron_apply(z @ pair_single.conj().T, w_fine, k)
         )
         weight = np.sqrt(2.0 / (1.0 + functools.reduce(np.kron, [lam] * k)))
         small = (lifted * weight[:, None]).conj().T

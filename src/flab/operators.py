@@ -266,6 +266,19 @@ def tensor_many(ops) -> np.ndarray:
     return out
 
 
+def kron_apply(mat: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """mat^{(x)k} @ x as k mode products on a (cols, ..., cols, x-cols) reshape.
+
+    Each factor is one GEMM against its own tensor axis, so no (rows^k,
+    cols^k) array is built.
+    """
+    rows, cols = mat.shape
+    out = x.reshape((cols,) * k + (x.shape[1],))
+    for axis in range(k):
+        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
+    return out.reshape(rows**k, x.shape[1])
+
+
 def site_product(factors: dict[int, np.ndarray], system: QuditSystem) -> np.ndarray:
     """Product of single-site operators acting on the given sites.
 
@@ -331,10 +344,7 @@ def fluctuation_operator(a, system: QuditSystem, state_1site: DensityMatrix | No
                 f"single-site operator has expectation {mean:.3e}; "
                 "subtract tr(rho a) times the identity first"
             )
-    total = np.zeros((system.dim, system.dim), dtype=complex)
-    for i in range(system.n):
-        total += embed_at_site(a, i, system)
-    return total / math.sqrt(system.n)
+    return _distinct_site_sum((0,), [a], system) / math.sqrt(system.n)
 
 
 @dataclass
@@ -416,72 +426,37 @@ def sector_span(sectors: list[SectorBasis], min_support: int = 0, max_support: i
     return matrices, labels
 
 
-def _set_partitions(items: tuple):
-    """All partitions of a tuple into nonempty blocks."""
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [(head,) + part[i]] + part[i + 1 :]
-        yield [(head,)] + part
-
-
-def _distinct_site_sum(word: tuple, single_site: dict, system: QuditSystem) -> np.ndarray:
+def _distinct_site_sum(word: tuple, letters, system: QuditSystem) -> np.ndarray:
     """Sum over ordered tuples of distinct sites of the embedded letter product.
 
-    Computed by Moebius inversion on the partition lattice of the letter
-    positions: the unrestricted product of site sums overcounts exactly by
-    the contributions where groups of positions share a site, and those are
-    themselves distinct-site sums of shorter words with fused letters.
+    Built site by site over the multiset of the word: partial[c] is the sum
+    over placements, on the sites seen so far, of the letter copies counted
+    by c (copies of one letter placed in increasing site order).  Each new
+    site takes the identity or one more copy of some letter, so the cost is
+    one kron per state and transition instead of an n-fold kron tower per
+    placement.  Ordering the copies of each letter in every way multiplies
+    the unordered sum by prod_t m_t!.
     """
-    dim = system.dim
-
-    def site_sum(key) -> np.ndarray:
-        op = single_site[key]
-        total = np.zeros((dim, dim), dtype=complex)
-        for i in range(system.n):
-            total += embed_at_site(op, i, system)
-        return total
-
-    def fused_key(letters: tuple) -> tuple:
-        flat = []
-        for l in letters:
-            flat.extend(l if isinstance(l, tuple) else (l,))
-        return tuple(flat)
-
-    cache: dict[tuple, np.ndarray] = {}
-
-    def distinct(letters: tuple) -> np.ndarray:
-        if letters in cache:
-            return cache[letters]
-        if not letters:
-            return np.eye(dim, dtype=complex)
-        out = np.eye(dim, dtype=complex)
-        for l in letters:
-            key = l if isinstance(l, tuple) else (l,)
-            key = key[0] if len(key) == 1 else key
-            if isinstance(key, tuple) and key not in single_site:
-                mat = np.eye(system.d, dtype=complex)
-                for base in key:
-                    mat = mat @ single_site[base]
-                single_site[key] = mat
-            out = out @ site_sum(key)
-        positions = tuple(range(len(letters)))
-        for part in _set_partitions(positions):
-            if len(part) == len(letters):
-                continue
-            blocks = sorted(part, key=min)
-            merged = []
-            for block in blocks:
-                key = fused_key(tuple(letters[p] for p in block))
-                merged.append(key[0] if len(key) == 1 else key)
-            out = out - distinct(tuple(merged))
-        cache[letters] = out
-        return out
-
-    return distinct(tuple(word))
+    distinct = sorted(set(word))
+    ops = [as_matrix(letters[t]) for t in distinct]
+    mult = tuple(word.count(t) for t in distinct)
+    eye = np.eye(system.d, dtype=complex)
+    partial = {(0,) * len(distinct): np.ones((1, 1), dtype=complex)}
+    for site in range(system.n):
+        # placements that can no longer be completed on the sites left are dropped
+        need = len(word) - (system.n - 1 - site)
+        nxt: dict[tuple, np.ndarray] = {}
+        for counts, mat in partial.items():
+            steps = [(counts, eye)] + [
+                (counts[:t] + (c + 1,) + counts[t + 1 :], ops[t])
+                for t, c in enumerate(counts)
+                if c < mult[t]
+            ]
+            for target, op in steps:
+                if sum(target) >= need:
+                    nxt[target] = nxt.get(target, 0) + np.kron(mat, op)
+        partial = nxt
+    return partial[mult] * math.prod(math.factorial(m) for m in mult)
 
 
 def symmetric_word_operator(word, basis_ops, system: QuditSystem) -> np.ndarray:
@@ -495,8 +470,7 @@ def symmetric_word_operator(word, basis_ops, system: QuditSystem) -> np.ndarray:
     word = tuple(word)
     if len(word) > system.n:
         raise ValueError(f"word length {len(word)} exceeds site count {system.n}")
-    single_site = {a: as_matrix(op) for a, op in enumerate(basis_ops)}
-    raw = _distinct_site_sum(word, single_site, system)
+    raw = _distinct_site_sum(word, basis_ops, system)
     return raw / system.n ** (len(word) / 2.0)
 
 

@@ -1,6 +1,7 @@
 """Channel actions: depolarizing, product, permutation average, swaps."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,36 @@ def test_product_channel_matches_kron_superoperator():
     assert_close(ch.apply(x), out, tol=1e-12)
 
 
+def _interleave(x, d, n):
+    """vec of an n-site operator with each site's (row, column) pair adjacent."""
+    pairs = [a for site in range(n) for a in (site, n + site)]
+    return x.reshape((d,) * (2 * n)).transpose(pairs).ravel()
+
+
+def _deinterleave(v, d, n):
+    pairs = [a for site in range(n) for a in (site, n + site)]
+    return v.reshape((d,) * (2 * n)).transpose(np.argsort(pairs)).reshape(d**n, d**n)
+
+
+@pytest.mark.parametrize("d, n", [(3, 3), (2, 4)])
+def test_product_channel_random_site_channel(d, n):
+    # a random CPTP site channel is not its own adjoint, so a swapped
+    # apply/adjoint_apply or a wrong un-interleave shows here
+    site = random_cptp_channel(d, 2, task_rng(31, (d, n)))
+    system = QuditSystem(d, n)
+    ch = ProductChannel(site, system)
+    x, y = random_matrix(system.dim, 16), random_matrix(system.dim, 17)
+    S1 = single_site_superoperator(site, d)
+    big = S1
+    for _ in range(n - 1):
+        big = np.kron(big, S1)
+    want = _deinterleave(big @ _interleave(x, d, n), d, n)
+    assert_close(ch.apply(x), want, tol=1e-12, what="apply")
+    lhs = np.vdot(y, ch.apply(x))
+    rhs = np.vdot(ch.adjoint_apply(y), x)
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
 def test_product_channel_preserves_trace_and_adjoint_unit():
     system = QuditSystem(2, 3)
     ch = ProductChannel(DepolarizingChannel(3.0, 2), system)
@@ -107,6 +138,33 @@ def test_permutation_average_modes_agree():
         perms = list(itertools.permutations(range(n)))
         exact = sum(permute_sites(x, p, system) for p in perms) / len(perms)
         assert_close(PermutationAverage(system).apply(x), exact, tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, n, expected", [(2, 5, 56), (3, 4, 495), (2, 8, 165), (6, 3, 8436)]
+)
+def test_permutation_average_orbit_count(d, n, expected):
+    # one orbit per multiset of n joint (row, column) labels out of d^2;
+    # at (6, 3) a key summing (n + 1)^label would overflow int64
+    perm = PermutationAverage(QuditSystem(d, n))
+    assert expected == math.comb(n + d * d - 1, n)
+    assert perm._orbit_size.size == expected
+    assert perm._orbit_size.sum() == d ** (2 * n)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 3)])
+def test_permutation_average_orbits_match_sorted_pair_labels(d, n):
+    # oracle: orbits as the rows of site-sorted joint labels
+    system = QuditSystem(d, n)
+    idx = np.arange(system.dim)
+    digits = np.stack([(idx // d ** (n - 1 - i)) % d for i in range(n)], axis=1)
+    pair_label = digits[:, None, :] * d + digits[None, :, :]
+    canon = np.sort(pair_label, axis=2).reshape(system.dim**2, n)
+    _, old = np.unique(canon, axis=0, return_inverse=True)
+    new = PermutationAverage(system)._orbit_index
+    # same partition: the label pairs biject
+    joint = np.unique(np.stack([old.ravel(), new]), axis=1).shape[1]
+    assert joint == old.max() + 1 == new.max() + 1
 
 
 def test_coarse_graining_factors_commute():

@@ -236,6 +236,23 @@ def test_distinct_site_sum_degree_three():
     assert_close(got, brute, tol=1e-12)
 
 
+@pytest.mark.parametrize("word", [(0, 0), (0, 0, 1), (1, 1, 1)])
+def test_distinct_site_sum_repeated_letters_qutrit(word):
+    # repeated letters: the case the multiset canonical form relies on
+    system = QuditSystem(3, 4)
+    rng = np.random.default_rng(23)
+    ops = []
+    for _ in range(2):
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        ops.append(z + z.conj().T)
+    got = symmetric_word_operator(word, ops, system)
+    brute = np.zeros((81, 81), dtype=complex)
+    for sites in itertools.permutations(range(4), len(word)):
+        brute += site_product({s: ops[a] for s, a in zip(sites, word)}, system)
+    brute /= 4.0 ** (len(word) / 2.0)
+    assert_close(got, brute, tol=1e-12, what="distinct-site sum")
+
+
 def test_word_length_capped_by_sites():
     system = QuditSystem(2, 2)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
