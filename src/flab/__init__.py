@@ -24,6 +24,7 @@ from .focklimit import (
     FockBlock,
     SingleParticleSpace,
     beta_bound_decreasing,
+    beta_bound_supremum,
     beta_bound_test,
     beta_bound_value,
     clt_convergence,

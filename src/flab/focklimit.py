@@ -20,7 +20,10 @@ K: `fock_block_spectrum` for the limiting blocks on k-letter tuple spaces
 factor by factor rather than as one dense tuple Gram),
 `symmetric_sector_spectrum` for the exact finite-n spectrum on the
 symmetric k-local sector, and `beta_bound_test` for the sector-wise norm
-bound under sitewise depolarizing noise.
+bound under sitewise depolarizing noise.  The bound check measures its
+random draws as quadratic forms over per-support Gram blocks (built once
+from streamed letter products), and `beta_bound_supremum` gives the exact
+supremum of the same ratio from the same blocks.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 
 from .errors import DimensionBudgetError, NumericalError
 from .geometry import (
-    bures_norm,
-    pushforward_norm,
+    norm_grams,
+    sampled_norms,
     transported_contraction,
     whiten_psd,
     whitened_contraction,
@@ -46,11 +49,12 @@ from .operators import (
     as_matrix,
     basis_pure_density,
     dense_dim_budget,
+    factor_product_state,
     gell_mann_basis,
-    klocal_basis,
     kron_apply,
     product_density,
-    sector_span,
+    single_site_zero_mean_basis,
+    site_product,
     symmetric_words,
 )
 
@@ -607,6 +611,72 @@ def beta_bound_decreasing(d: int, y: float) -> bool:
     return y * (y - 1.0) > d
 
 
+def _check_bound_budget(system: QuditSystem, k: int) -> None:
+    """Refuse a bound check whose Gram blocks would not fit, before building any.
+
+    The estimate is the two row blocks (Bures and pushforward, at most dim^2
+    complex entries per operator) of the largest support, all n sites with
+    (d^2 - 1)^n letter products, plus one pair of real Gram blocks per
+    support size from k to n.  The budget is the size of one dense complex
+    matrix of the FLAB_MAX_DIM dimension.
+    """
+    d, n, dim = system.d, system.n, system.dim
+    letters = d * d - 1
+    row_bytes = 2 * 16 * letters**n * dim**2
+    gram_bytes = 2 * 8 * sum(letters ** (2 * s) for s in range(k, n + 1))
+    budget = dense_dim_budget()
+    if row_bytes + gram_bytes > 16 * budget**2:
+        raise DimensionBudgetError(
+            f"bound check at d={d}, n={n}, k={k} needs an estimated "
+            f"{(row_bytes + gram_bytes) / 2**20:.0f} MiB ({letters ** n} x {dim**2} row blocks "
+            f"{row_bytes / 2**20:.0f} MiB, Gram blocks {gram_bytes / 2**20:.0f} MiB), over the "
+            f"{16 * budget**2 / 2**20:.0f} MiB of a dense {budget}-dimensional operator; "
+            "set FLAB_MAX_DIM to override"
+        )
+
+
+def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | None):
+    """Bures and pushforward Gram blocks of the sectors with |S| >= k.
+
+    Returns ((bures, push), count) per support size s = k..n, count =
+    C(n, s) supports; repeated count times, in order of size, the blocks
+    make up the Grams of the `klocal_basis` family over those sectors.
+    The channel is sitewise depolarizing at a product of identical site
+    states, so:
+
+    * blocks of different supports vanish.  A site in one support only
+      contributes the factor tr(rho_i f) = 0 of a zero-mean letter f to a
+      Bures cross term; to a pushforward cross term it contributes
+      tr N_i(rho_i f), the same number because N_i preserves traces;
+    * the block of a support S is that of the |S|-site chain.  Off S the
+      operators are the identity, Omega_rho puts rho_i there, the channel
+      sigma_i, and Omega^{-1} at the product state maps Y (x) sigma_i to
+      Omega^{-1}(Y) (x) 1, leaving factors tr rho_i = 1.
+
+    Each size's letter products are streamed into `norm_grams`; the family
+    itself is never held.
+    """
+    from .channels import DepolarizingChannel, ProductChannel
+
+    if k < 1 or k > n:
+        raise ValueError(f"sector index k={k} out of range for n={n}")
+    _check_bound_budget(QuditSystem(d, n), k)
+    site = state_1site if state_1site is not None else basis_pure_density(d)
+    blocks = []
+    for size in range(k, n + 1):
+        system = QuditSystem(d, size)
+        state = product_density(site, size)
+        channel = ProductChannel(DepolarizingChannel(y, d), system)
+        bases = [single_site_zero_mean_basis(m) for m in factor_product_state(state, system)]
+        products = (
+            site_product({i: bases[i][a] for i, a in enumerate(letters)}, system)
+            for letters in itertools.product(range(d * d - 1), repeat=size)
+        )
+        grams = norm_grams(state, channel, (d * d - 1) ** size, products)
+        blocks.append((grams, math.comb(n, size)))
+    return blocks
+
+
 def beta_bound_test(
     n: int,
     d: int,
@@ -623,32 +693,22 @@ def beta_bound_test(
     the pushforward norm squared never exceeds beta_k times the base norm
     squared (relative slack 1e-10).  Returns the violation count and the
     largest observed ratio.
+
+    Both norms are quadratic forms in a draw's coefficients, so each draw
+    is measured against the per-support Gram blocks of `_bound_grams`,
+    built once per support size, instead of being assembled as an
+    operator.  The draws are the same; `beta_bound_supremum` gives the
+    exact supremum they sample.  DimensionBudgetError, before anything is
+    built, if the blocks would not fit (see `_check_bound_budget`).
     """
-    from .channels import DepolarizingChannel, ProductChannel
     from .sampling import task_rng
 
-    if k < 1 or k > n:
-        raise ValueError(f"sector index k={k} out of range for n={n}")
-    system = QuditSystem(d, n)
-    site = state_1site if state_1site is not None else basis_pure_density(d)
-    state = product_density(site, n)
-    channel = ProductChannel(DepolarizingChannel(y, d), system)
-    matrices, _ = sector_span(klocal_basis(n, system, state), min_support=k)
-    stack = np.stack(matrices)
+    grams = [block for block, count in _bound_grams(n, d, y, k, state_1site) for _ in range(count)]
     bound = beta_bound_value(d, y, k)
     rng = task_rng(seed, (n, d, int(y * 1000), k))
-    violations = 0
-    max_ratio = 0.0
-    for _ in range(samples):
-        coeff = rng.standard_normal(len(matrices))
-        a = np.tensordot(coeff, stack, axes=1)
-        base = bures_norm(state, a)
-        if base < 1e-12:
-            continue
-        ratio_sq = (pushforward_norm(state, channel, a) / base) ** 2
-        max_ratio = max(max_ratio, ratio_sq)
-        if ratio_sq > bound * (1.0 + 1e-10):
-            violations += 1
+    base, pushed = sampled_norms(rng, samples, grams)
+    kept = base >= 1e-12
+    ratio_sq = (pushed[kept] / base[kept]) ** 2
     return {
         "n": n,
         "d": d,
@@ -656,6 +716,28 @@ def beta_bound_test(
         "k": k,
         "samples": samples,
         "bound": bound,
-        "violations": violations,
-        "max_ratio_sq": max_ratio,
+        "violations": int(np.count_nonzero(ratio_sq > bound * (1.0 + 1e-10))),
+        "max_ratio_sq": float(np.max(ratio_sq, initial=0.0)),
     }
+
+
+def beta_bound_supremum(
+    n: int,
+    d: int,
+    y: float,
+    k: int,
+    state_1site: DensityMatrix | None = None,
+) -> float:
+    """Exact supremum of |A|_N^2 / |A|^2 over the sectors with |S| >= k.
+
+    The quantity `beta_bound_test` samples.  The support blocks are
+    orthogonal on both sides, so the supremum is the largest, over support
+    sizes, top eigenvalue of W^T P W, where W whitens the Bures block
+    (`whiten_psd`, which quotients null directions) and P is the
+    pushforward block.
+    """
+    best = 0.0
+    for (bures, push), _ in _bound_grams(n, d, y, k, state_1site):
+        w = whiten_psd(bures)[0]
+        best = max(best, float(np.linalg.eigvalsh(w.T @ push @ w)[-1]))
+    return best

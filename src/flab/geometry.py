@@ -11,11 +11,15 @@ Heisenberg adjoint gives the pairing matrices whitened into a finite
 eigenvalue problem (`contraction_spectrum`).  Pushing the tangent vector
 Omega_rho(A) forward through N and measuring it at N(rho) gives the
 channel-deformed norm (`pushforward_norm`) whose decay in the locality
-degree is probed by `klocal_decay_check`.
+degree is probed by `klocal_decay_check`.  Both norms are quadratic forms in
+the real coefficients of an operator family, so random draws from a family
+are measured through its Grams (`norm_grams`, `sampled_norms`) rather than
+one operator at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +31,7 @@ from .operators import (
     QuditSystem,
     as_matrix,
     basis_pure_density,
+    complex_gram,
     klocal_basis,
     product_density,
     sector_span,
@@ -34,6 +39,16 @@ from .operators import (
 
 NULL_THRESHOLD = 1e-10
 HERMITIAN_BASIS_TOL = 1e-10
+# relative size of eigenvalue pairs below which Omega_rho is singular
+OMEGA_REL_TOL = 1e-12
+SINGULAR_DIRECTION = (
+    "state is singular on the requested direction; "
+    "use the GNS-side formulation with a null-space quotient"
+)
+# operators turned into Gram rows per batch, and coefficient entries per
+# block of random draws; both only bound the size of transient arrays
+GRAM_ROW_CHUNK = 64
+DRAW_CHUNK_ENTRIES = 2**16
 
 
 def omega_apply(state: DensityMatrix, x) -> np.ndarray:
@@ -43,7 +58,7 @@ def omega_apply(state: DensityMatrix, x) -> np.ndarray:
     return 0.5 * (rho @ mat + mat @ rho)
 
 
-def omega_inverse_apply(state: DensityMatrix, x, rel_tol: float = 1e-12) -> np.ndarray:
+def omega_inverse_apply(state: DensityMatrix, x, rel_tol: float = OMEGA_REL_TOL) -> np.ndarray:
     """Solve Omega_rho(Y) = X in the eigenbasis of rho.
 
     Entrywise in that basis Y_ij = 2 X_ij / (lambda_i + lambda_j).  Pairs of
@@ -56,10 +71,7 @@ def omega_inverse_apply(state: DensityMatrix, x, rel_tol: float = 1e-12) -> np.n
     cutoff = rel_tol * max(float(vals.max()), 1e-300)
     bad = denom < cutoff
     if np.any(bad & (np.abs(tilde) > rel_tol * max(1.0, float(np.abs(tilde).max())))):
-        raise NumericalError(
-            "state is singular on the requested direction; "
-            "use the GNS-side formulation with a null-space quotient"
-        )
+        raise NumericalError(SINGULAR_DIRECTION)
     out = np.where(bad, 0.0, 2.0 * tilde / np.where(bad, 1.0, denom))
     return vecs @ out @ vecs.conj().T
 
@@ -100,6 +112,92 @@ def pushforward_norm(state: DensityMatrix, channel, a) -> float:
     if val < -1e-10 * scale:
         raise NumericalError(f"pushforward norm squared came out negative: {val:.3e}")
     return math.sqrt(max(val, 0.0))
+
+
+def norm_grams(state: DensityMatrix, channel, count: int, operators) -> tuple[np.ndarray, np.ndarray]:
+    """Bures and pushforward Grams (G, P) of a family of count hermitian operators.
+
+    For A = sum_a c_a A_a with real c, |A|^2 = c^T G c and |A|_N^2 =
+    c^T P c (see `bures_norm`, `pushforward_norm`) with
+
+        G_ab = Re tr(A_a Omega_rho(A_b)),
+        P_ab = Re tr(N(X_a)^dagger Omega_{N(rho)}^{-1} N(X_b)),  X = Omega_rho(A).
+
+    In the eigenbasis of rho (eigenvalues mu) the first pairs entries with
+    weight (mu_i + mu_j) / 2, in that of N(rho) (eigenvalues lam) the second
+    with 2 / (lam_i + lam_j); scaled by the square roots of these weights,
+    every operator becomes one row of each Gram and the Grams are row
+    products.  Entries of weight zero, and entries where Omega_{N(rho)} is
+    singular (checked negligible row by row, as in `omega_inverse_apply`),
+    are dropped.  The operators may be produced lazily: they are turned
+    into rows GRAM_ROW_CHUNK at a time and dropped.
+    """
+    mu, u = state.eigensystem()
+    coarse = DensityMatrix(channel.apply(state.matrix), check=False)
+    lam, v = coarse.eigensystem()
+    bures_weight = 0.5 * (mu[:, None] + mu[None, :])
+    bures_keep = bures_weight > 0.0
+    bures_scale = np.sqrt(bures_weight[bures_keep])
+    denom = lam[:, None] + lam[None, :]
+    singular = denom < OMEGA_REL_TOL * max(float(lam.max()), 1e-300)
+    push_scale = np.sqrt(2.0 / denom[~singular])
+    bures_rows = np.empty((count, bures_scale.size), dtype=complex)
+    push_rows = np.empty((count, push_scale.size), dtype=complex)
+    filled = 0
+    stream = iter(operators)
+    while chunk := list(itertools.islice(stream, GRAM_ROW_CHUNK)):
+        rows = slice(filled, filled + len(chunk))
+        filled += len(chunk)
+        tilde = u.conj().T @ np.stack(chunk) @ u
+        bures_rows[rows] = tilde[:, bures_keep] * bures_scale
+        pushed = v.conj().T @ np.stack([channel.apply(omega_apply(state, a)) for a in chunk]) @ v
+        if singular.any():
+            mag = np.abs(pushed)
+            tol = OMEGA_REL_TOL * np.maximum(1.0, mag.max(axis=(1, 2)))
+            if np.any(mag[:, singular] > tol[:, None]):
+                raise NumericalError(SINGULAR_DIRECTION)
+        push_rows[rows] = pushed[:, ~singular] * push_scale
+    if filled != count:
+        raise ValueError(f"family has {filled} operators, not {count}")
+    # Re(R R^dagger) as one real product over interleaved (re, im) columns
+    bures_real = bures_rows.view(float)
+    push_real = push_rows.view(float)
+    return bures_real @ bures_real.T, push_real @ push_real.T
+
+
+def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.ndarray, np.ndarray]:
+    """Bures and pushforward norms of random combinations of a family.
+
+    grams holds the (Bures, pushforward) Gram blocks of consecutive groups
+    of the family, each as returned by `norm_grams`; the blocks between
+    groups are taken to vanish.  Each draw's coefficients are
+    rng.standard_normal(N) over the whole family of N operators; the draws
+    are made in (m, N) blocks, which consumes the stream exactly as one draw
+    at a time does.  Returns the two norms of every draw.  A squared norm
+    negative beyond roundoff raises NumericalError, as in `bures_norm` and
+    `pushforward_norm`; the pushforward's roundoff scale is its
+    triangle-inequality bound (sum_a |c_a| P_aa^{1/2})^2.
+    """
+    sizes = [len(bures) for bures, _ in grams]
+    push_roots = [np.sqrt(np.clip(np.diag(push), 0.0, None)) for _, push in grams]
+    total = sum(sizes)
+    per_block = max(1, DRAW_CHUNK_ENTRIES // max(total, 1))
+    base_sq, push_sq, push_bound = (np.zeros(samples) for _ in range(3))
+    for start in range(0, samples, per_block):
+        stop = min(start + per_block, samples)
+        coeffs = rng.standard_normal((stop - start, total))
+        lo = 0
+        for (bures, push), size, roots in zip(grams, sizes, push_roots):
+            c = coeffs[:, lo : lo + size]
+            lo += size
+            base_sq[start:stop] += np.sum((c @ bures) * c, axis=1)
+            push_sq[start:stop] += np.sum((c @ push) * c, axis=1)
+            push_bound[start:stop] += np.abs(c) @ roots
+    if np.any(base_sq < -1e-12):
+        raise NumericalError(f"norm squared came out negative: {base_sq.min():.3e}")
+    if np.any(push_sq < -1e-10 * push_bound**2):
+        raise NumericalError(f"pushforward norm squared came out negative: {push_sq.min():.3e}")
+    return np.sqrt(np.maximum(base_sq, 0.0)), np.sqrt(np.maximum(push_sq, 0.0))
 
 
 def pullback_norm(state: DensityMatrix, channel, a) -> float:
@@ -186,21 +284,8 @@ def _basis_parts(basis):
     return matrices, labels
 
 
-def complex_gram(state: DensityMatrix, matrices) -> np.ndarray:
-    """gram_{ab} = tr(rho A_a^dagger A_b), as one stacked matrix product."""
-    rho = state.matrix
-    plain = np.stack([m.ravel() for m in matrices])
-    weighted = np.stack([(m @ rho).ravel() for m in matrices])
-    return plain.conj() @ weighted.T
-
-
-def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOLD) -> GnsSpace:
-    """Whitened GNS space of a hermitian operator family at a state.
-
-    The real part of the Gram is whitened with an eigenvalue cut at
-    null_threshold (relative), which quotients out null directions.  The
-    family must be hermitian so the real Gram carries the full geometry.
-    """
+def _hermitian_parts(basis):
+    """Matrices and labels of a nonempty family, each checked hermitian."""
     matrices, labels = _basis_parts(basis)
     if not matrices:
         raise ValueError("empty basis")
@@ -208,7 +293,11 @@ def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOL
         dev = np.max(np.abs(mat - mat.conj().T))
         if dev > HERMITIAN_BASIS_TOL * max(1.0, float(np.max(np.abs(mat)))):
             raise NumericalError(f"basis element {label} is not hermitian (deviation {dev:.3e})")
-    gram_c = complex_gram(state, matrices)
+    return matrices, labels
+
+
+def _gns_space(state: DensityMatrix, matrices, labels, gram_c: np.ndarray, null_threshold: float) -> GnsSpace:
+    """Whitened GNS space of a family whose complex Gram is already known."""
     gram_r = np.real(gram_c)
     whitener, kept = whiten_psd(gram_r, null_threshold)
     return GnsSpace(
@@ -221,6 +310,17 @@ def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOL
         kept_eigenvalues=kept,
         null_threshold=null_threshold,
     )
+
+
+def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOLD) -> GnsSpace:
+    """Whitened GNS space of a hermitian operator family at a state.
+
+    The real part of the Gram is whitened with an eigenvalue cut at
+    null_threshold (relative), which quotients out null directions.  The
+    family must be hermitian so the real Gram carries the full geometry.
+    """
+    matrices, labels = _hermitian_parts(basis)
+    return _gns_space(state, matrices, labels, complex_gram(state, matrices), null_threshold)
 
 
 def channel_pairing_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> np.ndarray:
@@ -315,6 +415,10 @@ def contraction_spectrum(
     coarse_state = DensityMatrix(channel.apply(state.matrix), check=False)
     fine = gns_build(state, basis, null_threshold)
     coarse = gns_build(coarse_state, out_basis if out_basis is not None else basis, null_threshold)
+    return _contraction_between(channel, fine, coarse)
+
+
+def _contraction_between(channel, fine: GnsSpace, coarse: GnsSpace) -> ContractionSpectrum:
     pairing = channel_pairing_matrix(channel, fine, coarse)
     vals, coeffs = whitened_contraction(fine.whitener, coarse.whitener, pairing)
     return ContractionSpectrum(
@@ -339,16 +443,27 @@ def symmetric_sector_dense_spectrum(
     both sides by the fine Gram would clip the adjoint's image: a word
     relation that holds at the fine state (a null direction, say at a pure
     state) generally fails at the coarse state, where the dropped word is
-    independent again.
+    independent again.  The fine Gram is formed once, over the full family,
+    and the pruned space reuses its kept sub-block.
     """
     from .channels import homogeneous_coarse_graining
     from .operators import _greedy_gram_prune, symmetric_klocal_basis
 
     full = symmetric_klocal_basis(k, system, state, prune=False)
-    keep = _greedy_gram_prune([op.matrix for op in full], state, null_threshold)
-    basis = [full[i] for i in keep]
+    matrices, labels = _hermitian_parts(full)
+    gram = complex_gram(state, matrices)
+    keep = _greedy_gram_prune(np.real(gram), null_threshold)
+    fine = _gns_space(
+        state,
+        [matrices[i] for i in keep],
+        [labels[i] for i in keep],
+        gram[np.ix_(keep, keep)],
+        null_threshold,
+    )
     channel = homogeneous_coarse_graining(system, y)
-    return contraction_spectrum(channel, state, basis, out_basis=full, null_threshold=null_threshold)
+    coarse_state = DensityMatrix(channel.apply(state.matrix), check=False)
+    coarse = gns_build(coarse_state, full, null_threshold)
+    return _contraction_between(channel, fine, coarse)
 
 
 def klocal_decay_check(
@@ -387,21 +502,14 @@ def klocal_decay_check(
     result = {"y_values": y_values, "k": {}}
     for k in range(k_max + 1):
         matrices, _ = sector_span(sectors, min_support=k + 1)
-        stack = np.stack(matrices)
         max_contraction = []
         for yi, y in enumerate(y_values):
             channel = homogeneous_coarse_graining(system, y)
-            rng = task_rng(seed, (k, yi))
-            best = 0.0
-            for _ in range(samples):
-                coeff = rng.standard_normal(len(matrices))
-                a = np.tensordot(coeff, stack, axes=1)
-                fine = bures_norm(state, a)
-                if fine < 1e-12:
-                    continue
-                ratio = pushforward_norm(state, channel, a) / fine
-                best = max(best, ratio)
-            max_contraction.append(best)
+            # permutation averaging couples supports: one block, whole family
+            grams = norm_grams(state, channel, len(matrices), matrices)
+            fine, pushed = sampled_norms(task_rng(seed, (k, yi)), samples, [grams])
+            kept = fine >= 1e-12
+            max_contraction.append(float(np.max(pushed[kept] / fine[kept], initial=0.0)))
         logs_y = np.log(np.asarray(y_values))
         logs_c = np.log(np.asarray(max_contraction))
         slope = float(np.polyfit(logs_y, logs_c, 1)[0])

@@ -513,29 +513,34 @@ def symmetric_klocal_basis(
         for w in words
     ]
     if prune and len(ops) > 1:
-        keep = _greedy_gram_prune([op.matrix for op in ops], state, null_threshold)
+        # the real span is what the contraction spectra act on, so
+        # dependence is judged on the real part of the GNS Gram
+        gram = np.real(complex_gram(state, [op.matrix for op in ops]))
+        keep = _greedy_gram_prune(gram, null_threshold)
         ops = [ops[i] for i in keep]
     return ops
 
 
-def _greedy_gram_prune(matrices, state: DensityMatrix, threshold: float) -> list[int]:
+def complex_gram(state: DensityMatrix, matrices) -> np.ndarray:
+    """gram_{ab} = tr(rho A_a^dagger A_b), as one stacked matrix product."""
+    rho = state.matrix
+    plain = np.stack([m.ravel() for m in matrices])
+    weighted = np.stack([(m @ rho).ravel() for m in matrices])
+    return plain.conj() @ weighted.T
+
+
+def _greedy_gram_prune(gram: np.ndarray, threshold: float) -> list[int]:
     """Indices of a maximal numerically independent subset, by pivoted Gram.
 
-    Deterministic: pick the largest residual diagonal first, lowest index on
-    ties, until the residual falls below threshold relative to the largest
-    original norm.
+    gram is the real symmetric Gram of the family.  Deterministic: pick the
+    largest residual diagonal first, lowest index on ties, until the
+    residual falls below threshold relative to the largest original norm.
     """
-    rho = state.matrix
-    # real part of gram_{ab} = tr(rho A_a^dagger A_b); the real span is what
-    # the contraction spectra act on, so dependence is judged there
-    plain = np.stack([mat.ravel() for mat in matrices])
-    weighted = np.stack([(mat @ rho).ravel() for mat in matrices])
-    gram = np.real(plain.conj() @ weighted.T)
     diag = np.real(np.diag(gram))
     scale = max(float(diag.max()), 1e-300)
     residual = gram.copy()
     kept: list[int] = []
-    active = list(range(len(matrices)))
+    active = list(range(len(gram)))
     while active:
         rd = np.real(np.diag(residual))
         i = min(active, key=lambda idx: (-rd[idx], idx))

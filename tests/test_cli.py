@@ -120,6 +120,22 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_bound_check_budget_is_config_error(tmp_path, monkeypatch, capsys):
+    # dim 3**5 = 243 passes the dimension budget, but the 8**5 x 243**2 row
+    # blocks do not; nothing is built before the refusal
+    from flab import focklimit
+
+    def no_products(*args, **kwargs):
+        raise AssertionError("letter products built before the budget check")
+
+    monkeypatch.setattr(focklimit, "site_product", no_products)
+    cfg = write_config(tmp_path, "bound", {"d": 3, "n": 5, "y": 3.0, "k": 1, "samples": 10})
+    out = tmp_path / "report.json"
+    assert main(["bound-check", "--config", cfg, "--out", str(out)]) == 2
+    assert "needs an estimated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fock_refuses_largest_block_first(tmp_path, monkeypatch, capsys):
     # at d = 3, y = 2 the fine side has 4 letters: 4**2 fits a budget of 50,
     # 4**3 does not; the k = 3 block is refused before k = 1, 2 have run

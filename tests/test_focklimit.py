@@ -12,6 +12,7 @@ from flab.focklimit import (
     NULL_LETTER_THRESHOLD,
     SingleParticleSpace,
     beta_bound_decreasing,
+    beta_bound_supremum,
     beta_bound_test,
     beta_bound_value,
     clt_convergence,
@@ -29,13 +30,15 @@ from flab.focklimit import (
     symmetric_sector_spectrum,
     vertex_overlap,
 )
-from flab.geometry import whiten_psd
+from flab.geometry import bures_norm, pushforward_norm, whiten_psd
 from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
+    klocal_basis,
     maximally_mixed_density,
     product_density,
+    sector_span,
     symmetric_word_operator,
 )
 from flab.sampling import random_positive_density, task_rng
@@ -376,3 +379,75 @@ def test_beta_bound_test_cell():
     assert out["violations"] == 0
     assert out["max_ratio_sq"] <= out["bound"] * (1 + 1e-10)
     assert abs(out["bound"] - 1.0 / 3.0) < 1e-15
+
+
+def _per_draw_ratios(n, d, y, k, samples, seed, state_1site):
+    """The bound check's ratios one operator per draw: the whole sector
+    family is built, and every draw is assembled and measured with
+    bures_norm and pushforward_norm."""
+    from flab.channels import ProductChannel
+
+    system = QuditSystem(d, n)
+    site = state_1site if state_1site is not None else basis_pure_density(d)
+    state = product_density(site, n)
+    channel = ProductChannel(DepolarizingChannel(y, d), system)
+    matrices, _ = sector_span(klocal_basis(n, system, state), min_support=k)
+    stack = np.stack(matrices)
+    rng = task_rng(seed, (n, d, int(y * 1000), k))
+    ratios = []
+    for _ in range(samples):
+        a = np.tensordot(rng.standard_normal(len(matrices)), stack, axes=1)
+        base = bures_norm(state, a)
+        if base >= 1e-12:
+            ratios.append((pushforward_norm(state, channel, a) / base) ** 2)
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_beta_bound_test_matches_per_draw_oracle(d, k, mixed, monkeypatch):
+    site = random_positive_density(d, task_rng(31, (d, k)), min_eigenvalue=0.05) if mixed else None
+    ratios = _per_draw_ratios(3, d, 3.0, k, 20, 9, site)
+    want_max = ratios.max()
+    # the real bound holds, so violations are also counted against one the
+    # draws break
+    tight = 0.7 * want_max
+    for bound in (beta_bound_value(d, 3.0, k), tight):
+        monkeypatch.setattr(focklimit, "beta_bound_value", lambda *args: bound)
+        out = beta_bound_test(n=3, d=d, y=3.0, k=k, samples=20, seed=9, state_1site=site)
+        assert abs(out["max_ratio_sq"] - want_max) <= 1e-12 * want_max
+        assert out["violations"] == np.count_nonzero(ratios > bound * (1.0 + 1e-10))
+    assert out["violations"] > 0
+
+
+def test_beta_bound_supremum_is_the_sector_block_top():
+    for d in (2, 3):
+        for y in (3.0, 4.0):
+            for k in (1, 2):
+                sup = beta_bound_supremum(3, d, y, k)
+                closed = symmetric_sector_spectrum(None, d, y, k)["by_degree"][k][0]
+                sampled = beta_bound_test(n=3, d=d, y=y, k=k, samples=1000, seed=2024)["max_ratio_sq"]
+                assert abs(sup - closed) <= 1e-12, (d, y, k)
+                assert sampled <= sup + 1e-12
+                assert sup <= beta_bound_value(d, y, k) + 1e-12
+
+
+def test_bound_check_refused_before_building(monkeypatch):
+    def no_products(*args, **kwargs):
+        raise AssertionError("letter products built before the budget check")
+
+    monkeypatch.setattr(focklimit, "site_product", no_products)
+    # dim 243 passes the dimension budget; its 8**5 x 243**2 row blocks do not
+    with pytest.raises(DimensionBudgetError, match="estimated"):
+        beta_bound_test(n=5, d=3, y=3.0, k=1, samples=10)
+    with pytest.raises(DimensionBudgetError, match="estimated"):
+        beta_bound_supremum(5, 3, 3.0, 1)
+    # the byte estimate, not the dimension, sets the limit: at d=2, n=3 the
+    # row blocks take 2 * 16 * 27 * 64 and the Gram blocks 2 * 8 * 819
+    # bytes, 68400 in all, between 16 * 65**2 and 16 * 66**2
+    monkeypatch.setenv("FLAB_MAX_DIM", "65")
+    with pytest.raises(DimensionBudgetError, match="27 x 64 row blocks"):
+        beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10)
+    monkeypatch.undo()
+    monkeypatch.setenv("FLAB_MAX_DIM", "66")
+    assert beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10)["violations"] == 0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from flab.channels import DepolarizingChannel, ProductChannel, homogeneous_coarse_graining
+from flab import geometry
+from flab.channels import Channel, DepolarizingChannel, ProductChannel, homogeneous_coarse_graining
 from flab.errors import NumericalError
 from flab.focklimit import symmetric_sector_spectrum
 from flab.geometry import (
@@ -17,9 +18,11 @@ from flab.geometry import (
     gns_build,
     gns_inner,
     klocal_decay_check,
+    norm_grams,
     omega_apply,
     omega_inverse_apply,
     pushforward_norm,
+    sampled_norms,
     symmetric_sector_dense_spectrum,
     whiten_psd,
     whitened_contraction,
@@ -28,8 +31,10 @@ from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
+    klocal_basis,
     maximally_mixed_density,
     product_density,
+    sector_span,
     single_site_zero_mean_basis,
 )
 from flab.sampling import (
@@ -242,3 +247,127 @@ def test_klocal_decay_check_output_and_validation():
         klocal_decay_check(2, 2, [0.5], k_max=0)
     with pytest.raises(ValueError):
         klocal_decay_check(2, 2, [3.0], k_max=2)
+
+
+def _support_family(d, n, site):
+    """The sectors with nonempty support, with each operator's sector index."""
+    system = QuditSystem(d, n)
+    state = product_density(site, n)
+    sectors = klocal_basis(n, system, state)
+    matrices, _ = sector_span(sectors, min_support=1)
+    support = np.array([i for i, sector in enumerate(sectors) if sector.support for _ in sector])
+    return system, state, matrices, support
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_norm_grams_cross_support_blocks(d, n):
+    site = random_positive_density(d, task_rng(17, d), min_eigenvalue=0.05)
+    system, state, matrices, support = _support_family(d, n, site)
+    cross = support[:, None] != support[None, :]
+    for channel, push_cross_vanishes in (
+        (ProductChannel(DepolarizingChannel(2.5, d), system), True),
+        (homogeneous_coarse_graining(system, 2.5), False),
+    ):
+        bures, push = norm_grams(state, channel, len(matrices), matrices)
+        assert np.max(np.abs(bures[cross])) <= 1e-14
+        if push_cross_vanishes:
+            assert np.max(np.abs(push[cross])) <= 1e-14
+        else:
+            assert np.max(np.abs(push[cross])) > 1e-3
+        # the Grams reproduce the per-operator norms
+        coeffs = task_rng(18, d).standard_normal(len(matrices))
+        a = np.tensordot(coeffs, np.stack(matrices), axes=1)
+        assert abs(coeffs @ bures @ coeffs - bures_norm(state, a) ** 2) <= 1e-12
+        assert abs(coeffs @ push @ coeffs - pushforward_norm(state, channel, a) ** 2) <= 1e-12
+
+
+def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
+    site = random_positive_density(2, task_rng(19, 0), min_eigenvalue=0.05)
+    system, state, matrices, support = _support_family(2, 3, site)
+    channel = ProductChannel(DepolarizingChannel(3.0, 2), system)
+    grams = []
+    for s in np.unique(support):
+        group = [m for m, t in zip(matrices, support) if t == s]
+        grams.append(norm_grams(state, channel, len(group), group))
+    stack = np.stack(matrices)
+    rng = task_rng(20, 0)
+    draws = [np.tensordot(rng.standard_normal(len(matrices)), stack, axes=1) for _ in range(7)]
+    want_base = [bures_norm(state, a) for a in draws]
+    want_push = [pushforward_norm(state, channel, a) for a in draws]
+    # one draw per block, three per block and all in one block
+    for entries in (1, 3 * len(matrices), 2**16):
+        monkeypatch.setattr(geometry, "DRAW_CHUNK_ENTRIES", entries)
+        base, push = sampled_norms(task_rng(20, 0), 7, grams)
+        assert_close(base, want_base, tol=1e-12, what="bures norms")
+        assert_close(push, want_push, tol=1e-12, what="pushforward norms")
+
+
+def test_sampled_norms_reject_negative_squares():
+    rng = task_rng(22, 0)
+    with pytest.raises(NumericalError, match="^norm squared came out negative"):
+        sampled_norms(rng, 3, [(-np.eye(2), np.eye(2))])
+    with pytest.raises(NumericalError, match="pushforward norm squared came out negative"):
+        sampled_norms(rng, 3, [(np.eye(2), -np.eye(2))])
+
+
+def test_klocal_decay_check_matches_per_draw_oracle():
+    # the per-draw loop the Gram route replaced, on the same streams
+    site = random_positive_density(2, task_rng(23, 0), min_eigenvalue=0.05)
+    y_values = [3.0, 5.0]
+    out = klocal_decay_check(3, 2, y_values, k_max=1, samples=8, seed=4, state_1site=site)
+    system = QuditSystem(2, 3)
+    state = product_density(site, 3)
+    sectors = klocal_basis(3, system, state)
+    for k in (0, 1):
+        matrices, _ = sector_span(sectors, min_support=k + 1)
+        stack = np.stack(matrices)
+        for yi, y in enumerate(y_values):
+            channel = homogeneous_coarse_graining(system, y)
+            rng = task_rng(4, (k, yi))
+            best = 0.0
+            for _ in range(8):
+                a = np.tensordot(rng.standard_normal(len(matrices)), stack, axes=1)
+                best = max(best, pushforward_norm(state, channel, a) / bures_norm(state, a))
+            assert abs(out["k"][k]["max_contraction"][yi] - best) <= 1e-12 * best, (k, y)
+
+
+class _NonPositiveMap(Channel):
+    """Linear, trace changing and not positive: feeds |1><1| from the
+    off-diagonal part, so it leaves a pure |0><0| singular yet pushes
+    weight onto its null corner."""
+
+    dim = 2
+
+    def apply(self, X):
+        X = np.asarray(X, dtype=complex)
+        out = X.copy()
+        out[1, 1] += X[0, 1] + X[1, 0]
+        return out
+
+
+def test_norm_grams_check_singular_directions_per_row():
+    rho = basis_pure_density(2)
+    tau1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match="singular"):
+        pushforward_norm(rho, _NonPositiveMap(), tau1)
+    with pytest.raises(NumericalError, match="singular"):
+        norm_grams(rho, _NonPositiveMap(), 2, [np.diag([1.0, -1.0]).astype(complex), tau1])
+    # the diagonal letter alone stays in the support and passes
+    _, push = norm_grams(rho, _NonPositiveMap(), 1, [np.diag([1.0, -1.0]).astype(complex)])
+    assert abs(push[0, 0] - pushforward_norm(rho, _NonPositiveMap(), np.diag([1.0, -1.0])) ** 2) <= 1e-15
+
+
+def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
+    calls = []
+    real_gram = geometry.complex_gram
+
+    def counting_gram(state, matrices):
+        calls.append(len(matrices))
+        return real_gram(state, matrices)
+
+    monkeypatch.setattr(geometry, "complex_gram", counting_gram)
+    site = random_positive_density(2, task_rng(21, 0), min_eigenvalue=0.05)
+    symmetric_sector_dense_spectrum(QuditSystem(2, 4), product_density(site, 4), 2.5, 2)
+    # one Gram at the fine state, one at the coarse state, both over the
+    # full word family
+    assert calls == [10, 10]
