@@ -45,7 +45,6 @@ from .geometry import (
     GnsSpace,
     bures_inner,
     bures_norm,
-    channel_gns_matrix,
     channel_pairing_matrix,
     contraction_ratio,
     contraction_spectrum,

@@ -14,21 +14,19 @@ operators of the form prod_i (1 + i a/sqrt(n)) converge likewise to
 exponential vectors with overlap exp(tr(rho a^dagger b)).
 
 Coarse-graining channels act letterwise in this picture, so their
-contraction spectra reduce to whitened eigenproblems over tensor powers of
-K: `fock_block_spectrum` for the limiting blocks on k-letter tuple spaces
-(whose coarse metric, a Kronecker power of the letter kernel, is inverted
-factor by factor rather than as one dense tuple Gram),
-`symmetric_sector_spectrum` for the exact finite-n spectrum on the
-symmetric k-local sector, and `beta_bound_test` for the sector-wise norm
-bound under sitewise depolarizing noise.  The bound check measures its
-random draws as quadratic forms over per-support Gram blocks (built once
-from streamed letter products), and `beta_bound_supremum` gives the exact
-supremum of the same ratio from the same blocks.
+contraction spectra reduce to one whitened eigenproblem over tensor powers
+of K, with the coarse metric inverted factor by factor: on all k-letter
+tuples for the limiting blocks (`fock_block_spectrum`), and on the
+symmetric tuples, a diagonal rescaling of the permanent Gram, for the exact
+finite-n spectrum on the symmetric k-local sector
+(`symmetric_sector_spectrum`).  `beta_bound_test` checks the sector-wise
+norm bound under sitewise depolarizing noise on random draws, measured as
+quadratic forms over per-support Gram blocks built from streamed letter
+products; `beta_bound_supremum` gives the exact supremum from the blocks.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,6 +46,7 @@ from .operators import (
     QuditSystem,
     as_matrix,
     basis_pure_density,
+    check_byte_budget,
     dense_dim_budget,
     factor_product_state,
     gell_mann_basis,
@@ -55,7 +54,6 @@ from .operators import (
     product_density,
     single_site_zero_mean_basis,
     site_product,
-    symmetric_words,
 )
 
 NULL_LETTER_THRESHOLD = 1e-10
@@ -179,42 +177,25 @@ def single_particle_channel_matrix(
     return m
 
 
-def _permanent_expansion(minors: np.ndarray):
-    """Direct expansion sum_p prod_i minors[i, p(i)] over the two leading axes.
+def permanent(matrix: np.ndarray) -> complex:
+    """Permanent by direct expansion; intended for small word sizes.
 
-    minors is one (j, j) matrix or a (j, j, ...) stack of them, expanded
-    entrywise in one pass.  The j! products run in lexicographic permutation
-    order with factors multiplied left to right.
+    The j! products run in lexicographic permutation order with factors
+    multiplied left to right.
     """
-    size = minors.shape[0]
-    if minors.shape[:2] != (size, size):
-        raise ValueError(f"permanent needs square matrices, got {minors.shape[:2]}")
+    matrix = np.asarray(matrix)
+    size = matrix.shape[0]
+    if matrix.shape != (size, size):
+        raise ValueError(f"permanent needs a square matrix, got {matrix.shape}")
     if size > PERMANENT_MAX_SIZE:
         raise ValueError(f"permanent expansion capped at size {PERMANENT_MAX_SIZE}")
-    total = np.zeros(minors.shape[2:], dtype=complex)
+    total = 0.0 + 0.0j
     for perm in itertools.permutations(range(size)):
         prod = 1.0 + 0.0j
         for i, j in enumerate(perm):
-            prod = prod * minors[i, j]
+            prod = prod * matrix[i, j]
         total = total + prod
     return total
-
-
-def permanent_gram(kernel: np.ndarray, rows, cols) -> np.ndarray:
-    """Gram of permanents: out[r, c] = permanent(kernel[rows[r], cols[c]]).
-
-    rows and cols are lists of letter words of one common degree j.  All
-    minors are stacked as one (j, j, R, C) array and expanded together.
-    """
-    rows = np.asarray(rows, dtype=np.intp).T
-    cols = np.asarray(cols, dtype=np.intp).T
-    minors = np.asarray(kernel)[rows[:, None, :, None], cols[None, :, None, :]]
-    return _permanent_expansion(minors)
-
-
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent by direct expansion; intended for small word sizes."""
-    return _permanent_expansion(np.asarray(matrix))
 
 
 def distinct_site_factor(n: int, j: int) -> float:
@@ -315,15 +296,58 @@ def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
     }
 
 
-def _tuple_words(n_letters: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(n_letters), repeat=k))
+@dataclass(frozen=True)
+class _TupleBasis:
+    """Orthonormal vectors |O_u|^{-1/2} sum_{t in O_u} e_t over j-letter tuples.
+
+    Each orbit O_u is one tuple (all tuples, in C order) or, if symmetric,
+    the rearrangements of one letter multiset (Sym^j, multisets in
+    lexicographic order).  reps[u] lies in O_u and sizes[u] = |O_u|;
+    steps[i][w, b] indexes the orbit of the i-letter orbit w plus letter b.
+    """
+
+    letters: int
+    symmetric: bool
+    reps: np.ndarray
+    sizes: np.ndarray
+    steps: tuple
+
+    @classmethod
+    def build(cls, letters: int, j: int, symmetric: bool) -> "_TupleBasis":
+        reps, sizes, steps = np.zeros((1, 0), dtype=np.intp), np.ones(1), []
+        for _ in range(j):
+            grown = np.hstack([np.repeat(reps, letters, axis=0), np.tile(np.arange(letters), len(reps))[:, None]])
+            if symmetric:
+                grown = np.sort(grown, axis=1)
+            # a row's digits in base `letters` are its 1-D key, in lexicographic order
+            keys = grown @ letters ** np.arange(grown.shape[1])[::-1]
+            _, first, step = np.unique(keys, return_index=True, return_inverse=True)
+            reps = grown[first]
+            # an orbit's tuples are those of the shorter orbits it grows from
+            sizes = np.bincount(step.ravel(), weights=np.repeat(sizes, letters))
+            steps.append(step.reshape(-1, letters))
+        return cls(letters, symmetric, reps, sizes, tuple(steps))
 
 
-def _kron_power(mat: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for _ in range(k):
-        out = np.kron(out, mat)
-    return out
+def _kron_power(mat: np.ndarray, rows: _TupleBasis, cols: _TupleBasis) -> np.ndarray:
+    """R^T mat^{(x)j} C between two tuple bases of one kind.
+
+    mat^{(x)j} is invariant under one permutation of the positions on both
+    sides, so entry (u, v) is (|O_u| / |O_v|)^{1/2} times
+    sum_{t in O_v} prod_p mat[s_p, t_p] at the representative s of O_u.
+    Those sums grow position by position over the orbits of the letters
+    placed so far; over Sym^j no tuple-sized array is built.
+    """
+    sums = np.ones((1, len(rows.reps)), dtype=complex)
+    for pos, step in enumerate(cols.steps):
+        grown = np.zeros((step.max() + 1, len(rows.reps)), dtype=complex)
+        for letter in range(cols.letters):
+            # w -> w + letter is one to one, so the fancy-index add is exact
+            grown[step[:, letter]] += sums * mat[rows.reps[:, pos], letter]
+        sums = grown
+    sums *= np.sqrt(rows.sizes)
+    sums /= np.sqrt(cols.sizes)[:, None]
+    return sums.T
 
 
 def _check_tuple_budget(side: str, letters: int, k: int) -> None:
@@ -364,13 +388,42 @@ def _coarse_inverse_factors(kernel: np.ndarray, k: int, null_threshold: float):
     return rot.conj().T @ root_inv, lam
 
 
+def _tuple_contraction(k_fine, k_coarse, pair_single, fine: _TupleBasis, factors, null_threshold: float):
+    """Contraction eigendata of the channel on the span R of fine j-letter tuples.
+
+    The fine Gram R^T Re(K^{(x)j}) R is whitened (W_f) and the pairing
+    P = Re((K m)^{(x)j}) is transported through Re(K'^{(x)j})^{-1} over the
+    coarse tuples of the same kind: in factored form given `factors` (see
+    `_coarse_inverse_factors`), else by whitening the coarse Gram.  For
+    R = Sym^j no coarse projector is needed: Z^{(x)j}, Re(K'^{(x)j}) and
+    P^T preserve symmetric tuples, and 1 / (1 + Lambda^{(x)j}) is constant
+    on orbits.  Returns descending eigenvalues and coefficients W_f V.
+    """
+    k = fine.reps.shape[1]
+    coarse = _TupleBasis.build(len(k_coarse), k, fine.symmetric)
+    w_fine, _ = whiten_psd(_kron_power(k_fine, fine, fine).real, null_threshold)
+    if factors is None:
+        w_coarse, _ = whiten_psd(_kron_power(k_coarse, coarse, coarse).real, null_threshold)
+        return whitened_contraction(w_fine, w_coarse, _kron_power(pair_single, fine, coarse).real)
+    z, lam = factors
+    # R'^T Z^{(x)k} P^T R W_f, with P^T = ((K m)^{T (x)k} + conj(K m)^{T (x)k}) / 2
+    halves = (z @ pair_single.T, z @ pair_single.conj().T)
+    if fine.symmetric:
+        lifted = _kron_power(halves[0], coarse, fine)
+        lifted += _kron_power(halves[1], coarse, fine)
+        lifted = 0.5 * (lifted @ w_fine)
+    else:
+        lifted = 0.5 * (kron_apply(halves[0], w_fine, k) + kron_apply(halves[1], w_fine, k))
+    lifted *= np.sqrt(2.0 / (1.0 + np.prod(lam[coarse.reps], axis=1)))[:, None]
+    # S = lifted^dagger and Re(S S^dagger) = [Re S, Im S] [Re S, Im S]^T
+    return transported_contraction(w_fine, np.hstack([lifted.real.T, -lifted.imag.T]))
+
+
 def _combo_label(coeffs: np.ndarray, names: list[str], tol: float = 1e-8) -> str:
-    parts = []
-    for c, name in zip(coeffs, names):
-        if abs(c) <= tol:
-            continue
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {abs(c):.3g}*{name}")
+    parts = [
+        f"{'-' if coeffs[i] < 0 else '+'} {abs(coeffs[i]):.3g}*{names[i]}"
+        for i in np.flatnonzero(np.abs(coeffs) > tol)
+    ]
     if not parts:
         return "0"
     head = parts[0].lstrip("+ ").strip()
@@ -398,25 +451,17 @@ def fock_block_spectrum(
 ) -> FockBlock:
     """Contraction spectrum of the channel on the k-letter tuple space.
 
-    The fine space is reduced to its non-null letters (count r) and its
-    tuple Gram Re(K^{(x)k}) is whitened.  The pairing P = Re((K m)^{(x)k})
-    is transported through the inverse coarse metric Re(K'^{(x)k})^{-1}.
-    When the eigenvalues of the coarse letter kernel satisfy
-    lambda_min^k > null_threshold * lambda_max^k, whitening would keep every
-    coarse direction; if also lambda_max^k <= FACTORED_COND_MAX *
-    lambda_min^k, that inverse is applied in factored form,
-    2 Z^{dagger (x)k} diag(1 / (1 + Lambda^{(x)k})) Z^{(x)k}, by mode
-    products on the c letters (see `_coarse_inverse_factors`); no
-    (c^k)-square array is built.  Otherwise (a singular or ill-conditioned
-    coarse kernel, as at y = 1) Re(K'^{(x)k}) is built and whitened densely.
-
-    Eigenvalues are reported in descending order, zero padded to the full
-    r^k tuple dimension so that directions annihilated by the metric appear
-    explicitly.  Eigenvector coefficients are given over the fine tuple
-    basis, with readable combination labels.  Every tuple dimension built
-    densely (r^k always, c^k on the dense coarse path) is checked against
-    `dense_dim_budget` before allocation; DimensionBudgetError if it exceeds
-    it.
+    `_tuple_contraction` over all tuples of the r non-null fine letters.
+    The coarse tuple metric is inverted by mode products on the c letters
+    when `_coarse_inverse_factors` certifies it, and is otherwise (a
+    singular or ill-conditioned coarse kernel, as at y = 1) built and
+    whitened densely.  Eigenvalues are reported in descending order, zero
+    padded to the full r^k tuple dimension so that directions annihilated
+    by the metric appear explicitly.  Eigenvector coefficients are given
+    over the fine tuple basis, with readable combination labels.  Every
+    tuple dimension built densely (r^k always, c^k on the dense coarse
+    path) is checked against `dense_dim_budget` before allocation;
+    DimensionBudgetError if it exceeds it.
     """
     if k < 1:
         raise ValueError("block degree k must be >= 1")
@@ -426,52 +471,25 @@ def fock_block_spectrum(
             f"letter matrix shape {m.shape} does not match spaces "
             f"({sp_fine.dim}, {sp_coarse.dim})"
         )
-    k_fine = fine_red.kernel
-    k_coarse = sp_coarse.kernel
-    pair_single = k_fine @ m[kept, :]
-    factors = _coarse_inverse_factors(k_coarse, k, null_threshold)
+    factors = _coarse_inverse_factors(sp_coarse.kernel, k, null_threshold)
     _check_tuple_budget("fine", fine_red.dim, k)
     if factors is None:
         _check_tuple_budget("coarse", sp_coarse.dim, k)
+    fine = _TupleBasis.build(fine_red.dim, k, symmetric=False)
+    vals, coeffs = _tuple_contraction(
+        fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :], fine, factors, null_threshold
+    )
 
-    w_fine, _ = whiten_psd(np.real(_kron_power(k_fine, k)), null_threshold)
-    if factors is None:
-        gram_coarse = np.real(_kron_power(k_coarse, k))
-        pairing = np.real(_kron_power(pair_single, k))
-        w_coarse, _ = whiten_psd(gram_coarse, null_threshold)
-        vals, coeffs = whitened_contraction(w_fine, w_coarse, pairing)
-    else:
-        z, lam = factors
-        # Z^{(x)k} P^T W_f, with P^T = ((K m)^{T (x)k} + conj(K m)^{T (x)k}) / 2
-        lifted = 0.5 * (
-            kron_apply(z @ pair_single.T, w_fine, k)
-            + kron_apply(z @ pair_single.conj().T, w_fine, k)
-        )
-        weight = np.sqrt(2.0 / (1.0 + functools.reduce(np.kron, [lam] * k)))
-        small = (lifted * weight[:, None]).conj().T
-        # Re(S S^dagger) = [Re S, Im S] [Re S, Im S]^T
-        vals, coeffs = transported_contraction(w_fine, np.hstack([small.real, small.imag]))
-
-    dim_tuple = fine_red.dim**k
-    padded = np.zeros(dim_tuple)
-    padded[: vals.size] = vals
-    full_coeffs = np.zeros((dim_tuple, dim_tuple))
-    full_coeffs[:, : coeffs.shape[1]] = coeffs
-
-    tuple_labels = [
-        "(x)".join(fine_red.letter_names[i] for i in word)
-        for word in _tuple_words(fine_red.dim, k)
-    ]
-    eigen_labels = [
-        _combo_label(full_coeffs[:, j], tuple_labels) for j in range(dim_tuple)
-    ]
+    pad = fine_red.dim**k - vals.size
+    tuple_labels = ["(x)".join(fine_red.letter_names[i] for i in word) for word in fine.reps.tolist()]
+    eigen_labels = [_combo_label(col, tuple_labels) for col in coeffs.T] + ["0"] * pad
     return FockBlock(
         k=k,
-        eigenvalues=padded,
-        coefficients=full_coeffs,
+        eigenvalues=np.pad(vals, (0, pad)),
+        coefficients=np.pad(coeffs, ((0, 0), (0, pad))),
         tuple_labels=tuple_labels,
         eigen_labels=eigen_labels,
-        fine_rank=w_fine.shape[1],
+        fine_rank=vals.size,
     )
 
 
@@ -503,36 +521,32 @@ def _sector_blocks(
     m: np.ndarray,
     k: int,
     null_threshold: float,
-):
-    """Per-degree whitened contraction blocks on the symmetric sector.
+) -> dict[int, np.ndarray]:
+    """Contraction eigenvalues per degree on the symmetric sector.
 
-    n=None selects the limiting geometry (distinct-site factors set to 1).
-    Degrees are treated independently: at a product state, words of
-    different degree are exactly orthogonal on both sides and the pairing
-    is degree diagonal.
+    Degrees are orthogonal at a product state.  The degree-j block is the
+    tuple problem of `fock_block_spectrum` on Sym^j, where the fine Gram is
+    per(K[u, v]) / (u! v!)^{1/2} (u! the product of the factorials of the
+    letter multiplicities of u), a rescaled permanent Gram.  The factor
+    c_{n,j} of all three degree-j matrices cancels after whitening, so n
+    only drops degrees above n.  Before any degree is built, each is
+    checked against the byte budget at 6 times its largest array, the
+    complex transport between coarse and fine multisets or, without a
+    certified coarse inverse, the coarse Gram (measured peaks: 5 to 6 times
+    on a mixed qutrit at degrees 5 to 7).
     """
     fine_red, kept = sp_fine.reduced(null_threshold)
-    pair_single = fine_red.kernel @ m[kept, :]
-    blocks = {}
-    for j in range(1, k + 1):
-        if n is not None and j > n:
-            continue
-        factor = 1.0 if n is None else distinct_site_factor(n, j)
-        words_f = [w for w in symmetric_words(fine_red.dim, j) if len(w) == j]
-        words_c = [w for w in symmetric_words(sp_coarse.dim, j) if len(w) == j]
-        gram_f = factor * np.real(permanent_gram(fine_red.kernel, words_f, words_f))
-        gram_c = factor * np.real(permanent_gram(sp_coarse.kernel, words_c, words_c))
-        pairing = factor * np.real(permanent_gram(pair_single, words_f, words_c))
-        w_f, _ = whiten_psd(gram_f, null_threshold)
-        w_c, _ = whiten_psd(gram_c, null_threshold)
-        vals, _ = whitened_contraction(w_f, w_c, pairing)
-        blocks[j] = {
-            "eigenvalues": vals,
-            "words_fine": words_f,
-            "words_coarse": words_c,
-            "dim": len(words_f),
-        }
-    return blocks
+    r, c = fine_red.dim, sp_coarse.dim
+    degrees = [j for j in range(1, k + 1) if n is None or j <= n]
+    factors = {j: _coarse_inverse_factors(sp_coarse.kernel, j, null_threshold) for j in degrees}
+    for j in degrees:
+        rows, cols = math.comb(c + j - 1, j), math.comb((c if factors[j] is None else r) + j - 1, j)
+        check_byte_budget(f"sector degree {j}", {f"6 x the {rows} x {cols} complex array": 96 * rows * cols})
+    kernels = (fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :])
+    return {
+        j: _tuple_contraction(*kernels, _TupleBasis.build(r, j, symmetric=True), factors[j], null_threshold)[0]
+        for j in degrees
+    }
 
 
 def symmetric_sector_spectrum(
@@ -546,25 +560,18 @@ def symmetric_sector_spectrum(
 ) -> dict:
     """Exact contraction spectrum on the symmetric k-local sector.
 
-    Computed in closed form over letter words: every degree-j block of the
-    fine metric, the coarse metric and the channel pairing carries the same
-    distinct-site factor c_{n,j}, so the whitened spectrum follows from
-    permanents of kernel minors at any n (n=None gives the limit).  The
-    identity direction, exactly invariant under the channel, is excluded
-    unless requested.
+    Computed in closed form, degree by degree, as the Fock tuple blocks
+    restricted to the symmetric tuples (see `_sector_blocks`); the spectrum
+    is the same at every n >= k (n=None gives the limit).
+    DimensionBudgetError before any block is built if one would not fit.
+    The identity direction, exactly invariant under the channel, is
+    excluded unless requested.
     """
     sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state)
-    blocks = _sector_blocks(n, sp_fine, sp_coarse, m, k, null_threshold)
-    eigs = [b["eigenvalues"] for b in blocks.values()]
-    if include_identity:
-        eigs.append(np.array([1.0]))
+    by_degree = _sector_blocks(n, sp_fine, sp_coarse, m, k, null_threshold)
+    eigs = list(by_degree.values()) + ([np.array([1.0])] if include_identity else [])
     all_vals = np.sort(np.concatenate(eigs))[::-1] if eigs else np.array([])
-    return {
-        "n": n,
-        "eigenvalues": all_vals,
-        "by_degree": {j: b["eigenvalues"] for j, b in blocks.items()},
-        "blocks": blocks,
-    }
+    return {"n": n, "eigenvalues": all_vals, "by_degree": by_degree}
 
 
 def finite_limit_comparison(
@@ -611,30 +618,6 @@ def beta_bound_decreasing(d: int, y: float) -> bool:
     return y * (y - 1.0) > d
 
 
-def _check_bound_budget(system: QuditSystem, k: int) -> None:
-    """Refuse a bound check whose Gram blocks would not fit, before building any.
-
-    The estimate is the two row blocks (Bures and pushforward, at most dim^2
-    complex entries per operator) of the largest support, all n sites with
-    (d^2 - 1)^n letter products, plus one pair of real Gram blocks per
-    support size from k to n.  The budget is the size of one dense complex
-    matrix of the FLAB_MAX_DIM dimension.
-    """
-    d, n, dim = system.d, system.n, system.dim
-    letters = d * d - 1
-    row_bytes = 2 * 16 * letters**n * dim**2
-    gram_bytes = 2 * 8 * sum(letters ** (2 * s) for s in range(k, n + 1))
-    budget = dense_dim_budget()
-    if row_bytes + gram_bytes > 16 * budget**2:
-        raise DimensionBudgetError(
-            f"bound check at d={d}, n={n}, k={k} needs an estimated "
-            f"{(row_bytes + gram_bytes) / 2**20:.0f} MiB ({letters ** n} x {dim**2} row blocks "
-            f"{row_bytes / 2**20:.0f} MiB, Gram blocks {gram_bytes / 2**20:.0f} MiB), over the "
-            f"{16 * budget**2 / 2**20:.0f} MiB of a dense {budget}-dimensional operator; "
-            "set FLAB_MAX_DIM to override"
-        )
-
-
 def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | None):
     """Bures and pushforward Gram blocks of the sectors with |S| >= k.
 
@@ -660,7 +643,16 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
 
     if k < 1 or k > n:
         raise ValueError(f"sector index k={k} out of range for n={n}")
-    _check_bound_budget(QuditSystem(d, n), k)
+    # the row blocks of the largest support (at most dim^2 complex entries
+    # per operator) and one pair of real Gram blocks per support size
+    letters, dim = d * d - 1, d**n
+    check_byte_budget(
+        f"bound check at d={d}, n={n}, k={k}",
+        {
+            f"{letters**n} x {dim**2} row blocks": 2 * 16 * letters**n * dim**2,
+            "Gram blocks": 2 * 8 * sum(letters ** (2 * s) for s in range(k, n + 1)),
+        },
+    )
     site = state_1site if state_1site is not None else basis_pure_density(d)
     blocks = []
     for size in range(k, n + 1):
@@ -699,7 +691,7 @@ def beta_bound_test(
     built once per support size, instead of being assembled as an
     operator.  The draws are the same; `beta_bound_supremum` gives the
     exact supremum they sample.  DimensionBudgetError, before anything is
-    built, if the blocks would not fit (see `_check_bound_budget`).
+    built, if the blocks would not fit.
     """
     from .sampling import task_rng
 

@@ -31,6 +31,7 @@ from .operators import (
     QuditSystem,
     as_matrix,
     basis_pure_density,
+    check_byte_budget,
     complex_gram,
     klocal_basis,
     product_density,
@@ -257,22 +258,12 @@ class GnsSpace:
     def rank(self) -> int:
         return self.whitener.shape[1]
 
-    def whitened_coords(self, coefficients) -> np.ndarray:
-        """Coordinates of sum_a c_a E_a in the whitened orthonormal frame."""
-        c = np.asarray(coefficients, dtype=float)
-        return self.whitener.T @ (self.gram_real @ c)
-
     def vector(self, coefficients) -> np.ndarray:
         """Assemble the operator with the given basis coefficients."""
         out = np.zeros_like(self.matrices[0])
         for c, mat in zip(np.asarray(coefficients), self.matrices):
             out = out + c * mat
         return out
-
-    def coefficient_norm(self, coefficients) -> float:
-        c = np.asarray(coefficients, dtype=float)
-        val = float(c @ self.gram_real @ c)
-        return math.sqrt(max(val, 0.0))
 
 
 def _basis_parts(basis):
@@ -334,18 +325,6 @@ def channel_pairing_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> 
     rows = np.stack([m.conj().ravel() for m in out_space.matrices])
     cols = np.stack([(channel.adjoint_apply(m) @ rho).ravel() for m in in_space.matrices])
     return np.real(rows @ cols.T)
-
-
-def channel_gns_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> np.ndarray:
-    """Matrix of the channel's GNS action in raw basis coefficients.
-
-    Solves gram_out @ M = B in the least-squares sense; with rank-deficient
-    families the whitened route in `contraction_spectrum` is better
-    conditioned, but the raw-coefficient matrix is useful for inspection.
-    """
-    pairing = channel_pairing_matrix(channel, out_space, in_space)
-    sol, *_ = np.linalg.lstsq(out_space.gram_real, pairing, rcond=None)
-    return sol
 
 
 def _fix_signs(coeffs: np.ndarray) -> np.ndarray:
@@ -483,7 +462,8 @@ def klocal_decay_check(
     sites.  Reported per k: the maximum contraction ratio |A|_N / |A| over samples
     at each y, the fitted log-log slope of that maximum in y, and the
     sector bound beta_{k+1}^{1/2}; the bound is asserted whenever its
-    validity condition y(y-1) > d holds at every y.
+    validity condition y(y-1) > d holds at every y.  DimensionBudgetError,
+    before the family is built, if it would not fit.
     """
     from .channels import homogeneous_coarse_graining
     from .focklimit import beta_bound_value
@@ -495,6 +475,17 @@ def klocal_decay_check(
     if k_max < 0 or k_max + 1 > n:
         raise ValueError(f"need k_max + 1 <= n, got k_max={k_max}, n={n}")
     system = QuditSystem(d, n)
+    # the whole family, d^(2n) operators, plus the row blocks (at most dim^2
+    # complex entries per operator) and two real Grams of its nonempty supports
+    count, dim = d ** (2 * n), system.dim
+    check_byte_budget(
+        f"decay check at d={d}, n={n}",
+        {
+            f"{count} x {dim**2} family": 16 * count * dim**2,
+            "row blocks": 2 * 16 * (count - 1) * dim**2,
+            "Gram blocks": 2 * 8 * (count - 1) ** 2,
+        },
+    )
     site = state_1site if state_1site is not None else basis_pure_density(d)
     state = product_density(site, n)
     sectors = klocal_basis(n, system, state)

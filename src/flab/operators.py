@@ -44,6 +44,23 @@ def dense_dim_budget() -> int:
     return value
 
 
+def _format_bytes(nbytes: int) -> str:
+    return f"{nbytes} bytes" if nbytes < 2**20 else f"{nbytes / 2**20:.0f} MiB"
+
+
+def check_byte_budget(what: str, parts: dict[str, int]) -> None:
+    """Refuse work before allocating it if its parts (name -> bytes) exceed
+    one dense complex matrix of the FLAB_MAX_DIM dimension."""
+    budget, total = dense_dim_budget(), sum(parts.values())
+    if total > 16 * budget**2:
+        detail = ", ".join(f"{name} {_format_bytes(size)}" for name, size in parts.items())
+        raise DimensionBudgetError(
+            f"{what} needs an estimated {_format_bytes(total)} ({detail}), over the "
+            f"{_format_bytes(16 * budget**2)} of a dense {budget}-dimensional operator; "
+            "set FLAB_MAX_DIM to override"
+        )
+
+
 @dataclass(frozen=True)
 class QuditSystem:
     """n qudits of local dimension d, with a dense-dimension budget check."""

@@ -25,12 +25,11 @@ from flab.focklimit import (
     generating_overlap,
     limiting_inner,
     permanent,
-    permanent_gram,
     single_particle_channel_matrix,
     symmetric_sector_spectrum,
     vertex_overlap,
 )
-from flab.geometry import bures_norm, pushforward_norm, whiten_psd
+from flab.geometry import bures_norm, pushforward_norm, whiten_psd, whitened_contraction
 from flab.operators import (
     DensityMatrix,
     QuditSystem,
@@ -141,6 +140,27 @@ def test_finite_inner_against_dense_words():
             assert abs(got - want) < 1e-11, (u, v)
 
 
+def permanent_gram(kernel, rows, cols):
+    """Gram of permanents, out[r, c] = permanent(kernel[rows[r], cols[c]]).
+
+    rows and cols are letter words of one common degree j; all minors are
+    stacked as one (j, j, R, C) array and expanded together over the j!
+    permutations.
+    """
+    rows = np.asarray(rows, dtype=np.intp).T
+    cols = np.asarray(cols, dtype=np.intp).T
+    if len(rows) != len(cols):
+        raise ValueError(f"words of degree {len(rows)} and {len(cols)}")
+    minors = np.asarray(kernel)[rows[:, None, :, None], cols[None, :, None, :]]
+    total = np.zeros(minors.shape[2:], dtype=complex)
+    for perm in itertools.permutations(range(len(rows))):
+        prod = np.ones(minors.shape[2:], dtype=complex)
+        for i, j in enumerate(perm):
+            prod = prod * minors[i, j]
+        total = total + prod
+    return total
+
+
 def test_permanent_gram_matches_ryser():
     def ryser(a):
         # perm(A) = (-1)^m sum over column subsets S of (-1)^|S| prod_i sum_{j in S} a_ij
@@ -228,6 +248,9 @@ def test_fock_block_labels():
     assert set(b1.tuple_labels) == {"x", "p"}
     b2 = fock_block_spectrum(sp_f, sp_c, m, 2)
     assert "x(x)x" in b2.tuple_labels or "x(x)p" in b2.tuple_labels
+    # the columns past the fine rank are zero padding
+    assert b2.fine_rank == 2 and b2.eigen_labels[2:] == ["0", "0"]
+    assert "0" not in b2.eigen_labels[:2]
 
 
 def _dense_fock_oracle(sp_f, sp_c, m, k):
@@ -355,6 +378,8 @@ def test_sector_spectrum_is_n_independent():
     assert set(a["by_degree"]) == {1, 2}
     with_id = symmetric_sector_spectrum(4, 2, 2.0, 2, include_identity=True)
     assert abs(max(with_id["eigenvalues"]) - 1.0) < 1e-12
+    # words longer than the chain have no distinct-site realization
+    assert set(symmetric_sector_spectrum(2, 2, 2.0, 4)["by_degree"]) == {1, 2}
 
 
 def test_finite_limit_comparison_structure():
@@ -451,3 +476,108 @@ def test_bound_check_refused_before_building(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setenv("FLAB_MAX_DIM", "66")
     assert beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10)["violations"] == 0
+
+
+def _permanent_sector_blocks(n, d, y, k, site):
+    """Sector eigenvalues per degree from permanent Grams over letter words:
+    c_{n,j} per(K[u, v]) on both sides and in the pairing, whitened densely."""
+    sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, site)
+    fine_red, kept = sp_fine.reduced(NULL_LETTER_THRESHOLD)
+    pair = fine_red.kernel @ m[kept, :]
+    out = {}
+    for j in range(1, k + 1):
+        factor = 1.0 if n is None else distinct_site_factor(n, j)
+        words_f = list(itertools.combinations_with_replacement(range(fine_red.dim), j))
+        words_c = list(itertools.combinations_with_replacement(range(sp_coarse.dim), j))
+        grams = [
+            factor * np.real(permanent_gram(kernel, rows, cols))
+            for kernel, rows, cols in (
+                (fine_red.kernel, words_f, words_f),
+                (sp_coarse.kernel, words_c, words_c),
+                (pair, words_f, words_c),
+            )
+        ]
+        w_f, _ = whiten_psd(grams[0], NULL_LETTER_THRESHOLD)
+        w_c, _ = whiten_psd(grams[1], NULL_LETTER_THRESHOLD)
+        out[j] = whitened_contraction(w_f, w_c, grams[2])[0]
+    return out
+
+
+@pytest.mark.parametrize("n", [None, 4, 9])
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sector_blocks_match_permanent_oracle(d, state, n):
+    # y = 1.2 leaves the coarse inverse of the pure qubit uncertified at
+    # degree 4 (cond(K')^4 = 11^4), so both transports are compared
+    site = random_positive_density(d, task_rng(20261018, (d, 7)), min_eigenvalue=0.05) if state == "mixed" else None
+    for y in (1.2, 2.7):
+        want = _permanent_sector_blocks(n, d, y, 4, site)
+        got = symmetric_sector_spectrum(n, d, y, 4, state=site)["by_degree"]
+        assert set(got) == set(want)
+        for j, vals in want.items():
+            assert_close(got[j], vals, tol=1e-13, what=f"d={d} {state} n={n} y={y} degree {j}")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sector_spectrum_of_the_identity_channel_is_one(d):
+    # at y = 1 the channel is the identity, so every contraction eigenvalue
+    # is exactly 1; the coarse inverse is uncertified and the error grows
+    # with cond(K')^j (1.2e-12 at d = 3, degree 4; the permanent route was
+    # 2.7e-12 off)
+    site = random_positive_density(d, task_rng(20261018, (d, 7)), min_eigenvalue=0.05)
+    out = symmetric_sector_spectrum(None, d, 1.0, 4, state=site)
+    assert_close(out["eigenvalues"], np.ones(out["eigenvalues"].size), tol=1e-11)
+
+
+def test_symmetric_kron_power_is_the_orbit_restriction():
+    # R^T A^{(x)j} C against dense orbit isometries, for a complex
+    # non-square A as in the transport Z (K m)^T
+    rng = task_rng(20261018, 5)
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    for j in (1, 2, 3):
+        rows = focklimit._TupleBasis.build(3, j, symmetric=True)
+        cols = focklimit._TupleBasis.build(4, j, symmetric=True)
+
+        def isometry(letters, basis):
+            words = [tuple(w) for w in basis.reps.tolist()]
+            q = np.zeros((letters**j, len(words)))
+            for t, tup in enumerate(itertools.product(range(letters), repeat=j)):
+                q[t, words.index(tuple(sorted(tup)))] = 1.0
+            return q / np.linalg.norm(q, axis=0)
+
+        power = np.ones((1, 1))
+        for _ in range(j):
+            power = np.kron(power, a)
+        want = isometry(3, rows).T @ power @ isometry(4, cols)
+        assert_close(focklimit._kron_power(a, rows, cols), want, tol=1e-13, what=f"j={j}")
+
+
+@pytest.mark.parametrize(
+    "y, k, allowed, what",
+    [(2.0, 3, 16, "3840 bytes .6 x the 10 x 4 complex array"), (1.0, 2, 15, "3456 bytes .6 x the 6 x 6 complex")],
+    ids=["certified", "uncertified"],
+)
+def test_sector_budget_refused_before_building(monkeypatch, y, k, allowed, what):
+    # pure qubit: 2 fine and 3 coarse letters, so degree j has C(j+1, j)
+    # fine and C(j+2, j) coarse multisets.  With a certified coarse inverse
+    # the largest array of degree 3 is the 10 x 4 transport; at y = 1 that
+    # of degree 2 is the 6-square coarse Gram.  Six times their 16-byte
+    # entries lie between 16 * (allowed - 1)**2 and 16 * allowed**2 bytes
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("sector arrays built before the budget check")
+
+    monkeypatch.setenv("FLAB_MAX_DIM", str(allowed - 1))
+    with monkeypatch.context() as spy:
+        for name in ("_kron_power", "kron_apply", "whiten_psd"):
+            spy.setattr(focklimit, name, nothing_built)
+        with pytest.raises(DimensionBudgetError, match=f"sector degree {k} .* estimated {what}"):
+            symmetric_sector_spectrum(None, 2, y, k)
+    monkeypatch.setenv("FLAB_MAX_DIM", str(allowed))
+    assert set(symmetric_sector_spectrum(None, 2, y, k)["by_degree"]) == set(range(1, k + 1))
+
+
+def test_sector_degree_above_permanent_cap_runs():
+    # degrees 9 and 10 were refused while the blocks were permanent Grams
+    out = symmetric_sector_spectrum(None, 2, 2.0, 10)
+    assert set(out["by_degree"]) == set(range(1, 11))
+    assert out["eigenvalues"].min() >= 0.0 and out["eigenvalues"].max() <= 1.0

@@ -5,12 +5,11 @@ import pytest
 
 from flab import geometry
 from flab.channels import Channel, DepolarizingChannel, ProductChannel, homogeneous_coarse_graining
-from flab.errors import NumericalError
+from flab.errors import DimensionBudgetError, NumericalError
 from flab.focklimit import symmetric_sector_spectrum
 from flab.geometry import (
     bures_inner,
     bures_norm,
-    channel_gns_matrix,
     channel_pairing_matrix,
     complex_gram,
     contraction_ratio,
@@ -183,16 +182,6 @@ def test_channel_pairing_matrix_against_loops():
     assert_close(got, want, tol=1e-12)
 
 
-def test_channel_gns_matrix_identity():
-    rng = task_rng(7)
-    rho = random_positive_density(2, rng, min_eigenvalue=0.1)
-    letters = single_site_zero_mean_basis(rho)
-    space = gns_build(rho, letters)
-    ident = DepolarizingChannel(1.0, 2)
-    m = channel_gns_matrix(ident, space, space)
-    assert_close(m, np.eye(3), tol=1e-10)
-
-
 def test_contraction_spectrum_identity_channel():
     rng = task_rng(8)
     rho = random_positive_density(2, rng, min_eigenvalue=0.1)
@@ -247,6 +236,26 @@ def test_klocal_decay_check_output_and_validation():
         klocal_decay_check(2, 2, [0.5], k_max=0)
     with pytest.raises(ValueError):
         klocal_decay_check(2, 2, [3.0], k_max=2)
+
+
+def test_klocal_decay_check_refused_before_building(monkeypatch):
+    def no_family(*args, **kwargs):
+        raise AssertionError("sector family built before the budget check")
+
+    monkeypatch.setattr(geometry, "klocal_basis", no_family)
+    # dim 729 passes the dimension budget; its 9**6 operators of 729**2
+    # entries (about 4.5 TB) do not
+    with pytest.raises(DimensionBudgetError, match="estimated .*531441 x 531441 family"):
+        klocal_decay_check(6, 3, [3.0, 4.0], k_max=0, samples=5)
+    # the byte estimate sets the limit: at d=2, n=2 the family takes
+    # 16 * 16 * 16, the row blocks 2 * 16 * 15 * 16 and the Grams 2 * 8 * 15**2
+    # bytes, 15376 = 16 * 31**2 in all
+    monkeypatch.setenv("FLAB_MAX_DIM", "30")
+    with pytest.raises(DimensionBudgetError, match="decay check at d=2, n=2"):
+        klocal_decay_check(2, 2, [3.0, 4.0], k_max=0, samples=5)
+    monkeypatch.undo()
+    monkeypatch.setenv("FLAB_MAX_DIM", "31")
+    assert set(klocal_decay_check(2, 2, [3.0, 4.0], k_max=0, samples=5)["k"]) == {0}
 
 
 def _support_family(d, n, site):
