@@ -8,12 +8,13 @@ lattice walkers live here as well.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import NumericalError
-from .operators import QuditSystem, as_matrix, kron_apply
+from .operators import QuditSystem, as_matrix, check_byte_budget, kron_apply
 
 TRACE_PRESERVING_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
@@ -248,8 +249,39 @@ class SuperoperatorChannel(Channel):
         return float(eigs.min())
 
 
-SINGLE_WALKER_MAX_SITES = 64
-PAIR_WALKER_MAX_SITES = 24
+def check_walker_budget(L: int, walkers: int) -> None:
+    """Refuse a ring whose walker arrays would not fit, before any is built: at
+    the peak four L x L real single-walker matrices and, for a pair, four
+    stacks of L complex (L-1)-square blocks (eigenvectors, two copies, result)."""
+    parts = {f"4 x the {L} x {L} single-walker matrices": 32 * L * L}
+    if walkers == 2:
+        parts[f"4 x the {L} pair blocks of {L - 1} x {L - 1}"] = 64 * L * (L - 1) ** 2
+    check_byte_budget(f"swap diffusion of {walkers} walker(s) on {L} sites", parts)
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_block_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the L Bloch blocks of the pair generator.
+
+    In coordinates (i, r = j - i mod L), r = 1..L-1, block K acts on
+    e^{2 pi i K i / L} phi(r).  Only the edges touching a walker of (0, r)
+    move it: walker 2 to (0, r +- 1), walker 1 to (-+1, r +- 1), or onto the
+    other, exchanging them: (0, 1) -> (1, L-1), (0, L-1) -> (-1, 1).  A move
+    to (di, r') adds e^{2 pi i K di / L} at [r, r'] and -1 on the diagonal.
+    """
+    n = L - 1
+    w = np.exp(2j * np.pi * np.arange(L) / L)[:, None]
+    blocks = np.zeros((L, n, n), dtype=complex)
+    r = np.arange(n - 1)
+    blocks[:, r, r + 1] = 1.0 + w.conj()
+    blocks[:, r + 1, r] = 1.0 + w
+    blocks[:, 0, n - 1] = w[:, 0]
+    blocks[:, n - 1, 0] = w[:, 0].conj()
+    blocks[:, np.arange(n), np.arange(n)] = -4.0
+    blocks[:, [0, n - 1], [0, n - 1]] = -3.0
+    vals, vecs = np.linalg.eigh(blocks)
+    vals.flags.writeable = vecs.flags.writeable = False  # shared by every caller
+    return vals, vecs
 
 
 class SwapDiffusion:
@@ -258,8 +290,11 @@ class SwapDiffusion:
     Each ring edge carries a unit-rate swap of its endpoints' contents.  A
     single tagged walker then performs a continuous-time random walk whose
     generator is the ring Laplacian; two tagged walkers move jointly on
-    ordered distinct site pairs.  The smoothing time is (sigma/eps)^2 / 2,
-    so one unit of sigma matches the heat-kernel width of the smoother.
+    ordered distinct site pairs, and neighbours exchange rather than
+    collide.  The pair generator commutes with ring translations and is kept
+    as L Bloch blocks, one per total momentum.  The smoothing time is
+    (sigma/eps)^2 / 2, so one unit of sigma matches the heat-kernel width of
+    the smoother.
     """
 
     def __init__(self, lattice, sigma: float):
@@ -271,54 +306,22 @@ class SwapDiffusion:
 
     def single_walker_generator(self) -> np.ndarray:
         L = self.lattice.n_sites
-        if L > SINGLE_WALKER_MAX_SITES:
-            raise ValueError(f"single-walker generator limited to L <= {SINGLE_WALKER_MAX_SITES}")
-        gen = -2.0 * np.eye(L)
-        for i in range(L):
-            gen[i, (i + 1) % L] += 1.0
-            gen[i, (i - 1) % L] += 1.0
-        return gen
+        check_walker_budget(L, 1)
+        return np.roll(np.eye(L), 1, axis=1) + np.roll(np.eye(L), -1, axis=1) - 2.0 * np.eye(L)
 
     def pair_states(self) -> list[tuple[int, int]]:
         L = self.lattice.n_sites
         return [(i, j) for i in range(L) for j in range(L) if i != j]
 
-    def pair_generator(self) -> np.ndarray:
-        """Generator on ordered distinct pairs; each edge swap moves both
-        walkers it touches, so neighbouring walkers exchange positions
-        rather than colliding."""
-        L = self.lattice.n_sites
-        if L > PAIR_WALKER_MAX_SITES:
-            raise ValueError(f"pair-walker generator limited to L <= {PAIR_WALKER_MAX_SITES}")
-        states = self.pair_states()
-        index = {s: a for a, s in enumerate(states)}
-        m = len(states)
-        gen = np.zeros((m, m))
-        edges = [(u, (u + 1) % L) for u in range(L)]
-        for a, (i, j) in enumerate(states):
-            for (u, v) in edges:
-                ti = v if i == u else (u if i == v else i)
-                tj = v if j == u else (u if j == v else j)
-                b = index[(ti, tj)]
-                gen[b, a] += 1.0
-                gen[a, a] -= 1.0
-        return gen
-
-    def _semigroup(self, gen: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(gen)
+    def single_walker_semigroup(self) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(self.single_walker_generator())
         return (vecs * np.exp(self.time * vals)) @ vecs.T
 
-    def single_walker_semigroup(self) -> np.ndarray:
-        return self._semigroup(self.single_walker_generator())
-
     def pair_semigroup(self) -> np.ndarray:
-        return self._semigroup(self.pair_generator())
-
-    def pair_marginal_matrix(self) -> np.ndarray:
-        """(L, L(L-1)) matrix summing out the second walker."""
-        states = self.pair_states()
+        """Pair-walker semigroup as its Bloch blocks exp(time G_K), shape
+        (L, L-1, L-1); the block eigendecomposition is shared by every sigma.
+        DimensionBudgetError before anything is built if it would not fit."""
         L = self.lattice.n_sites
-        M = np.zeros((L, len(states)))
-        for a, (i, _) in enumerate(states):
-            M[i, a] = 1.0
-        return M
+        check_walker_budget(L, 2)
+        vals, vecs = _pair_block_eigh(L)
+        return (vecs * np.exp(self.time * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)

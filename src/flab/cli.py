@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .channels import PAIR_WALKER_MAX_SITES, SINGLE_WALKER_MAX_SITES
+from .channels import check_walker_budget
 from .errors import ConfigError, DimensionBudgetError, FlabError, NumericalError
 from .focklimit import (
     beta_bound_decreasing,
@@ -256,13 +256,7 @@ def run_bound_check(params: dict) -> Report:
 
 def run_lattice(params: dict) -> Report:
     _reject_unknown(params, {"L", "spacing", "y", "sigma_list", "cutoff", "pair_probe", "probe_samples"})
-    L = _require(
-        params,
-        "L",
-        int,
-        lambda v: 8 <= v <= SINGLE_WALKER_MAX_SITES and v % 2 == 0,
-        f"need even L in [8, {SINGLE_WALKER_MAX_SITES}]",
-    )
+    L = _require(params, "L", int, lambda v: v >= 8 and v % 2 == 0, "need even L >= 8")
     spacing = _require(params, "spacing", float, lambda v: v > 0, "need spacing > 0")
     y = _require(params, "y", float, lambda v: v >= 1.0, "need y >= 1")
     sigma_list = _float_list(params, "sigma_list")
@@ -278,10 +272,9 @@ def run_lattice(params: dict) -> Report:
         lambda v: 0 < v <= top_momentum,
         f"cutoff must lie in (0, {top_momentum:.6g}], the highest sub-Nyquist momentum",
     )
-    pair_probe = _optional(params, "pair_probe", bool, L <= PAIR_WALKER_MAX_SITES)
-    if pair_probe and L > PAIR_WALKER_MAX_SITES:
-        raise ConfigError(f"config key 'pair_probe' needs L <= {PAIR_WALKER_MAX_SITES}, got L={L}")
+    pair_probe = _optional(params, "pair_probe", bool, True)
     probe_samples = _optional(params, "probe_samples", int, 32, lambda v: v >= 1, "need >= 1")
+    check_walker_budget(L, 2 if pair_probe else 1)
     seed = _seed(params)
     report = Report("lattice", params, seed)
 

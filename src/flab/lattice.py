@@ -8,8 +8,9 @@ diffusion (site profiles evolve by the ring heat semigroup), and a Gaussian
 momentum smoother on the continuum fields the profiles discretize.
 
 Everything is computed in coefficient space: the k-letter sectors close
-under the dynamics, so no dense chain operators are ever built and L is
-limited only by the walker-sector budgets.
+under the dynamics, so no dense chain operators are ever built.  The
+two-letter sector is carried as L Bloch blocks of size L-1, one per total
+momentum, so L is limited only by the byte budget of those blocks.
 """
 
 from __future__ import annotations
@@ -152,22 +153,41 @@ def smoother_apply(field: BandlimitedField, sigma: float) -> BandlimitedField:
     return BandlimitedField(field.lattice, coeffs, cutoff=field.cutoff)
 
 
+def _pair_partner(L: int) -> np.ndarray:
+    """Second site j = i + r mod L of the pair (i, r), shape (L, L-1)."""
+    return (np.arange(L)[:, None] + np.arange(1, L)) % L
+
+
+def _pair_gram_apply(x: np.ndarray, K) -> np.ndarray:
+    """Pair-word Gram I + S (unit-kernel letter) on vectors x[..., r - 1] of
+    Bloch blocks K: the swap (i, r) -> (i + r, L - r) maps r to L - r with
+    phase e^{2 pi i K r / L}."""
+    L = x.shape[-1] + 1
+    return x + np.exp(2j * np.pi * (np.multiply.outer(K, np.arange(1, L)) % L) / L) * x[..., ::-1]
+
+
 def diffusion_semigroup_on_sector(sd: SwapDiffusion, k: int, coefficients) -> np.ndarray:
     """Heat evolution of sector coefficients under the swap dynamics.
 
     k=1 evolves site profiles by the single-walker semigroup, k=2 evolves
-    ordered-distinct-pair profiles by the two-walker semigroup.
+    ordered-distinct-pair profiles, in `pair_states()` order, by the
+    two-walker semigroup: through the Bloch blocks and back.
     """
     c = np.asarray(coefficients)
-    if k == 1:
-        W = sd.single_walker_semigroup()
-    elif k == 2:
-        W = sd.pair_semigroup()
-    else:
+    L = sd.lattice.n_sites
+    if k not in (1, 2):
         raise ValueError(f"sector degree must be 1 or 2, got {k}")
-    if c.shape[0] != W.shape[0]:
-        raise ValueError(f"coefficient length {c.shape[0]} does not match sector dim {W.shape[0]}")
-    return W @ c
+    dim = L if k == 1 else L * (L - 1)
+    if c.shape[0] != dim:
+        raise ValueError(f"coefficient length {c.shape[0]} does not match sector dim {dim}")
+    if k == 1:
+        return sd.single_walker_semigroup() @ c
+    i, j = np.arange(L)[:, None], _pair_partner(L)
+    index = i * (L - 1) + j - (j > i)
+    blocks = np.fft.fft(c[index].reshape(L, L - 1, -1), axis=0)
+    out = np.empty((dim, blocks.shape[-1]), dtype=complex)
+    out[index] = np.fft.ifft(sd.pair_semigroup() @ blocks, axis=0)
+    return (out.real if np.isrealobj(c) else out).reshape(c.shape)
 
 
 def mode_contraction_k1(
@@ -257,7 +277,9 @@ def high_momentum_suppression_probe(
     factor.  For k=1 the exact single-mode analysis gives the hard bound
     y^{-1} e^{-(sigma/eps)^2 (1 - cos(cutoff eps))}, which is asserted; for
     k=2 only the measured maximum is reported, next to the Gaussian-limit
-    value y^{-k} e^{-k sigma^2 cutoff^2 / 2} the construction aims at.
+    value y^{-k} e^{-k sigma^2 cutoff^2 / 2} the construction aims at.  A
+    k=2 word f_i g_j enters the Bloch blocks by one FFT over i of
+    f_i g_{i+r}, and both norms are taken blockwise.
     """
     from .sampling import task_rng
 
@@ -287,36 +309,24 @@ def high_momentum_suppression_probe(
                 f"mode bound {hard_bound:.6e}"
             )
     else:
-        W2 = sd.pair_semigroup()
-        states = sd.pair_states()
-        gram = _pair_gram(len(states), states)
-        for _ in range(samples):
-            f = _high_mode_profile(lattice, cutoff, rng)
-            g = _high_mode_profile(lattice, cutoff, rng)
-            c = np.array([f[i] * g[j] for (i, j) in states])
-            base_sq = float(c @ gram @ c)
-            if base_sq < 1e-20:
-                continue
-            evolved = W2 @ c
-            ratios.append(math.sqrt(float(evolved @ gram @ evolved) / base_sq) / y**2)
+        L = lattice.n_sites
+        draws = np.array([_high_mode_profile(lattice, cutoff, rng) for _ in range(2 * samples)])
+        words = np.fft.fft(draws[0::2, :, None] * draws[1::2, _pair_partner(L)], axis=1) / math.sqrt(L)
+        evolved = (sd.pair_semigroup() @ words[..., None])[..., 0]
+        base_sq, evolved_sq = (
+            np.real(np.sum(v.conj() * _pair_gram_apply(v, np.arange(L)), axis=(1, 2))) for v in (words, evolved)
+        )
+        kept = base_sq >= 1e-20
+        ratios = list(np.sqrt(evolved_sq[kept] / base_sq[kept]) / y**2)
         hard_bound = None
     claim = math.exp(-0.5 * k * (sigma * cutoff) ** 2) / y**k
     return {
         "k": k,
         "samples": len(ratios),
-        "max_contraction": max(ratios),
+        "max_contraction": float(max(ratios)),
         "mode_bound": hard_bound,
         "gaussian_claim": claim,
     }
-
-
-def _pair_gram(m: int, states) -> np.ndarray:
-    """Gram of ordered-distinct-pair words for a unit-kernel letter: I + S."""
-    index = {s: a for a, s in enumerate(states)}
-    gram = np.eye(m)
-    for a, (i, j) in enumerate(states):
-        gram[a, index[(j, i)]] += 1.0
-    return gram
 
 
 @dataclass
@@ -429,7 +439,8 @@ def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int, y: floa
     fourth-order dispersion bound.  j=2: over a fixed panel of mode pairs
     (momenta below half Nyquist), pair words evolved by the two-walker swap
     semigroup are compared entrywise with the independent-mode prediction
-    s_{q1} s_{q2}; the supremum deviation is reported, not asserted.
+    s_{q1} s_{q2}, Bloch block by block, since words of different total
+    momentum pair to zero; the supremum deviation is reported, not asserted.
     """
     if j == 1:
         worst_gap = 0.0
@@ -453,40 +464,33 @@ def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int, y: floa
     if j != 2:
         raise ValueError(f"probe degree must be 1 or 2, got {j}")
 
-    sd = SwapDiffusion(lattice, sigma)
-    W2 = sd.pair_semigroup()
-    states = sd.pair_states()
-    gram = _pair_gram(len(states), states)
+    L = lattice.n_sites
+    W2 = SwapDiffusion(lattice, sigma).pair_semigroup()
     panel = [m for m in lattice.mode_indices() if abs(lattice.momentum(m)) < 0.5 * lattice.nyquist]
-    words = []
-    xs = lattice.positions()
-    # The uniform pair profile is stationary for the swap dynamics and picks
-    # up an O(1/L) diagonal-exclusion offset in opposite-momentum words that
-    # no smoothing can remove; the independence question lives on its
-    # complement, so that component is projected away before comparing.
-    uniform = np.ones(len(states))
-    uniform_sq = float(uniform @ gram @ uniform)
-    for m1, m2 in itertools.combinations_with_replacement(panel, 2):
-        wave1 = np.exp(1j * lattice.momentum(m1) * xs)
-        wave2 = np.exp(1j * lattice.momentum(m2) * xs)
-        c = np.array([wave1[i] * wave2[j] for (i, j) in states])
-        c = c - (uniform @ gram @ c) / uniform_sq * uniform
-        norm_sq = float(np.real(np.conj(c) @ gram @ c))
-        if norm_sq < 1e-12 * len(states):
-            continue
-        words.append((m1, m2, c / math.sqrt(norm_sq)))
+    m1, m2 = np.array(list(itertools.combinations_with_replacement(panel, 2))).T
+    multiplier = {m: lattice_mode_multiplier(lattice, sigma, m) for m in panel}
+    s_pred = np.array([multiplier[a] * multiplier[b] for a, b in zip(m1, m2)])
+    # the word (m1, m2) is sqrt(L) e^{2 pi i m2 r / L} in block m1 + m2 mod L
+    blocks = (m1 + m2) % L
+    words = math.sqrt(L) * np.exp(2j * np.pi * (np.outer(m2, np.arange(1, L)) % L) / L)
+    # The uniform pair profile (block 0, constant in r) is stationary for the
+    # swap dynamics and picks up an O(1/L) diagonal-exclusion offset in
+    # opposite-momentum words that no smoothing can remove; the independence
+    # question lives on its complement, so that component is projected away
+    # before comparing.
+    zero = blocks == 0
+    words[zero] -= _pair_gram_apply(words[zero], 0).sum(axis=1, keepdims=True) / (2 * (L - 1))
+    gram_words = _pair_gram_apply(words, blocks)
+    norm_sq = np.real(np.sum(words.conj() * gram_words, axis=1))
+    kept = norm_sq >= 1e-12 * L * (L - 1)
+    scale = 1.0 / np.sqrt(norm_sq[kept])[:, None]
+    words, gram_words, blocks, s_pred = words[kept] * scale, gram_words[kept] * scale, blocks[kept], s_pred[kept]
+    # words of different blocks pair to exactly zero under both I + S and W2
     sup_dev = 0.0
-    gw = gram @ W2
-    for m1, m2, cv in words:
-        target = gw @ cv
-        s_pred = lattice_mode_multiplier(lattice, sigma, m1) * lattice_mode_multiplier(
-            lattice, sigma, m2
-        )
-        base = gram @ cv
-        for _, _, cu in words:
-            swap_val = complex(np.conj(cu) @ target)
-            pred_val = s_pred * complex(np.conj(cu) @ base)
-            sup_dev = max(sup_dev, abs(swap_val - pred_val))
+    for K in np.unique(blocks):
+        C, left = words[blocks == K], gram_words[blocks == K].conj()
+        deviation = left @ (W2[K] @ C.T) - (left @ C.T) * s_pred[blocks == K]
+        sup_dev = max(sup_dev, float(np.max(np.abs(deviation))))
     return {
         "j": 2,
         "sigma_over_eps": sigma / lattice.spacing,

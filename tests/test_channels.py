@@ -17,12 +17,13 @@ from flab.channels import (
     homogeneous_coarse_graining,
     single_site_superoperator,
 )
-from flab.errors import NumericalError
+from flab.errors import DimensionBudgetError, NumericalError
 from flab.lattice import RingLattice
 from flab.operators import QuditSystem, permute_sites
 from flab.sampling import random_cptp_channel, task_rng
 
 from conftest import assert_close
+from walker_oracle import assemble_blocks, bloch_basis, pair_generator
 
 
 def random_matrix(dim, seed):
@@ -214,31 +215,48 @@ def test_swap_single_walker_generator_is_ring_laplacian():
 
 
 def test_swap_pair_generator_structure():
-    lattice = RingLattice(8, 1.0)
-    sd = SwapDiffusion(lattice, 1.0)
-    gen = sd.pair_generator()
+    gen = pair_generator(8)
     assert gen.shape == (56, 56)
     assert_close(gen, gen.T, tol=1e-12, what="edge swaps are involutions")
     assert_close(gen.sum(axis=1), np.zeros(56), tol=1e-12)
     # semigroup of a symmetric zero-row-sum generator is doubly stochastic
-    sg = sd.pair_semigroup()
-    assert np.all(sg > -1e-12)
+    sg = assemble_blocks(SwapDiffusion(RingLattice(8, 1.0), 1.0).pair_semigroup())
+    assert_close(sg.imag, np.zeros((56, 56)), tol=1e-12, what="imaginary part")
+    assert np.all(sg.real > -1e-12)
     assert_close(sg.sum(axis=0), np.ones(56), tol=1e-10)
     assert_close(sg.sum(axis=1), np.ones(56), tol=1e-10)
 
 
-def test_swap_pair_marginal_shape():
-    lattice = RingLattice(8, 1.0)
-    sd = SwapDiffusion(lattice, 1.0)
-    M = sd.pair_marginal_matrix()
-    assert M.shape == (8, 56)
-    assert_close(M.sum(axis=0), np.ones(56))
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("L", [8, 12, 24])
+def test_pair_blocks_match_dense_oracle(L, sigma):
+    sd = SwapDiffusion(RingLattice(L, 1.0), sigma)
+    blocks = sd.pair_semigroup()
+    n = L - 1
+    assert blocks.shape == (L, n, n)
+    vals, vecs = np.linalg.eigh(pair_generator(L))
+    dense = (vecs * np.exp(sd.time * vals)) @ vecs.T
+    assert_close(assemble_blocks(blocks), dense, tol=1e-12, what="assembled semigroup")
+    # the oracle restricted to total momentum K is block K, and momenta do not mix
+    U = bloch_basis(L)
+    restricted = U.conj().T @ dense @ U
+    for K in range(L):
+        rows = slice(K * n, (K + 1) * n)
+        assert_close(restricted[rows, rows], blocks[K], tol=1e-12, what=f"block {K}")
+        restricted[rows, rows] = 0.0
+    assert_close(restricted, np.zeros_like(restricted), tol=1e-12, what="momentum mixing")
 
 
-def test_swap_validation():
+def test_swap_validation(monkeypatch):
     lattice = RingLattice(8, 1.0)
     with pytest.raises(ValueError):
         SwapDiffusion(lattice, -1.0)
-    big = RingLattice(32, 1.0)
-    with pytest.raises(ValueError):
-        SwapDiffusion(big, 1.0).pair_generator()
+    # 32 pair blocks of 31 x 31 need 1.9 MiB, over the 1 MiB of FLAB_MAX_DIM=256;
+    # the refusal comes before any block is built or diagonalised
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called before the budget check")
+
+    monkeypatch.setenv("FLAB_MAX_DIM", "256")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(DimensionBudgetError, match="pair blocks"):
+        SwapDiffusion(RingLattice(32, 1.0), 1.0).pair_semigroup()

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from flab import cli
@@ -90,17 +91,31 @@ def test_config_errors(tmp_path):
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"L": 26, "pair_probe": True},  # beyond the pair-walker generator
-        {"L": 66},  # beyond the single-walker generator
+        {"L": 26, "pair_probe": True},  # pair blocks over the byte budget
+        {"L": 66},  # pair blocks (the default probe) over the byte budget
         {"L": 8, "cutoff": math.pi},  # above the highest sub-Nyquist momentum
     ],
 )
-def test_lattice_limits_are_config_errors(tmp_path, capsys, overrides):
+def test_lattice_limits_are_config_errors(tmp_path, capsys, monkeypatch, overrides):
+    # FLAB_MAX_DIM=128 allows 256 KiB: the walker arrays of the 16-site base
+    # ring fit (233 KiB), those of 26 sites (1037 KiB) do not; every refusal
+    # comes before a walker generator is diagonalised
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called before the budget check")
+
+    monkeypatch.setenv("FLAB_MAX_DIM", "128")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     payload = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0], "probe_samples": 4, **overrides}
     out = tmp_path / "report.json"
     assert main(["lattice", "--config", write_config(tmp_path, "lat", payload), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_lattice_fits_budget_at_base_ring(monkeypatch):
+    monkeypatch.setenv("FLAB_MAX_DIM", "128")
+    payload = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0], "probe_samples": 4}
+    assert run_experiment("lattice", payload).passed
 
 
 def test_budget_maps_to_config_error(tmp_path, monkeypatch):

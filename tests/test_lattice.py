@@ -24,6 +24,7 @@ from flab.lattice import (
 from flab.operators import basis_pure_density
 
 from conftest import assert_close
+import walker_oracle
 
 
 def test_ring_validation_and_kinematics():
@@ -123,6 +124,18 @@ def test_diffusion_semigroup_sector_validation():
         diffusion_semigroup_on_sector(sd, 1, np.ones(7))
 
 
+def test_diffusion_semigroup_pair_sector_matches_dense_oracle():
+    L = 8
+    sd = SwapDiffusion(RingLattice(L, 1.0), 1.3)
+    rng = np.random.default_rng(20261018)
+    c = rng.standard_normal(L * (L - 1)) + 1j * rng.standard_normal(L * (L - 1))
+    dense = walker_oracle.pair_semigroup(L, sd.time)
+    assert_close(diffusion_semigroup_on_sector(sd, 2, c), dense @ c, tol=1e-12, what="pair-sector evolution")
+    assert_close(diffusion_semigroup_on_sector(sd, 2, c.real), dense @ c.real, tol=1e-12, what="real input")
+    with pytest.raises(ValueError):
+        diffusion_semigroup_on_sector(sd, 2, np.ones(L * L))
+
+
 def test_continuum_field_profile():
     f = ContinuumField(2 * math.pi, {1: 0.5, -1: 0.5})
     xs = np.linspace(0.0, 2 * math.pi, 7)
@@ -180,3 +193,18 @@ def test_swap_factorization_probe_j2_smoothing_decreases_deviation():
     devs = [swap_factorization_probe(lat, s, 2)["sup_deviation"] for s in (2.0, 4.0)]
     assert devs[1] < devs[0]
     assert swap_factorization_probe(lat, 2.0, 2)["word_count"] > 0
+
+
+@pytest.mark.parametrize("L", [12, 16, 24])
+def test_pair_probes_match_dense_loops(L):
+    lat = RingLattice(L, 1.0)
+    for sigma in (2.0, 4.0):
+        got = swap_factorization_probe(lat, sigma, 2)
+        want = walker_oracle.swap_factorization_probe_j2(lat, sigma)
+        assert got["word_count"] == want["word_count"]
+        assert abs(got["sup_deviation"] - want["sup_deviation"]) <= 1e-12
+    cutoff = 0.5 * lat.nyquist
+    got = high_momentum_suppression_probe(lat, 2.0, 2.0, cutoff, k=2, samples=8, seed=5)
+    want = walker_oracle.high_momentum_k2(lat, 2.0, 2.0, cutoff, samples=8, seed=5)
+    assert got["samples"] == want["samples"]
+    assert abs(got["max_contraction"] - want["max_contraction"]) <= 1e-12
