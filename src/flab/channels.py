@@ -259,6 +259,18 @@ def check_walker_budget(L: int, walkers: int) -> None:
     check_byte_budget(f"swap diffusion of {walkers} walker(s) on {L} sites", parts)
 
 
+def _ring_laplacian(L: int) -> np.ndarray:
+    return np.roll(np.eye(L), 1, axis=1) + np.roll(np.eye(L), -1, axis=1) - 2.0 * np.eye(L)
+
+
+@functools.lru_cache(maxsize=1)
+def _ring_laplacian_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the L-site ring Laplacian, shared by every sigma."""
+    vals, vecs = np.linalg.eigh(_ring_laplacian(L))
+    vals.flags.writeable = vecs.flags.writeable = False  # shared by every caller
+    return vals, vecs
+
+
 @functools.lru_cache(maxsize=1)
 def _pair_block_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the L Bloch blocks of the pair generator.
@@ -307,14 +319,18 @@ class SwapDiffusion:
     def single_walker_generator(self) -> np.ndarray:
         L = self.lattice.n_sites
         check_walker_budget(L, 1)
-        return np.roll(np.eye(L), 1, axis=1) + np.roll(np.eye(L), -1, axis=1) - 2.0 * np.eye(L)
+        return _ring_laplacian(L)
 
     def pair_states(self) -> list[tuple[int, int]]:
         L = self.lattice.n_sites
         return [(i, j) for i in range(L) for j in range(L) if i != j]
 
     def single_walker_semigroup(self) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(self.single_walker_generator())
+        """exp(time G) of the ring Laplacian G, a dense L x L matrix; the
+        eigendecomposition of G is shared by every sigma."""
+        L = self.lattice.n_sites
+        check_walker_budget(L, 1)
+        vals, vecs = _ring_laplacian_eigh(L)
         return (vecs * np.exp(self.time * vals)) @ vecs.T
 
     def pair_semigroup(self) -> np.ndarray:

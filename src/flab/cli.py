@@ -31,7 +31,7 @@ from .focklimit import (
     fock_block_spectrum,
     SingleParticleSpace,
 )
-from .geometry import symmetric_sector_dense_spectrum
+from .geometry import check_dense_sector_budget, symmetric_sector_dense_spectrum
 from .lattice import (
     RingLattice,
     continuum_mode_multiplier,
@@ -123,6 +123,8 @@ def run_spectrum(params: dict) -> Report:
     k = _require(params, "k", int, lambda v: v >= 1, "need k >= 1")
     report = Report("spectrum", params, _seed(params))
     system = QuditSystem(d, n)
+    # refused before the dim-square product state is built, not only before the words
+    check_dense_sector_budget(system, k)
     state = product_density(basis_pure_density(d), n)
     spectrum = symmetric_sector_dense_spectrum(system, state, y, k)
     rows = [

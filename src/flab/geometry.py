@@ -29,13 +29,21 @@ from .errors import NumericalError
 from .operators import (
     DensityMatrix,
     QuditSystem,
+    _greedy_gram_prune,
     as_matrix,
     basis_pure_density,
     check_byte_budget,
-    complex_gram,
+    gns_gram,
+    identical_site_state,
     klocal_basis,
     product_density,
+    real_overlaps,
     sector_span,
+    state_product,
+    symmetric_word_operator,
+    symmetric_words,
+    word_label,
+    zero_mean_letters,
 )
 
 NULL_THRESHOLD = 1e-10
@@ -243,13 +251,16 @@ def whiten_psd(gram: np.ndarray, null_threshold: float = NULL_THRESHOLD):
 
 @dataclass
 class GnsSpace:
-    """Whitened GNS representation of an operator family at a state."""
+    """Whitened GNS representation of an operator family at a state.
+
+    matrices is the family as one (m, dim, dim) stack; gram is its real GNS
+    Gram Re tr(rho A_a^dagger A_b).
+    """
 
     state: DensityMatrix
-    matrices: list[np.ndarray]
+    matrices: np.ndarray
     labels: list[str]
-    gram_complex: np.ndarray
-    gram_real: np.ndarray
+    gram: np.ndarray
     whitener: np.ndarray
     kept_eigenvalues: np.ndarray
     null_threshold: float = NULL_THRESHOLD
@@ -260,43 +271,25 @@ class GnsSpace:
 
     def vector(self, coefficients) -> np.ndarray:
         """Assemble the operator with the given basis coefficients."""
-        out = np.zeros_like(self.matrices[0])
-        for c, mat in zip(np.asarray(coefficients), self.matrices):
-            out = out + c * mat
-        return out
+        return np.tensordot(np.asarray(coefficients), self.matrices, axes=1)
 
 
-def _basis_parts(basis):
-    matrices, labels = [], []
-    for idx, item in enumerate(basis):
-        mat = as_matrix(item)
-        matrices.append(mat)
-        labels.append(getattr(item, "label", None) or f"b{idx}")
-    return matrices, labels
-
-
-def _hermitian_parts(basis):
-    """Matrices and labels of a nonempty family, each checked hermitian."""
-    matrices, labels = _basis_parts(basis)
-    if not matrices:
-        raise ValueError("empty basis")
-    for mat, label in zip(matrices, labels):
+def _check_hermitian(stack: np.ndarray, labels) -> None:
+    """NumericalError naming the first member of the family that is not hermitian."""
+    for mat, label in zip(stack, labels):
         dev = np.max(np.abs(mat - mat.conj().T))
         if dev > HERMITIAN_BASIS_TOL * max(1.0, float(np.max(np.abs(mat)))):
             raise NumericalError(f"basis element {label} is not hermitian (deviation {dev:.3e})")
-    return matrices, labels
 
 
-def _gns_space(state: DensityMatrix, matrices, labels, gram_c: np.ndarray, null_threshold: float) -> GnsSpace:
-    """Whitened GNS space of a family whose complex Gram is already known."""
-    gram_r = np.real(gram_c)
-    whitener, kept = whiten_psd(gram_r, null_threshold)
+def _gns_space(state: DensityMatrix, stack: np.ndarray, labels, gram: np.ndarray, null_threshold: float) -> GnsSpace:
+    """Whitened GNS space of a family whose real Gram is already known."""
+    whitener, kept = whiten_psd(gram, null_threshold)
     return GnsSpace(
         state=state,
-        matrices=matrices,
+        matrices=stack,
         labels=labels,
-        gram_complex=gram_c,
-        gram_real=gram_r,
+        gram=gram,
         whitener=whitener,
         kept_eigenvalues=kept,
         null_threshold=null_threshold,
@@ -310,8 +303,15 @@ def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOL
     null_threshold (relative), which quotients out null directions.  The
     family must be hermitian so the real Gram carries the full geometry.
     """
-    matrices, labels = _hermitian_parts(basis)
-    return _gns_space(state, matrices, labels, complex_gram(state, matrices), null_threshold)
+    matrices, labels = [], []
+    for idx, item in enumerate(basis):
+        matrices.append(as_matrix(item))
+        labels.append(getattr(item, "label", None) or f"b{idx}")
+    if not matrices:
+        raise ValueError("empty basis")
+    stack = np.stack(matrices)
+    _check_hermitian(stack, labels)
+    return _gns_space(state, stack, labels, gns_gram(state, stack), null_threshold)
 
 
 def channel_pairing_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> np.ndarray:
@@ -322,9 +322,10 @@ def channel_pairing_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> 
     """
     rho = out_space.state.matrix
     # tr(rho E^dagger X) = <vec(E), vec(X rho)> with the plain entrywise pairing
-    rows = np.stack([m.conj().ravel() for m in out_space.matrices])
-    cols = np.stack([(channel.adjoint_apply(m) @ rho).ravel() for m in in_space.matrices])
-    return np.real(rows @ cols.T)
+    cols = np.empty_like(in_space.matrices)
+    for col, mat in zip(cols, in_space.matrices):
+        col[...] = state_product(channel.adjoint_apply(mat), rho)
+    return real_overlaps(out_space.matrices, cols)
 
 
 def _fix_signs(coeffs: np.ndarray) -> np.ndarray:
@@ -408,6 +409,33 @@ def _contraction_between(channel, fine: GnsSpace, coarse: GnsSpace) -> Contracti
     )
 
 
+def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
+    """Refuse the dense k-local sector of `symmetric_sector_dense_spectrum`
+    if its arrays would not fit, before any is built.
+
+    At the peak, in the pairing, three stacks of complex dim-square
+    matrices, one per word of degree <= min(k, n), are alive: the word
+    family, the kept fine words (the slot the Gram's weighted copy held
+    before) and the Heisenberg images times the state.  Beside them sit the
+    permutation average's int64 orbit keys with the temporaries of their
+    construction, and the dense states with the temporaries of one channel
+    apply.
+    """
+    letters = system.d**2 - 1
+    # letter multisets of each degree j: C(letters + j - 1, j)
+    words = sum(math.comb(letters + j - 1, j) for j in range(min(k, system.n) + 1))
+    dim, square = system.dim, system.dim**2
+    check_byte_budget(
+        f"dense sector at d={system.d}, n={system.n}",
+        {
+            f"{words} x {dim}-square word stack": 16 * words * square,
+            "weighted and pairing stacks": 2 * 16 * words * square,
+            "PermutationAverage keys and temporaries": 5 * 8 * square,
+            "states and apply temporaries": 6 * 16 * square,
+        },
+    )
+
+
 def symmetric_sector_dense_spectrum(
     system: QuditSystem,
     state: DensityMatrix,
@@ -417,31 +445,46 @@ def symmetric_sector_dense_spectrum(
 ) -> ContractionSpectrum:
     """Dense reference spectrum on the symmetric k-local sector.
 
+    The state must be a product of identical site states rho_1 = U diag(mu)
+    U^dagger.  Everything is computed in the site eigenframe U^{(x)n}: there
+    the state is diag(mu^{(x)n}), the zero-mean letters are the Gell-Mann
+    letters g - (mu . diag g) 1 (`zero_mean_letters`), and the coarse
+    graining is unchanged, because sitewise depolarizing is unitarily
+    covariant and permutation averaging commutes with U^{(x)n}.  Grams,
+    pairings and eigenvalues are those of the original frame up to
+    roundoff, while every product with the fine or the coarse state (both
+    diagonal) is a column scaling.  The word family of both spaces
+    (`out_space.matrices`, `in_space.matrices`) lives in that frame.
+
     The fine family is pruned to a numerically independent set at the fine
     state; the coarse side keeps the full unpruned word family.  Pruning
     both sides by the fine Gram would clip the adjoint's image: a word
     relation that holds at the fine state (a null direction, say at a pure
     state) generally fails at the coarse state, where the dropped word is
     independent again.  The fine Gram is formed once, over the full family,
-    and the pruned space reuses its kept sub-block.
+    and the pruned space reuses its kept sub-block.  DimensionBudgetError,
+    before any word is built, if the arrays would not fit.
     """
     from .channels import homogeneous_coarse_graining
-    from .operators import _greedy_gram_prune, symmetric_klocal_basis
 
-    full = symmetric_klocal_basis(k, system, state, prune=False)
-    matrices, labels = _hermitian_parts(full)
-    gram = complex_gram(state, matrices)
-    keep = _greedy_gram_prune(np.real(gram), null_threshold)
-    fine = _gns_space(
-        state,
-        [matrices[i] for i in keep],
-        [labels[i] for i in keep],
-        gram[np.ix_(keep, keep)],
-        null_threshold,
-    )
+    check_dense_sector_budget(system, k)
+    words = [w for w in symmetric_words(system.d**2 - 1, k) if len(w) <= system.n]
+    mu, _ = identical_site_state(state, system).eigensystem()
+    frame_state = product_density(DensityMatrix(np.diag(mu), check=False), system.n)
     channel = homogeneous_coarse_graining(system, y)
-    coarse_state = DensityMatrix(channel.apply(state.matrix), check=False)
-    coarse = gns_build(coarse_state, full, null_threshold)
+    coarse_state = DensityMatrix(channel.apply(frame_state.matrix), check=False)
+    letters = zero_mean_letters(mu)
+    stack = np.empty((len(words), system.dim, system.dim), dtype=complex)
+    for mat, word in zip(stack, words):
+        mat[...] = symmetric_word_operator(word, letters, system)
+    labels = [word_label(w) for w in words]
+    _check_hermitian(stack, labels)
+    gram = gns_gram(frame_state, stack)
+    keep = _greedy_gram_prune(gram, null_threshold)
+    fine = _gns_space(
+        frame_state, stack[keep], [labels[i] for i in keep], gram[np.ix_(keep, keep)], null_threshold
+    )
+    coarse = _gns_space(coarse_state, stack, labels, gns_gram(coarse_state, stack), null_threshold)
     return _contraction_between(channel, fine, coarse)
 
 

@@ -230,6 +230,20 @@ def factor_product_state(state: DensityMatrix, system: QuditSystem) -> list[Dens
     return marginals
 
 
+def identical_site_state(state: DensityMatrix, system: QuditSystem) -> DensityMatrix:
+    """The common site marginal of a product state with identical sites.
+
+    NumericalError if the state is not a product over sites or if its site
+    marginals differ.
+    """
+    marginals = factor_product_state(state, system)
+    first = marginals[0].matrix
+    for m in marginals[1:]:
+        if np.max(np.abs(m.matrix - first)) > PRODUCT_STATE_TOL:
+            raise NumericalError("symmetric words need identical site marginals")
+    return marginals[0]
+
+
 def gell_mann_basis(d: int) -> list[np.ndarray]:
     """Traceless hermitian basis with tr(g_a g_b) = 2 delta_ab.
 
@@ -258,22 +272,28 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
+def zero_mean_letters(mu) -> list[np.ndarray]:
+    """Gell-Mann letters shifted to zero mean at the diagonal state diag(mu).
+
+    Each letter is g - (mu . diag g) 1: the site letters written in the
+    eigenframe of a site state with eigenvalues mu.
+    """
+    mu = np.asarray(mu, dtype=float)
+    return [g - float(mu @ np.diagonal(g).real) * np.eye(mu.size) for g in gell_mann_basis(mu.size)]
+
+
 def single_site_zero_mean_basis(state: DensityMatrix) -> list[np.ndarray]:
     """Traceless basis rotated to the state's eigenbasis, shifted to zero mean.
 
     Rotating aligns the basis with the state's spectral data, so null
     directions at pure states land on single basis elements (for a pure
     qubit: tau_1, tau_2, tau_3 - 1).  The shift subtracts the expectation,
-    making every element average to zero in the given state.
+    making every element average to zero in the given state.  These are the
+    `zero_mean_letters` of the state's eigenvalues, rotated by its
+    eigenvectors.
     """
-    d = state.dim
-    _, vecs = state.eigensystem()
-    basis = []
-    for g in gell_mann_basis(d):
-        rotated = vecs @ g @ vecs.conj().T
-        mean = np.trace(state.matrix @ rotated).real
-        basis.append(rotated - mean * np.eye(d))
-    return basis
+    vals, vecs = state.eigensystem()
+    return [vecs @ f @ vecs.conj().T for f in zero_mean_letters(vals)]
 
 
 def tensor_many(ops) -> np.ndarray:
@@ -518,12 +538,7 @@ def symmetric_klocal_basis(
     numerically null or linearly dependent in the state's GNS inner product
     are removed by greedy pivoting on the Gram matrix.
     """
-    marginals = factor_product_state(state, system)
-    first = marginals[0].matrix
-    for m in marginals[1:]:
-        if np.max(np.abs(m.matrix - first)) > PRODUCT_STATE_TOL:
-            raise NumericalError("symmetric words need identical site marginals")
-    site_basis = single_site_zero_mean_basis(marginals[0])
+    site_basis = single_site_zero_mean_basis(identical_site_state(state, system))
     words = [w for w in symmetric_words(system.d**2 - 1, k) if len(w) <= system.n]
     ops = [
         DenseOperator(system, symmetric_word_operator(w, site_basis, system), hermitian=True, label=word_label(w))
@@ -532,18 +547,38 @@ def symmetric_klocal_basis(
     if prune and len(ops) > 1:
         # the real span is what the contraction spectra act on, so
         # dependence is judged on the real part of the GNS Gram
-        gram = np.real(complex_gram(state, [op.matrix for op in ops]))
-        keep = _greedy_gram_prune(gram, null_threshold)
+        keep = _greedy_gram_prune(gns_gram(state, [op.matrix for op in ops]), null_threshold)
         ops = [ops[i] for i in keep]
     return ops
 
 
-def complex_gram(state: DensityMatrix, matrices) -> np.ndarray:
-    """gram_{ab} = tr(rho A_a^dagger A_b), as one stacked matrix product."""
-    rho = state.matrix
-    plain = np.stack([m.ravel() for m in matrices])
-    weighted = np.stack([(m @ rho).ravel() for m in matrices])
-    return plain.conj() @ weighted.T
+def state_product(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """mats @ rho for one matrix or a stack of them.
+
+    A state with no nonzero off-diagonal entry (a product state in its site
+    eigenframe, and its coarse graining) only scales columns, so the dim^3
+    product becomes dim^2 multiplications.
+    """
+    diag = np.diagonal(rho)
+    if np.count_nonzero(rho) == np.count_nonzero(diag):
+        return mats * diag
+    return mats @ rho
+
+
+def real_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_ij conj(a_ij) b_ij between every member of two stacks.
+
+    b is overwritten: it is conjugated in place, so that one complex product
+    a b^dagger gives the overlaps without a conjugate copy of either stack.
+    """
+    np.conjugate(b, out=b)
+    return np.real(a.reshape(len(a), -1) @ b.reshape(len(b), -1).T)
+
+
+def gns_gram(state: DensityMatrix, matrices) -> np.ndarray:
+    """gram_{ab} = Re tr(rho A_a^dagger A_b) of a list or stack of matrices."""
+    stack = np.asarray(matrices, dtype=complex)
+    return real_overlaps(stack, state_product(stack, state.matrix))
 
 
 def _greedy_gram_prune(gram: np.ndarray, threshold: float) -> list[int]:

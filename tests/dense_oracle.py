@@ -1,0 +1,36 @@
+"""Dense sector spectra in the original site frame, kept as the oracle for
+the eigenframe route of `geometry.symmetric_sector_dense_spectrum`.
+
+The words are those of `symmetric_klocal_basis`, over the site letters
+rotated into the original frame, and every Gram and pairing entry is an
+explicit trace against `mat @ rho` at the state as given.  Each product
+with a state is a dim^3 GEMM, so this serves only small chains.
+"""
+
+import numpy as np
+
+from flab.channels import homogeneous_coarse_graining
+from flab.geometry import NULL_THRESHOLD, whiten_psd, whitened_contraction
+from flab.operators import _greedy_gram_prune, symmetric_klocal_basis
+
+
+def _gram(rho, mats):
+    weighted = [m @ rho for m in mats]
+    return np.array([[np.vdot(a, b).real for b in weighted] for a in mats])
+
+
+def original_frame_spectrum(system, state, y, k, null_threshold=NULL_THRESHOLD):
+    """Eigenvalues of the squared contraction on the symmetric k-local sector:
+    fine words pruned by the fine Gram, the full family on the coarse side."""
+    full = [op.matrix for op in symmetric_klocal_basis(k, system, state, prune=False)]
+    channel = homogeneous_coarse_graining(system, y)
+    rho = state.matrix
+    fine_gram = _gram(rho, full)
+    keep = _greedy_gram_prune(fine_gram, null_threshold)
+    w_fine, _ = whiten_psd(fine_gram[np.ix_(keep, keep)], null_threshold)
+    w_coarse, _ = whiten_psd(_gram(channel.apply(rho), full), null_threshold)
+    # B[a, b] = Re tr(rho E_a^dagger N^dagger(F_b))
+    back = [channel.adjoint_apply(f) @ rho for f in full]
+    pairing = np.array([[np.vdot(full[a], b).real for b in back] for a in keep])
+    vals, _ = whitened_contraction(w_fine, w_coarse, pairing)
+    return vals

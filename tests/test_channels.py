@@ -13,6 +13,7 @@ from flab.channels import (
     ProductChannel,
     SuperoperatorChannel,
     SwapDiffusion,
+    _ring_laplacian_eigh,
     commutation_deviation,
     homogeneous_coarse_graining,
     single_site_superoperator,
@@ -212,6 +213,19 @@ def test_swap_single_walker_generator_is_ring_laplacian():
     assert_close(gen, gen.T, what="generator symmetry")
     assert_close(gen.sum(axis=1), np.zeros(12), what="row sums")
     assert sd.time == 2.0
+
+
+@pytest.mark.parametrize("L", [8, 24])
+def test_single_walker_semigroup_matches_fresh_eigh(L):
+    for sigma in (0.5, 2.0, 4.0):
+        sd = SwapDiffusion(RingLattice(L, 1.0), sigma)
+        vals, vecs = np.linalg.eigh(sd.single_walker_generator())
+        fresh = (vecs * np.exp(sd.time * vals)) @ vecs.T
+        assert_close(sd.single_walker_semigroup(), fresh, tol=1e-13, what=f"semigroup at sigma={sigma}")
+    # every sigma reuses one read-only decomposition
+    vals, vecs = _ring_laplacian_eigh(L)
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    assert _ring_laplacian_eigh.cache_info().currsize == 1
 
 
 def test_swap_pair_generator_structure():

@@ -11,10 +11,11 @@ from flab.geometry import (
     bures_inner,
     bures_norm,
     channel_pairing_matrix,
-    complex_gram,
+    check_dense_sector_budget,
     contraction_ratio,
     contraction_spectrum,
     gns_build,
+    gns_gram,
     gns_inner,
     klocal_decay_check,
     norm_grams,
@@ -35,6 +36,7 @@ from flab.operators import (
     product_density,
     sector_span,
     single_site_zero_mean_basis,
+    state_product,
 )
 from flab.sampling import (
     random_cptp_channel,
@@ -44,6 +46,7 @@ from flab.sampling import (
 )
 
 from conftest import assert_close
+from dense_oracle import original_frame_spectrum
 
 
 def test_omega_roundtrip_full_rank():
@@ -160,7 +163,7 @@ def test_gns_build_rank_and_hermiticity_check():
     # the diagonal letter is null at the pure state; the two quadratures
     # collapse to one complex ray but stay independent over the reals
     assert space.rank == 2
-    assert complex_gram(pure, letters).shape == (3, 3)
+    assert gns_gram(pure, letters).shape == (3, 3)
     with pytest.raises(NumericalError):
         gns_build(pure, [np.array([[0.0, 1.0], [0.0, 0.0]])])
 
@@ -367,16 +370,88 @@ def test_norm_grams_check_singular_directions_per_row():
 
 
 def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
-    calls = []
-    real_gram = geometry.complex_gram
+    grams, checks = [], []
+    real_gram, real_check = geometry.gns_gram, geometry._check_hermitian
 
     def counting_gram(state, matrices):
-        calls.append(len(matrices))
+        grams.append(len(matrices))
         return real_gram(state, matrices)
 
-    monkeypatch.setattr(geometry, "complex_gram", counting_gram)
+    def counting_check(stack, labels):
+        checks.append(len(stack))
+        return real_check(stack, labels)
+
+    monkeypatch.setattr(geometry, "gns_gram", counting_gram)
+    monkeypatch.setattr(geometry, "_check_hermitian", counting_check)
     site = random_positive_density(2, task_rng(21, 0), min_eigenvalue=0.05)
     symmetric_sector_dense_spectrum(QuditSystem(2, 4), product_density(site, 4), 2.5, 2)
     # one Gram at the fine state, one at the coarse state, both over the
-    # full word family
-    assert calls == [10, 10]
+    # full word family, which is checked hermitian once
+    assert grams == [10, 10]
+    assert checks == [10]
+
+
+def _dense_cases():
+    rng = task_rng(20261018)
+    cases = []
+    for d, n, k in ((2, 6, 1), (2, 6, 2), (3, 4, 1), (3, 4, 2), (2, 5, 3)):
+        site = random_positive_density(d, rng, min_eigenvalue=0.05)
+        cases.append(pytest.param(d, n, k, float(rng.uniform(1.2, 4.0)), site, id=f"mixed-d{d}-n{n}-k{k}"))
+    cases.append(pytest.param(2, 6, 2, 2.5, basis_pure_density(2), id="pure-qubit-n6-k2"))
+    return cases
+
+
+@pytest.mark.parametrize("d, n, k, y, site", _dense_cases())
+def test_dense_sector_spectrum_matches_original_frame_oracle(d, n, k, y, site):
+    system, state = QuditSystem(d, n), product_density(site, n)
+    got = symmetric_sector_dense_spectrum(system, state, y, k)
+    want = original_frame_spectrum(system, state, y, k)
+    assert got.eigenvalues.shape == want.shape
+    assert_close(got.eigenvalues, want, tol=1e-12, what=f"eigenframe vs original frame, d={d} n={n} k={k}")
+    # the family lives in the site eigenframe, where both states are diagonal
+    for space in (got.out_space, got.in_space):
+        rho = space.state.matrix
+        assert np.count_nonzero(rho - np.diag(np.diagonal(rho))) == 0
+
+
+def test_state_product_scales_columns_only_for_diagonal_states():
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    rho = np.diag(rng.uniform(0.1, 1.0, 5)).astype(complex)
+    assert_close(state_product(mats, rho), mats @ rho, tol=1e-15)
+    assert_close(state_product(mats[0], rho), mats[0] @ rho, tol=1e-15)
+    # one off-diagonal entry is enough to take the full product
+    rho[1, 3] = 1e-3
+    assert_close(state_product(mats, rho), mats @ rho, tol=1e-15)
+    assert np.max(np.abs(mats * np.diagonal(rho) - mats @ rho)) > 1e-6
+
+
+def test_dense_sector_budget_default_limits(monkeypatch):
+    # at the default budget (4 GiB) d=2, k=2 (10 words) fits at n=11, an
+    # estimated 2464 MiB, not at n=12, 9856 MiB; neither chain is built
+    monkeypatch.delenv("FLAB_MAX_DIM", raising=False)
+    check_dense_sector_budget(QuditSystem(2, 11), 2)
+    with pytest.raises(DimensionBudgetError, match=r"estimated 9856 MiB \(10 x 4096-square word stack"):
+        check_dense_sector_budget(QuditSystem(2, 12), 2)
+    # degrees above n have no words: k=3 at n=2 counts 1 + 3 + 6 of them
+    pair = QuditSystem(2, 2)
+    monkeypatch.setenv("FLAB_MAX_DIM", "2")
+    with pytest.raises(DimensionBudgetError, match="10 x 4-square word stack"):
+        check_dense_sector_budget(pair, 3)
+
+
+def test_dense_sector_spectrum_refused_before_building(monkeypatch):
+    def no_words(*args, **kwargs):
+        raise AssertionError("word built before the budget check")
+
+    site = random_positive_density(2, task_rng(22), min_eigenvalue=0.05)
+    system, state = QuditSystem(2, 5), product_density(site, 5)
+    # 10 words of 32**2 entries: 3 stacks take 491520 bytes and the rest
+    # 139264, 630784 in all, between 16 * 198**2 and 16 * 199**2
+    monkeypatch.setenv("FLAB_MAX_DIM", "198")
+    with monkeypatch.context() as spy:
+        spy.setattr(geometry, "symmetric_word_operator", no_words)
+        with pytest.raises(DimensionBudgetError, match="dense sector at d=2, n=5 needs an estimated"):
+            symmetric_sector_dense_spectrum(system, state, 2.0, 2)
+    monkeypatch.setenv("FLAB_MAX_DIM", "199")
+    assert symmetric_sector_dense_spectrum(system, state, 2.0, 2).eigenvalues.shape == (10,)
