@@ -16,7 +16,6 @@ from .channels import (
     ProductChannel,
     SuperoperatorChannel,
     SwapDiffusion,
-    commutation_deviation,
     homogeneous_coarse_graining,
 )
 from .errors import ConfigError, DimensionBudgetError, FlabError, NumericalError
@@ -32,8 +31,8 @@ from .focklimit import (
     finite_limit_comparison,
     finite_n_inner,
     fock_block_spectrum,
-    generating_operator,
     generating_overlap,
+    klocal_decay_check,
     limiting_inner,
     permanent,
     single_particle_channel_matrix,
@@ -46,14 +45,11 @@ from .geometry import (
     bures_inner,
     bures_norm,
     channel_pairing_matrix,
-    contraction_ratio,
     contraction_spectrum,
     gns_build,
     gns_inner,
-    klocal_decay_check,
     omega_apply,
     omega_inverse_apply,
-    pullback_norm,
     pushforward_norm,
     symmetric_sector_dense_spectrum,
     whiten_psd,
@@ -71,23 +67,16 @@ from .lattice import (
     swap_factorization_probe,
 )
 from .operators import (
-    DenseOperator,
     DensityMatrix,
     QuditSystem,
-    SectorBasis,
     basis_pure_density,
-    embed_at_site,
     factor_product_state,
-    fluctuation_operator,
     gell_mann_basis,
-    klocal_basis,
     maximally_mixed_density,
-    permutation_unitary,
     permute_sites,
     product_density,
     pure_state_density,
     reduced_density,
-    sector_span,
     single_site_zero_mean_basis,
     symmetric_klocal_basis,
     symmetric_word_operator,

@@ -17,7 +17,6 @@ from .errors import NumericalError
 from .operators import QuditSystem, as_matrix, check_byte_budget, kron_apply
 
 TRACE_PRESERVING_TOL = 1e-10
-CHOI_PSD_TOL = 1e-10
 
 
 class Channel:
@@ -197,15 +196,6 @@ def homogeneous_coarse_graining(system: QuditSystem, y: float) -> HomogeneousCoa
     return HomogeneousCoarseGraining(system, y)
 
 
-def commutation_deviation(system: QuditSystem, y: float, X) -> float:
-    """Max entry of P(D(X)) - D(P(X)); zero up to roundoff by construction."""
-    depol = ProductChannel(DepolarizingChannel(y, system.d), system)
-    perm = PermutationAverage(system)
-    a = perm.apply(depol.apply(X))
-    b = depol.apply(perm.apply(X))
-    return float(np.max(np.abs(a - b)))
-
-
 class SuperoperatorChannel(Channel):
     """Channel given by an explicit Kraus family."""
 
@@ -232,21 +222,6 @@ class SuperoperatorChannel(Channel):
     def adjoint_apply(self, X) -> np.ndarray:
         X = as_matrix(X)
         return sum(K.conj().T @ X @ K for K in self.kraus)
-
-    def choi_matrix(self) -> np.ndarray:
-        d = self.dim
-        choi = np.zeros((d * d, d * d), dtype=complex)
-        for K in self.kraus:
-            v = K.reshape(d * d, 1)
-            choi += v @ v.conj().T
-        return choi
-
-    def check_completely_positive(self) -> float:
-        """Smallest Choi eigenvalue; raises if below the PSD tolerance."""
-        eigs = np.linalg.eigvalsh(self.choi_matrix())
-        if eigs.min() < -CHOI_PSD_TOL:
-            raise NumericalError(f"Choi matrix has negative eigenvalue {eigs.min():.3e}")
-        return float(eigs.min())
 
 
 def check_walker_budget(L: int, walkers: int) -> None:

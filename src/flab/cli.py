@@ -92,6 +92,9 @@ def _int_list(params: dict, key: str, minimum: int):
         out.append(v)
     if out != sorted(out) or len(set(out)) != len(out):
         raise ConfigError(f"config key {key!r} must be strictly increasing")
+    # every size list feeds a fit or a trend over sizes
+    if len(out) < 2:
+        raise ConfigError(f"config key {key!r} must list at least two sizes")
     return out
 
 
@@ -102,6 +105,8 @@ def _float_list(params: dict, key: str, positive: bool = True):
         if not isinstance(v, (int, float)) or isinstance(v, bool) or (positive and v <= 0):
             raise ConfigError(f"config key {key!r} must list positive numbers")
         out.append(float(v))
+    if not out:
+        raise ConfigError(f"config key {key!r} must not be empty")
     return out
 
 

@@ -23,6 +23,8 @@ finite-n spectrum on the symmetric k-local sector
 norm bound under sitewise depolarizing noise on random draws, measured as
 quadratic forms over per-support Gram blocks built from streamed letter
 products; `beta_bound_supremum` gives the exact supremum from the blocks.
+`klocal_decay_check` reads the exact decay of that supremum in y under the
+homogeneous coarse graining from the top of each sector block.
 """
 
 from __future__ import annotations
@@ -249,15 +251,6 @@ def vertex_overlap(sp: SingleParticleSpace, a_coeffs, b_coeffs) -> float:
     a = np.asarray(a_coeffs, dtype=float)
     b = np.asarray(b_coeffs, dtype=float)
     return math.exp(float(np.real(a @ sp.kernel @ b)))
-
-
-def generating_operator(a, system: QuditSystem) -> np.ndarray:
-    """Dense prod_i (1 + i a^{(i)}/sqrt(n)); for cross-checks at small n."""
-    site = np.eye(system.d, dtype=complex) + 1j * as_matrix(a) / math.sqrt(system.n)
-    out = np.array([[1.0]], dtype=complex)
-    for _ in range(system.n):
-        out = np.kron(out, site)
-    return out
 
 
 def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
@@ -623,7 +616,8 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
 
     Returns ((bures, push), count) per support size s = k..n, count =
     C(n, s) supports; repeated count times, in order of size, the blocks
-    make up the Grams of the `klocal_basis` family over those sectors.
+    make up the Grams of the family of zero-mean letter products over every
+    support of those sizes.
     The channel is sitewise depolarizing at a product of identical site
     states, so:
 
@@ -733,3 +727,55 @@ def beta_bound_supremum(
         w = whiten_psd(bures)[0]
         best = max(best, float(np.linalg.eigvalsh(w.T @ push @ w)[-1]))
     return best
+
+
+def klocal_decay_check(
+    n: int,
+    d: int,
+    y_values,
+    k_max: int,
+    state_1site: DensityMatrix | None = None,
+) -> dict:
+    """Decay of the channel-deformed norm on high-locality observables.
+
+    Under the homogeneous coarse graining of n sites (sitewise depolarizing
+    of strength y followed by permutation averaging), the supremum of
+    |A|_N / |A| over the operators supported on more than k sites is the
+    square root of the top degree-(k+1) eigenvalue of
+    `symmetric_sector_spectrum`, computed once per y.  Reported per k: that
+    supremum at each y, its fitted log-log slope in y, and the sector bound
+    beta_{k+1}^{1/2}; the bound is asserted whenever its validity condition
+    y(y-1) > d holds at every y.  DimensionBudgetError, before any block is
+    built, if a sector block would not fit.
+    """
+    y_values = [float(y) for y in y_values]
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    if len(set(y_values)) < 2:
+        raise ValueError("decay check needs at least two distinct y values to fit a slope")
+    if any(y <= 1.0 for y in y_values):
+        raise ValueError("decay check needs y > 1 so the coarse state is faithful")
+    if k_max < 0 or k_max + 1 > n:
+        raise ValueError(f"need k_max + 1 <= n, got k_max={k_max}, n={n}")
+    blocks = [symmetric_sector_spectrum(n, d, y, k_max + 1, state_1site)["by_degree"] for y in y_values]
+    logs_y = np.log(np.asarray(y_values))
+    bound_valid = all(beta_bound_decreasing(d, y) for y in y_values)
+
+    result = {"y_values": y_values, "k": {}}
+    for k in range(k_max + 1):
+        max_contraction = [math.sqrt(by_degree[k + 1][0]) for by_degree in blocks]
+        slope = float(np.polyfit(logs_y, np.log(np.asarray(max_contraction)), 1)[0])
+        bounds = [math.sqrt(beta_bound_value(d, y, k + 1)) for y in y_values]
+        bound_ok = all(e <= b * (1.0 + 1e-10) for e, b in zip(max_contraction, bounds))
+        if bound_valid and not bound_ok:
+            raise NumericalError(
+                f"sector decay bound violated at k={k}: max ratio {max_contraction} exceeds {bounds}"
+            )
+        result["k"][k] = {
+            "max_contraction": max_contraction,
+            "slope": slope,
+            "expected_slope": -(k + 1),
+            "bound": bounds,
+            "bound_checked": bound_valid,
+        }
+    return result

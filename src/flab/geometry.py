@@ -10,11 +10,10 @@ A channel N acts on this geometry two ways.  Pulling back through the
 Heisenberg adjoint gives the pairing matrices whitened into a finite
 eigenvalue problem (`contraction_spectrum`).  Pushing the tangent vector
 Omega_rho(A) forward through N and measuring it at N(rho) gives the
-channel-deformed norm (`pushforward_norm`) whose decay in the locality
-degree is probed by `klocal_decay_check`.  Both norms are quadratic forms in
-the real coefficients of an operator family, so random draws from a family
-are measured through its Grams (`norm_grams`, `sampled_norms`) rather than
-one operator at a time.
+channel-deformed norm (`pushforward_norm`).  Both norms are quadratic forms
+in the real coefficients of an operator family, so a family is measured
+through its Grams (`norm_grams`), and random draws from it as quadratic
+forms over them (`sampled_norms`) rather than one operator at a time.
 """
 
 from __future__ import annotations
@@ -29,25 +28,22 @@ from .errors import NumericalError
 from .operators import (
     DensityMatrix,
     QuditSystem,
+    _check_hermitian,
     _greedy_gram_prune,
+    _word_stack,
     as_matrix,
-    basis_pure_density,
     check_byte_budget,
     gns_gram,
     identical_site_state,
-    klocal_basis,
     product_density,
     real_overlaps,
-    sector_span,
     state_product,
-    symmetric_word_operator,
     symmetric_words,
     word_label,
     zero_mean_letters,
 )
 
 NULL_THRESHOLD = 1e-10
-HERMITIAN_BASIS_TOL = 1e-10
 # relative size of eigenvalue pairs below which Omega_rho is singular
 OMEGA_REL_TOL = 1e-12
 SINGULAR_DIRECTION = (
@@ -209,21 +205,6 @@ def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.nda
     return np.sqrt(np.maximum(base_sq, 0.0)), np.sqrt(np.maximum(push_sq, 0.0))
 
 
-def pullback_norm(state: DensityMatrix, channel, a) -> float:
-    """GNS norm at rho of the Heisenberg-evolved observable N^dagger(A)."""
-    back = channel.adjoint_apply(as_matrix(a))
-    return bures_norm(state, back)
-
-
-def contraction_ratio(state: DensityMatrix, channel, a) -> float:
-    """|N^dagger(A)|_rho / |A|_{N(rho)}, the observable-side contraction factor."""
-    coarse = DensityMatrix(channel.apply(state.matrix), check=False)
-    denom = bures_norm(coarse, a)
-    if denom < 1e-300:
-        raise NumericalError("observable is null at the coarse state; ratio undefined")
-    return pullback_norm(state, channel, a) / denom
-
-
 def whiten_psd(gram: np.ndarray, null_threshold: float = NULL_THRESHOLD):
     """Whitening map for a symmetric PSD Gram matrix.
 
@@ -274,14 +255,6 @@ class GnsSpace:
         return np.tensordot(np.asarray(coefficients), self.matrices, axes=1)
 
 
-def _check_hermitian(stack: np.ndarray, labels) -> None:
-    """NumericalError naming the first member of the family that is not hermitian."""
-    for mat, label in zip(stack, labels):
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > HERMITIAN_BASIS_TOL * max(1.0, float(np.max(np.abs(mat)))):
-            raise NumericalError(f"basis element {label} is not hermitian (deviation {dev:.3e})")
-
-
 def _gns_space(state: DensityMatrix, stack: np.ndarray, labels, gram: np.ndarray, null_threshold: float) -> GnsSpace:
     """Whitened GNS space of a family whose real Gram is already known."""
     whitener, kept = whiten_psd(gram, null_threshold)
@@ -303,13 +276,11 @@ def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOL
     null_threshold (relative), which quotients out null directions.  The
     family must be hermitian so the real Gram carries the full geometry.
     """
-    matrices, labels = [], []
-    for idx, item in enumerate(basis):
-        matrices.append(as_matrix(item))
-        labels.append(getattr(item, "label", None) or f"b{idx}")
+    matrices = [as_matrix(item) for item in basis]
     if not matrices:
         raise ValueError("empty basis")
     stack = np.stack(matrices)
+    labels = [f"b{idx}" for idx in range(len(stack))]
     _check_hermitian(stack, labels)
     return _gns_space(state, stack, labels, gns_gram(state, stack), null_threshold)
 
@@ -473,12 +444,8 @@ def symmetric_sector_dense_spectrum(
     frame_state = product_density(DensityMatrix(np.diag(mu), check=False), system.n)
     channel = homogeneous_coarse_graining(system, y)
     coarse_state = DensityMatrix(channel.apply(frame_state.matrix), check=False)
-    letters = zero_mean_letters(mu)
-    stack = np.empty((len(words), system.dim, system.dim), dtype=complex)
-    for mat, word in zip(stack, words):
-        mat[...] = symmetric_word_operator(word, letters, system)
+    stack = _word_stack(words, zero_mean_letters(mu), system)
     labels = [word_label(w) for w in words]
-    _check_hermitian(stack, labels)
     gram = gns_gram(frame_state, stack)
     keep = _greedy_gram_prune(gram, null_threshold)
     fine = _gns_space(
@@ -486,79 +453,3 @@ def symmetric_sector_dense_spectrum(
     )
     coarse = _gns_space(coarse_state, stack, labels, gns_gram(coarse_state, stack), null_threshold)
     return _contraction_between(channel, fine, coarse)
-
-
-def klocal_decay_check(
-    n: int,
-    d: int,
-    y_values,
-    k_max: int,
-    samples: int = 50,
-    seed: int = 7,
-    state_1site: DensityMatrix | None = None,
-) -> dict:
-    """Decay of the channel-deformed norm on high-locality observables.
-
-    For each y the homogeneous coarse graining (sitewise depolarizing
-    strength y followed by permutation averaging) is applied to random
-    hermitian combinations drawn from sectors supported on more than k
-    sites.  Reported per k: the maximum contraction ratio |A|_N / |A| over samples
-    at each y, the fitted log-log slope of that maximum in y, and the
-    sector bound beta_{k+1}^{1/2}; the bound is asserted whenever its
-    validity condition y(y-1) > d holds at every y.  DimensionBudgetError,
-    before the family is built, if it would not fit.
-    """
-    from .channels import homogeneous_coarse_graining
-    from .focklimit import beta_bound_value
-    from .sampling import task_rng
-
-    y_values = [float(y) for y in y_values]
-    if any(y <= 1.0 for y in y_values):
-        raise ValueError("decay check needs y > 1 so the coarse state is faithful")
-    if k_max < 0 or k_max + 1 > n:
-        raise ValueError(f"need k_max + 1 <= n, got k_max={k_max}, n={n}")
-    system = QuditSystem(d, n)
-    # the whole family, d^(2n) operators, plus the row blocks (at most dim^2
-    # complex entries per operator) and two real Grams of its nonempty supports
-    count, dim = d ** (2 * n), system.dim
-    check_byte_budget(
-        f"decay check at d={d}, n={n}",
-        {
-            f"{count} x {dim**2} family": 16 * count * dim**2,
-            "row blocks": 2 * 16 * (count - 1) * dim**2,
-            "Gram blocks": 2 * 8 * (count - 1) ** 2,
-        },
-    )
-    site = state_1site if state_1site is not None else basis_pure_density(d)
-    state = product_density(site, n)
-    sectors = klocal_basis(n, system, state)
-
-    result = {"y_values": y_values, "k": {}}
-    for k in range(k_max + 1):
-        matrices, _ = sector_span(sectors, min_support=k + 1)
-        max_contraction = []
-        for yi, y in enumerate(y_values):
-            channel = homogeneous_coarse_graining(system, y)
-            # permutation averaging couples supports: one block, whole family
-            grams = norm_grams(state, channel, len(matrices), matrices)
-            fine, pushed = sampled_norms(task_rng(seed, (k, yi)), samples, [grams])
-            kept = fine >= 1e-12
-            max_contraction.append(float(np.max(pushed[kept] / fine[kept], initial=0.0)))
-        logs_y = np.log(np.asarray(y_values))
-        logs_c = np.log(np.asarray(max_contraction))
-        slope = float(np.polyfit(logs_y, logs_c, 1)[0])
-        bounds = [math.sqrt(beta_bound_value(d, y, k + 1)) for y in y_values]
-        bound_valid = all(y * (y - 1.0) > d for y in y_values)
-        bound_ok = all(e <= b * (1.0 + 1e-10) for e, b in zip(max_contraction, bounds))
-        if bound_valid and not bound_ok:
-            raise NumericalError(
-                f"sector decay bound violated at k={k}: max ratio {max_contraction} exceeds {bounds}"
-            )
-        result["k"][k] = {
-            "max_contraction": max_contraction,
-            "slope": slope,
-            "expected_slope": -(k + 1),
-            "bound": bounds,
-            "bound_checked": bound_valid,
-        }
-    return result

@@ -1,9 +1,9 @@
 """Dense operator algebra for finite spin systems.
 
 Everything here works with explicit complex matrices on n qudits of local
-dimension d: traceless single-site bases, embeddings, site permutations,
-fluctuation operators, and the k-local / permutation-symmetric operator
-families whose contraction spectra the rest of the package computes.
+dimension d: states, traceless single-site letter bases, site products and
+permutations, and the permutation-symmetric letter words whose contraction
+spectra the rest of the package computes, built as one (m, dim, dim) stack.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import numpy as np
 
 from .errors import DimensionBudgetError, NumericalError
 
-HERMITICITY_TOL = 1e-12
+HERMITIAN_BASIS_TOL = 1e-10
 STATE_TRACE_TOL = 1e-12
 STATE_EIG_FLOOR = -1e-12
 PRODUCT_STATE_TOL = 1e-10
-ZERO_MEAN_TOL = 1e-12
 PRUNE_THRESHOLD = 1e-10
 DEFAULT_MAX_DIM = 2**14
 
@@ -89,37 +88,10 @@ class QuditSystem:
 
 
 def as_matrix(x) -> np.ndarray:
-    """Accept a DenseOperator, DensityMatrix or plain array; return ndarray."""
-    if isinstance(x, (DenseOperator, DensityMatrix)):
+    """Accept a DensityMatrix or plain array; return ndarray."""
+    if isinstance(x, DensityMatrix):
         return x.matrix
     return np.asarray(x, dtype=complex)
-
-
-class DenseOperator:
-    """A dense operator tied to a QuditSystem.
-
-    Deliberately thin; most numerical code accepts plain arrays as well.
-    Setting hermitian=True verifies the claim at construction.
-    """
-
-    def __init__(self, system: QuditSystem, matrix, hermitian: bool = False, label: str | None = None):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (system.dim, system.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match system dim {system.dim}")
-        if not np.all(np.isfinite(mat)):
-            raise NumericalError("operator entries must be finite")
-        if hermitian:
-            dev = np.max(np.abs(mat - mat.conj().T))
-            if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(mat)))):
-                raise NumericalError(f"operator marked hermitian deviates by {dev:.3e}")
-        self.system = system
-        self.matrix = mat
-        self.hermitian = hermitian
-        self.label = label
-
-    def __repr__(self):
-        tag = self.label or "operator"
-        return f"DenseOperator({tag}, d={self.system.d}, n={self.system.n})"
 
 
 class DensityMatrix:
@@ -326,35 +298,6 @@ def site_product(factors: dict[int, np.ndarray], system: QuditSystem) -> np.ndar
     return tensor_many(ops)
 
 
-def embed_at_site(op, site: int, system: QuditSystem) -> np.ndarray:
-    if not 0 <= site < system.n:
-        raise ValueError(f"site {site} out of range for n={system.n}")
-    return site_product({site: as_matrix(op)}, system)
-
-
-def permutation_unitary(perm, system: QuditSystem) -> np.ndarray:
-    """Unitary sending site i's content to site perm[i].
-
-    Equivalently, slot j of the output vector receives the factor at slot
-    perm^{-1}(j).  The composition law is U_pi U_sigma = U_{pi o sigma}
-    with (pi o sigma)(i) = pi(sigma(i)).
-    """
-    perm = tuple(perm)
-    if sorted(perm) != list(range(system.n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{system.n - 1}")
-    d, n = system.d, system.n
-    idx = np.arange(system.dim)
-    digits = np.empty((system.dim, n), dtype=np.int64)
-    for i in range(n):
-        digits[:, i] = (idx // d ** (n - 1 - i)) % d
-    weights = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    # y_{perm[i]} = x_i  =>  y = sum_i x_i * weight[perm[i]]
-    target = digits @ weights[list(perm)]
-    U = np.zeros((system.dim, system.dim), dtype=complex)
-    U[target, idx] = 1.0
-    return U
-
-
 def permute_sites(matrix, perm, system: QuditSystem) -> np.ndarray:
     """Conjugation U_perm X U_perm^dagger without building the unitary."""
     perm = tuple(perm)
@@ -365,102 +308,6 @@ def permute_sites(matrix, perm, system: QuditSystem) -> np.ndarray:
         inv[p] = i
     axes = inv + [n + i for i in inv]
     return np.transpose(tens, axes).reshape(system.dim, system.dim)
-
-
-def fluctuation_operator(a, system: QuditSystem, state_1site: DensityMatrix | None = None) -> np.ndarray:
-    """Site-averaged collective operator n^{-1/2} sum_i a^{(i)}.
-
-    If a single-site state is supplied the zero-mean precondition is
-    enforced; without centering the object has no bounded scaling limit.
-    """
-    a = as_matrix(a)
-    if state_1site is not None:
-        mean = np.trace(state_1site.matrix @ a)
-        if abs(mean) > ZERO_MEAN_TOL:
-            raise NumericalError(
-                f"single-site operator has expectation {mean:.3e}; "
-                "subtract tr(rho a) times the identity first"
-            )
-    return _distinct_site_sum((0,), [a], system) / math.sqrt(system.n)
-
-
-@dataclass
-class SectorBasis:
-    """Basis of the operators supported exactly on one site set.
-
-    Elements are products over the support of zero-mean single-site
-    operators (zero-mean in the site marginals of `state`), so sectors with
-    different supports are orthogonal in the state's GNS inner product.
-    """
-
-    system: QuditSystem
-    support: tuple[int, ...]
-    operators: list[DenseOperator]
-    state: DensityMatrix
-
-    def __len__(self):
-        return len(self.operators)
-
-    def __iter__(self):
-        return iter(self.operators)
-
-
-def _support_label(support: tuple[int, ...], letters: tuple[int, ...]) -> str:
-    if not support:
-        return "1"
-    return "*".join(f"f{a}@s{i}" for i, a in zip(support, letters))
-
-
-def klocal_basis(k: int, system: QuditSystem, state: DensityMatrix) -> list[SectorBasis]:
-    """Sector bases for every support of at most k sites.
-
-    The empty support carries the identity.  The state must be a product
-    state; its site marginals fix the zero-mean single-site bases.
-    """
-    if k < 0 or k > system.n:
-        raise ValueError(f"locality k={k} out of range for n={system.n}")
-    marginals = factor_product_state(state, system)
-    site_bases = [single_site_zero_mean_basis(m) for m in marginals]
-    n_letters = system.d**2 - 1
-
-    sectors = [
-        SectorBasis(
-            system,
-            (),
-            [DenseOperator(system, np.eye(system.dim), hermitian=True, label="1")],
-            state,
-        )
-    ]
-    for size in range(1, k + 1):
-        for support in itertools.combinations(range(system.n), size):
-            ops = []
-            for letters in itertools.product(range(n_letters), repeat=size):
-                factors = {i: site_bases[i][a] for i, a in zip(support, letters)}
-                ops.append(
-                    DenseOperator(
-                        system,
-                        site_product(factors, system),
-                        hermitian=True,
-                        label=_support_label(support, letters),
-                    )
-                )
-            sectors.append(SectorBasis(system, support, ops, state))
-    return sectors
-
-
-def sector_span(sectors: list[SectorBasis], min_support: int = 0, max_support: int | None = None):
-    """Flatten sector bases into (matrices, labels), filtered by support size."""
-    matrices, labels = [], []
-    for sector in sectors:
-        size = len(sector.support)
-        if size < min_support:
-            continue
-        if max_support is not None and size > max_support:
-            continue
-        for op in sector.operators:
-            matrices.append(op.matrix)
-            labels.append(op.label)
-    return matrices, labels
 
 
 def _distinct_site_sum(word: tuple, letters, system: QuditSystem) -> np.ndarray:
@@ -525,31 +372,46 @@ def word_label(word: tuple[int, ...]) -> str:
     return "*".join(f"f{a}" for a in word)
 
 
+def _check_hermitian(stack: np.ndarray, labels) -> None:
+    """NumericalError naming the first member of the family that is not hermitian."""
+    for mat, label in zip(stack, labels):
+        dev = np.max(np.abs(mat - mat.conj().T))
+        if dev > HERMITIAN_BASIS_TOL * max(1.0, float(np.max(np.abs(mat)))):
+            raise NumericalError(f"basis element {label} is not hermitian (deviation {dev:.3e})")
+
+
+def _word_stack(words, letters, system: QuditSystem) -> np.ndarray:
+    """The words' `symmetric_word_operator` matrices as one hermitian-checked
+    (m, dim, dim) stack, filled in place so the family is held only once."""
+    stack = np.empty((len(words), system.dim, system.dim), dtype=complex)
+    for mat, word in zip(stack, words):
+        mat[...] = symmetric_word_operator(word, letters, system)
+    _check_hermitian(stack, [word_label(w) for w in words])
+    return stack
+
+
 def symmetric_klocal_basis(
     k: int,
     system: QuditSystem,
     state: DensityMatrix,
     prune: bool = True,
     null_threshold: float = PRUNE_THRESHOLD,
-) -> list[DenseOperator]:
+) -> np.ndarray:
     """Permutation-symmetric words of degree <= k over the zero-mean basis.
 
-    The degree-0 word is the identity.  With prune=True, words that are
+    Returned as one (m, dim, dim) stack in `symmetric_words` order; the
+    degree-0 word is the identity.  With prune=True, words that are
     numerically null or linearly dependent in the state's GNS inner product
     are removed by greedy pivoting on the Gram matrix.
     """
     site_basis = single_site_zero_mean_basis(identical_site_state(state, system))
     words = [w for w in symmetric_words(system.d**2 - 1, k) if len(w) <= system.n]
-    ops = [
-        DenseOperator(system, symmetric_word_operator(w, site_basis, system), hermitian=True, label=word_label(w))
-        for w in words
-    ]
-    if prune and len(ops) > 1:
+    stack = _word_stack(words, site_basis, system)
+    if prune and len(stack) > 1:
         # the real span is what the contraction spectra act on, so
         # dependence is judged on the real part of the GNS Gram
-        keep = _greedy_gram_prune(gns_gram(state, [op.matrix for op in ops]), null_threshold)
-        ops = [ops[i] for i in keep]
-    return ops
+        stack = stack[_greedy_gram_prune(gns_gram(state, stack), null_threshold)]
+    return stack
 
 
 def state_product(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -1,17 +1,46 @@
-"""Dense sector spectra in the original site frame, kept as the oracle for
-the eigenframe route of `geometry.symmetric_sector_dense_spectrum`.
+"""Dense oracles built operator by operator, for small chains only.
 
-The words are those of `symmetric_klocal_basis`, over the site letters
-rotated into the original frame, and every Gram and pairing entry is an
-explicit trace against `mat @ rho` at the state as given.  Each product
-with a state is a dim^3 GEMM, so this serves only small chains.
+`original_frame_spectrum` is the oracle for the eigenframe route of
+`geometry.symmetric_sector_dense_spectrum`: the words are those of
+`symmetric_klocal_basis`, over the site letters rotated into the original
+frame, and every Gram and pairing entry is an explicit trace against
+`mat @ rho` at the state as given.  Each product with a state is a dim^3
+GEMM.
+
+`support_family` is the whole operator family of a chain, every product of
+zero-mean site letters over every nonempty support, d^(2n) - 1 operators of
+dim^2 entries: the oracle for the per-support Gram blocks of the bound
+check and for the sector suprema of the decay check.
 """
+
+import itertools
 
 import numpy as np
 
 from flab.channels import homogeneous_coarse_graining
 from flab.geometry import NULL_THRESHOLD, whiten_psd, whitened_contraction
-from flab.operators import _greedy_gram_prune, symmetric_klocal_basis
+from flab.operators import (
+    QuditSystem,
+    _greedy_gram_prune,
+    single_site_zero_mean_basis,
+    site_product,
+    symmetric_klocal_basis,
+)
+
+
+def support_family(d, n, site):
+    """Stack of the letter products on every nonempty support of n sites, in
+    order of support size, supports in lexicographic order, and the support
+    of each member."""
+    system = QuditSystem(d, n)
+    letters = single_site_zero_mean_basis(site)
+    matrices, supports = [], []
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            for word in itertools.product(letters, repeat=size):
+                matrices.append(site_product(dict(zip(support, word)), system))
+                supports.append(support)
+    return np.stack(matrices), supports
 
 
 def _gram(rho, mats):
@@ -22,7 +51,7 @@ def _gram(rho, mats):
 def original_frame_spectrum(system, state, y, k, null_threshold=NULL_THRESHOLD):
     """Eigenvalues of the squared contraction on the symmetric k-local sector:
     fine words pruned by the fine Gram, the full family on the coarse side."""
-    full = [op.matrix for op in symmetric_klocal_basis(k, system, state, prune=False)]
+    full = symmetric_klocal_basis(k, system, state, prune=False)
     channel = homogeneous_coarse_graining(system, y)
     rho = state.matrix
     fine_gram = _gram(rho, full)

@@ -112,6 +112,23 @@ def test_lattice_limits_are_config_errors(tmp_path, capsys, monkeypatch, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, payload",
+    [
+        ("compare", {"d": 2, "y": 2.0, "k": 2, "n_list": []}),
+        ("clt", {"n_list": [4]}),  # one size: no rate to fit
+        ("lattice", {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": []}),
+    ],
+    ids=["compare-n_list", "clt-n_list", "lattice-sigma_list"],
+)
+def test_size_lists_are_config_errors(tmp_path, capsys, experiment, payload):
+    out = tmp_path / "report.json"
+    assert main([experiment, "--config", write_config(tmp_path, experiment, payload), "--out", str(out)]) == 2
+    key = "sigma_list" if experiment == "lattice" else "n_list"
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lattice_fits_budget_at_base_ring(monkeypatch):
     monkeypatch.setenv("FLAB_MAX_DIM", "128")
     payload = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0], "probe_samples": 4}

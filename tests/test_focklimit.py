@@ -1,5 +1,6 @@
 """Single-particle kernels, permanents, and the limiting block spectra."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -21,7 +22,6 @@ from flab.focklimit import (
     finite_limit_comparison,
     finite_n_inner,
     fock_block_spectrum,
-    generating_operator,
     generating_overlap,
     limiting_inner,
     permanent,
@@ -34,15 +34,14 @@ from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
-    klocal_basis,
     maximally_mixed_density,
     product_density,
-    sector_span,
     symmetric_word_operator,
 )
 from flab.sampling import random_positive_density, task_rng
 
 from conftest import assert_close
+from dense_oracle import support_family
 
 
 def test_kernel_at_pure_qubit():
@@ -196,7 +195,6 @@ def test_limiting_inner_is_permanent():
 def test_generating_overlap_against_dense():
     n, d = 6, 2
     site = maximally_mixed_density(d)  # real kernel, overlaps real
-    system = QuditSystem(d, n)
     state = product_density(site, n)
     sp = SingleParticleSpace.from_state(site)
     rng = task_rng(23)
@@ -204,8 +202,10 @@ def test_generating_overlap_against_dense():
     b = rng.standard_normal(3) * 0.5
     mat_a = sum(c * f for c, f in zip(a, sp.basis))
     mat_b = sum(c * f for c, f in zip(b, sp.basis))
-    ga = generating_operator(mat_a, system)
-    gb = generating_operator(mat_b, system)
+    # the dense generating operators prod_i (1 + i a^{(i)} / sqrt(n))
+    ga, gb = (
+        functools.reduce(np.kron, [np.eye(d) + 1j * mat / np.sqrt(n)] * n) for mat in (mat_a, mat_b)
+    )
     dense = np.trace(state.matrix @ ga.conj().T @ gb)
     assert abs(dense.imag) < 1e-12
     assert abs(generating_overlap(sp, a, b, n) - dense.real) < 1e-12
@@ -416,12 +416,12 @@ def _per_draw_ratios(n, d, y, k, samples, seed, state_1site):
     site = state_1site if state_1site is not None else basis_pure_density(d)
     state = product_density(site, n)
     channel = ProductChannel(DepolarizingChannel(y, d), system)
-    matrices, _ = sector_span(klocal_basis(n, system, state), min_support=k)
-    stack = np.stack(matrices)
+    family, supports = support_family(d, n, site)
+    stack = family[[len(s) >= k for s in supports]]
     rng = task_rng(seed, (n, d, int(y * 1000), k))
     ratios = []
     for _ in range(samples):
-        a = np.tensordot(rng.standard_normal(len(matrices)), stack, axes=1)
+        a = np.tensordot(rng.standard_normal(len(stack)), stack, axes=1)
         base = bures_norm(state, a)
         if base >= 1e-12:
             ratios.append((pushforward_norm(state, channel, a) / base) ** 2)

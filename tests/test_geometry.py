@@ -1,23 +1,23 @@
 """Metric pairings, whitening, and contraction spectra."""
 
+import time
+
 import numpy as np
 import pytest
 
-from flab import geometry
+from flab import focklimit, geometry, operators
 from flab.channels import Channel, DepolarizingChannel, ProductChannel, homogeneous_coarse_graining
 from flab.errors import DimensionBudgetError, NumericalError
-from flab.focklimit import symmetric_sector_spectrum
+from flab.focklimit import klocal_decay_check, symmetric_sector_spectrum
 from flab.geometry import (
     bures_inner,
     bures_norm,
     channel_pairing_matrix,
     check_dense_sector_budget,
-    contraction_ratio,
     contraction_spectrum,
     gns_build,
     gns_gram,
     gns_inner,
-    klocal_decay_check,
     norm_grams,
     omega_apply,
     omega_inverse_apply,
@@ -31,10 +31,8 @@ from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
-    klocal_basis,
     maximally_mixed_density,
     product_density,
-    sector_span,
     single_site_zero_mean_basis,
     state_product,
 )
@@ -46,7 +44,7 @@ from flab.sampling import (
 )
 
 from conftest import assert_close
-from dense_oracle import original_frame_spectrum
+from dense_oracle import original_frame_spectrum, support_family
 
 
 def test_omega_roundtrip_full_rank():
@@ -114,7 +112,6 @@ def test_pushforward_never_expands():
         a = random_zero_mean_hermitian(rho, rng)
         fine = bures_norm(rho, a)
         assert pushforward_norm(rho, ch, a) <= fine * (1 + 1e-10)
-        assert contraction_ratio(rho, ch, a) <= 1 + 1e-10
 
 
 def test_whiten_psd():
@@ -228,54 +225,67 @@ def test_dense_sector_spectrum_matches_closed_form_at_mixed_states():
 
 
 def test_klocal_decay_check_output_and_validation():
-    out = klocal_decay_check(2, 2, [3.0, 4.0], k_max=0, samples=5)
+    out = klocal_decay_check(2, 2, [3.0, 4.0], k_max=0)
     assert out["y_values"] == [3.0, 4.0]
     assert set(out["k"]) == {0}
     entry = out["k"][0]
     assert len(entry["max_contraction"]) == 2
     assert entry["expected_slope"] == -1
     assert entry["bound_checked"] is True
-    with pytest.raises(ValueError):
-        klocal_decay_check(2, 2, [0.5], k_max=0)
-    with pytest.raises(ValueError):
-        klocal_decay_check(2, 2, [3.0], k_max=2)
+    with pytest.raises(ValueError, match="y > 1"):
+        klocal_decay_check(2, 2, [0.5, 3.0], k_max=0)
+    with pytest.raises(ValueError, match="k_max"):
+        klocal_decay_check(2, 2, [3.0, 4.0], k_max=2)
+    with pytest.raises(ValueError, match="local dimension"):
+        klocal_decay_check(2, 1, [3.0, 4.0], k_max=0)
+    # a slope needs two points: one y, or one y repeated, fits nothing
+    for y_values in ([3.0], [3.0, 3.0]):
+        with pytest.raises(ValueError, match="two distinct y values"):
+            klocal_decay_check(2, 2, y_values, k_max=0)
+
+
+def test_klocal_decay_check_runs_past_the_dense_family():
+    # the whole family at d = 3, n = 12 would be 9**12 operators of 3**24
+    # entries; the sector blocks behind the check take well under a second
+    site = random_positive_density(3, task_rng(24, 0), min_eigenvalue=0.05)
+    start = time.perf_counter()
+    out = klocal_decay_check(12, 3, [1.5, 2.0, 4.0, 8.0], k_max=3, state_1site=site)
+    elapsed = time.perf_counter() - start
+    assert set(out["k"]) == {0, 1, 2, 3}
+    for entry in out["k"].values():
+        assert all(0.0 < c <= 1.0 for c in entry["max_contraction"])
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 def test_klocal_decay_check_refused_before_building(monkeypatch):
-    def no_family(*args, **kwargs):
-        raise AssertionError("sector family built before the budget check")
+    # pure qubit at y = 2: degree 3, the top block of k_max = 2, needs six
+    # 10 x 4 complex transports, 3840 bytes, over the 16 * 15**2 = 3600 of
+    # FLAB_MAX_DIM = 15; every degree is refused before any block is built
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("sector arrays built before the budget check")
 
-    monkeypatch.setattr(geometry, "klocal_basis", no_family)
-    # dim 729 passes the dimension budget; its 9**6 operators of 729**2
-    # entries (about 4.5 TB) do not
-    with pytest.raises(DimensionBudgetError, match="estimated .*531441 x 531441 family"):
-        klocal_decay_check(6, 3, [3.0, 4.0], k_max=0, samples=5)
-    # the byte estimate sets the limit: at d=2, n=2 the family takes
-    # 16 * 16 * 16, the row blocks 2 * 16 * 15 * 16 and the Grams 2 * 8 * 15**2
-    # bytes, 15376 = 16 * 31**2 in all
-    monkeypatch.setenv("FLAB_MAX_DIM", "30")
-    with pytest.raises(DimensionBudgetError, match="decay check at d=2, n=2"):
-        klocal_decay_check(2, 2, [3.0, 4.0], k_max=0, samples=5)
-    monkeypatch.undo()
-    monkeypatch.setenv("FLAB_MAX_DIM", "31")
-    assert set(klocal_decay_check(2, 2, [3.0, 4.0], k_max=0, samples=5)["k"]) == {0}
+    monkeypatch.setenv("FLAB_MAX_DIM", "15")
+    with monkeypatch.context() as spy:
+        for name in ("_kron_power", "kron_apply", "whiten_psd"):
+            spy.setattr(focklimit, name, nothing_built)
+        with pytest.raises(DimensionBudgetError, match="sector degree 3 needs an estimated 3840 bytes"):
+            klocal_decay_check(4, 2, [2.0, 3.0], k_max=2)
+    assert set(klocal_decay_check(4, 2, [2.0, 3.0], k_max=1)["k"]) == {0, 1}
 
 
 def _support_family(d, n, site):
-    """The sectors with nonempty support, with each operator's sector index."""
+    """The family with nonempty support, with each operator's support."""
     system = QuditSystem(d, n)
-    state = product_density(site, n)
-    sectors = klocal_basis(n, system, state)
-    matrices, _ = sector_span(sectors, min_support=1)
-    support = np.array([i for i, sector in enumerate(sectors) if sector.support for _ in sector])
-    return system, state, matrices, support
+    matrices, supports = support_family(d, n, site)
+    return system, product_density(site, n), matrices, supports
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
 def test_norm_grams_cross_support_blocks(d, n):
     site = random_positive_density(d, task_rng(17, d), min_eigenvalue=0.05)
-    system, state, matrices, support = _support_family(d, n, site)
-    cross = support[:, None] != support[None, :]
+    system, state, matrices, supports = _support_family(d, n, site)
+    labels = np.array([supports.index(s) for s in supports])
+    cross = labels[:, None] != labels[None, :]
     for channel, push_cross_vanishes in (
         (ProductChannel(DepolarizingChannel(2.5, d), system), True),
         (homogeneous_coarse_graining(system, 2.5), False),
@@ -288,22 +298,21 @@ def test_norm_grams_cross_support_blocks(d, n):
             assert np.max(np.abs(push[cross])) > 1e-3
         # the Grams reproduce the per-operator norms
         coeffs = task_rng(18, d).standard_normal(len(matrices))
-        a = np.tensordot(coeffs, np.stack(matrices), axes=1)
+        a = np.tensordot(coeffs, matrices, axes=1)
         assert abs(coeffs @ bures @ coeffs - bures_norm(state, a) ** 2) <= 1e-12
         assert abs(coeffs @ push @ coeffs - pushforward_norm(state, channel, a) ** 2) <= 1e-12
 
 
 def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
     site = random_positive_density(2, task_rng(19, 0), min_eigenvalue=0.05)
-    system, state, matrices, support = _support_family(2, 3, site)
+    system, state, matrices, supports = _support_family(2, 3, site)
     channel = ProductChannel(DepolarizingChannel(3.0, 2), system)
     grams = []
-    for s in np.unique(support):
-        group = [m for m, t in zip(matrices, support) if t == s]
+    for s in dict.fromkeys(supports):
+        group = [m for m, t in zip(matrices, supports) if t == s]
         grams.append(norm_grams(state, channel, len(group), group))
-    stack = np.stack(matrices)
     rng = task_rng(20, 0)
-    draws = [np.tensordot(rng.standard_normal(len(matrices)), stack, axes=1) for _ in range(7)]
+    draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
     want_base = [bures_norm(state, a) for a in draws]
     want_push = [pushforward_norm(state, channel, a) for a in draws]
     # one draw per block, three per block and all in one block
@@ -322,25 +331,31 @@ def test_sampled_norms_reject_negative_squares():
         sampled_norms(rng, 3, [(np.eye(2), -np.eye(2))])
 
 
-def test_klocal_decay_check_matches_per_draw_oracle():
-    # the per-draw loop the Gram route replaced, on the same streams
-    site = random_positive_density(2, task_rng(23, 0), min_eigenvalue=0.05)
-    y_values = [3.0, 5.0]
-    out = klocal_decay_check(3, 2, y_values, k_max=1, samples=8, seed=4, state_1site=site)
-    system = QuditSystem(2, 3)
-    state = product_density(site, 3)
-    sectors = klocal_basis(3, system, state)
-    for k in (0, 1):
-        matrices, _ = sector_span(sectors, min_support=k + 1)
-        stack = np.stack(matrices)
-        for yi, y in enumerate(y_values):
-            channel = homogeneous_coarse_graining(system, y)
-            rng = task_rng(4, (k, yi))
-            best = 0.0
-            for _ in range(8):
-                a = np.tensordot(rng.standard_normal(len(matrices)), stack, axes=1)
-                best = max(best, pushforward_norm(state, channel, a) / bures_norm(state, a))
-            assert abs(out["k"][k]["max_contraction"][yi] - best) <= 1e-12 * best, (k, y)
+def _decay_cells():
+    rng = task_rng(25)
+    cells = []
+    for d, n, y_values, checked in ((2, 3, [1.2, 6.0], 2), (2, 4, [1.2, 6.0], 2), (3, 3, [2.0, 4.0], 1)):
+        site = random_positive_density(d, rng, min_eigenvalue=0.05)
+        cells.append(pytest.param(d, n, y_values, checked, site, id=f"mixed-d{d}-n{n}"))
+    cells.append(pytest.param(2, 3, [4.0, 32.0], 2, basis_pure_density(2), id="pure-qubit-n3"))
+    return cells
+
+
+@pytest.mark.parametrize("d, n, y_values, checked, site", _decay_cells())
+def test_klocal_decay_check_is_the_family_supremum(d, n, y_values, checked, site):
+    # the supremum of |A|_N / |A| over the whole family on more than k sites
+    # is the root of the top eigenvalue of W^T P W, with W whitening the
+    # Bures Gram G; the first `checked` y values are compared
+    system, state, matrices, supports = _support_family(d, n, site)
+    sizes = np.array([len(s) for s in supports])
+    out = klocal_decay_check(n, d, y_values, k_max=n - 1, state_1site=site)
+    for yi, y in enumerate(y_values[:checked]):
+        bures, push = norm_grams(state, homogeneous_coarse_graining(system, y), len(matrices), matrices)
+        for k in range(n):
+            wide = np.flatnonzero(sizes > k)
+            w = whiten_psd(bures[np.ix_(wide, wide)])[0]
+            sup = np.sqrt(np.linalg.eigvalsh(w.T @ push[np.ix_(wide, wide)] @ w)[-1])
+            assert abs(out["k"][k]["max_contraction"][yi] - sup) <= 1e-12, (k, y)
 
 
 class _NonPositiveMap(Channel):
@@ -371,7 +386,7 @@ def test_norm_grams_check_singular_directions_per_row():
 
 def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
     grams, checks = [], []
-    real_gram, real_check = geometry.gns_gram, geometry._check_hermitian
+    real_gram, real_check = geometry.gns_gram, operators._check_hermitian
 
     def counting_gram(state, matrices):
         grams.append(len(matrices))
@@ -382,7 +397,7 @@ def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
         return real_check(stack, labels)
 
     monkeypatch.setattr(geometry, "gns_gram", counting_gram)
-    monkeypatch.setattr(geometry, "_check_hermitian", counting_check)
+    monkeypatch.setattr(operators, "_check_hermitian", counting_check)
     site = random_positive_density(2, task_rng(21, 0), min_eigenvalue=0.05)
     symmetric_sector_dense_spectrum(QuditSystem(2, 4), product_density(site, 4), 2.5, 2)
     # one Gram at the fine state, one at the coarse state, both over the
@@ -450,7 +465,7 @@ def test_dense_sector_spectrum_refused_before_building(monkeypatch):
     # 139264, 630784 in all, between 16 * 198**2 and 16 * 199**2
     monkeypatch.setenv("FLAB_MAX_DIM", "198")
     with monkeypatch.context() as spy:
-        spy.setattr(geometry, "symmetric_word_operator", no_words)
+        spy.setattr(operators, "symmetric_word_operator", no_words)
         with pytest.raises(DimensionBudgetError, match="dense sector at d=2, n=5 needs an estimated"):
             symmetric_sector_dense_spectrum(system, state, 2.0, 2)
     monkeypatch.setenv("FLAB_MAX_DIM", "199")

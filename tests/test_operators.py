@@ -7,22 +7,16 @@ import pytest
 
 from flab.errors import DimensionBudgetError, NumericalError
 from flab.operators import (
-    DenseOperator,
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
-    embed_at_site,
     factor_product_state,
-    fluctuation_operator,
     gell_mann_basis,
-    klocal_basis,
     maximally_mixed_density,
-    permutation_unitary,
     permute_sites,
     product_density,
     pure_state_density,
     reduced_density,
-    sector_span,
     single_site_zero_mean_basis,
     site_product,
     symmetric_klocal_basis,
@@ -138,20 +132,8 @@ def test_site_product_and_embed():
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     want = np.kron(sx, np.kron(np.eye(2), sz))
     assert_close(site_product({0: sx, 2: sz}, system), want)
-    assert_close(embed_at_site(sx, 0, system), np.kron(sx, np.eye(4)))
+    assert_close(site_product({0: sx}, system), np.kron(sx, np.eye(4)))
     assert_close(tensor_many([sx, sz]), np.kron(sx, sz))
-
-
-def test_permutation_unitary_composition():
-    system = QuditSystem(2, 3)
-    pi = (1, 2, 0)
-    sigma = (0, 2, 1)
-    u_pi = permutation_unitary(pi, system)
-    u_sigma = permutation_unitary(sigma, system)
-    composed = tuple(pi[sigma[i]] for i in range(3))
-    assert_close(u_pi @ u_sigma, permutation_unitary(composed, system))
-    with pytest.raises(ValueError):
-        permutation_unitary((0, 0, 1), system)
 
 
 def test_permute_sites_matches_conjugation():
@@ -159,7 +141,14 @@ def test_permute_sites_matches_conjugation():
     rng = np.random.default_rng(5)
     mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     perm = (2, 0, 1)
-    u = permutation_unitary(perm, system)
+    # the unitary sending site i's content to site perm[i]: basis state
+    # (x_0, x_1, x_2) goes to y with y_{perm[i]} = x_i
+    u = np.zeros((8, 8))
+    for x in itertools.product(range(2), repeat=3):
+        y = [0] * 3
+        for i, p in enumerate(perm):
+            y[p] = x[i]
+        u[int("".join(map(str, y)), 2), int("".join(map(str, x)), 2)] = 1.0
     assert_close(permute_sites(mat, perm, system), u @ mat @ u.conj().T)
 
 
@@ -168,34 +157,8 @@ def test_permutation_covariance_of_embedding():
     system = QuditSystem(2, 3)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     perm = (1, 2, 0)
-    moved = permute_sites(embed_at_site(sx, 0, system), perm, system)
-    assert_close(moved, embed_at_site(sx, perm[0], system))
-
-
-def test_fluctuation_operator_scaling_and_mean_check():
-    system = QuditSystem(2, 2)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    op = fluctuation_operator(sx, system)
-    want = (np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx)) / np.sqrt(2)
-    assert_close(op, want)
-    biased = np.array([[1, 0], [0, 0]], dtype=complex)
-    with pytest.raises(NumericalError):
-        fluctuation_operator(biased, system, basis_pure_density(2))
-
-
-def test_klocal_basis_counts_and_span():
-    system = QuditSystem(2, 3)
-    state = product_density(maximally_mixed_density(2), 3)
-    sectors = klocal_basis(3, system, state)
-    # one sector per site subset, (d^2-1)^|support| operators each
-    assert len(sectors) == 8
-    total = sum(len(s) for s in sectors)
-    assert total == 4**3
-    mats, labels = sector_span(sectors, min_support=2)
-    assert len(mats) == 3 * 9 + 27
-    assert len(labels) == len(mats)
-    with pytest.raises(ValueError):
-        klocal_basis(4, system, state)
+    moved = permute_sites(site_product({0: sx}, system), perm, system)
+    assert_close(moved, site_product({perm[0]: sx}, system))
 
 
 def test_symmetric_words_and_labels():
@@ -203,6 +166,25 @@ def test_symmetric_words_and_labels():
     assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
     assert word_label(()) == "1"
     assert word_label((0, 1, 1)) == "f0*f1*f1"
+
+
+def test_fluctuation_operator_scaling_and_mean_check():
+    # degree 1 is the fluctuation operator n^{-1/2} sum_i a^{(i)}
+    system = QuditSystem(2, 2)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    want = (np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx)) / np.sqrt(2)
+    assert_close(symmetric_word_operator((0,), [sx], system), want)
+    # the letters it is built from are centred in the site state, so every
+    # fluctuation operator has zero mean in the product state, including at
+    # a pure state where the raw diagonal letter would be biased
+    site = basis_pure_density(2)
+    letters = single_site_zero_mean_basis(site)
+    for f in letters:
+        assert abs(np.trace(site.matrix @ f)) <= 1e-14
+    rho = product_density(site, 2).matrix
+    for c in range(len(letters)):
+        op = symmetric_word_operator((c,), letters, system)
+        assert abs(np.trace(rho @ op)) <= 1e-14
 
 
 def test_distinct_site_sum_against_bruteforce():
@@ -263,10 +245,12 @@ def test_word_length_capped_by_sites():
 def test_symmetric_basis_prunes_null_words(pure_triple, qubit_triple):
     pruned = symmetric_klocal_basis(2, qubit_triple, pure_triple, prune=True)
     full = symmetric_klocal_basis(2, qubit_triple, pure_triple, prune=False)
-    assert len(full) == 10
+    assert full.shape == (10, 8, 8)
     # at the pure state the diagonal letter is null and one quadratic
-    # word is real-linearly dependent on the rest
-    assert [op.label for op in pruned] == ["1", "f0", "f1", "f0*f0", "f0*f1"]
+    # word is real-linearly dependent on the rest: 1, f0, f1, f0*f0, f0*f1
+    words = symmetric_words(3, 2)
+    kept = [words.index(w) for w in [(), (0,), (1,), (0, 0), (0, 1)]]
+    assert_close(pruned, full[kept], tol=0.0)
 
 
 def test_symmetric_basis_keeps_everything_at_full_rank(qubit_triple):
@@ -281,10 +265,3 @@ def test_symmetric_basis_rejects_inhomogeneous_state(qubit_pair):
     state = DensityMatrix(np.kron(site_a.matrix, site_b.matrix))
     with pytest.raises(NumericalError):
         symmetric_klocal_basis(1, qubit_pair, state)
-
-
-def test_dense_operator_arithmetic(qubit_pair):
-    rng = np.random.default_rng(2)
-    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    with pytest.raises(NumericalError):
-        DenseOperator(qubit_pair, z, hermitian=True)
