@@ -35,7 +35,6 @@ from .focklimit import (
     klocal_decay_check,
     limiting_inner,
     permanent,
-    single_particle_channel_matrix,
     symmetric_sector_spectrum,
     vertex_overlap,
 )

@@ -399,7 +399,7 @@ def run_clt(params: dict) -> Report:
     if letter >= d * d - 1:
         raise ConfigError(f"letter index {letter} out of range for d={d}")
     report = Report("clt", params, _seed(params))
-    sp = SingleParticleSpace.from_state(basis_pure_density(d))
+    sp = SingleParticleSpace.from_eigenvalues(np.eye(d)[0])
     rows = []
     all_ok = True
     details = []

@@ -13,6 +13,12 @@ geometry converges, at rate 1/n, to a bosonic (permanent) limit; generating
 operators of the form prod_i (1 + i a/sqrt(n)) converge likewise to
 exponential vectors with overlap exp(tr(rho a^dagger b)).
 
+Every letter space is built in the eigenframe of the site state, where
+rho = diag(mu) and the letters are `zero_mean_letters(mu)`.  Sitewise
+depolarizing keeps that frame: its coarse space sits at the eigenvalues
+mu/y + (1 - 1/y)/d, and its letter matrix is exactly 1/y
+(`depolarizing_fock_setup`).
+
 Coarse-graining channels act letterwise in this picture, so their
 contraction spectra reduce to one whitened eigenproblem over tensor powers
 of K, with the coarse metric inverted factor by factor: on all k-letter
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,16 +52,12 @@ from .geometry import (
 from .operators import (
     DensityMatrix,
     QuditSystem,
-    as_matrix,
-    basis_pure_density,
     check_byte_budget,
     dense_dim_budget,
-    factor_product_state,
-    gell_mann_basis,
     kron_apply,
     product_density,
-    single_site_zero_mean_basis,
     site_product,
+    zero_mean_letters,
 )
 
 NULL_LETTER_THRESHOLD = 1e-10
@@ -69,48 +71,37 @@ FACTORED_COND_MAX = 1e4
 
 @dataclass
 class SingleParticleSpace:
-    """Zero-mean letter basis at a single-site state, with its kernel.
+    """Zero-mean letters at a single-site state, in its eigenframe, with their kernel.
 
-    raw_basis holds the uncentered orthogonal letters (tr g_a g_b = 2
-    delta_ab); basis holds the centered letters f_a = g_a - tr(rho g_a) 1.
-    Rotating the letters into the state's eigenbasis makes every null
-    direction (letters with f rho = 0) land on individual basis elements,
-    so rank deficiency can be handled by dropping letters.
+    At a site state with eigenvalues mu the letters are the Gell-Mann
+    letters shifted to zero mean, f_a = g_a - (mu . diag g_a) 1
+    (`zero_mean_letters`), written in the state's eigenbasis, where the
+    state is diag(mu).  There every null direction (letters with f rho = 0)
+    lands on individual letters, so rank deficiency can be handled by
+    dropping letters.  kernel holds K_ab = tr(rho f_a^dagger f_b),
+    hermitian PSD.
     """
 
-    state: DensityMatrix
-    raw_basis: list[np.ndarray]
     basis: list[np.ndarray]
-    means: np.ndarray
+    kernel: np.ndarray
     letter_names: list[str]
-    _kernel: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_state(cls, state: DensityMatrix, letter_names: list[str] | None = None) -> "SingleParticleSpace":
-        d = state.dim
-        _, vecs = state.eigensystem()
-        raw = [vecs @ g @ vecs.conj().T for g in gell_mann_basis(d)]
-        means = np.array([np.trace(state.matrix @ g).real for g in raw])
-        centered = [g - mu * np.eye(d) for g, mu in zip(raw, means)]
+    def from_eigenvalues(cls, mu, letter_names: list[str] | None = None) -> "SingleParticleSpace":
+        """The letters and kernel at the site state diag(mu)."""
+        mu = np.asarray(mu, dtype=float)
+        basis = zero_mean_letters(mu)
         if letter_names is None:
-            letter_names = [f"f{a + 1}" for a in range(len(raw))]
-        if len(letter_names) != len(raw):
+            letter_names = [f"f{a + 1}" for a in range(len(basis))]
+        if len(letter_names) != len(basis):
             raise ValueError("need one name per letter")
-        return cls(state, raw, centered, means, list(letter_names))
+        plain = np.stack([f.ravel() for f in basis])
+        weighted = np.stack([(f * mu).ravel() for f in basis])
+        return cls(basis, plain.conj() @ weighted.T, list(letter_names))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """K_ab = tr(rho f_a^dagger f_b); hermitian PSD."""
-        if self._kernel is None:
-            rho = self.state.matrix
-            plain = np.stack([f.ravel() for f in self.basis])
-            weighted = np.stack([(f @ rho).ravel() for f in self.basis])
-            self._kernel = plain.conj() @ weighted.T
-        return self._kernel
 
     def kept_indices(self, threshold: float = NULL_LETTER_THRESHOLD) -> list[int]:
         diag = np.real(np.diag(self.kernel))
@@ -121,62 +112,20 @@ class SingleParticleSpace:
         """Drop null letters; returns the smaller space and the kept indices."""
         kept = self.kept_indices(threshold)
         sub = SingleParticleSpace(
-            state=self.state,
-            raw_basis=[self.raw_basis[a] for a in kept],
             basis=[self.basis[a] for a in kept],
-            means=self.means[kept],
+            kernel=self.kernel[np.ix_(kept, kept)],
             letter_names=[self.letter_names[a] for a in kept],
         )
         return sub, kept
 
 
-def _heisenberg_action(channel):
-    if hasattr(channel, "adjoint_apply"):
-        return channel.adjoint_apply
-    if callable(channel):
-        return channel
-    raise TypeError("channel must expose adjoint_apply or be callable")
-
-
-def single_particle_channel_matrix(
-    sp_fine: SingleParticleSpace,
-    sp_coarse: SingleParticleSpace,
-    channel,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Letter matrix of the channel between the two single-particle spaces.
-
-    Column c holds the fine-letter expansion of the Heisenberg-evolved
-    coarse letter: ch^dagger(f'_c) = sum_b m[b, c] f_b.  The expansion is
-    exact because ch^dagger maps coarse-centered letters to fine-zero-mean
-    observables (tr(rho ch^dagger(f'_c)) = tr(rho' f'_c) = 0 whenever the
-    coarse state is the channel image of the fine state); the residual is
-    checked and a failure reported otherwise.
-    """
-    act = _heisenberg_action(channel)
-    d = sp_fine.state.dim
-    m = np.zeros((sp_fine.dim, sp_coarse.dim))
-    evolved = []
-    for c, letter in enumerate(sp_coarse.basis):
-        image = as_matrix(act(letter))
-        evolved.append(image)
-        for b, dual in enumerate(sp_fine.raw_basis):
-            val = np.trace(dual @ image) / 2.0
-            if abs(val.imag) > tol * max(1.0, abs(val)):
-                raise NumericalError(
-                    f"letter matrix entry ({b}, {c}) is not real: {val:.3e}"
-                )
-            m[b, c] = val.real
-    for c, image in enumerate(evolved):
-        rebuilt = sum(m[b, c] * f for b, f in enumerate(sp_fine.basis))
-        dev = np.max(np.abs(rebuilt - image))
-        if dev > tol * max(1.0, float(np.max(np.abs(image)))):
-            raise NumericalError(
-                "channel does not map the centered coarse letters into the "
-                f"zero-mean fine span (letter {c}, deviation {dev:.3e}); "
-                "check that the coarse state is the channel image of the fine state"
-            )
-    return m
+def _site_eigenvalues(d: int, state: DensityMatrix | None) -> np.ndarray:
+    """Descending eigenvalues of a site state; the pure ground state by default."""
+    if state is None:
+        return np.eye(d)[0]
+    if state.dim != d:
+        raise ValueError(f"site state of dimension {state.dim} for local dimension {d}")
+    return state.eigensystem()[0]
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -490,21 +439,22 @@ def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None
     """Single-particle spaces and letter matrix for sitewise depolarizing.
 
     Returns (sp_fine, sp_coarse, m) at the given single-site state (default:
-    pure ground state).  For d=2 pure the two non-null letters are the
-    position- and momentum-like quadratures and are named x and p.
+    pure ground state), both spaces in its eigenframe.  Depolarizing keeps
+    that frame: the coarse state has eigenvalues mu / y + (1 - 1/y) / d,
+    and the channel's adjoint maps each centred coarse letter to the fine
+    letter over y, so the letter matrix is exactly 1 / y.  For d=2 pure the
+    two non-null letters are the position- and momentum-like quadratures
+    and are named x and p.
     """
-    from .channels import DepolarizingChannel
-
-    site = state if state is not None else basis_pure_density(d)
-    names = None
-    if d == 2 and state is None:
-        names = ["x", "p", "z0"]
-    sp_fine = SingleParticleSpace.from_state(site, letter_names=names)
-    channel = DepolarizingChannel(y, d)
-    coarse_state = DensityMatrix(channel.apply(site.matrix), check=False)
-    sp_coarse = SingleParticleSpace.from_state(coarse_state)
-    m = single_particle_channel_matrix(sp_fine, sp_coarse, channel)
-    return sp_fine, sp_coarse, m
+    if y < 1.0:
+        raise ValueError(f"depolarizing strength must satisfy y >= 1, got {y}")
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    mu = _site_eigenvalues(d, state)
+    names = ["x", "p", "z0"] if d == 2 and state is None else None
+    sp_fine = SingleParticleSpace.from_eigenvalues(mu, names)
+    sp_coarse = SingleParticleSpace.from_eigenvalues(mu / y + (1.0 - 1.0 / y) / d)
+    return sp_fine, sp_coarse, np.eye(d * d - 1) / y
 
 
 def _sector_blocks(
@@ -630,8 +580,11 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
       sigma_i, and Omega^{-1} at the product state maps Y (x) sigma_i to
       Omega^{-1}(Y) (x) 1, leaving factors tr rho_i = 1.
 
-    Each size's letter products are streamed into `norm_grams`; the family
-    itself is never held.
+    Everything is written in the site eigenframe, where the site state is
+    diag(mu) and the letters are `zero_mean_letters(mu)`; sitewise
+    depolarizing is unitarily covariant, so the blocks are those of the
+    original frame up to roundoff.  Each size's letter products are
+    streamed into `norm_grams`; the family itself is never held.
     """
     from .channels import DepolarizingChannel, ProductChannel
 
@@ -647,18 +600,17 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
             "Gram blocks": 2 * 8 * sum(letters ** (2 * s) for s in range(k, n + 1)),
         },
     )
-    site = state_1site if state_1site is not None else basis_pure_density(d)
+    mu = _site_eigenvalues(d, state_1site)
+    site, basis = DensityMatrix(np.diag(mu), check=False), zero_mean_letters(mu)
     blocks = []
     for size in range(k, n + 1):
         system = QuditSystem(d, size)
-        state = product_density(site, size)
         channel = ProductChannel(DepolarizingChannel(y, d), system)
-        bases = [single_site_zero_mean_basis(m) for m in factor_product_state(state, system)]
         products = (
-            site_product({i: bases[i][a] for i, a in enumerate(letters)}, system)
-            for letters in itertools.product(range(d * d - 1), repeat=size)
+            site_product({i: basis[a] for i, a in enumerate(word)}, system)
+            for word in itertools.product(range(letters), repeat=size)
         )
-        grams = norm_grams(state, channel, (d * d - 1) ** size, products)
+        grams = norm_grams(product_density(site, size), channel, letters**size, products)
         blocks.append((grams, math.comb(n, size)))
     return blocks
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .channels import SwapDiffusion
 from .errors import NumericalError
-from .focklimit import depolarizing_fock_setup
 from .operators import DensityMatrix
 
 FIELD_SYMMETRY_TOL = 1e-10
@@ -190,34 +189,18 @@ def diffusion_semigroup_on_sector(sd: SwapDiffusion, k: int, coefficients) -> np
     return (out.real if np.isrealobj(c) else out).reshape(c.shape)
 
 
-def mode_contraction_k1(
-    lattice: RingLattice,
-    sigma: float,
-    y: float,
-    mode_index: int,
-    state_1site: DensityMatrix | None = None,
-    letter_index: int = 0,
-) -> float:
+def mode_contraction_k1(lattice: RingLattice, sigma: float, y: float, mode_index: int) -> float:
     """Contraction factor of one plane-wave mode on the one-letter sector.
 
-    The mode profile is evolved by the swap semigroup, the letter by the
-    depolarizing factor, and the result is measured against the coarse
-    kernel.  For the default pure-qubit letter both kernel entries are 1
-    and the value reduces to y^{-1} e^{-(sigma/eps)^2 (1 - cos(p eps))}.
+    The letter is the pure qubit's x letter (tau_1, named x by
+    `depolarizing_fock_setup`): its fine and coarse kernel entries are 1
+    and depolarizing scales it by exactly 1/y.  The mode profile is evolved
+    by the swap semigroup, so the value is 1/y times the profile's norm
+    ratio, y^{-1} e^{-(sigma/eps)^2 (1 - cos(p eps))}.
     """
-    d = state_1site.dim if state_1site is not None else 2
-    sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state_1site)
-    if np.max(np.abs(m - np.diag(np.diag(m)))) > 1e-12:
-        raise NumericalError("letter matrix is not diagonal; single-letter sectors do not close")
-    k_fine = float(np.real(sp_fine.kernel[letter_index, letter_index]))
-    k_coarse = float(np.real(sp_coarse.kernel[letter_index, letter_index]))
-    letter_factor = float(m[letter_index, letter_index])
-    sd = SwapDiffusion(lattice, sigma)
-    W = sd.single_walker_semigroup()
+    W = SwapDiffusion(lattice, sigma).single_walker_semigroup()
     c = lattice.plane_wave(mode_index)
-    evolved = W @ c
-    profile_ratio = float(np.linalg.norm(evolved) / np.linalg.norm(c))
-    return abs(letter_factor) * math.sqrt(k_fine / k_coarse) * profile_ratio
+    return (1.0 / y) * float(np.linalg.norm(W @ c) / np.linalg.norm(c))
 
 
 def lattice_mode_multiplier(lattice: RingLattice, sigma: float, mode_index: int) -> float:
@@ -272,9 +255,10 @@ def high_momentum_suppression_probe(
 ) -> dict:
     """Contraction of sector observables carrying only high momenta.
 
-    Random degree-k words (letter fixed, profiles supported on momenta
-    >= cutoff) are contracted through the swap semigroup and depolarizing
-    factor.  For k=1 the exact single-mode analysis gives the hard bound
+    Random degree-k words of the pure qubit's x letter (profiles supported
+    on momenta >= cutoff) are contracted through the swap semigroup and
+    the letter's depolarizing factor y^{-k}.  For k=1 the exact single-mode
+    analysis gives the hard bound
     y^{-1} e^{-(sigma/eps)^2 (1 - cos(cutoff eps))}, which is asserted; for
     k=2 only the measured maximum is reported, next to the Gaussian-limit
     value y^{-k} e^{-k sigma^2 cutoff^2 / 2} the construction aims at.  A
@@ -431,7 +415,7 @@ def continuum_inner_convergence(
     }
 
 
-def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int, y: float = 1.0) -> dict:
+def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int) -> dict:
     """Swap-diffusion against independent Gaussian smoothing, degree by degree.
 
     j=1: every sub-Nyquist mode's lattice multiplier is compared with the

@@ -25,7 +25,6 @@ from flab.focklimit import (
     generating_overlap,
     limiting_inner,
     permanent,
-    single_particle_channel_matrix,
     symmetric_sector_spectrum,
     vertex_overlap,
 )
@@ -38,7 +37,7 @@ from flab.operators import (
     product_density,
     symmetric_word_operator,
 )
-from flab.sampling import random_positive_density, task_rng
+from flab.sampling import haar_unitary, random_positive_density, task_rng
 
 from conftest import assert_close
 from dense_oracle import support_family
@@ -58,29 +57,48 @@ def test_kernel_at_pure_qubit():
 def test_kernel_is_psd_at_random_state():
     rng = task_rng(21)
     rho = random_positive_density(3, rng, min_eigenvalue=0.05)
-    sp = SingleParticleSpace.from_state(rho)
+    sp = SingleParticleSpace.from_eigenvalues(rho.eigensystem()[0])
     k = sp.kernel
     assert_close(k, k.conj().T, tol=1e-12, what="kernel hermiticity")
     assert np.linalg.eigvalsh(k).min() > -1e-12
 
 
+def _site_states(d):
+    """The pure default, a seeded mixed state, I/d, and a diagonal state
+    (degenerate for d = 3) with a Haar-rotated copy of it."""
+    rng = task_rng(22, d)
+    diag = np.diag([0.75, 0.25] if d == 2 else [0.5, 0.25, 0.25])
+    u = haar_unitary(d, rng)
+    return {
+        "pure": None,
+        "mixed": random_positive_density(d, rng, min_eigenvalue=0.05),
+        "maximally-mixed": maximally_mixed_density(d),
+        "diagonal": DensityMatrix(diag),
+        "rotated": DensityMatrix(u @ diag @ u.conj().T),
+    }
+
+
 def test_letter_matrix_is_identity_over_y():
-    for d, y in ((2, 2.0), (2, 3.5), (3, 4.0)):
-        _, _, m = depolarizing_fock_setup(d, y)
-        assert_close(m, np.eye(d * d - 1) / y, tol=1e-12)
-    # also away from the pure reference state
-    rng = task_rng(22)
-    rho = random_positive_density(3, rng, min_eigenvalue=0.05)
-    _, _, m = depolarizing_fock_setup(3, 2.0, state=rho)
-    assert_close(m, np.eye(8) / 2.0, tol=1e-12)
-
-
-def test_letter_matrix_rejects_wrong_coarse_state():
-    site = basis_pure_density(2)
-    sp_fine = SingleParticleSpace.from_state(site)
-    wrong = SingleParticleSpace.from_state(maximally_mixed_density(2))
-    with pytest.raises(NumericalError):
-        single_particle_channel_matrix(sp_fine, wrong, DepolarizingChannel(2.0, 2))
+    # checked against DepolarizingChannel in the site eigenframe: the
+    # adjoint maps each coarse letter to the letter matrix's combination of
+    # fine letters, and the coarse kernel is the GNS kernel at the channel
+    # image of diag(mu)
+    for d in (2, 3):
+        for (name, state), y in itertools.product(_site_states(d).items(), (1.0, 1.5, 3.0)):
+            mu = np.eye(d)[0] if state is None else state.eigensystem()[0]
+            sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state)
+            channel = DepolarizingChannel(y, d)
+            coarse = channel.apply(np.diag(mu))
+            what = f"d={d} {name} y={y}"
+            for c, letter in enumerate(sp_coarse.basis):
+                want = np.tensordot(m[:, c], np.array(sp_fine.basis), axes=1)
+                assert_close(channel.adjoint_apply(letter), want, tol=1e-15, what=f"{what} letter {c}")
+            gns = [[np.trace(coarse @ f.conj().T @ g) for g in sp_coarse.basis] for f in sp_coarse.basis]
+            assert_close(sp_coarse.kernel, gns, tol=1e-15, what=f"{what} coarse kernel")
+    with pytest.raises(ValueError, match="y >= 1"):
+        depolarizing_fock_setup(2, 0.5)
+    with pytest.raises(ValueError, match="local dimension"):
+        depolarizing_fock_setup(1, 2.0)
 
 
 def test_permanent_values():
@@ -129,7 +147,7 @@ def test_finite_inner_against_dense_words():
     site = DensityMatrix(np.diag([0.7, 0.3]))
     system = QuditSystem(d, n)
     state = product_density(site, n)
-    sp = SingleParticleSpace.from_state(site)
+    sp = SingleParticleSpace.from_eigenvalues(site.eigensystem()[0])
     words = [(0,), (2,), (0, 0), (0, 2), (2, 2)]
     dense = {w: symmetric_word_operator(w, sp.basis, system) for w in words}
     for u in words:
@@ -196,7 +214,7 @@ def test_generating_overlap_against_dense():
     n, d = 6, 2
     site = maximally_mixed_density(d)  # real kernel, overlaps real
     state = product_density(site, n)
-    sp = SingleParticleSpace.from_state(site)
+    sp = SingleParticleSpace.from_eigenvalues(site.eigensystem()[0])
     rng = task_rng(23)
     a = rng.standard_normal(3) * 0.5
     b = rng.standard_normal(3) * 0.5
@@ -223,7 +241,7 @@ def test_generating_overlap_approaches_vertex():
 
 def test_clt_convergence_rate():
     site = DensityMatrix(np.diag([0.8, 0.2]))
-    sp = SingleParticleSpace.from_state(site)
+    sp = SingleParticleSpace.from_eigenvalues(site.eigensystem()[0])
     out = clt_convergence(sp, (0, 0), (0, 0), [4, 8, 16, 32])
     assert out["rate"] is not None
     assert abs(out["rate"] + 1.0) < 0.2

@@ -37,6 +37,7 @@ from flab.operators import (
     state_product,
 )
 from flab.sampling import (
+    haar_unitary,
     random_cptp_channel,
     random_positive_density,
     random_zero_mean_hermitian,
@@ -215,9 +216,15 @@ def test_dense_sector_spectrum_matches_closed_form(qubit_triple, pure_triple):
 
 def test_dense_sector_spectrum_matches_closed_form_at_mixed_states():
     rng = task_rng(20261017)
+    cases = []
     for d, n, k in ((2, 3, 1), (2, 4, 2), (3, 3, 1), (3, 3, 2)):
         y = float(rng.uniform(1.5, 4.0))
-        site = random_positive_density(d, rng, min_eigenvalue=0.05)
+        cases.append((d, n, k, y, random_positive_density(d, rng, min_eigenvalue=0.05)))
+    # degenerate site spectra, where an eigenframe is not unique
+    u = haar_unitary(3, rng)
+    cases.append((2, 4, 2, 2.5, maximally_mixed_density(2)))
+    cases.append((3, 3, 2, 1.7, DensityMatrix(u @ np.diag([0.5, 0.25, 0.25]) @ u.conj().T)))
+    for d, n, k, y, site in cases:
         dense = symmetric_sector_dense_spectrum(QuditSystem(d, n), product_density(site, n), y, k)
         closed = symmetric_sector_spectrum(n, d, y, k, state=site, include_identity=True)
         assert dense.eigenvalues.shape == closed["eigenvalues"].shape
