@@ -58,11 +58,10 @@ from .lattice import (
     ContinuumField,
     RingLattice,
     continuum_inner_convergence,
-    diffusion_semigroup_on_sector,
     dispersion_bound,
-    mode_contraction_k1,
-    smoother_apply,
     high_momentum_suppression_probe,
+    mode_contractions,
+    smoother_apply,
     swap_factorization_probe,
 )
 from .operators import (

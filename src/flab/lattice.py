@@ -10,7 +10,9 @@ momentum smoother on the continuum fields the profiles discretize.
 Everything is computed in coefficient space: the k-letter sectors close
 under the dynamics, so no dense chain operators are ever built.  The
 two-letter sector is carried as L Bloch blocks of size L-1, one per total
-momentum, so L is limited only by the byte budget of those blocks.
+momentum.  No semigroup is assembled: the cached walker eigendecompositions
+are applied to all plane waves or draws at once, to pair words block by
+block, so L is limited only by the byte budget of the block eigh.
 """
 
 from __future__ import annotations
@@ -165,42 +167,21 @@ def _pair_gram_apply(x: np.ndarray, K) -> np.ndarray:
     return x + np.exp(2j * np.pi * (np.multiply.outer(K, np.arange(1, L)) % L) / L) * x[..., ::-1]
 
 
-def diffusion_semigroup_on_sector(sd: SwapDiffusion, k: int, coefficients) -> np.ndarray:
-    """Heat evolution of sector coefficients under the swap dynamics.
-
-    k=1 evolves site profiles by the single-walker semigroup, k=2 evolves
-    ordered-distinct-pair profiles, in `pair_states()` order, by the
-    two-walker semigroup: through the Bloch blocks and back.
-    """
-    c = np.asarray(coefficients)
-    L = sd.lattice.n_sites
-    if k not in (1, 2):
-        raise ValueError(f"sector degree must be 1 or 2, got {k}")
-    dim = L if k == 1 else L * (L - 1)
-    if c.shape[0] != dim:
-        raise ValueError(f"coefficient length {c.shape[0]} does not match sector dim {dim}")
-    if k == 1:
-        return sd.single_walker_semigroup() @ c
-    i, j = np.arange(L)[:, None], _pair_partner(L)
-    index = i * (L - 1) + j - (j > i)
-    blocks = np.fft.fft(c[index].reshape(L, L - 1, -1), axis=0)
-    out = np.empty((dim, blocks.shape[-1]), dtype=complex)
-    out[index] = np.fft.ifft(sd.pair_semigroup() @ blocks, axis=0)
-    return (out.real if np.isrealobj(c) else out).reshape(c.shape)
-
-
-def mode_contraction_k1(lattice: RingLattice, sigma: float, y: float, mode_index: int) -> float:
-    """Contraction factor of one plane-wave mode on the one-letter sector.
+def mode_contractions(lattice: RingLattice, sigma: float, y: float) -> dict[int, float]:
+    """Contraction factor of every sub-Nyquist plane-wave mode on the
+    one-letter sector, keyed by mode index.
 
     The letter is the pure qubit's x letter (tau_1, named x by
     `depolarizing_fock_setup`): its fine and coarse kernel entries are 1
-    and depolarizing scales it by exactly 1/y.  The mode profile is evolved
-    by the swap semigroup, so the value is 1/y times the profile's norm
-    ratio, y^{-1} e^{-(sigma/eps)^2 (1 - cos(p eps))}.
+    and depolarizing scales it by exactly 1/y.  All mode profiles are
+    evolved by one apply of the swap semigroup, so each value is 1/y times
+    the profile's norm ratio, y^{-1} e^{-(sigma/eps)^2 (1 - cos(p eps))}.
     """
-    W = SwapDiffusion(lattice, sigma).single_walker_semigroup()
-    c = lattice.plane_wave(mode_index)
-    return (1.0 / y) * float(np.linalg.norm(W @ c) / np.linalg.norm(c))
+    modes = [m for m in lattice.mode_indices() if abs(m) != lattice.n_sites // 2]
+    waves = np.column_stack([lattice.plane_wave(m) for m in modes])
+    evolved = SwapDiffusion(lattice, sigma).single_walker_apply(waves)
+    ratios = np.linalg.norm(evolved, axis=0) / np.linalg.norm(waves, axis=0)
+    return {m: (1.0 / y) * float(r) for m, r in zip(modes, ratios)}
 
 
 def lattice_mode_multiplier(lattice: RingLattice, sigma: float, mode_index: int) -> float:
@@ -273,18 +254,15 @@ def high_momentum_suppression_probe(
         raise ValueError(f"probe degree must be 1 or 2, got {k}")
     rng = task_rng(seed, k)
     sd = SwapDiffusion(lattice, sigma)
-    ratios = []
     if k == 1:
-        W = sd.single_walker_semigroup()
-        for _ in range(samples):
-            c = _high_mode_profile(lattice, cutoff, rng)
-            norm = np.linalg.norm(c)
-            if norm < 1e-12:
-                continue
-            ratios.append(float(np.linalg.norm(W @ c) / norm) / y)
+        draws = np.array([_high_mode_profile(lattice, cutoff, rng) for _ in range(samples)]).T
+        norms = np.linalg.norm(draws, axis=0)
+        kept = norms >= 1e-12
+        evolved = sd.single_walker_apply(draws[:, kept])
+        ratios = np.linalg.norm(evolved, axis=0) / norms[kept] / y
         u = cutoff * lattice.spacing
         hard_bound = math.exp(-((sigma / lattice.spacing) ** 2) * (1.0 - math.cos(u))) / y
-        max_contraction = max(ratios)
+        max_contraction = ratios.max()
         # absolute allowance: semigroup entries from the eigendecomposition
         # carry machine-level noise, so bounds far below it are unobservable
         if max_contraction > hard_bound * (1.0 + 1e-10) + 1e-13:
@@ -296,18 +274,18 @@ def high_momentum_suppression_probe(
         L = lattice.n_sites
         draws = np.array([_high_mode_profile(lattice, cutoff, rng) for _ in range(2 * samples)])
         words = np.fft.fft(draws[0::2, :, None] * draws[1::2, _pair_partner(L)], axis=1) / math.sqrt(L)
-        evolved = (sd.pair_semigroup() @ words[..., None])[..., 0]
+        evolved = sd.pair_apply(words.transpose(1, 2, 0)).transpose(2, 0, 1)
         base_sq, evolved_sq = (
             np.real(np.sum(v.conj() * _pair_gram_apply(v, np.arange(L)), axis=(1, 2))) for v in (words, evolved)
         )
         kept = base_sq >= 1e-20
-        ratios = list(np.sqrt(evolved_sq[kept] / base_sq[kept]) / y**2)
+        ratios = np.sqrt(evolved_sq[kept] / base_sq[kept]) / y**2
         hard_bound = None
     claim = math.exp(-0.5 * k * (sigma * cutoff) ** 2) / y**k
     return {
         "k": k,
         "samples": len(ratios),
-        "max_contraction": float(max(ratios)),
+        "max_contraction": float(ratios.max()),
         "mode_bound": hard_bound,
         "gaussian_claim": claim,
     }
@@ -449,7 +427,7 @@ def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int) -> dict
         raise ValueError(f"probe degree must be 1 or 2, got {j}")
 
     L = lattice.n_sites
-    W2 = SwapDiffusion(lattice, sigma).pair_semigroup()
+    sd = SwapDiffusion(lattice, sigma)
     panel = [m for m in lattice.mode_indices() if abs(lattice.momentum(m)) < 0.5 * lattice.nyquist]
     m1, m2 = np.array(list(itertools.combinations_with_replacement(panel, 2))).T
     multiplier = {m: lattice_mode_multiplier(lattice, sigma, m) for m in panel}
@@ -473,7 +451,7 @@ def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int) -> dict
     sup_dev = 0.0
     for K in np.unique(blocks):
         C, left = words[blocks == K], gram_words[blocks == K].conj()
-        deviation = left @ (W2[K] @ C.T) - (left @ C.T) * s_pred[blocks == K]
+        deviation = left @ sd.pair_apply(C.T, K) - (left @ C.T) * s_pred[blocks == K]
         sup_dev = max(sup_dev, float(np.max(np.abs(deviation))))
     return {
         "j": 2,

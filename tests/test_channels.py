@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flab
+from flab import channels
 from flab.channels import (
     ComposedChannel,
     DepolarizingChannel,
@@ -14,6 +19,7 @@ from flab.channels import (
     SuperoperatorChannel,
     SwapDiffusion,
     _ring_laplacian_eigh,
+    check_walker_budget,
     homogeneous_coarse_graining,
     single_site_superoperator,
 )
@@ -213,13 +219,19 @@ def test_swap_single_walker_generator_is_ring_laplacian():
     assert sd.time == 2.0
 
 
+def block_identities(L):
+    """The L identity blocks of L-1 columns: applying the pair semigroup to
+    them reads its Bloch blocks."""
+    return np.broadcast_to(np.eye(L - 1), (L, L - 1, L - 1))
+
+
 @pytest.mark.parametrize("L", [8, 24])
 def test_single_walker_semigroup_matches_fresh_eigh(L):
     for sigma in (0.5, 2.0, 4.0):
         sd = SwapDiffusion(RingLattice(L, 1.0), sigma)
         vals, vecs = np.linalg.eigh(sd.single_walker_generator())
         fresh = (vecs * np.exp(sd.time * vals)) @ vecs.T
-        assert_close(sd.single_walker_semigroup(), fresh, tol=1e-13, what=f"semigroup at sigma={sigma}")
+        assert_close(sd.single_walker_apply(np.eye(L)), fresh, tol=1e-13, what=f"semigroup at sigma={sigma}")
     # every sigma reuses one read-only decomposition
     vals, vecs = _ring_laplacian_eigh(L)
     assert not vals.flags.writeable and not vecs.flags.writeable
@@ -232,7 +244,7 @@ def test_swap_pair_generator_structure():
     assert_close(gen, gen.T, tol=1e-12, what="edge swaps are involutions")
     assert_close(gen.sum(axis=1), np.zeros(56), tol=1e-12)
     # semigroup of a symmetric zero-row-sum generator is doubly stochastic
-    sg = assemble_blocks(SwapDiffusion(RingLattice(8, 1.0), 1.0).pair_semigroup())
+    sg = assemble_blocks(SwapDiffusion(RingLattice(8, 1.0), 1.0).pair_apply(block_identities(8)))
     assert_close(sg.imag, np.zeros((56, 56)), tol=1e-12, what="imaginary part")
     assert np.all(sg.real > -1e-12)
     assert_close(sg.sum(axis=0), np.ones(56), tol=1e-10)
@@ -243,7 +255,7 @@ def test_swap_pair_generator_structure():
 @pytest.mark.parametrize("L", [8, 12, 24])
 def test_pair_blocks_match_dense_oracle(L, sigma):
     sd = SwapDiffusion(RingLattice(L, 1.0), sigma)
-    blocks = sd.pair_semigroup()
+    blocks = sd.pair_apply(block_identities(L))
     n = L - 1
     assert blocks.shape == (L, n, n)
     vals, vecs = np.linalg.eigh(pair_generator(L))
@@ -255,6 +267,7 @@ def test_pair_blocks_match_dense_oracle(L, sigma):
     for K in range(L):
         rows = slice(K * n, (K + 1) * n)
         assert_close(restricted[rows, rows], blocks[K], tol=1e-12, what=f"block {K}")
+        assert_close(sd.pair_apply(np.eye(n), K), blocks[K], tol=1e-12, what=f"block {K} alone")
         restricted[rows, rows] = 0.0
     assert_close(restricted, np.zeros_like(restricted), tol=1e-12, what="momentum mixing")
 
@@ -263,12 +276,53 @@ def test_swap_validation(monkeypatch):
     lattice = RingLattice(8, 1.0)
     with pytest.raises(ValueError):
         SwapDiffusion(lattice, -1.0)
-    # 32 pair blocks of 31 x 31 need 1.9 MiB, over the 1 MiB of FLAB_MAX_DIM=256;
-    # the refusal comes before any block is built or diagonalised
+    # one walker on 64 sites fits the 16 MiB of FLAB_MAX_DIM=1024 (12.5 MiB), a
+    # pair does not: its 64 blocks of 63 x 63 and their eigenvectors add
+    # 7.8 MiB; the refusal comes before any block is built or diagonalised
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called before the budget check")
 
-    monkeypatch.setenv("FLAB_MAX_DIM", "256")
+    monkeypatch.setenv("FLAB_MAX_DIM", "1024")
+    check_walker_budget(64, 1)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(DimensionBudgetError, match="pair blocks"):
-        SwapDiffusion(RingLattice(32, 1.0), 1.0).pair_semigroup()
+        SwapDiffusion(RingLattice(64, 1.0), 1.0).pair_apply(np.ones((64, 63, 1)))
+
+
+# the child reads its own peak resident set (VmHWM, in KiB); its ru_maxrss
+# would not do, since across exec it keeps the parent's peak
+WALKER_PEAK = """
+import sys
+import numpy as np
+import flab
+from flab.channels import SwapDiffusion
+from flab.lattice import RingLattice
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+L = int(sys.argv[1])
+before = peak()
+sd = SwapDiffusion(RingLattice(L, 1.0), 2.0)
+sd.single_walker_apply(np.ones((L, L - 1), dtype=complex))
+sd.pair_apply(np.ones((L, L - 1, 8), dtype=complex))
+print(1024 * (peak() - before))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+def test_walker_budget_bounds_the_measured_peak(monkeypatch):
+    # a fresh interpreter at one BLAS thread: peak resident growth from
+    # `import flab` through both eigendecompositions and an apply of each
+    L = 96
+    src = os.path.dirname(os.path.dirname(flab.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", WALKER_PEAK, str(L)], env=env, capture_output=True, text=True, check=True
+    )
+    growth = int(run.stdout)
+    parts = {}
+    monkeypatch.setattr(channels, "check_byte_budget", lambda what, p: parts.update(p))
+    check_walker_budget(L, 2)
+    assert 2 * 16 * L * (L - 1) ** 2 < growth <= sum(parts.values())

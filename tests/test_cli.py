@@ -91,19 +91,19 @@ def test_config_errors(tmp_path):
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"L": 26, "pair_probe": True},  # pair blocks over the byte budget
-        {"L": 66},  # pair blocks (the default probe) over the byte budget
+        {"L": 80, "pair_probe": True},  # pair blocks over the byte budget
+        {"L": 100},  # pair blocks (the default probe) over the byte budget
         {"L": 8, "cutoff": math.pi},  # above the highest sub-Nyquist momentum
     ],
 )
 def test_lattice_limits_are_config_errors(tmp_path, capsys, monkeypatch, overrides):
-    # FLAB_MAX_DIM=128 allows 256 KiB: the walker arrays of the 16-site base
-    # ring fit (233 KiB), those of 26 sites (1037 KiB) do not; every refusal
+    # FLAB_MAX_DIM=1024 allows 16 MiB: the walker arrays of the 16-site base
+    # ring fit (12.2 MiB), those of 80 sites (29.6 MiB) do not; every refusal
     # comes before a walker generator is diagonalised
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called before the budget check")
 
-    monkeypatch.setenv("FLAB_MAX_DIM", "128")
+    monkeypatch.setenv("FLAB_MAX_DIM", "1024")
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     payload = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0], "probe_samples": 4, **overrides}
     out = tmp_path / "report.json"
@@ -130,9 +130,22 @@ def test_size_lists_are_config_errors(tmp_path, capsys, experiment, payload):
 
 
 def test_lattice_fits_budget_at_base_ring(monkeypatch):
-    monkeypatch.setenv("FLAB_MAX_DIM", "128")
+    monkeypatch.setenv("FLAB_MAX_DIM", "1024")
     payload = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0], "probe_samples": 4}
     assert run_experiment("lattice", payload).passed
+
+
+@pytest.mark.parametrize("L, passed", [(8, False), (14, True)])
+def test_low_momentum_check_needs_a_mode(tmp_path, L, passed):
+    # the lowest nonzero mode sits at p*eps = 2 pi / L: above 0.5 at L = 8,
+    # below it at L = 14; a check over no mode fails instead of passing
+    payload = {"L": L, "spacing": 1.0, "y": 2.0, "sigma_list": [1.0, 2.0], "probe_samples": 4}
+    out = tmp_path / "report.json"
+    assert main(["lattice", "--config", write_config(tmp_path, "lat", payload), "--out", str(out)]) == (0 if passed else 1)
+    verdict = json.loads(out.read_text())["assertions"]["low-momentum-exponent-near-continuum"]
+    assert verdict["passed"] is passed
+    if not passed:
+        assert verdict["detail"] == "no sub-Nyquist mode lies at p*eps <= 0.5"
 
 
 def test_budget_maps_to_config_error(tmp_path, monkeypatch):

@@ -13,12 +13,11 @@ from flab.lattice import (
     RingLattice,
     continuum_inner_convergence,
     continuum_mode_multiplier,
-    diffusion_semigroup_on_sector,
     dispersion_bound,
     lattice_mode_multiplier,
-    mode_contraction_k1,
-    smoother_apply,
     high_momentum_suppression_probe,
+    mode_contractions,
+    smoother_apply,
     swap_factorization_probe,
 )
 from flab.operators import basis_pure_density
@@ -93,8 +92,10 @@ def test_smoother_multiplier_and_composition():
 def test_mode_contraction_closed_form():
     lat = RingLattice(16, 1.0)
     y, sigma = 2.0, 1.0
+    contractions = mode_contractions(lat, sigma, y)
+    assert sorted(contractions) == list(range(-7, 8))
     for m in (1, 2, 5, 7):
-        got = mode_contraction_k1(lat, sigma, y, m)
+        got = contractions[m]
         u = lat.momentum(m) * lat.spacing
         want = math.exp(-((sigma / lat.spacing) ** 2) * (1.0 - math.cos(u))) / y
         assert abs(got - want) < 1e-10
@@ -113,27 +114,26 @@ def test_dispersion_bound_dominates_multiplier_gap():
         assert gap <= dispersion_bound(lat, sigma, m) + 1e-12
 
 
-def test_diffusion_semigroup_sector_validation():
-    lat = RingLattice(8, 1.0)
-    sd = SwapDiffusion(lat, 1.0)
-    out = diffusion_semigroup_on_sector(sd, 1, np.ones(8))
-    assert_close(out, np.ones(8), tol=1e-10)  # uniform profile is stationary
-    with pytest.raises(ValueError):
-        diffusion_semigroup_on_sector(sd, 3, np.ones(8))
-    with pytest.raises(ValueError):
-        diffusion_semigroup_on_sector(sd, 1, np.ones(7))
+def test_walker_applies_keep_uniform_profiles():
+    L = 8
+    sd = SwapDiffusion(RingLattice(L, 1.0), 1.0)
+    assert_close(sd.single_walker_apply(np.ones((L, 1))), np.ones((L, 1)), tol=1e-10)
+    # the uniform pair profile is block 0, constant in r
+    uniform = np.zeros((L, L - 1, 1))
+    uniform[0] = 1.0
+    assert_close(sd.pair_apply(uniform), uniform, tol=1e-10)
 
 
-def test_diffusion_semigroup_pair_sector_matches_dense_oracle():
+def test_pair_apply_on_pair_states_matches_dense_oracle():
     L = 8
     sd = SwapDiffusion(RingLattice(L, 1.0), 1.3)
     rng = np.random.default_rng(20261018)
     c = rng.standard_normal(L * (L - 1)) + 1j * rng.standard_normal(L * (L - 1))
     dense = walker_oracle.pair_semigroup(L, sd.time)
-    assert_close(diffusion_semigroup_on_sector(sd, 2, c), dense @ c, tol=1e-12, what="pair-sector evolution")
-    assert_close(diffusion_semigroup_on_sector(sd, 2, c.real), dense @ c.real, tol=1e-12, what="real input")
-    with pytest.raises(ValueError):
-        diffusion_semigroup_on_sector(sd, 2, np.ones(L * L))
+    U = walker_oracle.bloch_basis(L)
+    for v, what in ((c, "pair-sector evolution"), (c.real, "real input")):
+        blocks = (U.conj().T @ v).reshape(L, L - 1, 1)
+        assert_close(U @ sd.pair_apply(blocks).ravel(), dense @ v, tol=1e-12, what=what)
 
 
 def test_continuum_field_profile():
