@@ -14,16 +14,18 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .operators import QuditSystem, as_matrix, check_byte_budget, kron_apply
+from .operators import FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, kron_apply
 
 TRACE_PRESERVING_TOL = 1e-10
-# resident growth of a first `flab lattice` run beyond its arrays (BLAS code and
-# buffers, numpy.random's lazy import): 8.5-10.4 MiB measured with numpy 2.4
-FIRST_RUN_BYTES = 12 * 2**20
 
 
 class Channel:
-    """Minimal channel interface: apply (Schrodinger) and adjoint_apply."""
+    """Minimal channel interface: apply (Schrodinger) and adjoint_apply.
+
+    Both act on the last two axes: X is one (dim, dim) matrix or an
+    (m, dim, dim) stack, mapped member by member in one call.  A one-member
+    stack gives bit for bit the single matrix's image.
+    """
 
     dim: int
 
@@ -56,7 +58,8 @@ class DepolarizingChannel(Channel):
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)
-        return X / self.y + (1.0 - 1.0 / self.y) * np.trace(X) * np.eye(self.d) / self.d
+        trace = np.trace(X, axis1=-2, axis2=-1)[..., None, None]
+        return X / self.y + (1.0 - 1.0 / self.y) * trace * np.eye(self.d) / self.d
 
     adjoint_apply = apply
 
@@ -105,13 +108,16 @@ class ProductChannel(Channel):
         self._superop_adj = single_site_superoperator(site_channel, d, adjoint=True)
 
     def _apply_all_sites(self, X, superop: np.ndarray) -> np.ndarray:
-        """superop^{(x)n} on X, with each site's (row, column) pair as one mode."""
+        """superop^{(x)n} on X, with each site's (row, column) pair as one mode
+        and the stack members as kron_apply's columns."""
         d, n = self.system.d, self.system.n
-        # (r_0..r_{n-1}, c_0..c_{n-1}) -> (r_0, c_0, r_1, c_1, ...) and back
-        pairs = [a for site in range(n) for a in (site, n + site)]
-        tens = as_matrix(X).reshape((d,) * (2 * n)).transpose(pairs)
-        out = kron_apply(superop, tens.reshape(-1, 1), n)
-        return out.reshape((d,) * (2 * n)).transpose(np.argsort(pairs)).reshape(self.dim, self.dim)
+        X = as_matrix(X)
+        # (m, r_0..r_{n-1}, c_0..c_{n-1}) -> (r_0, c_0, r_1, c_1, ..., m) and back
+        pairs = [1 + a for site in range(n) for a in (site, n + site)]
+        tens = X.reshape((-1,) + (d,) * (2 * n)).transpose(pairs + [0])
+        out = kron_apply(superop, tens.reshape(d ** (2 * n), -1), n)
+        back = np.argsort(pairs + [0])
+        return out.reshape((d,) * (2 * n) + (-1,)).transpose(back).reshape(X.shape)
 
     def apply(self, X) -> np.ndarray:
         return self._apply_all_sites(X, self._superop)
@@ -151,12 +157,16 @@ class PermutationAverage(Channel):
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)
-        flat = X.ravel()
-        sums = np.bincount(self._orbit_index, weights=flat.real) + 1j * np.bincount(
-            self._orbit_index, weights=flat.imag
+        flat = X.reshape(-1, self.dim * self.dim)
+        orbits = self._orbit_size.size
+        # member i's orbits are counted at i * orbits + orbit, so one bincount
+        # serves the whole stack
+        index = (self._orbit_index + orbits * np.arange(len(flat))[:, None]).ravel()
+        sums = np.bincount(index, weights=flat.real.ravel()) + 1j * np.bincount(
+            index, weights=flat.imag.ravel()
         )
-        means = sums / self._orbit_size
-        return means[self._orbit_index].reshape(X.shape)
+        means = sums.reshape(len(flat), orbits) / self._orbit_size
+        return np.take(means, self._orbit_index, axis=1).reshape(X.shape)
 
     # self-adjoint in the Hilbert-Schmidt inner product
     adjoint_apply = apply
@@ -227,12 +237,15 @@ class SuperoperatorChannel(Channel):
         return sum(K.conj().T @ X @ K for K in self.kraus)
 
 
-def check_walker_budget(L: int, walkers: int) -> None:
+def check_walker_budget(L: int, walkers: int, pair_words: int = 0) -> None:
     """Refuse a ring whose walker arrays would not fit, before any is built.
     The semigroups are only applied, so the peak is the batched pair eigh;
     counted is what is alive there: the generator blocks and eigenvectors,
-    the workspace and pair words, the single-walker arrays (eigenvectors, a
-    batch of L plane waves and its products) and a first run's pages."""
+    the workspace, the single-walker arrays (eigenvectors, a batch of L
+    plane waves and its products) and a first run's pages, plus the
+    `pair_words` words per Bloch block a caller applies the pair semigroup
+    to, with four temporaries of their size (the apply's coefficients and
+    images, the probe's Gram products; 3.5 to 4.1 measured at L = 128, 64)."""
     parts = {
         f"8 complex {L} x {L} single-walker arrays": 128 * L * L,
         "a first run's code and buffers": FIRST_RUN_BYTES,
@@ -240,7 +253,9 @@ def check_walker_budget(L: int, walkers: int) -> None:
     if walkers == 2:
         n = L - 1
         parts[f"2 x the {L} pair blocks of {n} x {n}"] = 32 * L * n * n
-        parts[f"16 complex {L} x {n} arrays of eigh workspace and pair words"] = 256 * L * n
+        parts[f"8 complex {L} x {n} arrays of eigh workspace"] = 128 * L * n
+    if pair_words:
+        parts[f"{pair_words} pair words per block and 4 temporaries of their size"] = 80 * pair_words * L * (L - 1)
     check_byte_budget(f"swap diffusion of {walkers} walker(s) on {L} sites", parts)
 
 

@@ -281,7 +281,9 @@ def run_lattice(params: dict) -> Report:
     )
     pair_probe = _optional(params, "pair_probe", bool, True)
     probe_samples = _optional(params, "probe_samples", int, 32, lambda v: v >= 1, "need >= 1")
-    check_walker_budget(L, 2 if pair_probe else 1)
+    # the degree-2 probe applies the pair semigroup to this many words per block
+    pair_samples = max(4, probe_samples // 4) if pair_probe else 0
+    check_walker_budget(L, 2 if pair_probe else 1, pair_samples)
     seed = _seed(params)
     report = Report("lattice", params, seed)
 
@@ -342,7 +344,7 @@ def run_lattice(params: dict) -> Report:
         except NumericalError as exc:
             bound_ok, bound_detail = False, str(exc)
         if pair_probe:
-            out2 = high_momentum_suppression_probe(lattice, sigma, y, cutoff, 2, samples=max(4, probe_samples // 4), seed=seed)
+            out2 = high_momentum_suppression_probe(lattice, sigma, y, cutoff, 2, samples=pair_samples, seed=seed)
             probe_rows.append(
                 {
                     "sigma": sigma,

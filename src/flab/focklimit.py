@@ -27,8 +27,10 @@ symmetric tuples, a diagonal rescaling of the permanent Gram, for the exact
 finite-n spectrum on the symmetric k-local sector
 (`symmetric_sector_spectrum`).  `beta_bound_test` checks the sector-wise
 norm bound under sitewise depolarizing noise on random draws, measured as
-quadratic forms over per-support Gram blocks built from streamed letter
-products; `beta_bound_supremum` gives the exact supremum from the blocks.
+quadratic forms over per-support Gram blocks.  A block's letter products
+are made a chunk at a time, as one broadcast Kronecker product, and each
+chunk goes through the channel as one stack; `beta_bound_supremum` gives
+the exact supremum from the blocks.
 `klocal_decay_check` reads the exact decay of that supremum in y under the
 homogeneous coarse graining from the top of each sector block.
 """
@@ -43,6 +45,7 @@ import numpy as np
 
 from .errors import DimensionBudgetError, NumericalError
 from .geometry import (
+    GRAM_CHUNK_ENTRIES,
     norm_grams,
     sampled_norms,
     transported_contraction,
@@ -50,13 +53,13 @@ from .geometry import (
     whitened_contraction,
 )
 from .operators import (
+    FIRST_RUN_BYTES,
     DensityMatrix,
     QuditSystem,
     check_byte_budget,
     dense_dim_budget,
     kron_apply,
     product_density,
-    site_product,
     zero_mean_letters,
 )
 
@@ -561,6 +564,31 @@ def beta_bound_decreasing(d: int, y: float) -> bool:
     return y * (y - 1.0) > d
 
 
+class _LetterProducts:
+    """The products of `size` site letters, one per word of
+    itertools.product(range(len(letters)), repeat=size) and in that order,
+    built on demand: a slice is one stack, made site by site as a broadcast
+    Kronecker product of the letters its words gather.  letters is an
+    (L, d, d) stack; the family has L**size members and is never held."""
+
+    def __init__(self, letters: np.ndarray, size: int):
+        self.letters, self.size = letters, size
+
+    def __len__(self) -> int:
+        return len(self.letters) ** self.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        words = np.arange(*rows.indices(len(self)))
+        count, d = len(self.letters), self.letters.shape[-1]
+        out = np.ones((len(words), 1, 1), dtype=complex)
+        for site in range(self.size):
+            # a word's letter at this site is its base-count digit, most significant first
+            factor = self.letters[words // count ** (self.size - 1 - site) % count]
+            side = out.shape[-1] * d
+            out = (out[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(len(words), side, side)
+        return out
+
+
 def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | None):
     """Bures and pushforward Gram blocks of the sectors with |S| >= k.
 
@@ -583,34 +611,34 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     Everything is written in the site eigenframe, where the site state is
     diag(mu) and the letters are `zero_mean_letters(mu)`; sitewise
     depolarizing is unitarily covariant, so the blocks are those of the
-    original frame up to roundoff.  Each size's letter products are
-    streamed into `norm_grams`; the family itself is never held.
+    original frame up to roundoff.  Each size's letter products
+    (`_LetterProducts`) are built chunk by chunk as `norm_grams` slices
+    them; the family itself is never held.
     """
     from .channels import DepolarizingChannel, ProductChannel
 
     if k < 1 or k > n:
         raise ValueError(f"sector index k={k} out of range for n={n}")
     # the row blocks of the largest support (at most dim^2 complex entries
-    # per operator) and one pair of real Gram blocks per support size
+    # per operator), one pair of real Gram blocks per support size, the
+    # transients of one chunk (at most 4.5 chunks measured) and the pages a
+    # first run touches
     letters, dim = d * d - 1, d**n
     check_byte_budget(
         f"bound check at d={d}, n={n}, k={k}",
         {
             f"{letters**n} x {dim**2} row blocks": 2 * 16 * letters**n * dim**2,
             "Gram blocks": 2 * 8 * sum(letters ** (2 * s) for s in range(k, n + 1)),
+            "8 chunk-sized transients": 8 * 16 * max(GRAM_CHUNK_ENTRIES, dim**2),
+            "a first run's code and buffers": FIRST_RUN_BYTES,
         },
     )
     mu = _site_eigenvalues(d, state_1site)
-    site, basis = DensityMatrix(np.diag(mu), check=False), zero_mean_letters(mu)
+    site, basis = DensityMatrix(np.diag(mu), check=False), np.stack(zero_mean_letters(mu))
     blocks = []
     for size in range(k, n + 1):
-        system = QuditSystem(d, size)
-        channel = ProductChannel(DepolarizingChannel(y, d), system)
-        products = (
-            site_product({i: basis[a] for i, a in enumerate(word)}, system)
-            for word in itertools.product(range(letters), repeat=size)
-        )
-        grams = norm_grams(product_density(site, size), channel, letters**size, products)
+        channel = ProductChannel(DepolarizingChannel(y, d), QuditSystem(d, size))
+        grams = norm_grams(product_density(site, size), channel, _LetterProducts(basis, size))
         blocks.append((grams, math.comb(n, size)))
     return blocks
 

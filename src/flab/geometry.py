@@ -18,7 +18,6 @@ forms over them (`sampled_norms`) rather than one operator at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,14 +49,15 @@ SINGULAR_DIRECTION = (
     "state is singular on the requested direction; "
     "use the GNS-side formulation with a null-space quotient"
 )
-# operators turned into Gram rows per batch, and coefficient entries per
-# block of random draws; both only bound the size of transient arrays
-GRAM_ROW_CHUNK = 64
+# matrix entries of the operators turned into Gram rows per chunk, and
+# coefficient entries per block of random draws; both only bound the size of
+# transient arrays
+GRAM_CHUNK_ENTRIES = 2**14
 DRAW_CHUNK_ENTRIES = 2**16
 
 
 def omega_apply(state: DensityMatrix, x) -> np.ndarray:
-    """Symmetrized multiplication (rho X + X rho) / 2."""
+    """Symmetrized multiplication (rho X + X rho) / 2, of one matrix or a stack."""
     rho = state.matrix
     mat = as_matrix(x)
     return 0.5 * (rho @ mat + mat @ rho)
@@ -119,8 +119,8 @@ def pushforward_norm(state: DensityMatrix, channel, a) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def norm_grams(state: DensityMatrix, channel, count: int, operators) -> tuple[np.ndarray, np.ndarray]:
-    """Bures and pushforward Grams (G, P) of a family of count hermitian operators.
+def norm_grams(state: DensityMatrix, channel, operators) -> tuple[np.ndarray, np.ndarray]:
+    """Bures and pushforward Grams (G, P) of a family of hermitian operators.
 
     For A = sum_a c_a A_a with real c, |A|^2 = c^T G c and |A|_N^2 =
     c^T P c (see `bures_norm`, `pushforward_norm`) with
@@ -134,8 +134,14 @@ def norm_grams(state: DensityMatrix, channel, count: int, operators) -> tuple[np
     every operator becomes one row of each Gram and the Grams are row
     products.  Entries of weight zero, and entries where Omega_{N(rho)} is
     singular (checked negligible row by row, as in `omega_inverse_apply`),
-    are dropped.  The operators may be produced lazily: they are turned
-    into rows GRAM_ROW_CHUNK at a time and dropped.
+    are dropped.
+
+    operators is the family as an (N, dim, dim) stack, a list of matrices,
+    or anything else with a length whose slices are such stacks, so that it
+    can be built on demand.  It is sliced into chunks of at most
+    GRAM_CHUNK_ENTRIES matrix entries (one operator at least); Omega_rho,
+    the channel and both eigenbasis rotations act once per chunk stack, and
+    the chunk is dropped once it is turned into rows.
     """
     mu, u = state.eigensystem()
     coarse = DensityMatrix(channel.apply(state.matrix), check=False)
@@ -146,24 +152,21 @@ def norm_grams(state: DensityMatrix, channel, count: int, operators) -> tuple[np
     denom = lam[:, None] + lam[None, :]
     singular = denom < OMEGA_REL_TOL * max(float(lam.max()), 1e-300)
     push_scale = np.sqrt(2.0 / denom[~singular])
+    count = len(operators)
     bures_rows = np.empty((count, bures_scale.size), dtype=complex)
     push_rows = np.empty((count, push_scale.size), dtype=complex)
-    filled = 0
-    stream = iter(operators)
-    while chunk := list(itertools.islice(stream, GRAM_ROW_CHUNK)):
-        rows = slice(filled, filled + len(chunk))
-        filled += len(chunk)
-        tilde = u.conj().T @ np.stack(chunk) @ u
-        bures_rows[rows] = tilde[:, bures_keep] * bures_scale
-        pushed = v.conj().T @ np.stack([channel.apply(omega_apply(state, a)) for a in chunk]) @ v
+    per_chunk = max(1, GRAM_CHUNK_ENTRIES // state.dim**2)
+    for start in range(0, count, per_chunk):
+        rows = slice(start, min(start + per_chunk, count))
+        chunk = as_matrix(operators[rows])
+        bures_rows[rows] = (u.conj().T @ chunk @ u)[:, bures_keep] * bures_scale
+        pushed = v.conj().T @ channel.apply(omega_apply(state, chunk)) @ v
         if singular.any():
             mag = np.abs(pushed)
             tol = OMEGA_REL_TOL * np.maximum(1.0, mag.max(axis=(1, 2)))
             if np.any(mag[:, singular] > tol[:, None]):
                 raise NumericalError(SINGULAR_DIRECTION)
         push_rows[rows] = pushed[:, ~singular] * push_scale
-    if filled != count:
-        raise ValueError(f"family has {filled} operators, not {count}")
     # Re(R R^dagger) as one real product over interleaved (re, im) columns
     bures_real = bures_rows.view(float)
     push_real = push_rows.view(float)

@@ -1,7 +1,7 @@
 """Dense operator algebra for finite spin systems.
 
 Everything here works with explicit complex matrices on n qudits of local
-dimension d: states, traceless single-site letter bases, site products and
+dimension d: states, traceless single-site letter bases, site
 permutations, and the permutation-symmetric letter words whose contraction
 spectra the rest of the package computes, built as one (m, dim, dim) stack.
 """
@@ -23,6 +23,10 @@ STATE_EIG_FLOOR = -1e-12
 PRODUCT_STATE_TOL = 1e-10
 PRUNE_THRESHOLD = 1e-10
 DEFAULT_MAX_DIM = 2**14
+# resident growth of a first run beyond its arrays (BLAS code and buffers,
+# numpy.random's lazy import), measured with numpy 2.4: 8.5-10.4 MiB for
+# `flab lattice`, 2.5-6 MiB for the bound check
+FIRST_RUN_BYTES = 12 * 2**20
 
 
 def dense_dim_budget() -> int:
@@ -268,13 +272,6 @@ def single_site_zero_mean_basis(state: DensityMatrix) -> list[np.ndarray]:
     return [vecs @ f @ vecs.conj().T for f in zero_mean_letters(vals)]
 
 
-def tensor_many(ops) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for op in ops:
-        out = np.kron(out, as_matrix(op))
-    return out
-
-
 def kron_apply(mat: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """mat^{(x)k} @ x as k mode products on a (cols, ..., cols, x-cols) reshape.
 
@@ -286,16 +283,6 @@ def kron_apply(mat: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     for axis in range(k):
         out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
     return out.reshape(rows**k, x.shape[1])
-
-
-def site_product(factors: dict[int, np.ndarray], system: QuditSystem) -> np.ndarray:
-    """Product of single-site operators acting on the given sites.
-
-    factors maps site index -> (d, d) matrix; omitted sites get the identity.
-    """
-    eye = np.eye(system.d, dtype=complex)
-    ops = [as_matrix(factors[i]) if i in factors else eye for i in range(system.n)]
-    return tensor_many(ops)
 
 
 def permute_sites(matrix, perm, system: QuditSystem) -> np.ndarray:

@@ -9,8 +9,9 @@ GEMM.
 
 `support_family` is the whole operator family of a chain, every product of
 zero-mean site letters over every nonempty support, d^(2n) - 1 operators of
-dim^2 entries: the oracle for the per-support Gram blocks of the bound
-check and for the sector suprema of the decay check.
+dim^2 entries, each built by `site_product` as a tower of krons: the oracle
+for the per-support Gram blocks of the bound check and for the sector
+suprema of the decay check.
 """
 
 import itertools
@@ -23,9 +24,24 @@ from flab.operators import (
     QuditSystem,
     _greedy_gram_prune,
     single_site_zero_mean_basis,
-    site_product,
     symmetric_klocal_basis,
 )
+
+
+def tensor_many(ops):
+    out = np.array([[1.0]], dtype=complex)
+    for op in ops:
+        out = np.kron(out, np.asarray(op, dtype=complex))
+    return out
+
+
+def site_product(factors, system):
+    """Product of single-site operators acting on the given sites.
+
+    factors maps site index -> (d, d) matrix; omitted sites get the identity.
+    """
+    eye = np.eye(system.d, dtype=complex)
+    return tensor_many([factors[i] if i in factors else eye for i in range(system.n)])
 
 
 def support_family(d, n, site):

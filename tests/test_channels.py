@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import flab
-from flab import channels
+from flab import channels, cli
 from flab.channels import (
     ComposedChannel,
     DepolarizingChannel,
@@ -116,6 +116,49 @@ def test_product_channel_random_site_channel(d, n):
     lhs = np.vdot(y, ch.apply(x))
     rhs = np.vdot(ch.adjoint_apply(y), x)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+def _stack_cases():
+    cases = []
+    for d, n in ((3, 3), (2, 4)):
+        system = QuditSystem(d, n)
+        site = random_cptp_channel(d, 2, task_rng(31, (d, n)))
+        cases += [
+            pytest.param(ProductChannel(DepolarizingChannel(2.5, d), system), id=f"product-depolarizing-{d}-{n}"),
+            pytest.param(ProductChannel(site, system), id=f"product-random-{d}-{n}"),
+        ]
+    system = QuditSystem(2, 3)
+    return cases + [
+        pytest.param(DepolarizingChannel(2.5, 3), id="depolarizing"),
+        pytest.param(PermutationAverage(QuditSystem(3, 3)), id="permutation-average"),
+        pytest.param(homogeneous_coarse_graining(system, 2.5), id="coarse-graining"),
+        pytest.param(ComposedChannel(PermutationAverage(system), random_cptp_channel(8, 2, task_rng(32))), id="composed"),
+        pytest.param(random_cptp_channel(4, 3, task_rng(33)), id="superoperator"),
+    ]
+
+
+def _subclasses(cls):
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
+
+
+def test_stack_cases_cover_every_channel():
+    flab_channels = {c for c in _subclasses(channels.Channel) if c.__module__ == channels.__name__}
+    assert {type(p.values[0]) for p in _stack_cases()} == flab_channels
+
+
+@pytest.mark.parametrize("channel", _stack_cases())
+def test_channels_act_on_stacks(channel):
+    # a one-member stack is the single matrix bit for bit; a stack of five
+    # is the per-matrix calls up to BLAS rounding
+    stack = np.stack([random_matrix(channel.dim, 40 + i) for i in range(5)])
+    for action in (channel.apply, channel.adjoint_apply):
+        single = action(stack[0])
+        assert single.shape == (channel.dim, channel.dim)
+        assert np.array_equal(action(stack[:1]), single[None])
+        want = np.stack([action(x) for x in stack])
+        got = action(stack)
+        assert got.shape == stack.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_product_channel_preserves_trace_and_adjoint_unit():
@@ -326,3 +369,32 @@ def test_walker_budget_bounds_the_measured_peak(monkeypatch):
     monkeypatch.setattr(channels, "check_byte_budget", lambda what, p: parts.update(p))
     check_walker_budget(L, 2)
     assert 2 * 16 * L * (L - 1) ** 2 < growth <= sum(parts.values())
+
+
+def test_walker_budget_counts_the_pair_probe_words(monkeypatch):
+    # the estimate `run_lattice` checks first carries the degree-2 probe's
+    # max(4, probe_samples // 4) words per Bloch block; nothing is built
+    # before it, so stopping at the check shows the parts alone
+    class Checked(Exception):
+        pass
+
+    def capture(what, parts):
+        seen.append(parts)
+        raise Checked
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called before the budget check")
+
+    monkeypatch.setattr(channels, "check_byte_budget", capture)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    L, seen = 128, []
+    for probe_samples in (32, 1000):
+        params = {"L": L, "spacing": 1.0, "y": 3.0, "sigma_list": [2.0], "probe_samples": probe_samples}
+        with pytest.raises(Checked):
+            cli.run_lattice(params)
+    with pytest.raises(Checked):
+        cli.run_lattice({**params, "pair_probe": False})
+    words = [sum(size for name, size in parts.items() if "pair words" in name) for parts in seen]
+    assert words == [80 * 8 * L * (L - 1), 80 * 250 * L * (L - 1), 0]
+    rest = [sum(parts.values()) - w for parts, w in zip(seen, words)]
+    assert rest[0] == rest[1] > rest[2]

@@ -189,7 +189,7 @@ def test_bound_check_budget_is_config_error(tmp_path, monkeypatch, capsys):
     def no_products(*args, **kwargs):
         raise AssertionError("letter products built before the budget check")
 
-    monkeypatch.setattr(focklimit, "site_product", no_products)
+    monkeypatch.setattr(focklimit._LetterProducts, "__getitem__", no_products)
     cfg = write_config(tmp_path, "bound", {"d": 3, "n": 5, "y": 3.0, "k": 1, "samples": 10})
     out = tmp_path / "report.json"
     assert main(["bound-check", "--config", cfg, "--out", str(out)]) == 2

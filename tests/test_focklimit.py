@@ -2,10 +2,14 @@
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flab
 from flab import focklimit
 from flab.channels import DepolarizingChannel
 from flab.errors import DimensionBudgetError, NumericalError
@@ -36,11 +40,12 @@ from flab.operators import (
     maximally_mixed_density,
     product_density,
     symmetric_word_operator,
+    zero_mean_letters,
 )
 from flab.sampling import haar_unitary, random_positive_density, task_rng
 
 from conftest import assert_close
-from dense_oracle import support_family
+from dense_oracle import site_product, support_family
 
 
 def test_kernel_at_pure_qubit():
@@ -475,11 +480,27 @@ def test_beta_bound_supremum_is_the_sector_block_top():
                 assert sup <= beta_bound_value(d, y, k) + 1e-12
 
 
+@pytest.mark.parametrize("d, size", [(2, 3), (3, 2)])
+def test_letter_products_are_the_site_products_of_their_words(d, size):
+    # every slice, down to one word and a short last chunk, is the
+    # kron tower of its words' letters in itertools.product order
+    letters = zero_mean_letters(random_positive_density(d, task_rng(8, d)).eigensystem()[0])
+    system = QuditSystem(d, size)
+    want = np.stack(
+        [site_product(dict(enumerate(word)), system) for word in itertools.product(letters, repeat=size)]
+    )
+    products = focklimit._LetterProducts(np.stack(letters), size)
+    assert len(products) == len(want)
+    for step in (1, 5, len(want)):
+        got = np.concatenate([products[start : start + step] for start in range(0, len(want), step)])
+        assert np.array_equal(got, want), step
+
+
 def test_bound_check_refused_before_building(monkeypatch):
     def no_products(*args, **kwargs):
         raise AssertionError("letter products built before the budget check")
 
-    monkeypatch.setattr(focklimit, "site_product", no_products)
+    monkeypatch.setattr(focklimit._LetterProducts, "__getitem__", no_products)
     # dim 243 passes the dimension budget; its 8**5 x 243**2 row blocks do not
     with pytest.raises(DimensionBudgetError, match="estimated"):
         beta_bound_test(n=5, d=3, y=3.0, k=1, samples=10)
@@ -487,13 +508,56 @@ def test_bound_check_refused_before_building(monkeypatch):
         beta_bound_supremum(5, 3, 3.0, 1)
     # the byte estimate, not the dimension, sets the limit: at d=2, n=3 the
     # row blocks take 2 * 16 * 27 * 64 and the Gram blocks 2 * 8 * 819
-    # bytes, 68400 in all, between 16 * 65**2 and 16 * 66**2
-    monkeypatch.setenv("FLAB_MAX_DIM", "65")
+    # bytes, the chunk transients 8 * 16 * 2**14 and a first run 12 MiB,
+    # 14748464 in all, between 16 * 960**2 and 16 * 961**2
+    monkeypatch.setenv("FLAB_MAX_DIM", "960")
     with pytest.raises(DimensionBudgetError, match="27 x 64 row blocks"):
         beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10)
     monkeypatch.undo()
-    monkeypatch.setenv("FLAB_MAX_DIM", "66")
+    monkeypatch.setenv("FLAB_MAX_DIM", "961")
     assert beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10)["violations"] == 0
+
+
+# the child reads its own peak resident set (VmHWM, in KiB) around the check
+BOUND_PEAK = """
+import numpy as np
+import flab
+import flab
+from flab import focklimit
+from flab.sampling import random_positive_density, task_rng
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+site = random_positive_density(2, task_rng(5, 2), min_eigenvalue=0.05)
+before = peak()
+focklimit.beta_bound_test(n=5, d=2, y=3.0, k=1, samples=1000, seed=1, state_1site=site)
+print(1024 * (peak() - before))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+def test_bound_check_budget_bounds_the_measured_peak(monkeypatch):
+    # a fresh interpreter at one BLAS thread and a mixed site state, where
+    # both row blocks keep every entry: peak growth from `import flab`
+    src = os.path.dirname(os.path.dirname(flab.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", BOUND_PEAK], env=env, capture_output=True, text=True, check=True)
+    growth = int(run.stdout)
+
+    class Checked(Exception):
+        pass
+
+    def capture(what, p):
+        parts.update(p)
+        raise Checked
+
+    parts = {}
+    monkeypatch.setattr(focklimit, "check_byte_budget", capture)
+    with pytest.raises(Checked):
+        beta_bound_test(n=5, d=2, y=3.0, k=1, samples=1000)
+    assert 2 * 16 * 3**5 * 32**2 < growth <= sum(parts.values())
 
 
 def _permanent_sector_blocks(n, d, y, k, site):

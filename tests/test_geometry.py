@@ -297,7 +297,7 @@ def test_norm_grams_cross_support_blocks(d, n):
         (ProductChannel(DepolarizingChannel(2.5, d), system), True),
         (homogeneous_coarse_graining(system, 2.5), False),
     ):
-        bures, push = norm_grams(state, channel, len(matrices), matrices)
+        bures, push = norm_grams(state, channel, matrices)
         assert np.max(np.abs(bures[cross])) <= 1e-14
         if push_cross_vanishes:
             assert np.max(np.abs(push[cross])) <= 1e-14
@@ -310,6 +310,21 @@ def test_norm_grams_cross_support_blocks(d, n):
         assert abs(coeffs @ push @ coeffs - pushforward_norm(state, channel, a) ** 2) <= 1e-12
 
 
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_norm_grams_do_not_depend_on_the_chunking(d, n, monkeypatch):
+    # one operator per chunk, and chunks of 6 that leave a shorter last one
+    site = random_positive_density(d, task_rng(21, d), min_eigenvalue=0.05)
+    system, state, matrices, _ = _support_family(d, n, site)
+    assert len(matrices) % 6 != 0
+    for channel in (ProductChannel(DepolarizingChannel(2.5, d), system), homogeneous_coarse_graining(system, 2.5)):
+        whole = norm_grams(state, channel, matrices)
+        for entries in (1, 6 * system.dim**2):
+            monkeypatch.setattr(geometry, "GRAM_CHUNK_ENTRIES", entries)
+            for want, got in zip(whole, norm_grams(state, channel, matrices)):
+                assert_close(got, want, tol=1e-14 * np.max(np.abs(want)), what=f"{entries} entries per chunk")
+            monkeypatch.undo()
+
+
 def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
     site = random_positive_density(2, task_rng(19, 0), min_eigenvalue=0.05)
     system, state, matrices, supports = _support_family(2, 3, site)
@@ -317,7 +332,7 @@ def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
     grams = []
     for s in dict.fromkeys(supports):
         group = [m for m, t in zip(matrices, supports) if t == s]
-        grams.append(norm_grams(state, channel, len(group), group))
+        grams.append(norm_grams(state, channel, group))
     rng = task_rng(20, 0)
     draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
     want_base = [bures_norm(state, a) for a in draws]
@@ -357,7 +372,7 @@ def test_klocal_decay_check_is_the_family_supremum(d, n, y_values, checked, site
     sizes = np.array([len(s) for s in supports])
     out = klocal_decay_check(n, d, y_values, k_max=n - 1, state_1site=site)
     for yi, y in enumerate(y_values[:checked]):
-        bures, push = norm_grams(state, homogeneous_coarse_graining(system, y), len(matrices), matrices)
+        bures, push = norm_grams(state, homogeneous_coarse_graining(system, y), matrices)
         for k in range(n):
             wide = np.flatnonzero(sizes > k)
             w = whiten_psd(bures[np.ix_(wide, wide)])[0]
@@ -375,7 +390,7 @@ class _NonPositiveMap(Channel):
     def apply(self, X):
         X = np.asarray(X, dtype=complex)
         out = X.copy()
-        out[1, 1] += X[0, 1] + X[1, 0]
+        out[..., 1, 1] += X[..., 0, 1] + X[..., 1, 0]
         return out
 
 
@@ -385,9 +400,9 @@ def test_norm_grams_check_singular_directions_per_row():
     with pytest.raises(NumericalError, match="singular"):
         pushforward_norm(rho, _NonPositiveMap(), tau1)
     with pytest.raises(NumericalError, match="singular"):
-        norm_grams(rho, _NonPositiveMap(), 2, [np.diag([1.0, -1.0]).astype(complex), tau1])
+        norm_grams(rho, _NonPositiveMap(), [np.diag([1.0, -1.0]).astype(complex), tau1])
     # the diagonal letter alone stays in the support and passes
-    _, push = norm_grams(rho, _NonPositiveMap(), 1, [np.diag([1.0, -1.0]).astype(complex)])
+    _, push = norm_grams(rho, _NonPositiveMap(), [np.diag([1.0, -1.0]).astype(complex)])
     assert abs(push[0, 0] - pushforward_norm(rho, _NonPositiveMap(), np.diag([1.0, -1.0])) ** 2) <= 1e-15
 
 
