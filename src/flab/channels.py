@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .operators import FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, kron_apply
+from .operators import FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, entry_orbits, kron_apply
 
 TRACE_PRESERVING_TOL = 1e-10
 
@@ -131,29 +131,15 @@ class PermutationAverage(Channel):
     onto permutation-invariant operators.
 
     Matrix entries are grouped into orbits of the site permutations acting
-    jointly on row and column labels; the average replaces every entry by
-    its orbit mean, which is exact for any n.
+    jointly on row and column labels (`operators.entry_orbits`); the average
+    replaces every entry by its orbit mean, which is exact for any n.
     """
 
     def __init__(self, system: QuditSystem):
         self.system = system
         self.dim = system.dim
-        d, n, dim = system.d, system.n, system.dim
-        # an orbit is fixed by how many sites carry each joint (row, column)
-        # label; those counts are folded into one key per entry, label by
-        # label, re-compressed after each fold so the key never overflows
-        idx = np.arange(dim)
-        digits = [(idx // d ** (n - 1 - i)) % d for i in range(n)]
-        key = np.zeros(dim * dim, dtype=np.int64)
-        # the last label's count is n minus the others
-        for label in range(d * d - 1):
-            a, b = divmod(label, d)
-            count = np.zeros((dim, dim), dtype=np.int64)
-            for site in digits:
-                count += np.outer(site == a, site == b)
-            _, key = np.unique(key * (n + 1) + count.ravel(), return_inverse=True)
-        self._orbit_index = key
-        self._orbit_size = np.bincount(key)
+        self._orbit_index = entry_orbits(system.d, system.n)
+        self._orbit_size = np.bincount(self._orbit_index)
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)

@@ -25,18 +25,20 @@ import numpy as np
 
 from .errors import NumericalError
 from .operators import (
+    FIRST_RUN_BYTES,
     DensityMatrix,
     QuditSystem,
     _check_hermitian,
     _greedy_gram_prune,
-    _word_stack,
+    _hermitian_word_values,
     as_matrix,
     check_byte_budget,
     gns_gram,
     identical_site_state,
-    product_density,
+    orbit_counts,
     real_overlaps,
     state_product,
+    symmetric_word_values,
     symmetric_words,
     word_label,
     zero_mean_letters,
@@ -238,7 +240,11 @@ class GnsSpace:
     """Whitened GNS representation of an operator family at a state.
 
     matrices is the family as one (m, dim, dim) stack; gram is its real GNS
-    Gram Re tr(rho A_a^dagger A_b).
+    Gram Re tr(rho A_a^dagger A_b).  From `symmetric_sector_dense_spectrum`
+    the family is permutation symmetric and held in orbit coordinates
+    instead: matrices is (m, orbits), each word's values on the orbits of
+    `operators.orbit_counts`, and state is the site state diag(mu) of which
+    rho is the n-fold product.
     """
 
     state: DensityMatrix
@@ -254,7 +260,8 @@ class GnsSpace:
         return self.whitener.shape[1]
 
     def vector(self, coefficients) -> np.ndarray:
-        """Assemble the operator with the given basis coefficients."""
+        """Assemble the operator with the given basis coefficients, in the
+        family's coordinates."""
         return np.tensordot(np.asarray(coefficients), self.matrices, axes=1)
 
 
@@ -284,7 +291,7 @@ def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOL
         raise ValueError("empty basis")
     stack = np.stack(matrices)
     labels = [f"b{idx}" for idx in range(len(stack))]
-    _check_hermitian(stack, labels)
+    _check_hermitian(stack, stack.swapaxes(1, 2), labels)
     return _gns_space(state, stack, labels, gns_gram(state, stack), null_threshold)
 
 
@@ -369,11 +376,10 @@ def contraction_spectrum(
     coarse_state = DensityMatrix(channel.apply(state.matrix), check=False)
     fine = gns_build(state, basis, null_threshold)
     coarse = gns_build(coarse_state, out_basis if out_basis is not None else basis, null_threshold)
-    return _contraction_between(channel, fine, coarse)
+    return _contraction_between(fine, coarse, channel_pairing_matrix(channel, fine, coarse))
 
 
-def _contraction_between(channel, fine: GnsSpace, coarse: GnsSpace) -> ContractionSpectrum:
-    pairing = channel_pairing_matrix(channel, fine, coarse)
+def _contraction_between(fine: GnsSpace, coarse: GnsSpace, pairing: np.ndarray) -> ContractionSpectrum:
     vals, coeffs = whitened_contraction(fine.whitener, coarse.whitener, pairing)
     return ContractionSpectrum(
         eigenvalues=vals,
@@ -387,27 +393,43 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
     """Refuse the dense k-local sector of `symmetric_sector_dense_spectrum`
     if its arrays would not fit, before any is built.
 
-    At the peak, in the pairing, three stacks of complex dim-square
-    matrices, one per word of degree <= min(k, n), are alive: the word
-    family, the kept fine words (the slot the Gram's weighted copy held
-    before) and the Heisenberg images times the state.  Beside them sit the
-    permutation average's int64 orbit keys with the temporaries of their
-    construction, and the dense states with the temporaries of one channel
-    apply.
+    The words live in orbit coordinates, so the dim-square arrays are the
+    caller's: the dense product state and, in `identical_site_state`, its
+    Kronecker rebuild from the site marginals with the deviation and its
+    modulus, beside the largest partial trace and rebuild step (dim^2 / d^2
+    entries each; freed, they stay on the heap).  That is the peak.  Beside
+    it count the orbit values of the words and of their Heisenberg images,
+    the word polynomials of the last orbit level
+    (`operators.symmetric_word_values`: the polynomials and their parents'
+    copies, and the gathered sources, site factors and their products, one
+    slot per distinct letter), the orbit bookkeeping and a first run's code
+    and buffers.
     """
-    letters = system.d**2 - 1
-    # letter multisets of each degree j: C(letters + j - 1, j)
-    words = sum(math.comb(letters + j - 1, j) for j in range(min(k, system.n) + 1))
-    dim, square = system.dim, system.dim**2
+    labels, n = system.d**2, system.n
+    top = min(k, n)
+    # letter multisets of degree <= top: C(labels - 1 + top, top)
+    words = math.comb(labels - 1 + top, top)
+    orbits = math.comb(n + labels - 1, n)
+    square = system.dim**2
     check_byte_budget(
-        f"dense sector at d={system.d}, n={system.n}",
+        f"dense sector at d={system.d}, n={n}",
         {
-            f"{words} x {dim}-square word stack": 16 * words * square,
-            "weighted and pairing stacks": 2 * 16 * words * square,
-            "PermutationAverage keys and temporaries": 5 * 8 * square,
-            "states and apply temporaries": 6 * 16 * square,
+            f"dense state and its product check ({system.dim}-square)": (56 * labels + 32) * square // labels,
+            f"{words} x {orbits} orbit values and images": 2 * 16 * words * orbits,
+            "last-level word polynomials": 16 * orbits * words * (2 + 3 * max(top, 1)),
+            "orbit counts, ranks and levels": 4 * 8 * orbits * labels,
+            "a first run's code and buffers": FIRST_RUN_BYTES,
         },
     )
+
+
+def _orbit_weights(counts: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Weight of each orbit in the trace against diag(diagonal)^{(x)n}: its
+    size n! / prod_l n_l! times the state's entries at the column labels."""
+    n, d = int(counts[0].sum()), diagonal.size
+    factorials = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
+    sizes = factorials[n] / np.prod(factorials[counts], axis=1)
+    return sizes * np.prod(diagonal[np.arange(d * d) % d] ** counts, axis=1)
 
 
 def symmetric_sector_dense_spectrum(
@@ -421,14 +443,24 @@ def symmetric_sector_dense_spectrum(
 
     The state must be a product of identical site states rho_1 = U diag(mu)
     U^dagger.  Everything is computed in the site eigenframe U^{(x)n}: there
-    the state is diag(mu^{(x)n}), the zero-mean letters are the Gell-Mann
+    the state is diag(mu)^{(x)n}, the zero-mean letters are the Gell-Mann
     letters g - (mu . diag g) 1 (`zero_mean_letters`), and the coarse
     graining is unchanged, because sitewise depolarizing is unitarily
-    covariant and permutation averaging commutes with U^{(x)n}.  Grams,
-    pairings and eigenvalues are those of the original frame up to
-    roundoff, while every product with the fine or the coarse state (both
-    diagonal) is a column scaling.  The word family of both spaces
-    (`out_space.matrices`, `in_space.matrices`) lives in that frame.
+    covariant and permutation averaging commutes with U^{(x)n}.
+
+    The words are permutation symmetric, so they are held in orbit
+    coordinates (`operators.symmetric_word_values`): C(n + d^2 - 1, n)
+    values each, not dim^2 entries.  A trace against a diagonal product
+    state is a weighted sum over orbits, Re tr(rho A^dagger B) = Re sum_o
+    |o| prod_l mu_{b(l)}^{n_l} conj(A_o) B_o, with b(l) the column of label
+    l.  The coarse state is diag(D(diag mu))^{(x)n} for the site
+    depolarizing D, and the Heisenberg image of a symmetric word under the
+    coarse graining is the word of the image letters D^dagger(f_t) over the
+    background D^dagger(1): the permutation average fixes it and the
+    product channel acts site by site.  No dense word, channel apply or
+    letter kernel is formed, so this route stays independent of the closed
+    form it checks.  `out_space` and `in_space` hold orbit coordinates (see
+    `GnsSpace`).
 
     The fine family is pruned to a numerically independent set at the fine
     state; the coarse side keeps the full unpruned word family.  Pruning
@@ -439,20 +471,31 @@ def symmetric_sector_dense_spectrum(
     and the pruned space reuses its kept sub-block.  DimensionBudgetError,
     before any word is built, if the arrays would not fit.
     """
-    from .channels import homogeneous_coarse_graining
+    from .channels import DepolarizingChannel
 
     check_dense_sector_budget(system, k)
-    words = [w for w in symmetric_words(system.d**2 - 1, k) if len(w) <= system.n]
-    mu, _ = identical_site_state(state, system).eigensystem()
-    frame_state = product_density(DensityMatrix(np.diag(mu), check=False), system.n)
-    channel = homogeneous_coarse_graining(system, y)
-    coarse_state = DensityMatrix(channel.apply(frame_state.matrix), check=False)
-    stack = _word_stack(words, zero_mean_letters(mu), system)
+    d, n = system.d, system.n
+    words = [w for w in symmetric_words(d * d - 1, k) if len(w) <= n]
     labels = [word_label(w) for w in words]
-    gram = gns_gram(frame_state, stack)
+    mu, _ = identical_site_state(state, system).eigensystem()
+    letters = np.array(zero_mean_letters(mu))
+    depolarizing = DepolarizingChannel(y, d)
+    fine_site = DensityMatrix(np.diag(mu), check=False)
+    coarse_site = DensityMatrix(depolarizing.apply(fine_site.matrix), check=False)
+    values = _hermitian_word_values(words, letters, n)
+    images = symmetric_word_values(
+        words, depolarizing.adjoint_apply(letters), n, background=depolarizing.adjoint_apply(np.eye(d))
+    )
+    counts = orbit_counts(d, n)
+    fine_weights = _orbit_weights(counts, mu)
+    coarse_weights = _orbit_weights(counts, np.diagonal(coarse_site.matrix).real)
+    gram = real_overlaps(values, values * fine_weights)
     keep = _greedy_gram_prune(gram, null_threshold)
     fine = _gns_space(
-        frame_state, stack[keep], [labels[i] for i in keep], gram[np.ix_(keep, keep)], null_threshold
+        fine_site, values[keep], [labels[i] for i in keep], gram[np.ix_(keep, keep)], null_threshold
     )
-    coarse = _gns_space(coarse_state, stack, labels, gns_gram(coarse_state, stack), null_threshold)
-    return _contraction_between(channel, fine, coarse)
+    coarse_gram = real_overlaps(values, values * coarse_weights)
+    coarse = _gns_space(coarse_site, values, labels, coarse_gram, null_threshold)
+    # B[a, b] = Re tr(rho E_a^dagger N^dagger(F_b)), over the same orbits
+    pairing = real_overlaps(fine.matrices, images * fine_weights)
+    return _contraction_between(fine, coarse, pairing)

@@ -3,7 +3,10 @@
 Everything here works with explicit complex matrices on n qudits of local
 dimension d: states, traceless single-site letter bases, site
 permutations, and the permutation-symmetric letter words whose contraction
-spectra the rest of the package computes, built as one (m, dim, dim) stack.
+spectra the rest of the package computes.  The words are built in orbit
+coordinates, one value per orbit of the site permutations on matrix
+entries, and gathered into (m, dim, dim) stacks where dense matrices are
+wanted.
 """
 
 from __future__ import annotations
@@ -297,37 +300,128 @@ def permute_sites(matrix, perm, system: QuditSystem) -> np.ndarray:
     return np.transpose(tens, axes).reshape(system.dim, system.dim)
 
 
-def _distinct_site_sum(word: tuple, letters, system: QuditSystem) -> np.ndarray:
-    """Sum over ordered tuples of distinct sites of the embedded letter product.
+def _orbit_rank(prefix_sums, n: int, labels: int):
+    """Orbit order of multisets of at most n joint labels out of `labels`.
 
-    Built site by site over the multiset of the word: partial[c] is the sum
-    over placements, on the sites seen so far, of the letter copies counted
-    by c (copies of one letter placed in increasing site order).  Each new
-    site takes the identity or one more copy of some letter, so the cost is
-    one kron per state and transition instead of an n-fold kron tower per
-    placement.  Ordering the copies of each letter in every way multiplies
-    the unordered sum by prod_t m_t!.
+    A multiset with counts n_0, ..., n_{labels-1} has prefix sums S_j = n_0 +
+    ... + n_j.  The numbers S_j + j (j < labels - 1) increase strictly, so
+    they are a combination, and the multisets of each size i are ranked by
+    the colexicographic rank of that combination, sum_j C(S_j + j, j + 1): a
+    bijection onto range(C(i + labels - 1, i)) with no key to overflow.
+    prefix_sums yields the arrays S_0, ..., S_{labels-2}, all of one shape.
     """
-    distinct = sorted(set(word))
-    ops = [as_matrix(letters[t]) for t in distinct]
-    mult = tuple(word.count(t) for t in distinct)
-    eye = np.eye(system.d, dtype=complex)
-    partial = {(0,) * len(distinct): np.ones((1, 1), dtype=complex)}
-    for site in range(system.n):
-        # placements that can no longer be completed on the sites left are dropped
-        need = len(word) - (system.n - 1 - site)
-        nxt: dict[tuple, np.ndarray] = {}
-        for counts, mat in partial.items():
-            steps = [(counts, eye)] + [
-                (counts[:t] + (c + 1,) + counts[t + 1 :], ops[t])
-                for t, c in enumerate(counts)
-                if c < mult[t]
-            ]
-            for target, op in steps:
-                if sum(target) >= need:
-                    nxt[target] = nxt.get(target, 0) + np.kron(mat, op)
-        partial = nxt
-    return partial[mult] * math.prod(math.factorial(m) for m in mult)
+    binom = np.array(
+        [[math.comb(p, j) for j in range(labels)] for p in range(n + labels - 1)], dtype=np.int64
+    )
+    return sum(binom[s + j, j + 1] for j, s in enumerate(prefix_sums))
+
+
+def _count_rank(counts: np.ndarray, n: int) -> np.ndarray:
+    """`_orbit_rank` of multisets given as (rows, labels) site counts."""
+    return _orbit_rank(np.cumsum(counts[:, :-1], axis=1).T, n, counts.shape[1])
+
+
+def _orbit_levels(labels: int, n: int):
+    """Multisets of 1, ..., n joint labels, grown one label at a time.
+
+    Each multiset of i labels is its parent, a multiset of i - 1 labels,
+    plus one copy of its largest label.  Returns the (orbits, labels) site
+    counts of the multisets of n labels and, for each size i, the parent
+    index and the added label of every multiset of i labels, all in orbit
+    order (`_orbit_rank`).
+    """
+    counts = np.zeros((1, labels), dtype=np.int64)
+    # largest label of each multiset; the empty one takes any
+    top = np.zeros(1, dtype=np.int64)
+    levels = []
+    for _ in range(n):
+        parent, label = np.nonzero(np.arange(labels) >= top[:, None])
+        counts = counts[parent]
+        counts[np.arange(len(counts)), label] += 1
+        order = np.argsort(_count_rank(counts, n))
+        parent, top, counts = parent[order], label[order], counts[order]
+        levels.append((parent, top))
+    return counts, levels
+
+
+def orbit_counts(d: int, n: int) -> np.ndarray:
+    """Site counts of each joint (row, column) label l = r d + c, one row
+    per orbit of the site permutations on the entries of a d^n-dimensional
+    matrix.
+
+    Permuting sites moves an entry along with the joint labels (r_i, c_i)
+    of its sites, so an orbit is a multiset of n labels out of d^2, and
+    there are C(n + d^2 - 1, n) of them.  Rows are in orbit order, the
+    order of `entry_orbits` and of `symmetric_word_values`.
+    """
+    return _orbit_levels(d * d, n)[0]
+
+
+def entry_orbits(d: int, n: int) -> np.ndarray:
+    """Orbit (a row of `orbit_counts`) of every entry of a dense
+    d^n-dimensional matrix, flattened row-major.
+
+    The site counts of the entries are never held: their prefix sums are
+    accumulated label by label and ranked on the fly.
+    """
+    dim, labels = d**n, d * d
+    idx = np.arange(dim)
+    digits = [(idx // d ** (n - 1 - i)) % d for i in range(n)]
+
+    def prefix_sums():
+        total = np.zeros((dim, dim), dtype=np.int64)
+        for label in range(labels - 1):
+            row, col = divmod(label, d)
+            for site in digits:
+                total += np.outer(site == row, site == col)
+            yield total
+
+    return _orbit_rank(prefix_sums(), n, labels).ravel()
+
+
+def symmetric_word_values(words, letters, n: int, background=None) -> np.ndarray:
+    """`symmetric_word_operator` of each word on every orbit, as (m, orbits)
+    rows in `orbit_counts` order.
+
+    A symmetric word is constant on orbits.  On an orbit with n_l sites of
+    joint label l = (a, b), the word with letter multiset c takes the value
+
+        prod_t c_t! n^{-|c|/2} [x^c] prod_l (background_l + sum_t x_t (f_t)_l)^{n_l},
+
+    the sum over placements of its letters on distinct sites, with the
+    background (the identity unless given) on the other sites.  The
+    polynomial, truncated at the words' top degree, is multiplied up one
+    site factor at a time along `_orbit_levels`, so no dense entry is ever
+    formed.  A channel acting on every site maps a word to the word of the
+    image letters N(f_t) over the background N(1).
+    """
+    words = [tuple(sorted(w)) for w in words]
+    letters = np.asarray(letters, dtype=complex)
+    n_letters, d = len(letters), letters.shape[-1]
+    top = max(len(w) for w in words)
+    if top > n:
+        raise ValueError(f"word length {top} exceeds site count {n}")
+    monomials = symmetric_words(n_letters, top)
+    index = {w: i for i, w in enumerate(monomials)}
+    # monomial i is monomial source[i, r] times x_t for each distinct letter
+    # t = lead[i, r] of it; unused slots take the zero row past the letters
+    width = max(top, 1)
+    source = np.zeros((len(monomials), width), dtype=np.intp)
+    lead = np.full((len(monomials), width), n_letters)
+    for i, mono in enumerate(monomials):
+        for r, t in enumerate(sorted(set(mono))):
+            at = mono.index(t)
+            source[i, r], lead[i, r] = index[mono[:at] + mono[at + 1 :]], t
+    entries = np.concatenate([letters.reshape(n_letters, d * d), np.zeros((1, d * d))])
+    site = entries[lead].transpose(2, 0, 1)
+    background = (np.eye(d) if background is None else np.asarray(background)).reshape(d * d)
+    poly = np.zeros((1, len(monomials)), dtype=complex)
+    poly[0, 0] = 1.0
+    for parent, label in _orbit_levels(d * d, n)[1]:
+        prev = poly[parent]
+        poly = background[label, None] * prev + np.sum(prev[:, source] * site[label], axis=2)
+    scale = [math.prod(math.factorial(w.count(t)) for t in set(w)) / n ** (len(w) / 2) for w in words]
+    return poly[:, [index[w] for w in words]].T * np.array(scale)[:, None]
 
 
 def symmetric_word_operator(word, basis_ops, system: QuditSystem) -> np.ndarray:
@@ -335,14 +429,12 @@ def symmetric_word_operator(word, basis_ops, system: QuditSystem) -> np.ndarray:
 
     word indexes into basis_ops; the result is n^{-j/2} times the sum over
     ordered tuples of j distinct sites of the embedded product.  Since the
-    letters commute across sites only the multiset of letters matters; the
-    sorted tuple is the canonical form.
+    letters commute across sites only the multiset of letters matters.  The
+    matrix is gathered from the word's orbit values (`symmetric_word_values`)
+    through the orbit of each entry (`entry_orbits`).
     """
-    word = tuple(word)
-    if len(word) > system.n:
-        raise ValueError(f"word length {len(word)} exceeds site count {system.n}")
-    raw = _distinct_site_sum(word, basis_ops, system)
-    return raw / system.n ** (len(word) / 2.0)
+    values = symmetric_word_values([word], basis_ops, system.n)
+    return values[0, entry_orbits(system.d, system.n)].reshape(system.dim, system.dim)
 
 
 def symmetric_words(n_letters: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -359,22 +451,26 @@ def word_label(word: tuple[int, ...]) -> str:
     return "*".join(f"f{a}" for a in word)
 
 
-def _check_hermitian(stack: np.ndarray, labels) -> None:
-    """NumericalError naming the first member of the family that is not hermitian."""
-    for mat, label in zip(stack, labels):
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > HERMITIAN_BASIS_TOL * max(1.0, float(np.max(np.abs(mat)))):
+def _check_hermitian(values: np.ndarray, transposed: np.ndarray, labels) -> None:
+    """NumericalError naming the first member of a family that is not
+    hermitian: whose values differ from the conjugates of `transposed`, its
+    values at the transposed positions."""
+    for vals, swapped, label in zip(values, transposed, labels):
+        dev = np.max(np.abs(vals - swapped.conj()))
+        if dev > HERMITIAN_BASIS_TOL * max(1.0, float(np.max(np.abs(vals)))):
             raise NumericalError(f"basis element {label} is not hermitian (deviation {dev:.3e})")
 
 
-def _word_stack(words, letters, system: QuditSystem) -> np.ndarray:
-    """The words' `symmetric_word_operator` matrices as one hermitian-checked
-    (m, dim, dim) stack, filled in place so the family is held only once."""
-    stack = np.empty((len(words), system.dim, system.dim), dtype=complex)
-    for mat, word in zip(stack, words):
-        mat[...] = symmetric_word_operator(word, letters, system)
-    _check_hermitian(stack, [word_label(w) for w in words])
-    return stack
+def _hermitian_word_values(words, letters, n: int) -> np.ndarray:
+    """`symmetric_word_values` of a word family that must be hermitian: a
+    word's value on each orbit is conjugate to its value on the orbit of
+    the transposed entries."""
+    values = symmetric_word_values(words, letters, n)
+    d = np.shape(letters)[-1]
+    label = np.arange(d * d)
+    transposed = _count_rank(orbit_counts(d, n)[:, label % d * d + label // d], n)
+    _check_hermitian(values, values[:, transposed], [word_label(w) for w in words])
+    return values
 
 
 def symmetric_klocal_basis(
@@ -386,14 +482,16 @@ def symmetric_klocal_basis(
 ) -> np.ndarray:
     """Permutation-symmetric words of degree <= k over the zero-mean basis.
 
-    Returned as one (m, dim, dim) stack in `symmetric_words` order; the
-    degree-0 word is the identity.  With prune=True, words that are
-    numerically null or linearly dependent in the state's GNS inner product
-    are removed by greedy pivoting on the Gram matrix.
+    Returned as one (m, dim, dim) stack in `symmetric_words` order, gathered
+    from the words' orbit values; the degree-0 word is the identity.  With
+    prune=True, words that are numerically null or linearly dependent in
+    the state's GNS inner product are removed by greedy pivoting on the
+    Gram matrix.
     """
     site_basis = single_site_zero_mean_basis(identical_site_state(state, system))
     words = [w for w in symmetric_words(system.d**2 - 1, k) if len(w) <= system.n]
-    stack = _word_stack(words, site_basis, system)
+    values = _hermitian_word_values(words, site_basis, system.n)
+    stack = values[:, entry_orbits(system.d, system.n)].reshape(len(words), system.dim, system.dim)
     if prune and len(stack) > 1:
         # the real span is what the contraction spectra act on, so
         # dependence is judged on the real part of the GNS Gram

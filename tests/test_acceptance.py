@@ -6,7 +6,7 @@ fail two of its three clauses: the finite-chain sector spectrum is exactly
 independent of the chain length, so its deviations from the limit sit at
 roundoff and show neither a strict decrease nor a 1/n rate.  The supporting
 cross-check test next to it demonstrates that the dense pipeline and the
-closed form agree to 1e-10 at every tested size.
+closed form agree to 1e-13 at every tested size.
 """
 
 import math
@@ -120,7 +120,7 @@ def test_criterion_2_support_dense_matches_closed_form():
         want = np.sort(np.asarray(closed["eigenvalues"]))[::-1]
         got = np.sort(dense.eigenvalues)[::-1]
         assert len(got) == len(want)
-        assert np.max(np.abs(got - want)) <= 1e-10, f"n={n}"
+        assert np.max(np.abs(got - want)) <= 1e-13, f"n={n}"
 
 
 def test_criterion_3_sector_bound_sweep(record_criterion):

@@ -154,19 +154,19 @@ def test_budget_maps_to_config_error(tmp_path, monkeypatch):
     assert main(["spectrum", "--config", cfg]) == 2
 
 
-def test_spectrum_refuses_n12_before_building_the_state(tmp_path, monkeypatch, capsys):
-    # dim 4096 passes the default dimension budget; the dense sector's
-    # stacks (about 9.6 GiB) do not, and neither the 4096-square product
+def test_spectrum_refuses_n13_before_building_the_state(tmp_path, monkeypatch, capsys):
+    # dim 8192 passes the default dimension budget; the dense product state
+    # with its product check (4 GiB) does not, and neither the 8192-square
     # state nor any word is built before the refusal
     def nothing_built(*args, **kwargs):
         raise AssertionError("dense arrays built before the budget check")
 
     monkeypatch.delenv("FLAB_MAX_DIM", raising=False)
     monkeypatch.setattr(cli, "product_density", nothing_built)
-    cfg = write_config(tmp_path, "big", {"d": 2, "n": 12, "y": 2.0, "k": 2})
+    cfg = write_config(tmp_path, "big", {"d": 2, "n": 13, "y": 2.0, "k": 2})
     out = tmp_path / "report.json"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-    assert "dense sector at d=2, n=12 needs an estimated 9856 MiB" in capsys.readouterr().err
+    assert "dense sector at d=2, n=13 needs an estimated 4109 MiB" in capsys.readouterr().err
     assert not out.exists()
 
 

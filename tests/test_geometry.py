@@ -1,10 +1,14 @@
 """Metric pairings, whitening, and contraction spectra."""
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import flab
 from flab import focklimit, geometry, operators
 from flab.channels import Channel, DepolarizingChannel, ProductChannel, homogeneous_coarse_graining
 from flab.errors import DimensionBudgetError, NumericalError
@@ -31,10 +35,16 @@ from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
+    entry_orbits,
+    identical_site_state,
     maximally_mixed_density,
+    orbit_counts,
     product_density,
     single_site_zero_mean_basis,
     state_product,
+    symmetric_klocal_basis,
+    symmetric_word_values,
+    symmetric_words,
 )
 from flab.sampling import (
     haar_unitary,
@@ -45,7 +55,7 @@ from flab.sampling import (
 )
 
 from conftest import assert_close
-from dense_oracle import original_frame_spectrum, support_family
+from dense_oracle import original_frame_spectrum, support_family, tensor_many
 
 
 def test_omega_roundtrip_full_rank():
@@ -210,7 +220,7 @@ def test_dense_sector_spectrum_matches_closed_form(qubit_triple, pure_triple):
     want = np.sort(closed["eigenvalues"])[::-1]
     got = np.sort(dense.eigenvalues)[::-1]
     assert len(got) == len(want)
-    assert_close(got, want, tol=1e-10, what="dense vs closed-form spectrum")
+    assert_close(got, want, tol=1e-13, what="dense vs closed-form spectrum")
     assert_close(want, [1.0, 0.25, 0.25, 0.1, 0.1], tol=1e-12)
 
 
@@ -228,7 +238,7 @@ def test_dense_sector_spectrum_matches_closed_form_at_mixed_states():
         dense = symmetric_sector_dense_spectrum(QuditSystem(d, n), product_density(site, n), y, k)
         closed = symmetric_sector_spectrum(n, d, y, k, state=site, include_identity=True)
         assert dense.eigenvalues.shape == closed["eigenvalues"].shape
-        assert_close(dense.eigenvalues, closed["eigenvalues"], tol=1e-10, what=f"d={d} n={n} k={k}")
+        assert_close(dense.eigenvalues, closed["eigenvalues"], tol=1e-13, what=f"d={d} n={n} k={k}")
 
 
 def test_klocal_decay_check_output_and_validation():
@@ -407,25 +417,48 @@ def test_norm_grams_check_singular_directions_per_row():
 
 
 def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
-    grams, checks = [], []
-    real_gram, real_check = geometry.gns_gram, operators._check_hermitian
+    overlaps, checks = [], []
+    real_overlaps, real_check = geometry.real_overlaps, operators._check_hermitian
 
-    def counting_gram(state, matrices):
-        grams.append(len(matrices))
-        return real_gram(state, matrices)
+    def counting_overlaps(a, b):
+        overlaps.append((len(a), len(b)))
+        return real_overlaps(a, b)
 
-    def counting_check(stack, labels):
-        checks.append(len(stack))
-        return real_check(stack, labels)
+    def counting_check(values, transposed, labels):
+        checks.append(len(values))
+        return real_check(values, transposed, labels)
 
-    monkeypatch.setattr(geometry, "gns_gram", counting_gram)
+    def no_dense_gram(*args, **kwargs):
+        raise AssertionError("dense Gram formed on the orbit route")
+
+    monkeypatch.setattr(geometry, "real_overlaps", counting_overlaps)
+    monkeypatch.setattr(geometry, "gns_gram", no_dense_gram)
     monkeypatch.setattr(operators, "_check_hermitian", counting_check)
-    site = random_positive_density(2, task_rng(21, 0), min_eigenvalue=0.05)
-    symmetric_sector_dense_spectrum(QuditSystem(2, 4), product_density(site, 4), 2.5, 2)
+    symmetric_sector_dense_spectrum(QuditSystem(2, 4), product_density(basis_pure_density(2), 4), 2.5, 2)
     # one Gram at the fine state, one at the coarse state, both over the
-    # full word family, which is checked hermitian once
-    assert grams == [10, 10]
+    # full word family, which is checked hermitian once; the pairing rows
+    # are the 5 words kept at the pure state
+    assert overlaps == [(10, 10), (10, 10), (5, 10)]
     assert checks == [10]
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 4, 3), (3, 3, 3)])
+def test_orbit_images_are_the_coarse_graining_adjoint_of_the_words(d, n, k):
+    # the two identities the orbit route rests on: the permutation average
+    # fixes a symmetric word, and the sitewise depolarizing adjoint maps it
+    # to the word of the image letters over the image of the identity
+    y, system = 2.7, QuditSystem(d, n)
+    site = random_positive_density(d, task_rng(23, d), min_eigenvalue=0.05)
+    letters = np.array(single_site_zero_mean_basis(site))
+    depolarizing = DepolarizingChannel(y, d)
+    words = symmetric_words(d * d - 1, k)
+    entries = entry_orbits(d, n)
+    dense = symmetric_word_values(words, letters, n)[:, entries].reshape(len(words), system.dim, system.dim)
+    images = symmetric_word_values(
+        words, depolarizing.adjoint_apply(letters), n, background=depolarizing.adjoint_apply(np.eye(d))
+    )
+    want = homogeneous_coarse_graining(system, y).adjoint_apply(dense)
+    assert_close(images[:, entries].reshape(want.shape), want, tol=1e-13, what=f"d={d} n={n} images")
 
 
 def _dense_cases():
@@ -445,10 +478,32 @@ def test_dense_sector_spectrum_matches_original_frame_oracle(d, n, k, y, site):
     want = original_frame_spectrum(system, state, y, k)
     assert got.eigenvalues.shape == want.shape
     assert_close(got.eigenvalues, want, tol=1e-12, what=f"eigenframe vs original frame, d={d} n={n} k={k}")
-    # the family lives in the site eigenframe, where both states are diagonal
+    # the family lives in the site eigenframe, in orbit coordinates: both
+    # spaces hold the diagonal site states, and the coarse words, gathered
+    # through each entry's orbit, are the original-frame words rotated by
+    # the site eigenvectors
     for space in (got.out_space, got.in_space):
         rho = space.state.matrix
+        assert rho.shape == (d, d)
         assert np.count_nonzero(rho - np.diag(np.diagonal(rho))) == 0
+        assert space.matrices.shape[1] == len(orbit_counts(d, n))
+    _, u = identical_site_state(state, system).eigensystem()
+    rotation = tensor_many([u] * n)
+    full = symmetric_klocal_basis(k, system, state, prune=False)
+    words = got.in_space.matrices[:, entry_orbits(d, n)].reshape(full.shape)
+    assert_close(words, rotation.conj().T @ full @ rotation, tol=1e-13, what="eigenframe words")
+
+
+@pytest.mark.parametrize("d, n", [(2, 11), (3, 6)])
+def test_dense_sector_spectrum_past_the_old_ceiling(d, n):
+    # chains whose words would be large as dense matrices (the 10 qubit
+    # words at n = 11 take 640 MiB) are small in orbit coordinates (364
+    # values each)
+    site = random_positive_density(d, task_rng(20261019, d), min_eigenvalue=0.05)
+    got = symmetric_sector_dense_spectrum(QuditSystem(d, n), product_density(site, n), 2.5, 2)
+    closed = symmetric_sector_spectrum(n, d, 2.5, 2, state=site, include_identity=True)
+    assert got.eigenvalues.shape == closed["eigenvalues"].shape
+    assert_close(got.eigenvalues, closed["eigenvalues"], tol=1e-12, what=f"d={d} n={n}")
 
 
 def test_state_product_scales_columns_only_for_diagonal_states():
@@ -464,31 +519,84 @@ def test_state_product_scales_columns_only_for_diagonal_states():
 
 
 def test_dense_sector_budget_default_limits(monkeypatch):
-    # at the default budget (4 GiB) d=2, k=2 (10 words) fits at n=11, an
-    # estimated 2464 MiB, not at n=12, 9856 MiB; neither chain is built
+    # at the default budget (4 GiB) d=2, k=2 fits at n=12, an estimated
+    # 1037 MiB, not at n=13, 4109 MiB: the dense state with its product
+    # check, 64 bytes per entry of the 8192-square matrix, fills the budget
+    # alone; neither chain is built
     monkeypatch.delenv("FLAB_MAX_DIM", raising=False)
-    check_dense_sector_budget(QuditSystem(2, 11), 2)
-    with pytest.raises(DimensionBudgetError, match=r"estimated 9856 MiB \(10 x 4096-square word stack"):
-        check_dense_sector_budget(QuditSystem(2, 12), 2)
-    # degrees above n have no words: k=3 at n=2 counts 1 + 3 + 6 of them
+    check_dense_sector_budget(QuditSystem(2, 12), 2)
+    refusal = r"estimated 4109 MiB \(dense state and its product check \(8192-square\) 4096 MiB"
+    with pytest.raises(DimensionBudgetError, match=refusal):
+        check_dense_sector_budget(QuditSystem(2, 13), 2)
+    # degrees above n have no words: k=3 at n=2 counts 1 + 3 + 6 of them,
+    # on the 10 multisets of 2 joint labels out of 4
     pair = QuditSystem(2, 2)
     monkeypatch.setenv("FLAB_MAX_DIM", "2")
-    with pytest.raises(DimensionBudgetError, match="10 x 4-square word stack"):
+    with pytest.raises(DimensionBudgetError, match="10 x 10 orbit values and images"):
         check_dense_sector_budget(pair, 3)
 
 
 def test_dense_sector_spectrum_refused_before_building(monkeypatch):
-    def no_words(*args, **kwargs):
-        raise AssertionError("word built before the budget check")
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("word or product check before the budget check")
 
     site = random_positive_density(2, task_rng(22), min_eigenvalue=0.05)
     system, state = QuditSystem(2, 5), product_density(site, 5)
-    # 10 words of 32**2 entries: 3 stacks take 491520 bytes and the rest
-    # 139264, 630784 in all, between 16 * 198**2 and 16 * 199**2
-    monkeypatch.setenv("FLAB_MAX_DIM", "198")
+    # 10 words on 56 orbits: the 32-square state with its product check
+    # takes 65536 bytes, the orbit arrays 96768 and a first run 12582912,
+    # 12745216 in all, between 16 * 892**2 and 16 * 893**2
+    monkeypatch.setenv("FLAB_MAX_DIM", "892")
     with monkeypatch.context() as spy:
-        spy.setattr(operators, "symmetric_word_operator", no_words)
+        spy.setattr(operators, "symmetric_word_values", nothing_built)
+        spy.setattr(geometry, "symmetric_word_values", nothing_built)
+        spy.setattr(geometry, "identical_site_state", nothing_built)
         with pytest.raises(DimensionBudgetError, match="dense sector at d=2, n=5 needs an estimated"):
             symmetric_sector_dense_spectrum(system, state, 2.0, 2)
-    monkeypatch.setenv("FLAB_MAX_DIM", "199")
+    monkeypatch.setenv("FLAB_MAX_DIM", "893")
     assert symmetric_sector_dense_spectrum(system, state, 2.0, 2).eigenvalues.shape == (10,)
+
+
+# the child reads its own peak resident set (VmHWM, in KiB) around building
+# the product state and its dense sector spectrum
+DENSE_PEAK = """
+import sys
+import flab
+from flab.geometry import symmetric_sector_dense_spectrum
+from flab.operators import QuditSystem, product_density
+from flab.sampling import random_positive_density, task_rng
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+d, n, k = map(int, sys.argv[1:])
+site = random_positive_density(d, task_rng(5, 3), min_eigenvalue=0.05)
+system = QuditSystem(d, n)
+before = peak()
+symmetric_sector_dense_spectrum(system, product_density(site, n), 2.5, k)
+print(1024 * (peak() - before))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+@pytest.mark.parametrize(
+    "d, n, k, floor",
+    [
+        # the state, its rebuild and their deviation, 1024-square each
+        pytest.param(2, 10, 2, 3 * 16 * 1024**2, id="dense-state"),
+        # the last level's gathered sources, site factors and products:
+        # 165 monomials with 3 slots on 1287 orbits
+        pytest.param(3, 5, 3, 3 * 16 * 1287 * 165 * 3, id="orbit-polynomials"),
+    ],
+)
+def test_dense_sector_budget_bounds_the_measured_peak(monkeypatch, d, n, k, floor):
+    # a fresh interpreter at one BLAS thread and a mixed site state: peak
+    # growth from `import flab` through the product state and the spectrum
+    src = os.path.dirname(os.path.dirname(flab.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    args = [sys.executable, "-c", DENSE_PEAK, str(d), str(n), str(k)]
+    growth = int(subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout)
+    parts = {}
+    monkeypatch.setattr(geometry, "check_byte_budget", lambda what, p: parts.update(p))
+    check_dense_sector_budget(QuditSystem(d, n), k)
+    assert floor < growth <= sum(parts.values())

@@ -1,6 +1,7 @@
 """Operator construction, tensor bookkeeping, and symmetric word sums."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from flab.errors import DimensionBudgetError, NumericalError
 from flab.operators import (
     DensityMatrix,
     QuditSystem,
+    _hermitian_word_values,
     basis_pure_density,
+    entry_orbits,
     factor_product_state,
     gell_mann_basis,
     maximally_mixed_density,
+    orbit_counts,
     permute_sites,
     product_density,
     pure_state_density,
@@ -232,6 +236,29 @@ def test_distinct_site_sum_repeated_letters_qutrit(word):
         brute += site_product({s: ops[a] for s, a in zip(sites, word)}, system)
     brute /= 4.0 ** (len(word) / 2.0)
     assert_close(got, brute, tol=1e-12, what="distinct-site sum")
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+def test_entry_orbits_index_the_orbit_counts(d, n):
+    # oracle: the site counts of each entry's joint (row, column) labels
+    idx = np.arange(d**n)
+    digits = np.stack([(idx // d ** (n - 1 - i)) % d for i in range(n)], axis=1)
+    labels = (digits[:, None, :] * d + digits[None, :, :]).reshape(-1, n)
+    counts = np.stack([np.bincount(row, minlength=d * d) for row in labels])
+    orbits = orbit_counts(d, n)
+    assert len(orbits) == math.comb(n + d * d - 1, n)
+    assert np.array_equal(orbits[entry_orbits(d, n)], counts)
+
+
+def test_word_values_hermiticity_check_names_the_word():
+    # a hermitian word's value on an orbit is the conjugate of its value on
+    # the transposed orbit; a non-hermitian letter breaks that first for
+    # the degree-1 word that carries it
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    raising = np.array([[0, 1], [0, 0]], dtype=complex)
+    _hermitian_word_values(symmetric_words(1, 2), [sx], 3)
+    with pytest.raises(NumericalError, match="basis element f1 is not hermitian"):
+        _hermitian_word_values(symmetric_words(2, 2), [sx, raising], 3)
 
 
 def test_word_length_capped_by_sites():
