@@ -343,7 +343,12 @@ def transported_contraction(w_fine: np.ndarray, small: np.ndarray):
 
 @dataclass
 class ContractionSpectrum:
-    """Eigendata of the channel's squared contraction on a GNS family."""
+    """Eigendata of the channel's squared contraction on a GNS family.
+
+    `eigen_operator` assembles an eigenvector in the coordinates of
+    `out_space` (`GnsSpace.vector`): a (dim, dim) operator, or its orbit
+    values when the spaces come from `symmetric_sector_dense_spectrum`.
+    """
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
@@ -455,11 +460,11 @@ def symmetric_sector_dense_spectrum(
     |o| prod_l mu_{b(l)}^{n_l} conj(A_o) B_o, with b(l) the column of label
     l.  The coarse state is diag(D(diag mu))^{(x)n} for the site
     depolarizing D, and the Heisenberg image of a symmetric word under the
-    coarse graining is the word of the image letters D^dagger(f_t) over the
-    background D^dagger(1): the permutation average fixes it and the
-    product channel acts site by site.  No dense word, channel apply or
-    letter kernel is formed, so this route stays independent of the closed
-    form it checks.  `out_space` and `in_space` hold orbit coordinates (see
+    coarse graining is the word of the image letters D^dagger(f_t): the
+    permutation average fixes it, the product channel acts site by site,
+    and D is unital, so D^dagger(1) = 1 on the other sites.  No dense word,
+    channel apply or letter kernel is formed, so this route stays
+    independent of the closed form it checks.  `out_space` and `in_space` hold orbit coordinates (see
     `GnsSpace`).
 
     The fine family is pruned to a numerically independent set at the fine
@@ -483,9 +488,9 @@ def symmetric_sector_dense_spectrum(
     fine_site = DensityMatrix(np.diag(mu), check=False)
     coarse_site = DensityMatrix(depolarizing.apply(fine_site.matrix), check=False)
     values = _hermitian_word_values(words, letters, n)
-    images = symmetric_word_values(
-        words, depolarizing.adjoint_apply(letters), n, background=depolarizing.adjoint_apply(np.eye(d))
-    )
+    # the site depolarizing is unital, so the images keep the identity
+    # background
+    images = symmetric_word_values(words, depolarizing.adjoint_apply(letters), n)
     counts = orbit_counts(d, n)
     fine_weights = _orbit_weights(counts, mu)
     coarse_weights = _orbit_weights(counts, np.diagonal(coarse_site.matrix).real)

@@ -11,6 +11,7 @@ wanted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -321,6 +322,7 @@ def _count_rank(counts: np.ndarray, n: int) -> np.ndarray:
     return _orbit_rank(np.cumsum(counts[:, :-1], axis=1).T, n, counts.shape[1])
 
 
+@functools.lru_cache(maxsize=1)
 def _orbit_levels(labels: int, n: int):
     """Multisets of 1, ..., n joint labels, grown one label at a time.
 
@@ -328,7 +330,7 @@ def _orbit_levels(labels: int, n: int):
     plus one copy of its largest label.  Returns the (orbits, labels) site
     counts of the multisets of n labels and, for each size i, the parent
     index and the added label of every multiset of i labels, all in orbit
-    order (`_orbit_rank`).
+    order (`_orbit_rank`).  Cached, so the arrays are read-only.
     """
     counts = np.zeros((1, labels), dtype=np.int64)
     # largest label of each multiset; the empty one takes any
@@ -341,6 +343,8 @@ def _orbit_levels(labels: int, n: int):
         order = np.argsort(_count_rank(counts, n))
         parent, top, counts = parent[order], label[order], counts[order]
         levels.append((parent, top))
+    for array in (counts, *itertools.chain.from_iterable(levels)):
+        array.flags.writeable = False
     return counts, levels
 
 
@@ -352,7 +356,8 @@ def orbit_counts(d: int, n: int) -> np.ndarray:
     Permuting sites moves an entry along with the joint labels (r_i, c_i)
     of its sites, so an orbit is a multiset of n labels out of d^2, and
     there are C(n + d^2 - 1, n) of them.  Rows are in orbit order, the
-    order of `entry_orbits` and of `symmetric_word_values`.
+    order of `entry_orbits` and of `symmetric_word_values`.  The array is
+    cached and read-only.
     """
     return _orbit_levels(d * d, n)[0]
 
@@ -379,21 +384,20 @@ def entry_orbits(d: int, n: int) -> np.ndarray:
     return _orbit_rank(prefix_sums(), n, labels).ravel()
 
 
-def symmetric_word_values(words, letters, n: int, background=None) -> np.ndarray:
+def symmetric_word_values(words, letters, n: int) -> np.ndarray:
     """`symmetric_word_operator` of each word on every orbit, as (m, orbits)
     rows in `orbit_counts` order.
 
     A symmetric word is constant on orbits.  On an orbit with n_l sites of
     joint label l = (a, b), the word with letter multiset c takes the value
 
-        prod_t c_t! n^{-|c|/2} [x^c] prod_l (background_l + sum_t x_t (f_t)_l)^{n_l},
+        prod_t c_t! n^{-|c|/2} [x^c] prod_l (delta_l + sum_t x_t (f_t)_l)^{n_l},
 
     the sum over placements of its letters on distinct sites, with the
-    background (the identity unless given) on the other sites.  The
+    identity (delta_l = 1 on diagonal labels) on the other sites.  The
     polynomial, truncated at the words' top degree, is multiplied up one
     site factor at a time along `_orbit_levels`, so no dense entry is ever
-    formed.  A channel acting on every site maps a word to the word of the
-    image letters N(f_t) over the background N(1).
+    formed.
     """
     words = [tuple(sorted(w)) for w in words]
     letters = np.asarray(letters, dtype=complex)
@@ -414,12 +418,12 @@ def symmetric_word_values(words, letters, n: int, background=None) -> np.ndarray
             source[i, r], lead[i, r] = index[mono[:at] + mono[at + 1 :]], t
     entries = np.concatenate([letters.reshape(n_letters, d * d), np.zeros((1, d * d))])
     site = entries[lead].transpose(2, 0, 1)
-    background = (np.eye(d) if background is None else np.asarray(background)).reshape(d * d)
+    identity = np.eye(d).reshape(d * d)
     poly = np.zeros((1, len(monomials)), dtype=complex)
     poly[0, 0] = 1.0
     for parent, label in _orbit_levels(d * d, n)[1]:
         prev = poly[parent]
-        poly = background[label, None] * prev + np.sum(prev[:, source] * site[label], axis=2)
+        poly = identity[label, None] * prev + np.sum(prev[:, source] * site[label], axis=2)
     scale = [math.prod(math.factorial(w.count(t)) for t in set(w)) / n ** (len(w) / 2) for w in words]
     return poly[:, [index[w] for w in words]].T * np.array(scale)[:, None]
 

@@ -445,8 +445,8 @@ def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
 @pytest.mark.parametrize("d, n, k", [(2, 4, 3), (3, 3, 3)])
 def test_orbit_images_are_the_coarse_graining_adjoint_of_the_words(d, n, k):
     # the two identities the orbit route rests on: the permutation average
-    # fixes a symmetric word, and the sitewise depolarizing adjoint maps it
-    # to the word of the image letters over the image of the identity
+    # fixes a symmetric word, and the sitewise depolarizing adjoint, being
+    # unital, maps it to the word of the image letters
     y, system = 2.7, QuditSystem(d, n)
     site = random_positive_density(d, task_rng(23, d), min_eigenvalue=0.05)
     letters = np.array(single_site_zero_mean_basis(site))
@@ -454,9 +454,7 @@ def test_orbit_images_are_the_coarse_graining_adjoint_of_the_words(d, n, k):
     words = symmetric_words(d * d - 1, k)
     entries = entry_orbits(d, n)
     dense = symmetric_word_values(words, letters, n)[:, entries].reshape(len(words), system.dim, system.dim)
-    images = symmetric_word_values(
-        words, depolarizing.adjoint_apply(letters), n, background=depolarizing.adjoint_apply(np.eye(d))
-    )
+    images = symmetric_word_values(words, depolarizing.adjoint_apply(letters), n)
     want = homogeneous_coarse_graining(system, y).adjoint_apply(dense)
     assert_close(images[:, entries].reshape(want.shape), want, tol=1e-13, what=f"d={d} n={n} images")
 
