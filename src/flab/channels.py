@@ -9,7 +9,6 @@ lattice walkers live here as well.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -62,22 +61,6 @@ class DepolarizingChannel(Channel):
         return X / self.y + (1.0 - 1.0 / self.y) * trace * np.eye(self.d) / self.d
 
     adjoint_apply = apply
-
-    def kraus_operators(self) -> list[np.ndarray]:
-        """Kraus family built from the d^2 discrete Weyl unitaries."""
-        d, y = self.d, self.y
-        shift = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            shift[(j + 1) % d, j] = 1.0
-        clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-        ops = []
-        w_id = math.sqrt(1.0 / y + (1.0 - 1.0 / y) / d**2)
-        w_rest = math.sqrt((1.0 - 1.0 / y) / d**2)
-        for a in range(d):
-            for b in range(d):
-                weyl = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-                ops.append((w_id if a == b == 0 else w_rest) * weyl)
-        return ops
 
 
 def single_site_superoperator(channel: Channel, d: int, adjoint: bool = False) -> np.ndarray:
@@ -175,24 +158,12 @@ class ComposedChannel(Channel):
         return self.inner.adjoint_apply(self.outer.adjoint_apply(X))
 
 
-class HomogeneousCoarseGraining(ComposedChannel):
-    """Permutation average after sitewise depolarization.
+def homogeneous_coarse_graining(system: QuditSystem, y: float) -> ComposedChannel:
+    """Permutation average after sitewise depolarization of strength y.
 
     The two factors commute, so the composition order is a convention.
     """
-
-    def __init__(self, system: QuditSystem, y: float):
-        depol = ProductChannel(DepolarizingChannel(y, system.d), system)
-        perm = PermutationAverage(system)
-        super().__init__(perm, depol)
-        self.system = system
-        self.y = float(y)
-        self.permutation_average = perm
-        self.product_depolarizing = depol
-
-
-def homogeneous_coarse_graining(system: QuditSystem, y: float) -> HomogeneousCoarseGraining:
-    return HomogeneousCoarseGraining(system, y)
+    return ComposedChannel(PermutationAverage(system), ProductChannel(DepolarizingChannel(y, system.d), system))
 
 
 class SuperoperatorChannel(Channel):
@@ -310,11 +281,6 @@ class SwapDiffusion:
         self.lattice = lattice
         self.sigma = float(sigma)
         self.time = 0.5 * (sigma / lattice.spacing) ** 2
-
-    def single_walker_generator(self) -> np.ndarray:
-        L = self.lattice.n_sites
-        check_walker_budget(L, 1)
-        return _ring_laplacian(L)
 
     def single_walker_apply(self, x) -> np.ndarray:
         """exp(time G) x for the ring Laplacian G on site profiles, the

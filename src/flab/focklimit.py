@@ -9,9 +9,7 @@ a degree-j pair of words has inner product
     c_{n,j} * permanent(K[u, v]),      c_{n,j} = prod_{m<j} (1 - m/n),
 
 different degrees being exactly orthogonal.  As n grows c_{n,j} -> 1 and the
-geometry converges, at rate 1/n, to a bosonic (permanent) limit; generating
-operators of the form prod_i (1 + i a/sqrt(n)) converge likewise to
-exponential vectors with overlap exp(tr(rho a^dagger b)).
+geometry converges, at rate 1/n, to a bosonic (permanent) limit.
 
 Every letter space is built in the eigenframe of the site state, where
 rho = diag(mu) and the letters are `zero_mean_letters(mu)`.  Sitewise
@@ -37,6 +35,7 @@ homogeneous coarse graining from the top of each sector block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,7 +58,6 @@ from .operators import (
     check_byte_budget,
     dense_dim_budget,
     kron_apply,
-    product_density,
     zero_mean_letters,
 )
 
@@ -184,25 +182,6 @@ def limiting_inner(sp: SingleParticleSpace, u, v) -> complex:
     if len(u) != len(v):
         return 0.0 + 0.0j
     return permanent(sp.kernel[np.ix_(u, v)])
-
-
-def generating_overlap(sp: SingleParticleSpace, a_coeffs, b_coeffs, n: int) -> float:
-    """Overlap of two generating operators prod_i (1 + i a/sqrt(n)) at rho^n.
-
-    a and b are real coefficient vectors over the letter basis.  The value
-    closes over the kernel: (1 + tr(rho a^dagger b)/n)^n.
-    """
-    a = np.asarray(a_coeffs, dtype=float)
-    b = np.asarray(b_coeffs, dtype=float)
-    k = float(np.real(a @ sp.kernel @ b))
-    return (1.0 + k / n) ** n
-
-
-def vertex_overlap(sp: SingleParticleSpace, a_coeffs, b_coeffs) -> float:
-    """Limiting overlap exp(tr(rho a^dagger b)) of the generating operators."""
-    a = np.asarray(a_coeffs, dtype=float)
-    b = np.asarray(b_coeffs, dtype=float)
-    return math.exp(float(np.real(a @ sp.kernel @ b)))
 
 
 def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
@@ -611,9 +590,11 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     Everything is written in the site eigenframe, where the site state is
     diag(mu) and the letters are `zero_mean_letters(mu)`; sitewise
     depolarizing is unitarily covariant, so the blocks are those of the
-    original frame up to roundoff.  Each size's letter products
-    (`_LetterProducts`) are built chunk by chunk as `norm_grams` slices
-    them; the family itself is never held.
+    original frame up to roundoff.  There both the product state and its
+    image are diagonal, so `norm_grams` takes the product of the site
+    diagonals and weighs entries instead of rotating them.  Each size's
+    letter products (`_LetterProducts`) are built chunk by chunk as
+    `norm_grams` slices them; the family itself is never held.
     """
     from .channels import DepolarizingChannel, ProductChannel
 
@@ -634,11 +615,12 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
         },
     )
     mu = _site_eigenvalues(d, state_1site)
-    site, basis = DensityMatrix(np.diag(mu), check=False), np.stack(zero_mean_letters(mu))
+    basis = np.stack(zero_mean_letters(mu))
     blocks = []
     for size in range(k, n + 1):
         channel = ProductChannel(DepolarizingChannel(y, d), QuditSystem(d, size))
-        grams = norm_grams(product_density(site, size), channel, _LetterProducts(basis, size))
+        diagonal = functools.reduce(np.kron, [mu] * size)
+        grams = norm_grams(diagonal, channel, _LetterProducts(basis, size))
         blocks.append((grams, math.comb(n, size)))
     return blocks
 

@@ -83,18 +83,9 @@ def omega_inverse_apply(state: DensityMatrix, x, rel_tol: float = OMEGA_REL_TOL)
     return vecs @ out @ vecs.conj().T
 
 
-def gns_inner(state: DensityMatrix, a, b) -> complex:
-    """<A, B> = tr(rho A^dagger B)."""
-    return complex(np.trace(state.matrix @ as_matrix(a).conj().T @ as_matrix(b)))
-
-
-def bures_inner(state: DensityMatrix, a, b) -> float:
-    """Real inner product tr(A^dagger Omega_rho(B)) = Re tr(rho A^dagger B) for hermitian A, B."""
-    return float(np.trace(as_matrix(a).conj().T @ omega_apply(state, b)).real)
-
-
 def bures_norm(state: DensityMatrix, a) -> float:
-    val = bures_inner(state, a, a)
+    """|A| with |A|^2 = tr(A^dagger Omega_rho(A)) = Re tr(rho A^dagger A)."""
+    val = float(np.trace(as_matrix(a).conj().T @ omega_apply(state, a)).real)
     if val < -1e-12:
         raise NumericalError(f"norm squared came out negative: {val:.3e}")
     return math.sqrt(max(val, 0.0))
@@ -121,8 +112,9 @@ def pushforward_norm(state: DensityMatrix, channel, a) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def norm_grams(state: DensityMatrix, channel, operators) -> tuple[np.ndarray, np.ndarray]:
-    """Bures and pushforward Grams (G, P) of a family of hermitian operators.
+def norm_grams(diagonal, channel, operators) -> tuple[np.ndarray, np.ndarray]:
+    """Bures and pushforward Grams (G, P) of a family of hermitian operators
+    at the diagonal state rho = diag(diagonal).
 
     For A = sum_a c_a A_a with real c, |A|^2 = c^T G c and |A|_N^2 =
     c^T P c (see `bures_norm`, `pushforward_norm`) with
@@ -130,9 +122,11 @@ def norm_grams(state: DensityMatrix, channel, operators) -> tuple[np.ndarray, np
         G_ab = Re tr(A_a Omega_rho(A_b)),
         P_ab = Re tr(N(X_a)^dagger Omega_{N(rho)}^{-1} N(X_b)),  X = Omega_rho(A).
 
-    In the eigenbasis of rho (eigenvalues mu) the first pairs entries with
-    weight (mu_i + mu_j) / 2, in that of N(rho) (eigenvalues lam) the second
-    with 2 / (lam_i + lam_j); scaled by the square roots of these weights,
+    The channel must keep rho diagonal, as sitewise depolarizing and the
+    permutation average do at a product state in its site eigenframe;
+    NumericalError otherwise.  Then Omega_rho weighs entry (i, j) by
+    (rho_i + rho_j) / 2 and Omega_{N(rho)}^{-1} by 2 / (lam_i + lam_j), lam
+    the diagonal of N(rho); scaled by the square roots of these weights,
     every operator becomes one row of each Gram and the Grams are row
     products.  Entries of weight zero, and entries where Omega_{N(rho)} is
     singular (checked negligible row by row, as in `omega_inverse_apply`),
@@ -141,14 +135,16 @@ def norm_grams(state: DensityMatrix, channel, operators) -> tuple[np.ndarray, np
     operators is the family as an (N, dim, dim) stack, a list of matrices,
     or anything else with a length whose slices are such stacks, so that it
     can be built on demand.  It is sliced into chunks of at most
-    GRAM_CHUNK_ENTRIES matrix entries (one operator at least); Omega_rho,
-    the channel and both eigenbasis rotations act once per chunk stack, and
-    the chunk is dropped once it is turned into rows.
+    GRAM_CHUNK_ENTRIES matrix entries (one operator at least); the channel
+    acts once per chunk stack, and the chunk is dropped once it is turned
+    into rows.
     """
-    mu, u = state.eigensystem()
-    coarse = DensityMatrix(channel.apply(state.matrix), check=False)
-    lam, v = coarse.eigensystem()
-    bures_weight = 0.5 * (mu[:, None] + mu[None, :])
+    rho = np.asarray(diagonal, dtype=float)
+    coarse = channel.apply(np.diag(rho))
+    lam = np.diagonal(coarse).real
+    if np.max(np.abs(coarse - np.diag(lam))) > OMEGA_REL_TOL * max(float(lam.max()), 1e-300):
+        raise NumericalError("the channel does not keep the state diagonal")
+    bures_weight = 0.5 * (rho[:, None] + rho[None, :])
     bures_keep = bures_weight > 0.0
     bures_scale = np.sqrt(bures_weight[bures_keep])
     denom = lam[:, None] + lam[None, :]
@@ -157,12 +153,12 @@ def norm_grams(state: DensityMatrix, channel, operators) -> tuple[np.ndarray, np
     count = len(operators)
     bures_rows = np.empty((count, bures_scale.size), dtype=complex)
     push_rows = np.empty((count, push_scale.size), dtype=complex)
-    per_chunk = max(1, GRAM_CHUNK_ENTRIES // state.dim**2)
+    per_chunk = max(1, GRAM_CHUNK_ENTRIES // rho.size**2)
     for start in range(0, count, per_chunk):
         rows = slice(start, min(start + per_chunk, count))
         chunk = as_matrix(operators[rows])
-        bures_rows[rows] = (u.conj().T @ chunk @ u)[:, bures_keep] * bures_scale
-        pushed = v.conj().T @ channel.apply(omega_apply(state, chunk)) @ v
+        bures_rows[rows] = chunk[:, bures_keep] * bures_scale
+        pushed = channel.apply(chunk * bures_weight)
         if singular.any():
             mag = np.abs(pushed)
             tol = OMEGA_REL_TOL * np.maximum(1.0, mag.max(axis=(1, 2)))
@@ -259,11 +255,6 @@ class GnsSpace:
     def rank(self) -> int:
         return self.whitener.shape[1]
 
-    def vector(self, coefficients) -> np.ndarray:
-        """Assemble the operator with the given basis coefficients, in the
-        family's coordinates."""
-        return np.tensordot(np.asarray(coefficients), self.matrices, axes=1)
-
 
 def _gns_space(state: DensityMatrix, stack: np.ndarray, labels, gram: np.ndarray, null_threshold: float) -> GnsSpace:
     """Whitened GNS space of a family whose real Gram is already known."""
@@ -345,21 +336,13 @@ def transported_contraction(w_fine: np.ndarray, small: np.ndarray):
 class ContractionSpectrum:
     """Eigendata of the channel's squared contraction on a GNS family.
 
-    `eigen_operator` assembles an eigenvector in the coordinates of
-    `out_space` (`GnsSpace.vector`): a (dim, dim) operator, or its orbit
-    values when the spaces come from `symmetric_sector_dense_spectrum`.
+    coefficients holds the eigenvectors over the members of `out_space`.
     """
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     out_space: GnsSpace
     in_space: GnsSpace
-
-    def contraction_factors(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.eigenvalues, 0.0, None))
-
-    def eigen_operator(self, index: int) -> np.ndarray:
-        return self.out_space.vector(self.coefficients[:, index])
 
 
 def contraction_spectrum(

@@ -71,89 +71,6 @@ class RingLattice:
         return np.exp(1j * p * self.positions()) / math.sqrt(self.n_sites)
 
 
-@dataclass
-class BandlimitedField:
-    """Real scalar profile on the ring with momenta strictly below Nyquist.
-
-    coefficients maps integer mode index m to the complex amplitude of
-    e^{i p_m x}; conjugate symmetry c_{-m} = conj(c_m) keeps the profile
-    real.  The Nyquist mode m = L/2 is rejected: it cannot be told apart
-    from its negative on the sample points, so such a profile would not be
-    reconstructible.
-    """
-
-    lattice: RingLattice
-    coefficients: dict[int, complex]
-    cutoff: float | None = None
-
-    def __post_init__(self):
-        half = self.lattice.n_sites // 2
-        cleaned: dict[int, complex] = {}
-        for m, c in self.coefficients.items():
-            m = int(m)
-            if abs(m) >= half:
-                raise ValueError(
-                    f"mode {m} is at or above the Nyquist index {half}; "
-                    "refine the lattice to represent it"
-                )
-            if self.cutoff is not None and abs(self.lattice.momentum(m)) >= self.cutoff:
-                raise ValueError(
-                    f"mode {m} has momentum {self.lattice.momentum(m):.4g} "
-                    f"outside the stated cutoff {self.cutoff:.4g}"
-                )
-            cleaned[m] = complex(c)
-        for m, c in cleaned.items():
-            partner = cleaned.get(-m, 0.0)
-            if abs(np.conj(c) - partner) > FIELD_SYMMETRY_TOL * max(1.0, abs(c)):
-                raise ValueError(
-                    f"coefficients break conjugate symmetry at mode {m}; "
-                    "the profile would not be real"
-                )
-        self.coefficients = cleaned
-
-    def sample(self) -> np.ndarray:
-        """Real values of the profile at the lattice sites."""
-        xs = self.lattice.positions()
-        values = np.zeros(self.lattice.n_sites, dtype=complex)
-        for m, c in self.coefficients.items():
-            values += c * np.exp(1j * self.lattice.momentum(m) * xs)
-        if np.max(np.abs(values.imag)) > FIELD_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(values)))):
-            raise NumericalError("profile sampled to complex values")
-        return values.real
-
-    @classmethod
-    def from_samples(cls, lattice: RingLattice, values, cutoff: float | None = None) -> "BandlimitedField":
-        """Reconstruct the unique sub-Nyquist profile through the samples."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (lattice.n_sites,):
-            raise ValueError(f"need {lattice.n_sites} samples, got shape {values.shape}")
-        spectrum = np.fft.fft(values) / lattice.n_sites
-        half = lattice.n_sites // 2
-        nyq = spectrum[half]
-        if abs(nyq) > FIELD_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(spectrum)))):
-            raise NumericalError(
-                "samples carry weight at the Nyquist mode; "
-                "no sub-Nyquist profile passes through them"
-            )
-        coeffs = {}
-        for m in range(-half + 1, half):
-            c = spectrum[m % lattice.n_sites]
-            if abs(c) > 1e-15:
-                coeffs[m] = complex(c)
-        return cls(lattice, coeffs, cutoff=cutoff)
-
-
-def smoother_apply(field: BandlimitedField, sigma: float) -> BandlimitedField:
-    """Gaussian momentum smoother: amplitude at momentum p gains e^{-sigma^2 p^2 / 2}."""
-    if sigma < 0:
-        raise ValueError(f"smoothing width must be nonnegative, got {sigma}")
-    coeffs = {
-        m: c * math.exp(-0.5 * (sigma * field.lattice.momentum(m)) ** 2)
-        for m, c in field.coefficients.items()
-    }
-    return BandlimitedField(field.lattice, coeffs, cutoff=field.cutoff)
-
-
 def _pair_partner(L: int) -> np.ndarray:
     """Second site j = i + r mod L of the pair (i, r), shape (L, L-1)."""
     return (np.arange(L)[:, None] + np.arange(1, L)) % L
@@ -214,7 +131,7 @@ def _high_mode_profile(lattice: RingLattice, cutoff: float, rng) -> np.ndarray:
     ]
     if not allowed:
         raise ValueError("no representable modes at or above the requested cutoff")
-    coeffs: dict[int, complex] = {m: 0.0 for m in allowed}
+    coeffs: dict[int, complex] = {m: 0j for m in allowed}
     for m in allowed:
         if m < 0:
             continue
@@ -222,7 +139,13 @@ def _high_mode_profile(lattice: RingLattice, cutoff: float, rng) -> np.ndarray:
         coeffs[m] = c
         if -m in coeffs:
             coeffs[-m] = np.conj(c)
-    return BandlimitedField(lattice, coeffs).sample()
+    xs = lattice.positions()
+    values = np.zeros(lattice.n_sites, dtype=complex)
+    for m, c in coeffs.items():
+        values += c * np.exp(1j * lattice.momentum(m) * xs)
+    if np.max(np.abs(values.imag)) > FIELD_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(values)))):
+        raise NumericalError("profile sampled to complex values")
+    return values.real
 
 
 def high_momentum_suppression_probe(

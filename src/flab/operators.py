@@ -1,9 +1,9 @@
 """Dense operator algebra for finite spin systems.
 
 Everything here works with explicit complex matrices on n qudits of local
-dimension d: states, traceless single-site letter bases, site
-permutations, and the permutation-symmetric letter words whose contraction
-spectra the rest of the package computes.  The words are built in orbit
+dimension d: states, traceless single-site letter bases, and the
+permutation-symmetric letter words whose contraction spectra the rest of
+the package computes.  The words are built in orbit
 coordinates, one value per orbit of the site permutations on matrix
 entries, and gathered into (m, dim, dim) stacks where dense matrices are
 wanted.
@@ -91,9 +91,6 @@ class QuditSystem:
     def dim(self) -> int:
         return self.d**self.n
 
-    def site_dims(self) -> tuple[int, ...]:
-        return (self.d,) * self.n
-
 
 def as_matrix(x) -> np.ndarray:
     """Accept a DensityMatrix or plain array; return ndarray."""
@@ -135,9 +132,6 @@ class DensityMatrix:
             self._eig = (vals[order], _fix_column_phases(vecs[:, order]))
         return self._eig
 
-    def expectation(self, op) -> float:
-        return float(np.trace(self.matrix @ as_matrix(op)).real)
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
 
@@ -167,10 +161,6 @@ def basis_pure_density(d: int, level: int = 0) -> DensityMatrix:
     vec = np.zeros(d)
     vec[level] = 1.0
     return pure_state_density(vec)
-
-
-def maximally_mixed_density(d: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(d) / d, check=False)
 
 
 def product_density(state_1site: DensityMatrix, n: int) -> DensityMatrix:
@@ -287,18 +277,6 @@ def kron_apply(mat: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     for axis in range(k):
         out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
     return out.reshape(rows**k, x.shape[1])
-
-
-def permute_sites(matrix, perm, system: QuditSystem) -> np.ndarray:
-    """Conjugation U_perm X U_perm^dagger without building the unitary."""
-    perm = tuple(perm)
-    n = system.n
-    tens = as_matrix(matrix).reshape(system.site_dims() * 2)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    axes = inv + [n + i for i in inv]
-    return np.transpose(tens, axes).reshape(system.dim, system.dim)
 
 
 def _orbit_rank(prefix_sums, n: int, labels: int):

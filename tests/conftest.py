@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flab.operators import QuditSystem, basis_pure_density, product_density
+from flab.operators import DensityMatrix, QuditSystem, basis_pure_density, product_density
 from flab.sampling import task_rng
 
 # one line per acceptance criterion, printed after the run so the
@@ -52,6 +52,10 @@ def pure_site():
 @pytest.fixture
 def pure_triple(pure_site):
     return product_density(pure_site, 3)
+
+
+def maximally_mixed_density(d):
+    return DensityMatrix(np.eye(d) / d, check=False)
 
 
 def assert_close(actual, expected, tol=1e-12, what=""):

@@ -12,6 +12,9 @@ zero-mean site letters over every nonempty support, d^(2n) - 1 operators of
 dim^2 entries, each built by `site_product` as a tower of krons: the oracle
 for the per-support Gram blocks of the bound check and for the sector
 suprema of the decay check.
+
+`permute_sites` conjugates by a site permutation through an axis
+transpose, the oracle for permutation invariance.
 """
 
 import itertools
@@ -42,6 +45,17 @@ def site_product(factors, system):
     """
     eye = np.eye(system.d, dtype=complex)
     return tensor_many([factors[i] if i in factors else eye for i in range(system.n)])
+
+
+def permute_sites(matrix, perm, system):
+    """Conjugation U_perm X U_perm^dagger without building the unitary."""
+    n = system.n
+    tens = np.asarray(matrix, dtype=complex).reshape((system.d,) * (2 * n))
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    axes = inv + [n + i for i in inv]
+    return np.transpose(tens, axes).reshape(system.dim, system.dim)
 
 
 def support_family(d, n, site):

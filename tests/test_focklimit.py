@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -26,25 +27,22 @@ from flab.focklimit import (
     finite_limit_comparison,
     finite_n_inner,
     fock_block_spectrum,
-    generating_overlap,
     limiting_inner,
     permanent,
     symmetric_sector_spectrum,
-    vertex_overlap,
 )
 from flab.geometry import bures_norm, pushforward_norm, whiten_psd, whitened_contraction
 from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
-    maximally_mixed_density,
     product_density,
     symmetric_word_operator,
     zero_mean_letters,
 )
 from flab.sampling import haar_unitary, random_positive_density, task_rng
 
-from conftest import assert_close
+from conftest import assert_close, maximally_mixed_density
 from dense_oracle import site_product, support_family
 
 
@@ -213,6 +211,17 @@ def test_limiting_inner_is_permanent():
     assert abs(limiting_inner(sp, (0, 0), (0, 0)) - 2.0) < 1e-12
     got = finite_n_inner(sp, (0, 0), (0, 0), 4)
     assert abs(got - 2.0 * distinct_site_factor(4, 2)) < 1e-12
+
+
+def generating_overlap(sp, a, b, n):
+    """Overlap (1 + tr(rho a^dagger b) / n)^n of the generating operators
+    prod_i (1 + i a / sqrt(n)) at rho^n, for real letter coefficients a, b."""
+    return (1.0 + float(np.real(a @ sp.kernel @ b)) / n) ** n
+
+
+def vertex_overlap(sp, a, b):
+    """Its large-n limit exp(tr(rho a^dagger b))."""
+    return math.exp(float(np.real(a @ sp.kernel @ b)))
 
 
 def test_generating_overlap_against_dense():

@@ -9,19 +9,23 @@ import numpy as np
 import pytest
 
 import flab
-from flab import focklimit, geometry, operators
-from flab.channels import Channel, DepolarizingChannel, ProductChannel, homogeneous_coarse_graining
+from flab import channels, focklimit, geometry, operators
+from flab.channels import (
+    Channel,
+    DepolarizingChannel,
+    ProductChannel,
+    SuperoperatorChannel,
+    homogeneous_coarse_graining,
+)
 from flab.errors import DimensionBudgetError, NumericalError
 from flab.focklimit import klocal_decay_check, symmetric_sector_spectrum
 from flab.geometry import (
-    bures_inner,
     bures_norm,
     channel_pairing_matrix,
     check_dense_sector_budget,
     contraction_spectrum,
     gns_build,
     gns_gram,
-    gns_inner,
     norm_grams,
     omega_apply,
     omega_inverse_apply,
@@ -37,7 +41,6 @@ from flab.operators import (
     basis_pure_density,
     entry_orbits,
     identical_site_state,
-    maximally_mixed_density,
     orbit_counts,
     product_density,
     single_site_zero_mean_basis,
@@ -54,7 +57,7 @@ from flab.sampling import (
     task_rng,
 )
 
-from conftest import assert_close
+from conftest import assert_close, maximally_mixed_density
 from dense_oracle import original_frame_spectrum, support_family, tensor_many
 
 
@@ -82,9 +85,10 @@ def test_inner_products():
     a = random_zero_mean_hermitian(rho, rng)
     b = random_zero_mean_hermitian(rho, rng)
     direct = np.trace(rho.matrix @ a.conj().T @ b)
-    assert abs(gns_inner(rho, a, b) - direct) < 1e-12
-    assert abs(bures_inner(rho, a, b) - direct.real) < 1e-12
-    assert abs(bures_norm(rho, a) - np.sqrt(gns_inner(rho, a, a).real)) < 1e-12
+    assert abs(bures_norm(rho, a) - np.sqrt(np.trace(rho.matrix @ a.conj().T @ a).real)) < 1e-12
+    # polarization: the real inner product Re tr(rho A^dagger B)
+    polarized = (bures_norm(rho, a + b) ** 2 - bures_norm(rho, a - b) ** 2) / 4
+    assert abs(polarized - direct.real) < 1e-12
 
 
 def test_pushforward_identity_channel_is_isometric():
@@ -199,7 +203,6 @@ def test_contraction_spectrum_identity_channel():
     letters = single_site_zero_mean_basis(rho)
     spectrum = contraction_spectrum(DepolarizingChannel(1.0, 2), rho, letters)
     assert_close(spectrum.eigenvalues, np.ones(3), tol=1e-10)
-    assert_close(spectrum.contraction_factors(), np.ones(3), tol=1e-10)
 
 
 def test_contraction_spectrum_depolarizing_mixed_site():
@@ -210,8 +213,7 @@ def test_contraction_spectrum_depolarizing_mixed_site():
     letters = single_site_zero_mean_basis(rho)
     spectrum = contraction_spectrum(DepolarizingChannel(y, 2), rho, letters)
     assert_close(spectrum.eigenvalues, np.full(3, y**-2), tol=1e-12)
-    op = spectrum.eigen_operator(0)
-    assert op.shape == (2, 2)
+    assert spectrum.coefficients.shape == (3, 3)
 
 
 def test_dense_sector_spectrum_matches_closed_form(qubit_triple, pure_triple):
@@ -261,17 +263,31 @@ def test_klocal_decay_check_output_and_validation():
             klocal_decay_check(2, 2, y_values, k_max=0)
 
 
-def test_klocal_decay_check_runs_past_the_dense_family():
+def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
     # the whole family at d = 3, n = 12 would be 9**12 operators of 3**24
-    # entries; the sector blocks behind the check take well under a second
+    # entries; the sector blocks behind the check take well under a second,
+    # and no dense word, Gram block or product channel is built
+    def dense_builder(*args, **kwargs):
+        raise AssertionError("the decay check built a dense family")
+
+    for owner, name in (
+        (operators, "symmetric_word_values"),
+        (geometry, "symmetric_word_values"),
+        (focklimit, "_bound_grams"),
+        (channels, "ProductChannel"),
+    ):
+        monkeypatch.setattr(owner, name, dense_builder)
     site = random_positive_density(3, task_rng(24, 0), min_eigenvalue=0.05)
-    start = time.perf_counter()
-    out = klocal_decay_check(12, 3, [1.5, 2.0, 4.0, 8.0], k_max=3, state_1site=site)
-    elapsed = time.perf_counter() - start
+    elapsed = []
+    # best of three calls, so host load does not decide the gate
+    for _ in range(3):
+        start = time.perf_counter()
+        out = klocal_decay_check(12, 3, [1.5, 2.0, 4.0, 8.0], k_max=3, state_1site=site)
+        elapsed.append(time.perf_counter() - start)
     assert set(out["k"]) == {0, 1, 2, 3}
     for entry in out["k"].values():
         assert all(0.0 < c <= 1.0 for c in entry["max_contraction"])
-    assert elapsed < 1.0, f"{elapsed:.2f}s"
+    assert min(elapsed) < 1.0, f"{min(elapsed):.2f}s"
 
 
 def test_klocal_decay_check_refused_before_building(monkeypatch):
@@ -290,6 +306,13 @@ def test_klocal_decay_check_refused_before_building(monkeypatch):
     assert set(klocal_decay_check(4, 2, [2.0, 3.0], k_max=1)["k"]) == {0, 1}
 
 
+def _diagonal_site(d, rng):
+    """diag(mu) for the eigenvalues mu of a random full-rank site state: the
+    site state in its eigenframe, where `norm_grams` works."""
+    mu = random_positive_density(d, rng, min_eigenvalue=0.05).eigensystem()[0]
+    return DensityMatrix(np.diag(mu), check=False)
+
+
 def _support_family(d, n, site):
     """The family with nonempty support, with each operator's support."""
     system = QuditSystem(d, n)
@@ -297,9 +320,13 @@ def _support_family(d, n, site):
     return system, product_density(site, n), matrices, supports
 
 
+def _diagonal(state):
+    return np.diagonal(state.matrix).real
+
+
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
 def test_norm_grams_cross_support_blocks(d, n):
-    site = random_positive_density(d, task_rng(17, d), min_eigenvalue=0.05)
+    site = _diagonal_site(d, task_rng(17, d))
     system, state, matrices, supports = _support_family(d, n, site)
     labels = np.array([supports.index(s) for s in supports])
     cross = labels[:, None] != labels[None, :]
@@ -307,7 +334,7 @@ def test_norm_grams_cross_support_blocks(d, n):
         (ProductChannel(DepolarizingChannel(2.5, d), system), True),
         (homogeneous_coarse_graining(system, 2.5), False),
     ):
-        bures, push = norm_grams(state, channel, matrices)
+        bures, push = norm_grams(_diagonal(state), channel, matrices)
         assert np.max(np.abs(bures[cross])) <= 1e-14
         if push_cross_vanishes:
             assert np.max(np.abs(push[cross])) <= 1e-14
@@ -323,26 +350,26 @@ def test_norm_grams_cross_support_blocks(d, n):
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
 def test_norm_grams_do_not_depend_on_the_chunking(d, n, monkeypatch):
     # one operator per chunk, and chunks of 6 that leave a shorter last one
-    site = random_positive_density(d, task_rng(21, d), min_eigenvalue=0.05)
+    site = _diagonal_site(d, task_rng(21, d))
     system, state, matrices, _ = _support_family(d, n, site)
     assert len(matrices) % 6 != 0
     for channel in (ProductChannel(DepolarizingChannel(2.5, d), system), homogeneous_coarse_graining(system, 2.5)):
-        whole = norm_grams(state, channel, matrices)
+        whole = norm_grams(_diagonal(state), channel, matrices)
         for entries in (1, 6 * system.dim**2):
             monkeypatch.setattr(geometry, "GRAM_CHUNK_ENTRIES", entries)
-            for want, got in zip(whole, norm_grams(state, channel, matrices)):
+            for want, got in zip(whole, norm_grams(_diagonal(state), channel, matrices)):
                 assert_close(got, want, tol=1e-14 * np.max(np.abs(want)), what=f"{entries} entries per chunk")
             monkeypatch.undo()
 
 
 def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
-    site = random_positive_density(2, task_rng(19, 0), min_eigenvalue=0.05)
+    site = _diagonal_site(2, task_rng(19, 0))
     system, state, matrices, supports = _support_family(2, 3, site)
     channel = ProductChannel(DepolarizingChannel(3.0, 2), system)
     grams = []
     for s in dict.fromkeys(supports):
         group = [m for m, t in zip(matrices, supports) if t == s]
-        grams.append(norm_grams(state, channel, group))
+        grams.append(norm_grams(_diagonal(state), channel, group))
     rng = task_rng(20, 0)
     draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
     want_base = [bures_norm(state, a) for a in draws]
@@ -367,8 +394,7 @@ def _decay_cells():
     rng = task_rng(25)
     cells = []
     for d, n, y_values, checked in ((2, 3, [1.2, 6.0], 2), (2, 4, [1.2, 6.0], 2), (3, 3, [2.0, 4.0], 1)):
-        site = random_positive_density(d, rng, min_eigenvalue=0.05)
-        cells.append(pytest.param(d, n, y_values, checked, site, id=f"mixed-d{d}-n{n}"))
+        cells.append(pytest.param(d, n, y_values, checked, _diagonal_site(d, rng), id=f"mixed-d{d}-n{n}"))
     cells.append(pytest.param(2, 3, [4.0, 32.0], 2, basis_pure_density(2), id="pure-qubit-n3"))
     return cells
 
@@ -382,7 +408,7 @@ def test_klocal_decay_check_is_the_family_supremum(d, n, y_values, checked, site
     sizes = np.array([len(s) for s in supports])
     out = klocal_decay_check(n, d, y_values, k_max=n - 1, state_1site=site)
     for yi, y in enumerate(y_values[:checked]):
-        bures, push = norm_grams(state, homogeneous_coarse_graining(system, y), matrices)
+        bures, push = norm_grams(_diagonal(state), homogeneous_coarse_graining(system, y), matrices)
         for k in range(n):
             wide = np.flatnonzero(sizes > k)
             w = whiten_psd(bures[np.ix_(wide, wide)])[0]
@@ -410,10 +436,19 @@ def test_norm_grams_check_singular_directions_per_row():
     with pytest.raises(NumericalError, match="singular"):
         pushforward_norm(rho, _NonPositiveMap(), tau1)
     with pytest.raises(NumericalError, match="singular"):
-        norm_grams(rho, _NonPositiveMap(), [np.diag([1.0, -1.0]).astype(complex), tau1])
+        norm_grams(_diagonal(rho), _NonPositiveMap(), [np.diag([1.0, -1.0]).astype(complex), tau1])
     # the diagonal letter alone stays in the support and passes
-    _, push = norm_grams(rho, _NonPositiveMap(), [np.diag([1.0, -1.0]).astype(complex)])
+    _, push = norm_grams(_diagonal(rho), _NonPositiveMap(), [np.diag([1.0, -1.0]).astype(complex)])
     assert abs(push[0, 0] - pushforward_norm(rho, _NonPositiveMap(), np.diag([1.0, -1.0])) ** 2) <= 1e-15
+
+
+def test_norm_grams_refuse_a_channel_that_rotates_the_state():
+    # the Hadamard unitary maps diag(0.8, 0.2) off the diagonal, where the
+    # entrywise weights of Omega_{N(rho)}^{-1} no longer hold
+    hadamard = SuperoperatorChannel([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)])
+    tau1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match="does not keep the state diagonal"):
+        norm_grams(np.array([0.8, 0.2]), hadamard, [tau1])
 
 
 def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):

