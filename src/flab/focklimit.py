@@ -362,8 +362,13 @@ class FockBlock:
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     tuple_labels: list[str]
-    eigen_labels: list[str]
     fine_rank: int
+
+    @property
+    def eigen_labels(self) -> list[str]:
+        """Readable combination of each eigenvector over the tuple labels,
+        formatted when read; the zero padding reads "0"."""
+        return [_combo_label(col, self.tuple_labels) for col in self.coefficients.T]
 
 
 def fock_block_spectrum(
@@ -405,14 +410,11 @@ def fock_block_spectrum(
     )
 
     pad = fine_red.dim**k - vals.size
-    tuple_labels = ["(x)".join(fine_red.letter_names[i] for i in word) for word in fine.reps.tolist()]
-    eigen_labels = [_combo_label(col, tuple_labels) for col in coeffs.T] + ["0"] * pad
     return FockBlock(
         k=k,
         eigenvalues=np.pad(vals, (0, pad)),
         coefficients=np.pad(coeffs, ((0, 0), (0, pad))),
-        tuple_labels=tuple_labels,
-        eigen_labels=eigen_labels,
+        tuple_labels=["(x)".join(fine_red.letter_names[i] for i in word) for word in fine.reps.tolist()],
         fine_rank=vals.size,
     )
 
@@ -571,10 +573,12 @@ class _LetterProducts:
 def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | None):
     """Bures and pushforward Gram blocks of the sectors with |S| >= k.
 
-    Returns ((bures, push), count) per support size s = k..n, count =
-    C(n, s) supports; repeated count times, in order of size, the blocks
-    make up the Grams of the family of zero-mean letter products over every
-    support of those sizes.
+    Returns ((bures, push, carried), count) per support size s = k..n,
+    count = C(n, s) supports; repeated count times, in order of size, the
+    blocks make up the Grams of the family of zero-mean letter products over
+    every support of those sizes.  carried is a boolean mask over a
+    support's (d^2 - 1)^s products, in itertools.product order, and the
+    blocks are over the marked ones only (see below).
     The channel is sitewise depolarizing at a product of identical site
     states, so:
 
@@ -592,36 +596,43 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     depolarizing is unitarily covariant, so the blocks are those of the
     original frame up to roundoff.  There both the product state and its
     image are diagonal, so `norm_grams` takes the product of the site
-    diagonals and weighs entries instead of rotating them.  Each size's
-    letter products (`_LetterProducts`) are built chunk by chunk as
+    diagonals and weighs entries instead of rotating them.  Only carried
+    letters enter: those with a nonzero entry (i, j) where mu_i + mu_j > 0,
+    the entries Omega_rho weighs.  A product with any other letter vanishes
+    on every entry of positive weight, so it is exactly zero after Omega_rho
+    and its rows of both Grams are zero, N(0) = 0; at a pure site state
+    2(d - 1) letters are carried, at a faithful one all of them.  Each
+    size's carried products (`_LetterProducts`) are built chunk by chunk as
     `norm_grams` slices them; the family itself is never held.
     """
     from .channels import DepolarizingChannel, ProductChannel
 
     if k < 1 or k > n:
         raise ValueError(f"sector index k={k} out of range for n={n}")
+    mu = _site_eigenvalues(d, state_1site)
+    letters = np.stack(zero_mean_letters(mu))
+    carried = np.any((letters != 0) & (mu[:, None] + mu[None, :] > 0), axis=(1, 2))
     # the row blocks of the largest support (at most dim^2 complex entries
     # per operator), one pair of real Gram blocks per support size, the
     # transients of one chunk (at most 4.5 chunks measured) and the pages a
     # first run touches
-    letters, dim = d * d - 1, d**n
+    rows, dim = int(carried.sum()), d**n
     check_byte_budget(
         f"bound check at d={d}, n={n}, k={k}",
         {
-            f"{letters**n} x {dim**2} row blocks": 2 * 16 * letters**n * dim**2,
-            "Gram blocks": 2 * 8 * sum(letters ** (2 * s) for s in range(k, n + 1)),
+            f"{rows**n} x {dim**2} row blocks": 2 * 16 * rows**n * dim**2,
+            "Gram blocks": 2 * 8 * sum(rows ** (2 * s) for s in range(k, n + 1)),
             "8 chunk-sized transients": 8 * 16 * max(GRAM_CHUNK_ENTRIES, dim**2),
             "a first run's code and buffers": FIRST_RUN_BYTES,
         },
     )
-    mu = _site_eigenvalues(d, state_1site)
-    basis = np.stack(zero_mean_letters(mu))
     blocks = []
     for size in range(k, n + 1):
         channel = ProductChannel(DepolarizingChannel(y, d), QuditSystem(d, size))
         diagonal = functools.reduce(np.kron, [mu] * size)
-        grams = norm_grams(diagonal, channel, _LetterProducts(basis, size))
-        blocks.append((grams, math.comb(n, size)))
+        bures, push = norm_grams(diagonal, channel, _LetterProducts(letters[carried], size))
+        words = functools.reduce(np.logical_and.outer, [carried] * size).ravel()
+        blocks.append(((bures, push, words), math.comb(n, size)))
     return blocks
 
 
@@ -645,9 +656,11 @@ def beta_bound_test(
     Both norms are quadratic forms in a draw's coefficients, so each draw
     is measured against the per-support Gram blocks of `_bound_grams`,
     built once per support size, instead of being assembled as an
-    operator.  The draws are the same; `beta_bound_supremum` gives the
-    exact supremum they sample.  DimensionBudgetError, before anything is
-    built, if the blocks would not fit.
+    operator.  The draws are the same, coefficients of letter products that
+    are not carried included, but only the carried ones are measured;
+    `beta_bound_supremum` gives the exact supremum they sample.
+    DimensionBudgetError, before anything is built, if the blocks would not
+    fit.
     """
     from .sampling import task_rng
 
@@ -685,7 +698,7 @@ def beta_bound_supremum(
     pushforward block.
     """
     best = 0.0
-    for (bures, push), _ in _bound_grams(n, d, y, k, state_1site):
+    for (bures, push, _), _ in _bound_grams(n, d, y, k, state_1site):
         w = whiten_psd(bures)[0]
         best = max(best, float(np.linalg.eigvalsh(w.T @ push @ w)[-1]))
     return best

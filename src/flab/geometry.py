@@ -174,28 +174,33 @@ def norm_grams(diagonal, channel, operators) -> tuple[np.ndarray, np.ndarray]:
 def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.ndarray, np.ndarray]:
     """Bures and pushforward norms of random combinations of a family.
 
-    grams holds the (Bures, pushforward) Gram blocks of consecutive groups
-    of the family, each as returned by `norm_grams`; the blocks between
-    groups are taken to vanish.  Each draw's coefficients are
-    rng.standard_normal(N) over the whole family of N operators; the draws
-    are made in (m, N) blocks, which consumes the stream exactly as one draw
-    at a time does.  Returns the two norms of every draw.  A squared norm
-    negative beyond roundoff raises NumericalError, as in `bures_norm` and
-    `pushforward_norm`; the pushforward's roundoff scale is its
-    triangle-inequality bound (sum_a |c_a| P_aa^{1/2})^2.
+    grams holds one (bures, push, carried) triple per consecutive group of
+    the family: carried is a boolean mask over the group's members, and
+    bures, push are the Gram blocks of the marked members, as returned by
+    `norm_grams`.  The unmarked members are taken to have zero rows in both
+    Grams, and the blocks between groups to vanish.  Each draw's
+    coefficients are rng.standard_normal(N) over the whole family of N
+    operators, marked or not; the draws are made in (m, N) blocks, which
+    consumes the stream exactly as one draw at a time does, and only the
+    marked columns of a block are measured.  Returns the two norms of every
+    draw.  A squared norm negative beyond roundoff raises NumericalError,
+    as in `bures_norm` and `pushforward_norm`; the pushforward's roundoff
+    scale is its triangle-inequality bound (sum_a |c_a| P_aa^{1/2})^2.
     """
-    sizes = [len(bures) for bures, _ in grams]
-    push_roots = [np.sqrt(np.clip(np.diag(push), 0.0, None)) for _, push in grams]
-    total = sum(sizes)
+    marks = np.concatenate([carried for _, _, carried in grams])
+    # a plain slice, so that a family with every member marked is not copied
+    columns = slice(None) if marks.all() else np.flatnonzero(marks)
+    push_roots = [np.sqrt(np.clip(np.diag(push), 0.0, None)) for _, push, _ in grams]
+    total = marks.size
     per_block = max(1, DRAW_CHUNK_ENTRIES // max(total, 1))
     base_sq, push_sq, push_bound = (np.zeros(samples) for _ in range(3))
     for start in range(0, samples, per_block):
         stop = min(start + per_block, samples)
-        coeffs = rng.standard_normal((stop - start, total))
+        coeffs = rng.standard_normal((stop - start, total))[:, columns]
         lo = 0
-        for (bures, push), size, roots in zip(grams, sizes, push_roots):
-            c = coeffs[:, lo : lo + size]
-            lo += size
+        for (bures, push, _), roots in zip(grams, push_roots):
+            c = coeffs[:, lo : lo + len(bures)]
+            lo += len(bures)
             base_sq[start:stop] += np.sum((c @ bures) * c, axis=1)
             push_sq[start:stop] += np.sum((c @ push) * c, axis=1)
             push_bound[start:stop] += np.abs(c) @ roots

@@ -122,27 +122,33 @@ def dispersion_bound(lattice: RingLattice, sigma: float, mode_index: int) -> flo
     return (sigma / lattice.spacing) ** 2 * u**4 / 24.0
 
 
-def _high_mode_profile(lattice: RingLattice, cutoff: float, rng) -> np.ndarray:
-    """Random real profile with every carried momentum at least `cutoff`."""
-    allowed = [
+def _high_modes(lattice: RingLattice, cutoff: float) -> tuple[list[int], np.ndarray]:
+    """The modes below Nyquist with momentum at least `cutoff`, and their
+    plane waves e^{i p x} over the sites, one row per mode."""
+    modes = [
         m
         for m in lattice.mode_indices()
         if abs(lattice.momentum(m)) >= cutoff and abs(m) != lattice.n_sites // 2
     ]
-    if not allowed:
+    if not modes:
         raise ValueError("no representable modes at or above the requested cutoff")
-    coeffs: dict[int, complex] = {m: 0j for m in allowed}
-    for m in allowed:
+    xs = lattice.positions()
+    return modes, np.array([np.exp(1j * lattice.momentum(m) * xs) for m in modes])
+
+
+def _high_mode_profile(modes: list[int], waves: np.ndarray, rng) -> np.ndarray:
+    """Random real profile over the plane waves of `_high_modes`."""
+    coeffs: dict[int, complex] = {m: 0j for m in modes}
+    for m in modes:
         if m < 0:
             continue
         c = complex(rng.standard_normal(), rng.standard_normal())
         coeffs[m] = c
         if -m in coeffs:
             coeffs[-m] = np.conj(c)
-    xs = lattice.positions()
-    values = np.zeros(lattice.n_sites, dtype=complex)
-    for m, c in coeffs.items():
-        values += c * np.exp(1j * lattice.momentum(m) * xs)
+    values = np.zeros(waves.shape[1], dtype=complex)
+    for c, wave in zip(coeffs.values(), waves):
+        values += c * wave
     if np.max(np.abs(values.imag)) > FIELD_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(values)))):
         raise NumericalError("profile sampled to complex values")
     return values.real
@@ -177,8 +183,9 @@ def high_momentum_suppression_probe(
         raise ValueError(f"probe degree must be 1 or 2, got {k}")
     rng = task_rng(seed, k)
     sd = SwapDiffusion(lattice, sigma)
+    modes, waves = _high_modes(lattice, cutoff)
     if k == 1:
-        draws = np.array([_high_mode_profile(lattice, cutoff, rng) for _ in range(samples)]).T
+        draws = np.array([_high_mode_profile(modes, waves, rng) for _ in range(samples)]).T
         norms = np.linalg.norm(draws, axis=0)
         kept = norms >= 1e-12
         evolved = sd.single_walker_apply(draws[:, kept])
@@ -195,7 +202,7 @@ def high_momentum_suppression_probe(
             )
     else:
         L = lattice.n_sites
-        draws = np.array([_high_mode_profile(lattice, cutoff, rng) for _ in range(2 * samples)])
+        draws = np.array([_high_mode_profile(modes, waves, rng) for _ in range(2 * samples)])
         words = np.fft.fft(draws[0::2, :, None] * draws[1::2, _pair_partner(L)], axis=1) / math.sqrt(L)
         evolved = sd.pair_apply(words.transpose(1, 2, 0)).transpose(2, 0, 1)
         base_sq, evolved_sq = (

@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from flab.channels import homogeneous_coarse_graining
 from flab.focklimit import (

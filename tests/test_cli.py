@@ -182,15 +182,16 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 def test_bound_check_budget_is_config_error(tmp_path, monkeypatch, capsys):
-    # dim 3**5 = 243 passes the dimension budget, but the 8**5 x 243**2 row
-    # blocks do not; nothing is built before the refusal
+    # dim 3**6 = 729 passes the dimension budget, but the row blocks of the
+    # pure state's 4**6 carried letter products do not; nothing is built
+    # before the refusal
     from flab import focklimit
 
     def no_products(*args, **kwargs):
         raise AssertionError("letter products built before the budget check")
 
     monkeypatch.setattr(focklimit._LetterProducts, "__getitem__", no_products)
-    cfg = write_config(tmp_path, "bound", {"d": 3, "n": 5, "y": 3.0, "k": 1, "samples": 10})
+    cfg = write_config(tmp_path, "bound", {"d": 3, "n": 6, "y": 3.0, "k": 1, "samples": 10})
     out = tmp_path / "report.json"
     assert main(["bound-check", "--config", cfg, "--out", str(out)]) == 2
     assert "needs an estimated" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import pytest
 import flab
 from flab import focklimit
 from flab.channels import DepolarizingChannel
-from flab.errors import DimensionBudgetError, NumericalError
+from flab.errors import DimensionBudgetError
 from flab.focklimit import (
     NULL_LETTER_THRESHOLD,
     SingleParticleSpace,
@@ -31,7 +31,7 @@ from flab.focklimit import (
     permanent,
     symmetric_sector_spectrum,
 )
-from flab.geometry import bures_norm, pushforward_norm, whiten_psd, whitened_contraction
+from flab.geometry import bures_norm, norm_grams, pushforward_norm, whiten_psd, whitened_contraction
 from flab.operators import (
     DensityMatrix,
     QuditSystem,
@@ -505,33 +505,98 @@ def test_letter_products_are_the_site_products_of_their_words(d, size):
         assert np.array_equal(got, want), step
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_bound_grams_drop_only_exactly_null_products(d):
+    # at the pure state the products of any letter that is not carried are
+    # exactly zero rows of the full blocks, and the carried blocks are the
+    # full blocks' sub-blocks
+    from flab.channels import ProductChannel
+
+    mu = np.eye(d)[0]
+    letters = np.stack(zero_mean_letters(mu))
+    blocks = focklimit._bound_grams(3, d, 3.0, 1, None)
+    for size, ((bures, push, carried), count) in enumerate(blocks, start=1):
+        assert count == math.comb(3, size)
+        assert carried.size == (d * d - 1) ** size and np.count_nonzero(carried) == (2 * (d - 1)) ** size
+        channel = ProductChannel(DepolarizingChannel(3.0, d), QuditSystem(d, size))
+        diagonal = functools.reduce(np.kron, [mu] * size)
+        full = norm_grams(diagonal, channel, focklimit._LetterProducts(letters, size))
+        for want, got in zip(full, (bures, push)):
+            assert np.all(want[~carried] == 0.0)
+            assert_close(got, want[np.ix_(carried, carried)], tol=1e-15 * np.max(np.abs(want)), what=f"size {size}")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bound_check_builds_only_carried_letter_products(d, monkeypatch):
+    built = []
+
+    class Spy(focklimit._LetterProducts):
+        def __init__(self, letters, size):
+            built.append(len(letters))
+            super().__init__(letters, size)
+
+    monkeypatch.setattr(focklimit, "_LetterProducts", Spy)
+    beta_bound_test(n=3, d=d, y=3.0, k=1, samples=10)
+    assert built == [2 * (d - 1)] * 3
+    built.clear()
+    site = random_positive_density(d, task_rng(32, d), min_eigenvalue=0.05)
+    beta_bound_test(n=3, d=d, y=3.0, k=1, samples=10, state_1site=site)
+    assert built == [d * d - 1] * 3
+
+
+class _Checked(Exception):
+    pass
+
+
+def _bound_estimate(monkeypatch, *args, **kwargs) -> dict:
+    """The parts of the bound check's byte estimate, captured before anything
+    is built."""
+    parts = {}
+
+    def capture(what, p):
+        parts.update(p)
+        raise _Checked
+
+    with monkeypatch.context() as patch:
+        patch.setattr(focklimit, "check_byte_budget", capture)
+        with pytest.raises(_Checked):
+            beta_bound_test(*args, **kwargs)
+    return parts
+
+
 def test_bound_check_refused_before_building(monkeypatch):
     def no_products(*args, **kwargs):
         raise AssertionError("letter products built before the budget check")
 
     monkeypatch.setattr(focklimit._LetterProducts, "__getitem__", no_products)
-    # dim 243 passes the dimension budget; its 8**5 x 243**2 row blocks do not
+    # at a mixed site state every letter is carried: dim 243 passes the
+    # dimension budget, its 8**5 x 243**2 row blocks do not
+    site3 = random_positive_density(3, task_rng(33, 3), min_eigenvalue=0.05)
+    with pytest.raises(DimensionBudgetError, match="32768 x 59049 row blocks"):
+        beta_bound_test(n=5, d=3, y=3.0, k=1, samples=10, state_1site=site3)
     with pytest.raises(DimensionBudgetError, match="estimated"):
-        beta_bound_test(n=5, d=3, y=3.0, k=1, samples=10)
-    with pytest.raises(DimensionBudgetError, match="estimated"):
-        beta_bound_supremum(5, 3, 3.0, 1)
-    # the byte estimate, not the dimension, sets the limit: at d=2, n=3 the
-    # row blocks take 2 * 16 * 27 * 64 and the Gram blocks 2 * 8 * 819
-    # bytes, the chunk transients 8 * 16 * 2**14 and a first run 12 MiB,
-    # 14748464 in all, between 16 * 960**2 and 16 * 961**2
+        beta_bound_supremum(5, 3, 3.0, 1, site3)
+    # at the pure state only 4 of the 8 letters are carried, and the
+    # estimate of 4**5 row blocks fits
+    parts = _bound_estimate(monkeypatch, n=5, d=3, y=3.0, k=1, samples=10)
+    assert parts["1024 x 59049 row blocks"] == 2 * 16 * 4**5 * 243**2
+    assert sum(parts.values()) <= 16 * focklimit.dense_dim_budget() ** 2
+    # the byte estimate, not the dimension, sets the limit: at a mixed qubit,
+    # d=2, n=3, the row blocks take 2 * 16 * 27 * 64 and the Gram blocks
+    # 2 * 8 * 819 bytes, the chunk transients 8 * 16 * 2**14 and a first run
+    # 12 MiB, 14748464 in all, between 16 * 960**2 and 16 * 961**2
+    site2 = random_positive_density(2, task_rng(33, 2), min_eigenvalue=0.05)
     monkeypatch.setenv("FLAB_MAX_DIM", "960")
     with pytest.raises(DimensionBudgetError, match="27 x 64 row blocks"):
-        beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10)
+        beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10, state_1site=site2)
     monkeypatch.undo()
     monkeypatch.setenv("FLAB_MAX_DIM", "961")
-    assert beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10)["violations"] == 0
+    assert beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10, state_1site=site2)["violations"] == 0
 
 
 # the child reads its own peak resident set (VmHWM, in KiB) around the check
 BOUND_PEAK = """
-import numpy as np
-import flab
-import flab
+import sys
 from flab import focklimit
 from flab.sampling import random_positive_density, task_rng
 
@@ -539,34 +604,40 @@ def peak():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-site = random_positive_density(2, task_rng(5, 2), min_eigenvalue=0.05)
+d, n, mixed = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "mixed"
+site = random_positive_density(d, task_rng(5, d), min_eigenvalue=0.05) if mixed else None
 before = peak()
-focklimit.beta_bound_test(n=5, d=2, y=3.0, k=1, samples=1000, seed=1, state_1site=site)
+focklimit.beta_bound_test(n=n, d=d, y=3.0, k=1, samples=1000, seed=1, state_1site=site)
 print(1024 * (peak() - before))
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
-def test_bound_check_budget_bounds_the_measured_peak(monkeypatch):
-    # a fresh interpreter at one BLAS thread and a mixed site state, where
-    # both row blocks keep every entry: peak growth from `import flab`
+def _bound_check_peak(monkeypatch, d: int, n: int, mixed: bool) -> tuple[int, int]:
+    """Peak growth of a bound check with 1000 draws from the imports, in a
+    fresh interpreter at one BLAS thread, and its byte estimate at the same
+    site state."""
     src = os.path.dirname(os.path.dirname(flab.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", BOUND_PEAK], env=env, capture_output=True, text=True, check=True)
-    growth = int(run.stdout)
+    child = [sys.executable, "-c", BOUND_PEAK, str(d), str(n), "mixed" if mixed else "pure"]
+    growth = int(subprocess.run(child, env=env, capture_output=True, text=True, check=True).stdout)
+    site = random_positive_density(d, task_rng(5, d), min_eigenvalue=0.05) if mixed else None
+    parts = _bound_estimate(monkeypatch, n=n, d=d, y=3.0, k=1, samples=1000, state_1site=site)
+    return growth, sum(parts.values())
 
-    class Checked(Exception):
-        pass
 
-    def capture(what, p):
-        parts.update(p)
-        raise Checked
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+def test_bound_check_budget_bounds_the_measured_peak(monkeypatch):
+    # a mixed qubit, where both row blocks keep every entry
+    growth, estimate = _bound_check_peak(monkeypatch, 2, 5, mixed=True)
+    assert 2 * 16 * 3**5 * 32**2 < growth <= estimate
 
-    parts = {}
-    monkeypatch.setattr(focklimit, "check_byte_budget", capture)
-    with pytest.raises(Checked):
-        beta_bound_test(n=5, d=2, y=3.0, k=1, samples=1000)
-    assert 2 * 16 * 3**5 * 32**2 < growth <= sum(parts.values())
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+def test_pure_bound_check_builds_carried_rows_only(monkeypatch):
+    # 4 of the 8 qutrit letters are carried: 4**4 rows, whose pushforward
+    # rows keep every entry; all 8**4 rows took about 700 MiB
+    growth, estimate = _bound_check_peak(monkeypatch, 3, 4, mixed=False)
+    assert 16 * 4**4 * 81**2 < growth <= min(estimate, 100 * 2**20)
 
 
 def _permanent_sector_blocks(n, d, y, k, site):

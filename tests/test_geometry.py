@@ -363,31 +363,37 @@ def test_norm_grams_do_not_depend_on_the_chunking(d, n, monkeypatch):
 
 
 def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
-    site = _diagonal_site(2, task_rng(19, 0))
-    system, state, matrices, supports = _support_family(2, 3, site)
-    channel = ProductChannel(DepolarizingChannel(3.0, 2), system)
-    grams = []
-    for s in dict.fromkeys(supports):
-        group = [m for m, t in zip(matrices, supports) if t == s]
-        grams.append(norm_grams(_diagonal(state), channel, group))
-    rng = task_rng(20, 0)
-    draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
-    want_base = [bures_norm(state, a) for a in draws]
-    want_push = [pushforward_norm(state, channel, a) for a in draws]
-    # one draw per block, three per block and all in one block
-    for entries in (1, 3 * len(matrices), 2**16):
-        monkeypatch.setattr(geometry, "DRAW_CHUNK_ENTRIES", entries)
-        base, push = sampled_norms(task_rng(20, 0), 7, grams)
-        assert_close(base, want_base, tol=1e-12, what="bures norms")
-        assert_close(push, want_push, tol=1e-12, what="pushforward norms")
+    # at the mixed site every member is marked; at the pure one only the
+    # members whose rows of the Bures Gram are not zero, and the unmarked
+    # coefficients are still drawn
+    for site in (_diagonal_site(2, task_rng(19, 0)), basis_pure_density(2)):
+        system, state, matrices, supports = _support_family(2, 3, site)
+        channel = ProductChannel(DepolarizingChannel(3.0, 2), system)
+        grams = []
+        for s in dict.fromkeys(supports):
+            bures, push = norm_grams(_diagonal(state), channel, [m for m, t in zip(matrices, supports) if t == s])
+            marked = np.any(bures != 0.0, axis=1)
+            assert np.all(push[~marked] == 0.0)
+            grams.append((bures[np.ix_(marked, marked)], push[np.ix_(marked, marked)], marked))
+        rng = task_rng(20, 0)
+        draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
+        want_base = [bures_norm(state, a) for a in draws]
+        want_push = [pushforward_norm(state, channel, a) for a in draws]
+        # one draw per block, three per block and all in one block
+        for entries in (1, 3 * len(matrices), 2**16):
+            monkeypatch.setattr(geometry, "DRAW_CHUNK_ENTRIES", entries)
+            base, push = sampled_norms(task_rng(20, 0), 7, grams)
+            assert_close(base, want_base, tol=1e-12, what="bures norms")
+            assert_close(push, want_push, tol=1e-12, what="pushforward norms")
+        monkeypatch.undo()
 
 
 def test_sampled_norms_reject_negative_squares():
     rng = task_rng(22, 0)
     with pytest.raises(NumericalError, match="^norm squared came out negative"):
-        sampled_norms(rng, 3, [(-np.eye(2), np.eye(2))])
+        sampled_norms(rng, 3, [(-np.eye(2), np.eye(2), np.ones(2, dtype=bool))])
     with pytest.raises(NumericalError, match="pushforward norm squared came out negative"):
-        sampled_norms(rng, 3, [(np.eye(2), -np.eye(2))])
+        sampled_norms(rng, 3, [(np.eye(2), -np.eye(2), np.ones(2, dtype=bool))])
 
 
 def _decay_cells():

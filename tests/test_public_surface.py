@@ -1,4 +1,5 @@
-"""Every public name in src/flab has a caller that flab or its release needs.
+"""Every public name in src/flab has a caller that flab or its release needs,
+and every module-level import is used.
 
 A public top-level function or class of `src/flab/*.py`, and a public method
 of such a class, must be referenced from another definition in `src/flab`,
@@ -13,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "flab").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 OUTSIDE_CALLERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "benchmarks").glob("*.py"))]
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
@@ -64,3 +66,25 @@ def test_every_public_name_has_a_needed_caller():
         and not _used_in_src(modules, name, node, owner)
     ]
     assert not orphans, f"public names with no caller outside the unit tests: {orphans}"
+
+
+def _unused_imports(module) -> list[str]:
+    """Names bound by the module-level imports of a module that no name in
+    it reads; `from __future__` imports bind nothing."""
+    bound = {}
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            bound.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    read = {sub.id for sub in ast.walk(module) if isinstance(sub, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_every_module_level_import_is_used():
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in SOURCES + TESTS
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert not unused, f"unused module-level imports: {unused}"

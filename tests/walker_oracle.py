@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from flab.lattice import _high_mode_profile, lattice_mode_multiplier
+from flab.lattice import _high_mode_profile, _high_modes, lattice_mode_multiplier
 from flab.sampling import task_rng
 
 
@@ -120,10 +120,11 @@ def high_momentum_k2(lattice, sigma, y, cutoff, samples=32, seed=11):
     W2 = pair_semigroup(L, 0.5 * (sigma / lattice.spacing) ** 2)
     states = pair_states(L)
     gram = pair_gram(L)
+    modes, waves = _high_modes(lattice, cutoff)
     ratios = []
     for _ in range(samples):
-        f = _high_mode_profile(lattice, cutoff, rng)
-        g = _high_mode_profile(lattice, cutoff, rng)
+        f = _high_mode_profile(modes, waves, rng)
+        g = _high_mode_profile(modes, waves, rng)
         c = np.array([f[i] * g[j] for (i, j) in states])
         base_sq = float(c @ gram @ c)
         if base_sq < 1e-20:
