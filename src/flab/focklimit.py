@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import DimensionBudgetError, NumericalError
 from .geometry import (
+    DRAW_CHUNK_ENTRIES,
     GRAM_CHUNK_ENTRIES,
     norm_grams,
     sampled_norms,
@@ -614,15 +615,21 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     carried = np.any((letters != 0) & (mu[:, None] + mu[None, :] > 0), axis=(1, 2))
     # the row blocks of the largest support (at most dim^2 complex entries
     # per operator), one pair of real Gram blocks per support size, the
-    # transients of one chunk (at most 4.5 chunks measured) and the pages a
-    # first run touches
+    # transients of one chunk (at most 4.5 chunks measured) and of one
+    # `sampled_norms` draw block (coefficients of all products, their
+    # carried columns, two products with the largest blocks) and the pages
+    # a first run touches
     rows, dim = int(carried.sum()), d**n
+    products = sum(math.comb(n, s) * (d * d - 1) ** s for s in range(k, n + 1))
+    draws = max(1, DRAW_CHUNK_ENTRIES // products)
+    carried_products = sum(math.comb(n, s) * rows**s for s in range(k, n + 1))
     check_byte_budget(
         f"bound check at d={d}, n={n}, k={k}",
         {
             f"{rows**n} x {dim**2} row blocks": 2 * 16 * rows**n * dim**2,
             "Gram blocks": 2 * 8 * sum(rows ** (2 * s) for s in range(k, n + 1)),
             "8 chunk-sized transients": 8 * 16 * max(GRAM_CHUNK_ENTRIES, dim**2),
+            f"{draws} x {products} draw-block transients": 8 * draws * (products + carried_products + 2 * rows**n),
             "a first run's code and buffers": FIRST_RUN_BYTES,
         },
     )

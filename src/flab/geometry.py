@@ -29,6 +29,7 @@ from .operators import (
     DensityMatrix,
     QuditSystem,
     _check_hermitian,
+    _fix_column_phases,
     _greedy_gram_prune,
     _hermitian_word_values,
     as_matrix,
@@ -243,9 +244,9 @@ class GnsSpace:
     matrices is the family as one (m, dim, dim) stack; gram is its real GNS
     Gram Re tr(rho A_a^dagger A_b).  From `symmetric_sector_dense_spectrum`
     the family is permutation symmetric and held in orbit coordinates
-    instead: matrices is (m, orbits), each word's values on the orbits of
-    `operators.orbit_counts`, and state is the site state diag(mu) of which
-    rho is the n-fold product.
+    instead: matrices is (m, orbits), each word's values on the word-support
+    orbits of `operators.orbit_counts(d, n, k)` (zero on the others), and
+    state is the site state diag(mu) of which rho is the n-fold product.
     """
 
     state: DensityMatrix
@@ -263,16 +264,7 @@ class GnsSpace:
 
 def _gns_space(state: DensityMatrix, stack: np.ndarray, labels, gram: np.ndarray, null_threshold: float) -> GnsSpace:
     """Whitened GNS space of a family whose real Gram is already known."""
-    whitener, kept = whiten_psd(gram, null_threshold)
-    return GnsSpace(
-        state=state,
-        matrices=stack,
-        labels=labels,
-        gram=gram,
-        whitener=whitener,
-        kept_eigenvalues=kept,
-        null_threshold=null_threshold,
-    )
+    return GnsSpace(state, stack, labels, gram, *whiten_psd(gram, null_threshold), null_threshold)
 
 
 def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOLD) -> GnsSpace:
@@ -303,16 +295,6 @@ def channel_pairing_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> 
     for col, mat in zip(cols, in_space.matrices):
         col[...] = state_product(channel.adjoint_apply(mat), rho)
     return real_overlaps(out_space.matrices, cols)
-
-
-def _fix_signs(coeffs: np.ndarray) -> np.ndarray:
-    out = coeffs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            out[:, j] = -col
-    return out
 
 
 def whitened_contraction(w_fine: np.ndarray, w_coarse: np.ndarray, pairing: np.ndarray):
@@ -376,7 +358,7 @@ def _contraction_between(fine: GnsSpace, coarse: GnsSpace, pairing: np.ndarray) 
     vals, coeffs = whitened_contraction(fine.whitener, coarse.whitener, pairing)
     return ContractionSpectrum(
         eigenvalues=vals,
-        coefficients=_fix_signs(coeffs),
+        coefficients=_fix_column_phases(coeffs),
         out_space=fine,
         in_space=coarse,
     )
@@ -386,31 +368,30 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
     """Refuse the dense k-local sector of `symmetric_sector_dense_spectrum`
     if its arrays would not fit, before any is built.
 
-    The words live in orbit coordinates, so the dim-square arrays are the
-    caller's: the dense product state and, in `identical_site_state`, its
-    Kronecker rebuild from the site marginals with the deviation and its
-    modulus, beside the largest partial trace and rebuild step (dim^2 / d^2
-    entries each; freed, they stay on the heap).  That is the peak.  Beside
-    it count the orbit values of the words and of their Heisenberg images,
-    the word polynomials of the last orbit level
-    (`operators.symmetric_word_values`: the polynomials and their parents'
-    copies, and the gathered sources, site factors and their products, one
-    slot per distinct letter), the orbit bookkeeping and a first run's code
-    and buffers.
+    The words live on the word-support orbits (`operators.orbit_counts`),
+    so the dim-square arrays are the caller's: the dense product state,
+    beside 48 bytes per dim^2 / d^2 entries for either its last Kronecker
+    factor while it is built (with the earlier partial products left on the
+    heap) or the later sites' product, a block and its modulus in
+    `identical_site_state`.  That is the peak.  Beside it count the orbit
+    values of the words and of their Heisenberg images, the word
+    polynomials of the last orbit level (`operators.symmetric_word_values`:
+    the polynomials, their parents' copies, the running slot sum, one
+    slot's gathered sources and site factors and their product), the orbit
+    bookkeeping and a first run's code and buffers.
     """
-    labels, n = system.d**2, system.n
-    top = min(k, n)
-    # letter multisets of degree <= top: C(labels - 1 + top, top)
+    d, n = system.d, system.n
+    labels, top = d * d, min(k, n)
     words = math.comb(labels - 1 + top, top)
-    orbits = math.comb(n + labels - 1, n)
-    square = system.dim**2
+    # m <= top sites on off-diagonal labels, n - m on the d diagonal ones
+    orbits = sum(math.comb(n - m + d - 1, d - 1) * math.comb(m + labels - d - 1, m) for m in range(top + 1))
     check_byte_budget(
-        f"dense sector at d={system.d}, n={n}",
+        f"dense sector at d={d}, n={n}",
         {
-            f"dense state and its product check ({system.dim}-square)": (56 * labels + 32) * square // labels,
+            f"dense state and its product check ({system.dim}-square)": (16 * labels + 48) * system.dim**2 // labels,
             f"{words} x {orbits} orbit values and images": 2 * 16 * words * orbits,
-            "last-level word polynomials": 16 * orbits * words * (2 + 3 * max(top, 1)),
-            "orbit counts, ranks and levels": 4 * 8 * orbits * labels,
+            "last-level word polynomials": 6 * 16 * orbits * words,
+            "orbit counts, ranks and levels": 6 * 8 * orbits * labels,
             "a first run's code and buffers": FIRST_RUN_BYTES,
         },
     )
@@ -442,9 +423,11 @@ def symmetric_sector_dense_spectrum(
     covariant and permutation averaging commutes with U^{(x)n}.
 
     The words are permutation symmetric, so they are held in orbit
-    coordinates (`operators.symmetric_word_values`): C(n + d^2 - 1, n)
-    values each, not dim^2 entries.  A trace against a diagonal product
-    state is a weighted sum over orbits, Re tr(rho A^dagger B) = Re sum_o
+    coordinates (`operators.symmetric_word_values`), on the word-support
+    orbits of `operators.orbit_counts` off which every word of degree <= k
+    vanishes: fewer values than dim^2 entries or C(n + d^2 - 1, n) orbits.
+    A trace against a diagonal product state is a weighted sum over orbits,
+    Re tr(rho A^dagger B) = Re sum_o
     |o| prod_l mu_{b(l)}^{n_l} conj(A_o) B_o, with b(l) the column of label
     l.  The coarse state is diag(D(diag mu))^{(x)n} for the site
     depolarizing D, and the Heisenberg image of a symmetric word under the
@@ -452,8 +435,8 @@ def symmetric_sector_dense_spectrum(
     permutation average fixes it, the product channel acts site by site,
     and D is unital, so D^dagger(1) = 1 on the other sites.  No dense word,
     channel apply or letter kernel is formed, so this route stays
-    independent of the closed form it checks.  `out_space` and `in_space` hold orbit coordinates (see
-    `GnsSpace`).
+    independent of the closed form it checks.  `out_space` and `in_space`
+    hold orbit coordinates (see `GnsSpace`).
 
     The fine family is pruned to a numerically independent set at the fine
     state; the coarse side keeps the full unpruned word family.  Pruning
@@ -479,7 +462,7 @@ def symmetric_sector_dense_spectrum(
     # the site depolarizing is unital, so the images keep the identity
     # background
     images = symmetric_word_values(words, depolarizing.adjoint_apply(letters), n)
-    counts = orbit_counts(d, n)
+    counts = orbit_counts(d, n, k)
     fine_weights = _orbit_weights(counts, mu)
     coarse_weights = _orbit_weights(counts, np.diagonal(coarse_site.matrix).real)
     gram = real_overlaps(values, values * fine_weights)

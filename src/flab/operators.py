@@ -140,11 +140,9 @@ def _fix_column_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = vecs.copy()
     for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
+        pivot = out[np.argmax(np.abs(out[:, j])), j]
         if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
+            out[:, j] *= abs(pivot) / pivot
     return out
 
 
@@ -171,47 +169,29 @@ def product_density(state_1site: DensityMatrix, n: int) -> DensityMatrix:
     return DensityMatrix(mat, check=False)
 
 
-def reduced_density(matrix, system: QuditSystem, keep_sites) -> np.ndarray:
-    """Partial trace keeping the listed sites (ascending order)."""
-    keep = sorted(keep_sites)
-    d, n = system.d, system.n
-    tens = as_matrix(matrix).reshape((d,) * (2 * n))
-    drop = [i for i in range(n) if i not in keep]
-    for offset, site in enumerate(drop):
-        # row axis of the partially traced tensor for this site, and its column twin
-        ax = site - sum(1 for s in drop[:offset] if s < site)
-        n_left = n - offset
-        tens = np.trace(tens, axis1=ax, axis2=ax + n_left)
-    k = len(keep)
-    return tens.reshape(d**k, d**k)
-
-
-def factor_product_state(state: DensityMatrix, system: QuditSystem) -> list[DensityMatrix]:
-    """Split a product state into site marginals; reject correlated states."""
-    marginals = [DensityMatrix(reduced_density(state, system, [i]), check=False) for i in range(system.n)]
-    rebuilt = np.array([[1.0]], dtype=complex)
-    for m in marginals:
-        rebuilt = np.kron(rebuilt, m.matrix)
-    dev = np.max(np.abs(rebuilt - state.matrix))
-    if dev > PRODUCT_STATE_TOL:
-        raise NumericalError(
-            f"state is not a product over sites: reconstruction deviation {dev:.3e}"
-        )
-    return marginals
-
-
 def identical_site_state(state: DensityMatrix, system: QuditSystem) -> DensityMatrix:
     """The common site marginal of a product state with identical sites.
 
-    NumericalError if the state is not a product over sites or if its site
-    marginals differ.
+    The first site's marginal (one partial trace) is compared once with
+    the state as its n-fold product, block by block: one block of the later
+    sites' product per entry of the first sites' (two for qubits, one
+    otherwise), so few blocks are visited and none exceeds dim^2 / d^2
+    entries.  NumericalError naming the deviation if it exceeds
+    PRODUCT_STATE_TOL: the state is not a product, or its sites differ.
     """
-    marginals = factor_product_state(state, system)
-    first = marginals[0].matrix
-    for m in marginals[1:]:
-        if np.max(np.abs(m.matrix - first)) > PRODUCT_STATE_TOL:
-            raise NumericalError("symmetric words need identical site marginals")
-    return marginals[0]
+    d, n, rest = system.d, system.n, system.d ** (system.n - 1)
+    site = DensityMatrix(np.trace(state.matrix.reshape(d, rest, d, rest), axis1=1, axis2=3), check=False)
+    first = min(n, 2) if d == 2 else 1
+    others = product_density(site, n - first).matrix
+    blocks = state.matrix.reshape(d**first, len(others), d**first, len(others))
+    block, dev = np.empty_like(others), 0.0
+    for (i, j), value in np.ndenumerate(product_density(site, first).matrix):
+        np.multiply(others, value, out=block)
+        block -= blocks[i, :, j]
+        dev = max(dev, float(np.max(np.abs(block))))
+    if dev > PRODUCT_STATE_TOL:
+        raise NumericalError(f"state is not a product of identical site states (deviation {dev:.3e})")
+    return site
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:
@@ -300,49 +280,60 @@ def _count_rank(counts: np.ndarray, n: int) -> np.ndarray:
     return _orbit_rank(np.cumsum(counts[:, :-1], axis=1).T, n, counts.shape[1])
 
 
-@functools.lru_cache(maxsize=1)
-def _orbit_levels(labels: int, n: int):
-    """Multisets of 1, ..., n joint labels, grown one label at a time.
+@functools.lru_cache(maxsize=4)
+def _orbit_levels(d: int, n: int, top: int):
+    """Multisets of 1, ..., n joint labels with at most `top` off-diagonal
+    labels (r != c), grown one label at a time.
 
-    Each multiset of i labels is its parent, a multiset of i - 1 labels,
-    plus one copy of its largest label.  Returns the (orbits, labels) site
-    counts of the multisets of n labels and, for each size i, the parent
-    index and the added label of every multiset of i labels, all in orbit
-    order (`_orbit_rank`).  Cached, so the arrays are read-only.
+    Each multiset of i labels is its parent, a multiset of i - 1 labels
+    with no more off-diagonal ones, plus one copy of its largest label.
+    Returns the (orbits, labels) site counts of the kept multisets of n
+    labels, their `_orbit_rank`s among all multisets of n labels and, per
+    size i, the parent index and added label of each kept multiset of i
+    labels, all in orbit order.  Cached, so the arrays are read-only.
     """
+    labels = d * d
+    off_diagonal = np.arange(labels) % (d + 1) != 0
     counts = np.zeros((1, labels), dtype=np.int64)
-    # largest label of each multiset; the empty one takes any
-    top = np.zeros(1, dtype=np.int64)
+    # largest label (the empty multiset takes any) and off-diagonal count
+    largest, off = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     levels = []
     for _ in range(n):
-        parent, label = np.nonzero(np.arange(labels) >= top[:, None])
+        parent, label = np.nonzero(np.arange(labels) >= largest[:, None])
+        grown = off[parent] + off_diagonal[label]
+        kept = grown <= top
+        parent, label, off = parent[kept], label[kept], grown[kept]
         counts = counts[parent]
         counts[np.arange(len(counts)), label] += 1
-        order = np.argsort(_count_rank(counts, n))
-        parent, top, counts = parent[order], label[order], counts[order]
-        levels.append((parent, top))
-    for array in (counts, *itertools.chain.from_iterable(levels)):
+        ranks = _count_rank(counts, n)
+        order = np.argsort(ranks)
+        parent, largest, off, counts, ranks = parent[order], label[order], off[order], counts[order], ranks[order]
+        levels.append((parent, largest))
+    for array in (counts, ranks, *itertools.chain.from_iterable(levels)):
         array.flags.writeable = False
-    return counts, levels
+    return counts, ranks, levels
 
 
-def orbit_counts(d: int, n: int) -> np.ndarray:
+def orbit_counts(d: int, n: int, top: int) -> np.ndarray:
     """Site counts of each joint (row, column) label l = r d + c, one row
-    per orbit of the site permutations on the entries of a d^n-dimensional
-    matrix.
+    per word-support orbit of the site permutations on the entries of a
+    d^n-dimensional matrix.
 
     Permuting sites moves an entry along with the joint labels (r_i, c_i)
-    of its sites, so an orbit is a multiset of n labels out of d^2, and
-    there are C(n + d^2 - 1, n) of them.  Rows are in orbit order, the
-    order of `entry_orbits` and of `symmetric_word_values`.  The array is
-    cached and read-only.
+    of its sites, so an orbit is a multiset of n labels out of d^2, one of
+    C(n + d^2 - 1, n).  A word of degree j vanishes on every orbit with
+    more than j off-diagonal labels (`symmetric_word_values`), so only the
+    sum_{m <= top} C(n - m + d - 1, d - 1) C(m + d^2 - d - 1, m) orbits
+    with at most `top` of them are listed, in orbit order, the order of
+    `symmetric_word_values`.  The array is cached and read-only.
     """
-    return _orbit_levels(d * d, n)[0]
+    return _orbit_levels(d, n, min(top, n))[0]
 
 
 def entry_orbits(d: int, n: int) -> np.ndarray:
-    """Orbit (a row of `orbit_counts`) of every entry of a dense
-    d^n-dimensional matrix, flattened row-major.
+    """Orbit of every entry of a dense d^n-dimensional matrix, flattened
+    row-major, as its index among all orbits (a row of
+    `orbit_counts(d, n, n)`).
 
     The site counts of the entries are never held: their prefix sums are
     accumulated label by label and ranked on the fly.
@@ -363,8 +354,9 @@ def entry_orbits(d: int, n: int) -> np.ndarray:
 
 
 def symmetric_word_values(words, letters, n: int) -> np.ndarray:
-    """`symmetric_word_operator` of each word on every orbit, as (m, orbits)
-    rows in `orbit_counts` order.
+    """`symmetric_word_operator` of each word on the orbits of
+    `orbit_counts(d, n, top)`, top the largest word degree, as (m, orbits)
+    rows.
 
     A symmetric word is constant on orbits.  On an orbit with n_l sites of
     joint label l = (a, b), the word with letter multiset c takes the value
@@ -372,7 +364,9 @@ def symmetric_word_values(words, letters, n: int) -> np.ndarray:
         prod_t c_t! n^{-|c|/2} [x^c] prod_l (delta_l + sum_t x_t (f_t)_l)^{n_l},
 
     the sum over placements of its letters on distinct sites, with the
-    identity (delta_l = 1 on diagonal labels) on the other sites.  The
+    identity (delta_l = 1 on diagonal labels) on the other sites.  So each
+    off-diagonal site takes a letter, and a word vanishes, whatever its
+    letters, on the orbits with more such sites than its degree.  The
     polynomial, truncated at the words' top degree, is multiplied up one
     site factor at a time along `_orbit_levels`, so no dense entry is ever
     formed.
@@ -395,13 +389,18 @@ def symmetric_word_values(words, letters, n: int) -> np.ndarray:
             at = mono.index(t)
             source[i, r], lead[i, r] = index[mono[:at] + mono[at + 1 :]], t
     entries = np.concatenate([letters.reshape(n_letters, d * d), np.zeros((1, d * d))])
-    site = entries[lead].transpose(2, 0, 1)
+    # one (labels, monomials) site factor per slot
+    site = entries[lead].transpose(1, 2, 0)
     identity = np.eye(d).reshape(d * d)
     poly = np.zeros((1, len(monomials)), dtype=complex)
     poly[0, 0] = 1.0
-    for parent, label in _orbit_levels(d * d, n)[1]:
+    for parent, label in _orbit_levels(d, n, top)[2]:
         prev = poly[parent]
-        poly = identity[label, None] * prev + np.sum(prev[:, source] * site[label], axis=2)
+        # slot by slot, in place: a sum over a short last axis is ten times slower
+        slots = prev[:, source[:, 0]] * site[0][label]
+        for r in range(1, width):
+            slots += prev[:, source[:, r]] * site[r][label]
+        poly = identity[label, None] * prev + slots
     scale = [math.prod(math.factorial(w.count(t)) for t in set(w)) / n ** (len(w) / 2) for w in words]
     return poly[:, [index[w] for w in words]].T * np.array(scale)[:, None]
 
@@ -412,11 +411,21 @@ def symmetric_word_operator(word, basis_ops, system: QuditSystem) -> np.ndarray:
     word indexes into basis_ops; the result is n^{-j/2} times the sum over
     ordered tuples of j distinct sites of the embedded product.  Since the
     letters commute across sites only the multiset of letters matters.  The
-    matrix is gathered from the word's orbit values (`symmetric_word_values`)
-    through the orbit of each entry (`entry_orbits`).
+    matrix is gathered from the word's orbit values (`symmetric_word_values`,
+    `dense_from_orbits`).
     """
     values = symmetric_word_values([word], basis_ops, system.n)
-    return values[0, entry_orbits(system.d, system.n)].reshape(system.dim, system.dim)
+    return dense_from_orbits(values, system.d, system.n, len(word))[0]
+
+
+def dense_from_orbits(values: np.ndarray, d: int, n: int, top: int) -> np.ndarray:
+    """(m, d^n, d^n) dense matrices of (m, orbits) values on the orbits of
+    `orbit_counts(d, n, top)`: scattered to all orbits at their ranks, zero
+    on the others, and gathered through each entry's `entry_orbits`."""
+    _, ranks, _ = _orbit_levels(d, n, min(top, n))
+    full = np.zeros((len(values), math.comb(n + d * d - 1, n)), dtype=complex)
+    full[:, ranks] = values
+    return full[:, entry_orbits(d, n)].reshape(len(values), d**n, d**n)
 
 
 def symmetric_words(n_letters: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -437,10 +446,11 @@ def _check_hermitian(values: np.ndarray, transposed: np.ndarray, labels) -> None
     """NumericalError naming the first member of a family that is not
     hermitian: whose values differ from the conjugates of `transposed`, its
     values at the transposed positions."""
-    for vals, swapped, label in zip(values, transposed, labels):
-        dev = np.max(np.abs(vals - swapped.conj()))
-        if dev > HERMITIAN_BASIS_TOL * max(1.0, float(np.max(np.abs(vals)))):
-            raise NumericalError(f"basis element {label} is not hermitian (deviation {dev:.3e})")
+    axes = tuple(range(1, np.ndim(values)))
+    dev = np.max(np.abs(values - np.conj(transposed)), axis=axes)
+    bad = np.flatnonzero(dev > HERMITIAN_BASIS_TOL * np.maximum(1.0, np.max(np.abs(values), axis=axes)))
+    if bad.size:
+        raise NumericalError(f"basis element {labels[bad[0]]} is not hermitian (deviation {dev[bad[0]]:.3e})")
 
 
 def _hermitian_word_values(words, letters, n: int) -> np.ndarray:
@@ -449,8 +459,10 @@ def _hermitian_word_values(words, letters, n: int) -> np.ndarray:
     the transposed entries."""
     values = symmetric_word_values(words, letters, n)
     d = np.shape(letters)[-1]
+    # transposing keeps the off-diagonal count, so transposed orbits are listed
+    counts, ranks, _ = _orbit_levels(d, n, max(map(len, words)))
     label = np.arange(d * d)
-    transposed = _count_rank(orbit_counts(d, n)[:, label % d * d + label // d], n)
+    transposed = np.searchsorted(ranks, _count_rank(counts[:, label % d * d + label // d], n))
     _check_hermitian(values, values[:, transposed], [word_label(w) for w in words])
     return values
 
@@ -473,7 +485,7 @@ def symmetric_klocal_basis(
     site_basis = single_site_zero_mean_basis(identical_site_state(state, system))
     words = [w for w in symmetric_words(system.d**2 - 1, k) if len(w) <= system.n]
     values = _hermitian_word_values(words, site_basis, system.n)
-    stack = values[:, entry_orbits(system.d, system.n)].reshape(len(words), system.dim, system.dim)
+    stack = dense_from_orbits(values, system.d, system.n, k)
     if prune and len(stack) > 1:
         # the real span is what the contraction spectra act on, so
         # dependence is judged on the real part of the GNS Gram
@@ -517,18 +529,16 @@ def _greedy_gram_prune(gram: np.ndarray, threshold: float) -> list[int]:
     largest residual diagonal first, lowest index on ties, until the
     residual falls below threshold relative to the largest original norm.
     """
-    diag = np.real(np.diag(gram))
-    scale = max(float(diag.max()), 1e-300)
+    scale = max(float(np.real(np.diag(gram)).max()), 1e-300)
     residual = gram.copy()
-    kept: list[int] = []
-    active = list(range(len(gram)))
-    while active:
+    active = np.ones(len(gram), dtype=bool)
+    while active.any():
         rd = np.real(np.diag(residual))
-        i = min(active, key=lambda idx: (-rd[idx], idx))
+        # argmax takes the first of equal maxima, the lowest index
+        i = int(np.argmax(np.where(active, rd, -np.inf)))
         if rd[i] <= threshold * scale:
             break
-        kept.append(i)
-        active.remove(i)
+        active[i] = False
         col = residual[:, i].copy()
         residual = residual - np.outer(col, col.conj()) / rd[i]
-    return sorted(kept)
+    return np.flatnonzero(~active).tolist()

@@ -155,18 +155,19 @@ def test_budget_maps_to_config_error(tmp_path, monkeypatch):
 
 
 def test_spectrum_refuses_n13_before_building_the_state(tmp_path, monkeypatch, capsys):
-    # dim 8192 passes the default dimension budget; the dense product state
-    # with its product check (4 GiB) does not, and neither the 8192-square
-    # state nor any word is built before the refusal
+    # at FLAB_MAX_DIM = 8192, dim 8192 passes the dimension budget; the
+    # dense product state with its product check (1792 MiB) does not fit
+    # the 1024 MiB of one 8192-square operator, and neither the state nor
+    # any word is built before the refusal
     def nothing_built(*args, **kwargs):
         raise AssertionError("dense arrays built before the budget check")
 
-    monkeypatch.delenv("FLAB_MAX_DIM", raising=False)
+    monkeypatch.setenv("FLAB_MAX_DIM", "8192")
     monkeypatch.setattr(cli, "product_density", nothing_built)
     cfg = write_config(tmp_path, "big", {"d": 2, "n": 13, "y": 2.0, "k": 2})
     out = tmp_path / "report.json"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-    assert "dense sector at d=2, n=13 needs an estimated 4109 MiB" in capsys.readouterr().err
+    assert "dense sector at d=2, n=13 needs an estimated 1804 MiB" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -580,17 +580,22 @@ def test_bound_check_refused_before_building(monkeypatch):
     # estimate of 4**5 row blocks fits
     parts = _bound_estimate(monkeypatch, n=5, d=3, y=3.0, k=1, samples=10)
     assert parts["1024 x 59049 row blocks"] == 2 * 16 * 4**5 * 243**2
+    # one draw per block of sampled_norms: its coefficients over all
+    # 9**5 - 1 products, the 5**5 - 1 carried ones and two products with
+    # the 4**5-square blocks of the full support
+    assert parts["1 x 59048 draw-block transients"] == 8 * (59048 + 3124 + 2 * 4**5)
     assert sum(parts.values()) <= 16 * focklimit.dense_dim_budget() ** 2
     # the byte estimate, not the dimension, sets the limit: at a mixed qubit,
     # d=2, n=3, the row blocks take 2 * 16 * 27 * 64 and the Gram blocks
-    # 2 * 8 * 819 bytes, the chunk transients 8 * 16 * 2**14 and a first run
-    # 12 MiB, 14748464 in all, between 16 * 960**2 and 16 * 961**2
+    # 2 * 8 * 819 bytes, the chunk transients 8 * 16 * 2**14, 1040 draws of
+    # 63 coefficients 8 * 1040 * (63 + 63 + 2 * 27) and a first run 12 MiB,
+    # 16246064 in all, between 16 * 1007**2 and 16 * 1008**2
     site2 = random_positive_density(2, task_rng(33, 2), min_eigenvalue=0.05)
-    monkeypatch.setenv("FLAB_MAX_DIM", "960")
+    monkeypatch.setenv("FLAB_MAX_DIM", "1007")
     with pytest.raises(DimensionBudgetError, match="27 x 64 row blocks"):
         beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10, state_1site=site2)
     monkeypatch.undo()
-    monkeypatch.setenv("FLAB_MAX_DIM", "961")
+    monkeypatch.setenv("FLAB_MAX_DIM", "1008")
     assert beta_bound_test(n=3, d=2, y=3.0, k=1, samples=10, state_1site=site2)["violations"] == 0
 
 

@@ -39,7 +39,7 @@ from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
-    entry_orbits,
+    dense_from_orbits,
     identical_site_state,
     orbit_counts,
     product_density,
@@ -493,11 +493,10 @@ def test_orbit_images_are_the_coarse_graining_adjoint_of_the_words(d, n, k):
     letters = np.array(single_site_zero_mean_basis(site))
     depolarizing = DepolarizingChannel(y, d)
     words = symmetric_words(d * d - 1, k)
-    entries = entry_orbits(d, n)
-    dense = symmetric_word_values(words, letters, n)[:, entries].reshape(len(words), system.dim, system.dim)
+    dense = dense_from_orbits(symmetric_word_values(words, letters, n), d, n, k)
     images = symmetric_word_values(words, depolarizing.adjoint_apply(letters), n)
     want = homogeneous_coarse_graining(system, y).adjoint_apply(dense)
-    assert_close(images[:, entries].reshape(want.shape), want, tol=1e-13, what=f"d={d} n={n} images")
+    assert_close(dense_from_orbits(images, d, n, k), want, tol=1e-13, what=f"d={d} n={n} images")
 
 
 def _dense_cases():
@@ -525,11 +524,11 @@ def test_dense_sector_spectrum_matches_original_frame_oracle(d, n, k, y, site):
         rho = space.state.matrix
         assert rho.shape == (d, d)
         assert np.count_nonzero(rho - np.diag(np.diagonal(rho))) == 0
-        assert space.matrices.shape[1] == len(orbit_counts(d, n))
+        assert space.matrices.shape[1] == len(orbit_counts(d, n, k))
     _, u = identical_site_state(state, system).eigensystem()
     rotation = tensor_many([u] * n)
     full = symmetric_klocal_basis(k, system, state, prune=False)
-    words = got.in_space.matrices[:, entry_orbits(d, n)].reshape(full.shape)
+    words = dense_from_orbits(got.in_space.matrices, d, n, k)
     assert_close(words, rotation.conj().T @ full @ rotation, tol=1e-13, what="eigenframe words")
 
 
@@ -558,15 +557,15 @@ def test_state_product_scales_columns_only_for_diagonal_states():
 
 
 def test_dense_sector_budget_default_limits(monkeypatch):
-    # at the default budget (4 GiB) d=2, k=2 fits at n=12, an estimated
-    # 1037 MiB, not at n=13, 4109 MiB: the dense state with its product
-    # check, 64 bytes per entry of the 8192-square matrix, fills the budget
-    # alone; neither chain is built
+    # at the default budget (4 GiB) d=2, k=2 fits at n=13, an estimated
+    # 1804 MiB, not at n=14, 7180 MiB: the dense state with its product
+    # check, 28 bytes per entry of the 16384-square matrix, fills the
+    # budget alone; neither chain is built
     monkeypatch.delenv("FLAB_MAX_DIM", raising=False)
-    check_dense_sector_budget(QuditSystem(2, 12), 2)
-    refusal = r"estimated 4109 MiB \(dense state and its product check \(8192-square\) 4096 MiB"
+    check_dense_sector_budget(QuditSystem(2, 13), 2)
+    refusal = r"estimated 7180 MiB \(dense state and its product check \(16384-square\) 7168 MiB"
     with pytest.raises(DimensionBudgetError, match=refusal):
-        check_dense_sector_budget(QuditSystem(2, 13), 2)
+        check_dense_sector_budget(QuditSystem(2, 14), 2)
     # degrees above n have no words: k=3 at n=2 counts 1 + 3 + 6 of them,
     # on the 10 multisets of 2 joint labels out of 4
     pair = QuditSystem(2, 2)
@@ -581,17 +580,18 @@ def test_dense_sector_spectrum_refused_before_building(monkeypatch):
 
     site = random_positive_density(2, task_rng(22), min_eigenvalue=0.05)
     system, state = QuditSystem(2, 5), product_density(site, 5)
-    # 10 words on 56 orbits: the 32-square state with its product check
-    # takes 65536 bytes, the orbit arrays 96768 and a first run 12582912,
-    # 12745216 in all, between 16 * 892**2 and 16 * 893**2
-    monkeypatch.setenv("FLAB_MAX_DIM", "892")
+    # 10 words on the 28 orbits with at most 2 off-diagonal sites: the
+    # 32-square state with its product check takes 28672 bytes, the orbit
+    # arrays 41216 and a first run 12582912, 12652800 in all, between
+    # 16 * 889**2 and 16 * 890**2
+    monkeypatch.setenv("FLAB_MAX_DIM", "889")
     with monkeypatch.context() as spy:
         spy.setattr(operators, "symmetric_word_values", nothing_built)
         spy.setattr(geometry, "symmetric_word_values", nothing_built)
         spy.setattr(geometry, "identical_site_state", nothing_built)
         with pytest.raises(DimensionBudgetError, match="dense sector at d=2, n=5 needs an estimated"):
             symmetric_sector_dense_spectrum(system, state, 2.0, 2)
-    monkeypatch.setenv("FLAB_MAX_DIM", "893")
+    monkeypatch.setenv("FLAB_MAX_DIM", "890")
     assert symmetric_sector_dense_spectrum(system, state, 2.0, 2).eigenvalues.shape == (10,)
 
 
@@ -621,11 +621,13 @@ print(1024 * (peak() - before))
 @pytest.mark.parametrize(
     "d, n, k, floor",
     [
-        # the state, its rebuild and their deviation, 1024-square each
-        pytest.param(2, 10, 2, 3 * 16 * 1024**2, id="dense-state"),
-        # the last level's gathered sources, site factors and products:
-        # 165 monomials with 3 slots on 1287 orbits
-        pytest.param(3, 5, 3, 3 * 16 * 1287 * 165 * 3, id="orbit-polynomials"),
+        # the 1024-square state and its last 512-square Kronecker factor
+        pytest.param(2, 10, 2, 16 * (1024**2 + 512**2), id="dense-state"),
+        # the last level's parents' copy, running slot sum, one slot's
+        # gathered sources and site factors and their product: 165
+        # monomials on the 657 orbits with at most 3 off-diagonal sites,
+        # beside a 243-square state of 0.9 MiB
+        pytest.param(3, 5, 3, 5 * 16 * 657 * 165, id="orbit-polynomials"),
     ],
 )
 def test_dense_sector_budget_bounds_the_measured_peak(monkeypatch, d, n, k, floor):

@@ -8,26 +8,56 @@ import pytest
 
 from flab.errors import DimensionBudgetError, NumericalError
 from flab.operators import (
+    PRODUCT_STATE_TOL,
     DensityMatrix,
     QuditSystem,
+    _greedy_gram_prune,
     _hermitian_word_values,
     basis_pure_density,
+    dense_from_orbits,
     entry_orbits,
-    factor_product_state,
     gell_mann_basis,
+    identical_site_state,
     orbit_counts,
     product_density,
     pure_state_density,
-    reduced_density,
     single_site_zero_mean_basis,
     symmetric_klocal_basis,
     symmetric_word_operator,
+    symmetric_word_values,
     symmetric_words,
     word_label,
 )
+from flab.sampling import random_positive_density, task_rng
 
 from conftest import assert_close, maximally_mixed_density
 from dense_oracle import permute_sites, site_product, tensor_many
+
+
+def reduced_density(matrix, system: QuditSystem, keep_sites) -> np.ndarray:
+    """Partial trace keeping the listed sites (ascending order)."""
+    keep = sorted(keep_sites)
+    d, n = system.d, system.n
+    tens = np.asarray(matrix).reshape((d,) * (2 * n))
+    drop = [i for i in range(n) if i not in keep]
+    for offset, site in enumerate(drop):
+        # row axis of the partially traced tensor for this site, and its column twin
+        ax = site - sum(1 for s in drop[:offset] if s < site)
+        n_left = n - offset
+        tens = np.trace(tens, axis1=ax, axis2=ax + n_left)
+    k = len(keep)
+    return tens.reshape(d**k, d**k)
+
+
+def factor_product_state(state: DensityMatrix, system: QuditSystem) -> list[DensityMatrix]:
+    """Oracle: split a product state into its site marginals, one partial
+    trace each, and reject it if their Kronecker product is not the state."""
+    marginals = [DensityMatrix(reduced_density(state.matrix, system, [i]), check=False) for i in range(system.n)]
+    rebuilt = tensor_many([m.matrix for m in marginals])
+    dev = np.max(np.abs(rebuilt - state.matrix))
+    if dev > PRODUCT_STATE_TOL:
+        raise NumericalError(f"state is not a product over sites: reconstruction deviation {dev:.3e}")
+    return marginals
 
 
 def test_system_validation():
@@ -121,10 +151,39 @@ def test_factor_product_state_roundtrip():
     for m in marginals:
         assert_close(m.matrix, site.matrix, tol=1e-10)
     # entangled states do not factor
+    with pytest.raises(NumericalError):
+        factor_product_state(_bell_state(), QuditSystem(2, 2))
+
+
+def _bell_state() -> DensityMatrix:
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
-    with pytest.raises(NumericalError):
-        factor_product_state(pure_state_density(bell), QuditSystem(2, 2))
+    return pure_state_density(bell)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (3, 3)])
+def test_identical_site_state_accepts_an_identical_product(d, n):
+    system = QuditSystem(d, n)
+    site = random_positive_density(d, task_rng(41, d), min_eigenvalue=0.05)
+    got = identical_site_state(product_density(site, n), system)
+    assert_close(got.matrix, site.matrix, tol=1e-14)
+    # the same marginal as the oracle's per-site partial traces
+    for marginal in factor_product_state(product_density(site, n), system):
+        assert_close(got.matrix, marginal.matrix, tol=1e-14)
+
+
+def test_identical_site_state_rejects_correlated_and_unequal_sites():
+    # a Bell state has identical (maximally mixed) marginals but is not
+    # their product
+    with pytest.raises(NumericalError, match="not a product of identical site states"):
+        identical_site_state(_bell_state(), QuditSystem(2, 2))
+    # a product of two different site states, compared with the square of
+    # the first: |0.9 * 0.5 - 0.9 * 0.9| = 0.36
+    unequal = DensityMatrix(np.kron(np.diag([0.9, 0.1]), np.diag([0.5, 0.5])))
+    with pytest.raises(NumericalError, match=r"\(deviation 3.600e-01\)"):
+        identical_site_state(unequal, QuditSystem(2, 2))
+    # the oracle accepts the unequal product, which does factor
+    assert len(factor_product_state(unequal, QuditSystem(2, 2))) == 2
 
 
 def test_site_product_and_embed():
@@ -243,9 +302,67 @@ def test_entry_orbits_index_the_orbit_counts(d, n):
     digits = np.stack([(idx // d ** (n - 1 - i)) % d for i in range(n)], axis=1)
     labels = (digits[:, None, :] * d + digits[None, :, :]).reshape(-1, n)
     counts = np.stack([np.bincount(row, minlength=d * d) for row in labels])
-    orbits = orbit_counts(d, n)
+    orbits = orbit_counts(d, n, n)
     assert len(orbits) == math.comb(n + d * d - 1, n)
     assert np.array_equal(orbits[entry_orbits(d, n)], counts)
+
+
+def _random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return z + z.conj().T
+
+
+def _off_diagonal_sites(d: int, n: int) -> np.ndarray:
+    """Number of sites with row label != column label, per dense entry."""
+    off = np.arange(d * d) % (d + 1) != 0
+    return orbit_counts(d, n, n)[:, off].sum(axis=1)[entry_orbits(d, n)]
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+def test_words_vanish_on_entries_with_more_off_diagonal_sites_than_letters(d, n):
+    # the identity the word-support orbits rest on: an off-diagonal site
+    # label is zero in the identity, so it must carry a letter.  Oracle:
+    # brute-force placements of random hermitian letters, in no eigenframe
+    system, rng = QuditSystem(d, n), task_rng(42, d)
+    letters = [_random_hermitian(d, rng) for _ in range(2)]
+    off = _off_diagonal_sites(d, n)
+    for word in [(0,), (0, 1), (1, 1)]:
+        brute = np.zeros((system.dim, system.dim), dtype=complex)
+        for sites in itertools.permutations(range(n), len(word)):
+            brute += site_product({s: letters[a] for s, a in zip(sites, word)}, system)
+        beyond = off.reshape(system.dim, system.dim) > len(word)
+        assert beyond.any() and np.all(brute[beyond] == 0.0)
+        assert np.max(np.abs(brute[~beyond])) > 0.1
+        got = dense_from_orbits(symmetric_word_values([word], letters, n), d, n, len(word))[0]
+        assert_close(got, brute / n ** (len(word) / 2), tol=1e-12, what=f"word {word}")
+
+
+@pytest.mark.parametrize("d, n, top, want", [(3, 5, 2, 321), (2, 8, 2, 46), (3, 8, 3, 2025), (2, 24, 3, 230), (2, 3, 5, 20)])
+def test_word_support_orbit_count(d, n, top, want):
+    # m off-diagonal sites on d^2 - d labels, the other n - m on d diagonal ones
+    formula = sum(
+        math.comb(n - m + d - 1, d - 1) * math.comb(m + d * d - d - 1, m) for m in range(min(top, n) + 1)
+    )
+    counts = orbit_counts(d, n, top)
+    assert len(counts) == formula == want
+    off = np.arange(d * d) % (d + 1) != 0
+    assert counts[:, off].sum(axis=1).max() == min(top, n)
+    assert np.all(counts.sum(axis=1) == n)
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 5, 1), (2, 5, 2), (3, 4, 2)])
+def test_word_support_values_scatter_to_the_full_orbit_values(d, n, k):
+    # a degree-n word widens the family to every orbit; the low-degree
+    # words' values there are the word-support values, and zero elsewhere
+    rng = task_rng(43, d)
+    letters = [_random_hermitian(d, rng) for _ in range(d * d - 1)]
+    words = symmetric_words(len(letters), k)
+    support = symmetric_word_values(words, letters, n)
+    full = symmetric_word_values(words + [(0,) * n], letters, n)[: len(words)]
+    assert support.shape == (len(words), len(orbit_counts(d, n, k)))
+    assert full.shape == (len(words), math.comb(n + d * d - 1, n))
+    scattered = dense_from_orbits(support, d, n, k)
+    assert_close(scattered, dense_from_orbits(full, d, n, n), tol=1e-13, what="scattered values")
 
 
 def test_word_values_hermiticity_check_names_the_word():
@@ -257,6 +374,38 @@ def test_word_values_hermiticity_check_names_the_word():
     _hermitian_word_values(symmetric_words(1, 2), [sx], 3)
     with pytest.raises(NumericalError, match="basis element f1 is not hermitian"):
         _hermitian_word_values(symmetric_words(2, 2), [sx, raising], 3)
+
+
+def _greedy_gram_prune_loop(gram: np.ndarray, threshold: float) -> list[int]:
+    """Reference: the pivot scan as a Python loop over the active indices."""
+    scale = max(float(np.real(np.diag(gram)).max()), 1e-300)
+    residual, kept, active = gram.copy(), [], list(range(len(gram)))
+    while active:
+        rd = np.real(np.diag(residual))
+        i = min(active, key=lambda idx: (-rd[idx], idx))
+        if rd[i] <= threshold * scale:
+            break
+        kept.append(i)
+        active.remove(i)
+        col = residual[:, i].copy()
+        residual = residual - np.outer(col, col.conj()) / rd[i]
+    return sorted(kept)
+
+
+def test_greedy_gram_prune_matches_the_loop_scan():
+    rng = task_rng(44)
+    # unit vectors with a repeat and a sum: after the sum e1 + e2, the
+    # residuals of 0 and 2 tie at 1 and those of 1 and 3 at 1/2, so the
+    # lowest index wins both later picks
+    unit = np.eye(3)
+    families = [np.stack([unit[0], unit[1], unit[0], unit[2], unit[1] + unit[2]])]
+    families += [rng.standard_normal((size, rank)) @ rng.standard_normal((rank, 7)) for size, rank in [(6, 3), (5, 5), (9, 2)]]
+    for family in families:
+        gram = family @ family.T
+        got = _greedy_gram_prune(gram, 1e-10)
+        assert got == _greedy_gram_prune_loop(gram, 1e-10)
+        assert len(got) == np.linalg.matrix_rank(family)
+    assert _greedy_gram_prune(families[0] @ families[0].T, 1e-10) == [0, 1, 4]
 
 
 def test_word_length_capped_by_sites():
