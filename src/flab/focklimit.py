@@ -313,6 +313,36 @@ def _coarse_inverse_factors(kernel: np.ndarray, k: int, null_threshold: float):
     return rot.conj().T @ root_inv, lam
 
 
+def _coupled(kernel: np.ndarray) -> np.ndarray:
+    """Letters joined, directly or not, by the exact nonzero pattern of a
+    hermitian kernel: in the site eigenframe, those of one off-diagonal
+    index pair, or the diagonal ones (the entries between are exact zeros)."""
+    joined = (kernel != 0) | np.eye(len(kernel), dtype=bool)
+    while not np.array_equal(joined, grown := joined @ joined):
+        joined = grown
+    return joined
+
+
+def _reached_coarse(k_coarse: np.ndarray, pair_single: np.ndarray):
+    """K' and the pairing on the coarse letters R of the nonzero pairing
+    columns (all if none) and those K' joins to them.  Other tuples have zero
+    pairing columns, and Re(K'^{(x)j}) is block diagonal between them and
+    R-tuples.  R is every letter at a faithful state, 2(d - 1) at a pure one."""
+    seed = np.any(pair_single != 0, axis=0)
+    reached = np.flatnonzero(_coupled(k_coarse)[seed if seed.any() else slice(None)].any(axis=0))
+    return k_coarse[np.ix_(reached, reached)], pair_single[:, reached]
+
+
+def _orbit_keys(kernel: np.ndarray, basis: _TupleBasis) -> list[tuple]:
+    """Key of each orbit: the letter blocks of its tuples in order, or on
+    Sym^j their counts.  Tuple Gram entries between orbits of different
+    keys are sums of products with an exact zero factor."""
+    blocks = _coupled(kernel).argmax(axis=0)[basis.reps]
+    if basis.symmetric:
+        blocks = (blocks[:, :, None] == np.arange(len(kernel))).sum(axis=1)
+    return list(map(tuple, blocks.tolist()))
+
+
 def _tuple_contraction(k_fine, k_coarse, pair_single, fine: _TupleBasis, factors, null_threshold: float):
     """Contraction eigendata of the channel on the span R of fine j-letter tuples.
 
@@ -322,13 +352,15 @@ def _tuple_contraction(k_fine, k_coarse, pair_single, fine: _TupleBasis, factors
     `_coarse_inverse_factors`), else by whitening the coarse Gram.  For
     R = Sym^j no coarse projector is needed: Z^{(x)j}, Re(K'^{(x)j}) and
     P^T preserve symmetric tuples, and 1 / (1 + Lambda^{(x)j}) is constant
-    on orbits.  Returns descending eigenvalues and coefficients W_f V.
+    on orbits.  Both Grams are whitened per key of `_orbit_keys`.  Returns
+    descending eigenvalues and coefficients W_f V.
     """
     k = fine.reps.shape[1]
-    coarse = _TupleBasis.build(len(k_coarse), k, fine.symmetric)
-    w_fine, _ = whiten_psd(_kron_power(k_fine, fine, fine).real, null_threshold)
+    coarse = fine if len(k_coarse) == fine.letters else _TupleBasis.build(len(k_coarse), k, fine.symmetric)
+    w_fine, _ = whiten_psd(_kron_power(k_fine, fine, fine).real, null_threshold, _orbit_keys(k_fine, fine))
     if factors is None:
-        w_coarse, _ = whiten_psd(_kron_power(k_coarse, coarse, coarse).real, null_threshold)
+        gram = _kron_power(k_coarse, coarse, coarse).real
+        w_coarse, _ = whiten_psd(gram, null_threshold, _orbit_keys(k_coarse, coarse))
         return whitened_contraction(w_fine, w_coarse, _kron_power(pair_single, fine, coarse).real)
     z, lam = factors
     # R'^T Z^{(x)k} P^T R W_f, with P^T = ((K m)^{T (x)k} + conj(K m)^{T (x)k}) / 2
@@ -382,10 +414,11 @@ def fock_block_spectrum(
     """Contraction spectrum of the channel on the k-letter tuple space.
 
     `_tuple_contraction` over all tuples of the r non-null fine letters.
-    The coarse tuple metric is inverted by mode products on the c letters
-    when `_coarse_inverse_factors` certifies it, and is otherwise (a
-    singular or ill-conditioned coarse kernel, as at y = 1) built and
-    whitened densely.  Eigenvalues are reported in descending order, zero
+    The coarse tuple metric, on the c letters the pairing reaches
+    (`_reached_coarse`), is inverted by mode products when
+    `_coarse_inverse_factors` certifies it, and is otherwise (a singular or
+    ill-conditioned coarse kernel, as at y = 1) built and whitened densely,
+    block by block.  Eigenvalues are reported in descending order, zero
     padded to the full r^k tuple dimension so that directions annihilated
     by the metric appear explicitly.  Eigenvector coefficients are given
     over the fine tuple basis, with readable combination labels.  Every
@@ -401,14 +434,13 @@ def fock_block_spectrum(
             f"letter matrix shape {m.shape} does not match spaces "
             f"({sp_fine.dim}, {sp_coarse.dim})"
         )
-    factors = _coarse_inverse_factors(sp_coarse.kernel, k, null_threshold)
+    k_coarse, pair_single = _reached_coarse(sp_coarse.kernel, fine_red.kernel @ m[kept, :])
+    factors = _coarse_inverse_factors(k_coarse, k, null_threshold)
     _check_tuple_budget("fine", fine_red.dim, k)
     if factors is None:
-        _check_tuple_budget("coarse", sp_coarse.dim, k)
+        _check_tuple_budget("coarse", len(k_coarse), k)
     fine = _TupleBasis.build(fine_red.dim, k, symmetric=False)
-    vals, coeffs = _tuple_contraction(
-        fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :], fine, factors, null_threshold
-    )
+    vals, coeffs = _tuple_contraction(fine_red.kernel, k_coarse, pair_single, fine, factors, null_threshold)
 
     pad = fine_red.dim**k - vals.size
     return FockBlock(
@@ -459,18 +491,20 @@ def _sector_blocks(
     c_{n,j} of all three degree-j matrices cancels after whitening, so n
     only drops degrees above n.  Before any degree is built, each is
     checked against the byte budget at 6 times its largest array, the
-    complex transport between coarse and fine multisets or, without a
-    certified coarse inverse, the coarse Gram (measured peaks: 5 to 6 times
-    on a mixed qutrit at degrees 5 to 7).
+    complex transport between coarse multisets (of the letters the pairing
+    reaches, `_reached_coarse`) and fine ones or, without a certified
+    coarse inverse, the coarse Gram (measured peaks: 5 to 6 times on a
+    mixed qutrit at degrees 5 to 7).
     """
     fine_red, kept = sp_fine.reduced(null_threshold)
-    r, c = fine_red.dim, sp_coarse.dim
+    k_coarse, pair_single = _reached_coarse(sp_coarse.kernel, fine_red.kernel @ m[kept, :])
+    r, c = fine_red.dim, len(k_coarse)
     degrees = [j for j in range(1, k + 1) if n is None or j <= n]
-    factors = {j: _coarse_inverse_factors(sp_coarse.kernel, j, null_threshold) for j in degrees}
+    factors = {j: _coarse_inverse_factors(k_coarse, j, null_threshold) for j in degrees}
     for j in degrees:
         rows, cols = math.comb(c + j - 1, j), math.comb((c if factors[j] is None else r) + j - 1, j)
         check_byte_budget(f"sector degree {j}", {f"6 x the {rows} x {cols} complex array": 96 * rows * cols})
-    kernels = (fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :])
+    kernels = (fine_red.kernel, k_coarse, pair_single)
     return {
         j: _tuple_contraction(*kernels, _TupleBasis.build(r, j, symmetric=True), factors[j], null_threshold)[0]
         for j in degrees

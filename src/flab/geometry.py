@@ -212,7 +212,7 @@ def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.nda
     return np.sqrt(np.maximum(base_sq, 0.0)), np.sqrt(np.maximum(push_sq, 0.0))
 
 
-def whiten_psd(gram: np.ndarray, null_threshold: float = NULL_THRESHOLD):
+def whiten_psd(gram: np.ndarray, null_threshold: float = NULL_THRESHOLD, keys=None):
     """Whitening map for a symmetric PSD Gram matrix.
 
     Returns (whitener, kept_eigenvalues) with whitener W = V L^{-1/2} over
@@ -220,20 +220,35 @@ def whiten_psd(gram: np.ndarray, null_threshold: float = NULL_THRESHOLD):
     so W^T G W = identity on the retained subspace.  Cholesky is avoided on
     purpose: the Gram matrices here are routinely rank deficient and the
     eigenvalue cut doubles as the null-space quotient.
+
+    keys, if given, holds one hashable per row, and entries between rows of
+    different keys must vanish: each key's block then gets its own eigh,
+    and W's columns run block by block (in order of first row).  The cut
+    and the check on negative eigenvalues stay global.
     """
     gram = np.asarray(gram, dtype=float)
     sym_dev = np.max(np.abs(gram - gram.T)) if gram.size else 0.0
     if sym_dev > 1e-10 * max(1.0, float(np.max(np.abs(gram))) if gram.size else 1.0):
         raise NumericalError(f"gram matrix not symmetric: deviation {sym_dev:.3e}")
-    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    sym = 0.5 * (gram + gram.T)
+    rows_of: dict = {}
+    for row, key in enumerate(() if keys is None else keys):
+        rows_of.setdefault(key, []).append(row)
+    groups = [slice(None)] if keys is None else list(rows_of.values())
+    blocks = [np.linalg.eigh(sym if keys is None else sym[np.ix_(rows, rows)]) for rows in groups]
+    vals = np.concatenate([block_vals for block_vals, _ in blocks])
     top = max(float(vals.max(initial=0.0)), 0.0)
     if vals.size and vals.min() < -null_threshold * max(top, 1e-300):
         raise NumericalError(
             f"gram matrix has negative eigenvalue {vals.min():.3e}; not a valid pairing"
         )
-    keep = vals > null_threshold * max(top, 1e-300)
-    kept_vals = vals[keep]
-    whitener = vecs[:, keep] / np.sqrt(kept_vals)
+    cut = null_threshold * max(top, 1e-300)
+    kept_vals = vals[vals > cut]
+    whitener, col = np.zeros((len(gram), kept_vals.size)), 0
+    for rows, (block_vals, vecs) in zip(groups, blocks):
+        keep = block_vals > cut
+        whitener[rows, col : col + np.count_nonzero(keep)] = vecs[:, keep] / np.sqrt(block_vals[keep])
+        col += np.count_nonzero(keep)
     return whitener, kept_vals
 
 

@@ -162,10 +162,12 @@ def basis_pure_density(d: int, level: int = 0) -> DensityMatrix:
 
 
 def product_density(state_1site: DensityMatrix, n: int) -> DensityMatrix:
-    """n-fold tensor power of a single-site state."""
+    """n-fold tensor power of a single-site state, one broadcast outer
+    product per site: the products np.kron forms, without its overhead."""
+    site = state_1site.matrix
     mat = np.array([[1.0]], dtype=complex)
     for _ in range(n):
-        mat = np.kron(mat, state_1site.matrix)
+        mat = (mat[:, None, :, None] * site[None, :, None, :]).reshape(len(mat) * len(site), -1)
     return DensityMatrix(mat, check=False)
 
 
@@ -539,6 +541,7 @@ def _greedy_gram_prune(gram: np.ndarray, threshold: float) -> list[int]:
         if rd[i] <= threshold * scale:
             break
         active[i] = False
-        col = residual[:, i].copy()
-        residual = residual - np.outer(col, col.conj()) / rd[i]
+        update = np.outer(residual[:, i], residual[:, i].conj())
+        update /= rd[i]
+        residual -= update
     return np.flatnonzero(~active).tolist()

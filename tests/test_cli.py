@@ -172,14 +172,30 @@ def test_spectrum_refuses_n13_before_building_the_state(tmp_path, monkeypatch, c
 
 
 def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
-    # y = 1 leaves the coarse kernel singular, so the 8**2 coarse tuple Gram
-    # would be built densely; it is refused before allocation
-    monkeypatch.setenv("FLAB_MAX_DIM", "50")
+    # y = 1 leaves the coarse kernel singular, so the coarse tuple Gram would
+    # be built densely; at the pure state the pairing reaches as many coarse
+    # letters as there are fine ones, 4, and the 4**2 fine tuple Gram is
+    # refused first, before allocation
+    monkeypatch.setenv("FLAB_MAX_DIM", "15")
     cfg = write_config(tmp_path, "fock", {"d": 3, "y": 1.0, "k_max": 2})
     out = tmp_path / "report.json"
     assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
-    assert "exceeds budget" in capsys.readouterr().err
+    assert "fine tuple dimension 4**2 exceeds budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fock_runs_the_pure_ququart_at_the_identity_channel(tmp_path):
+    # d = 4, y = 1: the singular coarse kernel needs the dense coarse tuple
+    # Gram, over the 6**4 tuples of the letters the pairing reaches (15**4
+    # over all coarse letters was over the default budget)
+    cfg = write_config(tmp_path, "fock", {"d": 4, "y": 1.0, "k_max": 4})
+    out = tmp_path / "report.json"
+    assert main(["fock", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["tables"]["blocks"]
+    assert {k: sum(row["k"] == k for row in rows) for k in range(1, 5)} == {k: 6**k for k in range(1, 5)}
+    # the identity channel keeps every direction the fine metric keeps
+    kept = [row["eigenvalue"] for row in rows if row["eigenvector"] != "0"]
+    assert kept and max(abs(value - 1.0) for value in kept) <= 1e-11
 
 
 def test_bound_check_budget_is_config_error(tmp_path, monkeypatch, capsys):

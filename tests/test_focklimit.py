@@ -334,9 +334,17 @@ def test_fock_block_matches_dense_oracle(d, state):
             what = f"d={d} {state} y={y} k={k}"
             assert block.fine_rank == want_vals.size, what
             assert np.max(np.abs(block.eigenvalues[want_vals.size :]), initial=0.0) == 0.0
-            assert_close(block.eigenvalues[: want_vals.size], want_vals, tol=1e-12, what=what)
+            if y == 1.0:
+                # the identity channel: every kept eigenvalue is exactly 1,
+                # one cluster.  The oracle whitens the whole coarse Gram and
+                # is off by up to 9.9e-8 here (nearly pure qutrit, k = 3)
+                assert_close(block.eigenvalues[: want_vals.size], 1.0, tol=1e-11, what=what)
+                clusters = [np.arange(want_vals.size)]
+            else:
+                assert_close(block.eigenvalues[: want_vals.size], want_vals, tol=1e-12, what=what)
+                clusters = _clusters(want_vals)
             got_coeffs = block.coefficients[:, : want_vals.size]
-            for idx in _clusters(want_vals):
+            for idx in clusters:
                 want_proj = want_coeffs[:, idx] @ want_coeffs[:, idx].T
                 got_proj = got_coeffs[:, idx] @ got_coeffs[:, idx].T
                 dev = np.max(np.abs(got_proj - want_proj))
@@ -344,21 +352,23 @@ def test_fock_block_matches_dense_oracle(d, state):
 
 
 @pytest.mark.parametrize(
-    "y, eps, dense_degrees",
-    [(2.0, 0.0, ()), (1.0, 0.0, (1, 2, 3)), (1.0, 0.03, (3,))],
+    "y, eps, dense_degrees, reached",
+    [(2.0, 0.0, (), 4), (1.0, 0.0, (1, 2, 3), 4), (1.0, 0.03, (3,), 8)],
     ids=["pure-y2", "pure-y1", "nearly-pure-y1"],
 )
-def test_fock_block_whitens_coarse_tuples_only_when_uncertified(monkeypatch, y, eps, dense_degrees):
-    # the coarse tuple Gram is whitened densely exactly when
-    # lambda_min(K')^k <= threshold * lambda_max(K')^k or cond(K')^k >
-    # FACTORED_COND_MAX: always for the singular kernel of a pure coarse
-    # state (y = 1), from k = 3 on for cond(K') = 31 (eps = 0.03), never at
-    # y = 2 with a pure fine state
+def test_fock_block_whitens_coarse_tuples_only_when_uncertified(monkeypatch, y, eps, dense_degrees, reached):
+    # the coarse tuple Gram is whitened densely exactly when, on the coarse
+    # letters the pairing reaches, lambda_min(K')^k <= threshold *
+    # lambda_max(K')^k or cond(K')^k > FACTORED_COND_MAX: always for the
+    # singular kernel of a pure coarse state (y = 1), from k = 3 on for
+    # cond(K') = 31 (eps = 0.03), never at y = 2 with a pure fine state.
+    # A pure fine state reaches the 4 letters of the index pairs (0, 1) and
+    # (0, 2), a faithful one all 8
     sizes = []
 
-    def recording_whiten(gram, threshold):
+    def recording_whiten(gram, threshold, keys=None):
         sizes.append(gram.shape[0])
-        return whiten_psd(gram, threshold)
+        return whiten_psd(gram, threshold, keys)
 
     monkeypatch.setattr(focklimit, "whiten_psd", recording_whiten)
     sp_f, sp_c, m = depolarizing_fock_setup(3, y, _nearly_pure(3, eps))
@@ -366,7 +376,7 @@ def test_fock_block_whitens_coarse_tuples_only_when_uncertified(monkeypatch, y, 
         sizes.clear()
         fock_block_spectrum(sp_f, sp_c, m, k)
         # the fine tuple Gram first, then the coarse one if it is dense
-        assert sizes[1:] == ([sp_c.dim**k] if k in dense_degrees else []), (k, sizes)
+        assert sizes[1:] == ([reached**k] if k in dense_degrees else []), (k, sizes)
 
 
 def test_real_part_of_kron_power_is_bracketed_by_kernel_extremes():
@@ -385,6 +395,57 @@ def test_real_part_of_kron_power_is_bracketed_by_kernel_extremes():
                 assert vals[0] >= low**k - slack and vals[-1] <= high**k + slack, (dim, k)
 
 
+@pytest.mark.parametrize("d, k_max", [(2, 3), (3, 3), (4, 2)])
+def test_reached_coarse_letters_give_the_unrestricted_spectra(d, k_max):
+    # the tuple core over every coarse letter, rebuilt here, against the
+    # Fock block and the sector on the letters the pairing reaches
+    thr = NULL_LETTER_THRESHOLD
+    sites = [None, random_positive_density(d, task_rng(20261019, d), min_eigenvalue=0.05), _nearly_pure(d, 1e-4)]
+    for site, y in itertools.product(sites, (1.0, 1.5, 2.7)):
+        sp_f, sp_c, m = depolarizing_fock_setup(d, y, site)
+        fine_red, kept = sp_f.reduced(thr)
+        sectors = focklimit._sector_blocks(None, sp_f, sp_c, m, k_max, thr)
+        for k, symmetric in itertools.product(range(1, k_max + 1), (False, True)):
+            fine = focklimit._TupleBasis.build(fine_red.dim, k, symmetric)
+            factors = focklimit._coarse_inverse_factors(sp_c.kernel, k, thr)
+            pairing = fine_red.kernel @ m[kept, :]
+            want = focklimit._tuple_contraction(fine_red.kernel, sp_c.kernel, pairing, fine, factors, thr)[0]
+            got = sectors[k] if symmetric else fock_block_spectrum(sp_f, sp_c, m, k).eigenvalues[: want.size]
+            what = f"d={d} site={'pure' if site is None else site.eigensystem()[0]} y={y} k={k} sym={symmetric}"
+            assert_close(got, want, tol=1e-13, what=what)
+            if y == 1.0:
+                assert_close(got, 1.0, tol=1e-11, what=what)
+    # a pairing that reaches no coarse letter contracts everything to 0
+    assert not fock_block_spectrum(sp_f, sp_c, 0 * m, 2).eigenvalues.any()
+    assert not np.concatenate(list(focklimit._sector_blocks(None, sp_f, sp_c, 0 * m, 2, thr).values())).any()
+
+
+def test_fock_block_at_the_pure_qutrit_stays_on_reached_letter_blocks(monkeypatch):
+    # k = 4: the pairing reaches 4 of the 8 coarse letters, so no coarse
+    # tuple basis exceeds 4**4 orbits (8**4 over all letters), and the
+    # 256-square fine Gram is 16 blocks of 16 (two letter blocks per site)
+    orbits, fine_eigh = [], []
+    build, eigh = focklimit._TupleBasis.build, np.linalg.eigh
+
+    def recording_build(letters, j, symmetric):
+        basis = build(letters, j, symmetric)
+        orbits.append(len(basis.reps))
+        return basis
+
+    def recording_whiten(gram, threshold, keys=None):
+        with monkeypatch.context() as inner:
+            inner.setattr(np.linalg, "eigh", lambda mat: fine_eigh.append(mat.shape[0]) or eigh(mat))
+            return whiten_psd(gram, threshold, keys)
+
+    monkeypatch.setattr(focklimit._TupleBasis, "build", recording_build)
+    monkeypatch.setattr(focklimit, "whiten_psd", recording_whiten)
+    block = fock_block_spectrum(*depolarizing_fock_setup(3, 2.5), 4)
+    assert orbits and max(orbits) == 256, orbits
+    # y = 2.5 is certified: the fine Gram is the only one whitened
+    assert fine_eigh == [16] * 16, fine_eigh
+    assert block.eigenvalues.size == 256
+
+
 def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
     monkeypatch.setenv("FLAB_MAX_DIM", "50")
     # y = 2: the 64-dim coarse side is factored, the 16-dim fine side fits
@@ -393,10 +454,16 @@ def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
     def no_allocation(mat, k):
         raise AssertionError("tuple Gram built before the budget check")
 
+    # y = 1: the singular coarse kernel needs the dense coarse Gram, over the
+    # 4**2 tuples of the 4 coarse letters the pure state's pairing reaches
+    fock_block_spectrum(*depolarizing_fock_setup(3, 1.0), 2)
     monkeypatch.setattr(focklimit, "_kron_power", no_allocation)
-    # y = 1: the singular coarse kernel needs the dense 64-dim coarse Gram
+    # rank 2: 7 fine letters, and K' at y = 1.01 couples the 8th coarse
+    # letter to them; cond(K')**2 > FACTORED_COND_MAX, so the 64-dim coarse
+    # Gram would be dense
+    rank_two = DensityMatrix(np.diag([0.6, 0.4, 0.0]).astype(complex))
     with pytest.raises(DimensionBudgetError, match="coarse tuple dimension 8\\*\\*2"):
-        fock_block_spectrum(*depolarizing_fock_setup(3, 1.0), 2)
+        fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2)
     monkeypatch.setenv("FLAB_MAX_DIM", "15")
     with pytest.raises(DimensionBudgetError, match="fine tuple dimension 4\\*\\*2"):
         fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
@@ -721,15 +788,16 @@ def test_symmetric_kron_power_is_the_orbit_restriction():
 
 @pytest.mark.parametrize(
     "y, k, allowed, what",
-    [(2.0, 3, 16, "3840 bytes .6 x the 10 x 4 complex array"), (1.0, 2, 15, "3456 bytes .6 x the 6 x 6 complex")],
+    [(2.0, 3, 10, "1536 bytes .6 x the 4 x 4 complex array"), (1.0, 2, 8, "864 bytes .6 x the 3 x 3 complex")],
     ids=["certified", "uncertified"],
 )
 def test_sector_budget_refused_before_building(monkeypatch, y, k, allowed, what):
-    # pure qubit: 2 fine and 3 coarse letters, so degree j has C(j+1, j)
-    # fine and C(j+2, j) coarse multisets.  With a certified coarse inverse
-    # the largest array of degree 3 is the 10 x 4 transport; at y = 1 that
-    # of degree 2 is the 6-square coarse Gram.  Six times their 16-byte
-    # entries lie between 16 * (allowed - 1)**2 and 16 * allowed**2 bytes
+    # pure qubit: 2 fine letters, and the pairing reaches 2 of the 3 coarse
+    # ones, so degree j has C(j+1, j) multisets on both sides.  With a
+    # certified coarse inverse the largest array of degree 3 is the 4 x 4
+    # transport; at y = 1 that of degree 2 is the 3-square coarse Gram.
+    # Six times their 16-byte entries lie between 16 * (allowed - 1)**2 and
+    # 16 * allowed**2 bytes
     def nothing_built(*args, **kwargs):
         raise AssertionError("sector arrays built before the budget check")
 

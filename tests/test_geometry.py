@@ -22,6 +22,7 @@ from flab.focklimit import klocal_decay_check, symmetric_sector_spectrum
 from flab.geometry import (
     bures_norm,
     channel_pairing_matrix,
+    NULL_THRESHOLD,
     check_dense_sector_budget,
     contraction_spectrum,
     gns_build,
@@ -139,6 +140,56 @@ def test_whiten_psd():
     assert len(kept2) == 1
     with pytest.raises(NumericalError):
         whiten_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _whiten_psd_one_eigh(gram, null_threshold):
+    """Reference: whiten_psd as one eigh of the whole symmetrized Gram."""
+    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    top = max(float(vals.max(initial=0.0)), 0.0)
+    keep = vals > null_threshold * max(top, 1e-300)
+    return vecs[:, keep] / np.sqrt(vals[keep]), vals[keep]
+
+
+def _block_diagonal_gram(rng):
+    """A PSD Gram of four blocks on interleaved rows, with their row keys.
+    One block is rank deficient and one lies wholly below the global cut."""
+    sizes, scales, ranks = (3, 4, 2, 5), (1.0, 2.5, 1e-12, 0.3), (3, 2, 2, 5)
+    keys = np.repeat(np.arange(4), sizes)
+    rng.shuffle(keys)
+    gram = np.zeros((keys.size, keys.size))
+    for key, (size, scale, rank) in enumerate(zip(sizes, scales, ranks)):
+        rows = np.flatnonzero(keys == key)
+        factor = rng.standard_normal((size, rank))
+        gram[np.ix_(rows, rows)] = scale * factor @ factor.T
+    return gram, keys
+
+
+def test_keyed_whiten_psd_matches_one_eigh():
+    rng = task_rng(20261019, 7)
+    gram, keys = _block_diagonal_gram(rng)
+    w, kept = whiten_psd(gram, NULL_THRESHOLD, keys.tolist())
+    w_ref, kept_ref = whiten_psd(gram, NULL_THRESHOLD)
+    # 3 + 2 + 5 kept; the whole 1e-12 block is cut against the global top
+    assert w.shape == w_ref.shape == (14, 10)
+    assert_close(np.sort(kept), kept_ref, tol=1e-12 * kept_ref[-1])
+    assert_close(w.T @ gram @ w, np.eye(10), tol=1e-12)
+    # the kept eigenspace and the inverse on it agree
+    assert_close((w * kept) @ w.T, (w_ref * kept_ref) @ w_ref.T, tol=1e-12)
+    assert_close(w @ w.T, w_ref @ w_ref.T, tol=1e-12 * np.max(np.abs(w_ref @ w_ref.T)))
+    # rows of different keys share no column, and the check on negative
+    # eigenvalues sees every block
+    for col in w.T:
+        assert np.unique(keys[col != 0]).size == 1
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
+        whiten_psd(gram - 1e-3 * np.diag(keys == 1), NULL_THRESHOLD, keys.tolist())
+
+
+def test_unkeyed_whiten_psd_is_one_eigh_bit_for_bit():
+    rng = task_rng(20261019, 8)
+    for gram in (_block_diagonal_gram(rng)[0], np.eye(3), np.array([[1.0, 1.0], [1.0, 1.0]])):
+        w, kept = whiten_psd(gram)
+        w_ref, kept_ref = _whiten_psd_one_eigh(gram, NULL_THRESHOLD)
+        assert np.array_equal(w, w_ref) and np.array_equal(kept, kept_ref)
 
 
 def test_whitened_contraction_closed_forms():
@@ -292,16 +343,17 @@ def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
 
 def test_klocal_decay_check_refused_before_building(monkeypatch):
     # pure qubit at y = 2: degree 3, the top block of k_max = 2, needs six
-    # 10 x 4 complex transports, 3840 bytes, over the 16 * 15**2 = 3600 of
-    # FLAB_MAX_DIM = 15; every degree is refused before any block is built
+    # 4 x 4 complex transports (the pairing reaches 2 coarse letters), 1536
+    # bytes, over the 16 * 9**2 = 1296 of FLAB_MAX_DIM = 9; every degree is
+    # refused before any block is built
     def nothing_built(*args, **kwargs):
         raise AssertionError("sector arrays built before the budget check")
 
-    monkeypatch.setenv("FLAB_MAX_DIM", "15")
+    monkeypatch.setenv("FLAB_MAX_DIM", "9")
     with monkeypatch.context() as spy:
         for name in ("_kron_power", "kron_apply", "whiten_psd"):
             spy.setattr(focklimit, name, nothing_built)
-        with pytest.raises(DimensionBudgetError, match="sector degree 3 needs an estimated 3840 bytes"):
+        with pytest.raises(DimensionBudgetError, match="sector degree 3 needs an estimated 1536 bytes"):
             klocal_decay_check(4, 2, [2.0, 3.0], k_max=2)
     assert set(klocal_decay_check(4, 2, [2.0, 3.0], k_max=1)["k"]) == {0, 1}
 

@@ -142,6 +142,13 @@ def test_reduced_density_against_kron():
     assert_close(reduced_density(rho, system, [0]), np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("d, n", [(2, 0), (2, 8), (3, 5), (4, 1)])
+def test_product_density_is_the_kron_chain_bit_for_bit(d, n):
+    site = random_positive_density(d, task_rng(45, d), min_eigenvalue=0.05)
+    want = tensor_many([site.matrix] * n)
+    assert np.array_equal(product_density(site, n).matrix, want)
+
+
 def test_factor_product_state_roundtrip():
     site = DensityMatrix(np.diag([0.8, 0.2]))
     system = QuditSystem(2, 3)
