@@ -18,17 +18,18 @@ mu/y + (1 - 1/y)/d, and its letter matrix is exactly 1/y
 (`depolarizing_fock_setup`).
 
 Coarse-graining channels act letterwise in this picture, so their
-contraction spectra reduce to one whitened eigenproblem over tensor powers
-of K, with the coarse metric inverted factor by factor: on all k-letter
-tuples for the limiting blocks (`fock_block_spectrum`), and on the
-symmetric tuples, a diagonal rescaling of the permanent Gram, for the exact
-finite-n spectrum on the symmetric k-local sector
-(`symmetric_sector_spectrum`).  `beta_bound_test` checks the sector-wise
-norm bound under sitewise depolarizing noise on random draws, measured as
-quadratic forms over per-support Gram blocks.  A block's letter products
-are made a chunk at a time, as one broadcast Kronecker product, and each
-chunk goes through the channel as one stack; `beta_bound_supremum` gives
-the exact supremum from the blocks.
+contraction spectra reduce to whitened eigenproblems over tensor powers of
+K: on all k-letter tuples for the limiting blocks (`fock_block_spectrum`),
+and on the symmetric tuples, a diagonal rescaling of the permanent Gram,
+for the exact finite-n spectrum on the symmetric k-local sector
+(`symmetric_sector_spectrum`).  K, K' and the pairing vanish exactly
+between letter blocks, so each splits into small problems, one per block
+sequence or block count (`_key_contraction`).  `beta_bound_test` checks
+the sector-wise norm bound under sitewise depolarizing noise on random
+draws, measured as quadratic forms over per-support Gram blocks.  A
+block's letter products are made a chunk at a time, as one broadcast
+Kronecker product, and each chunk goes through the channel as one stack;
+`beta_bound_supremum` gives the exact supremum from the blocks.
 `klocal_decay_check` reads the exact decay of that supremum in y under the
 homogeneous coarse graining from the top of each sector block.
 """
@@ -48,7 +49,6 @@ from .geometry import (
     GRAM_CHUNK_ENTRIES,
     norm_grams,
     sampled_norms,
-    transported_contraction,
     whiten_psd,
     whitened_contraction,
 )
@@ -58,17 +58,11 @@ from .operators import (
     QuditSystem,
     check_byte_budget,
     dense_dim_budget,
-    kron_apply,
     zero_mean_letters,
 )
 
 NULL_LETTER_THRESHOLD = 1e-10
 PERMANENT_MAX_SIZE = 8
-# Largest cond(K')^k for which a coarse tuple metric is inverted in factored
-# form.  That route passes through K'^{-1/2}, so its roundoff grows like
-# eps * cond(K')^k (about 3e-17 cond^k, measured on nearly pure qubits and
-# qutrits at y = 1); this keeps it below 1e-12.
-FACTORED_COND_MAX = 1e4
 
 
 @dataclass
@@ -223,157 +217,122 @@ def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
 
 @dataclass(frozen=True)
 class _TupleBasis:
-    """Orthonormal vectors |O_u|^{-1/2} sum_{t in O_u} e_t over j-letter tuples.
-
-    Each orbit O_u is one tuple (all tuples, in C order) or, if symmetric,
-    the rearrangements of one letter multiset (Sym^j, multisets in
-    lexicographic order).  reps[u] lies in O_u and sizes[u] = |O_u|;
-    steps[i][w, b] indexes the orbit of the i-letter orbit w plus letter b.
+    """Orthonormal vectors |O_u|^{-1/2} sum_{t in O_u} e_t over Sym^j: each
+    orbit O_u holds the rearrangements of one j-letter multiset u, the
+    multisets in lexicographic order.  last[u] is the largest letter of u,
+    counts[u, b] the multiplicity of letter b in u, and below[u, b] the
+    index of u minus one b among the (j - 1)-letter multisets (0 if b is
+    not in u).
     """
 
-    letters: int
-    symmetric: bool
-    reps: np.ndarray
-    sizes: np.ndarray
-    steps: tuple
+    last: np.ndarray
+    counts: np.ndarray
+    below: np.ndarray
 
     @classmethod
-    def build(cls, letters: int, j: int, symmetric: bool) -> "_TupleBasis":
-        reps, sizes, steps = np.zeros((1, 0), dtype=np.intp), np.ones(1), []
-        for _ in range(j):
+    def levels(cls, letters: int, top: int) -> list["_TupleBasis"]:
+        """The bases of Sym^1 to Sym^top, each grown from the one before."""
+        reps, out = np.zeros((1, 0), dtype=np.intp), []
+        for _ in range(top):
             grown = np.hstack([np.repeat(reps, letters, axis=0), np.tile(np.arange(letters), len(reps))[:, None]])
-            if symmetric:
-                grown = np.sort(grown, axis=1)
+            grown = np.sort(grown, axis=1)
             # a row's digits in base `letters` are its 1-D key, in lexicographic order
             keys = grown @ letters ** np.arange(grown.shape[1])[::-1]
             _, first, step = np.unique(keys, return_index=True, return_inverse=True)
+            below = np.zeros((len(first), letters), dtype=np.intp)
+            # w -> w + b is one to one for each letter b
+            below[step.reshape(len(reps), letters), np.arange(letters)] = np.arange(len(reps))[:, None]
             reps = grown[first]
-            # an orbit's tuples are those of the shorter orbits it grows from
-            sizes = np.bincount(step.ravel(), weights=np.repeat(sizes, letters))
-            steps.append(step.reshape(-1, letters))
-        return cls(letters, symmetric, reps, sizes, tuple(steps))
+            out.append(cls(reps[:, -1], (reps[:, :, None] == np.arange(letters)).sum(axis=1), below))
+        return out
 
 
-def _kron_power(mat: np.ndarray, rows: _TupleBasis, cols: _TupleBasis) -> np.ndarray:
-    """R^T mat^{(x)j} C between two tuple bases of one kind.
+def _kron_power(mat: np.ndarray, rows: list, cols: list) -> list:
+    """R^T mat^{(x)j} C between the levels j = 1, 2, ... of two tuple bases.
 
-    mat^{(x)j} is invariant under one permutation of the positions on both
-    sides, so entry (u, v) is (|O_u| / |O_v|)^{1/2} times
-    sum_{t in O_v} prod_p mat[s_p, t_p] at the representative s of O_u.
-    Those sums grow position by position over the orbits of the letters
-    placed so far; over Sym^j no tuple-sized array is built.
+    Entry (u, v) is per(mat[u, v]) / (u! v!)^{1/2}, with u! the product of
+    the factorials of the multiplicities in u.  Each degree is grown from
+    the one below by expanding the permanent along the last letter a of u,
+    per(mat[u, v]) = sum_b m_v(b) mat[a, b] per(mat[u - a, v - b]), so no
+    tuple-sized array and no permanent is formed.
     """
-    sums = np.ones((1, len(rows.reps)), dtype=complex)
-    for pos, step in enumerate(cols.steps):
-        grown = np.zeros((step.max() + 1, len(rows.reps)), dtype=complex)
-        for letter in range(cols.letters):
-            # w -> w + letter is one to one, so the fancy-index add is exact
-            grown[step[:, letter]] += sums * mat[rows.reps[:, pos], letter]
-        sums = grown
-    sums *= np.sqrt(rows.sizes)
-    sums /= np.sqrt(cols.sizes)[:, None]
-    return sums.T
+    out = [np.asarray(mat, dtype=complex)]
+    for row, col in zip(rows[1:], cols[1:]):
+        orbits = np.arange(len(row.last))
+        lower = out[-1][row.below[orbits, row.last]][:, col.below]
+        terms = lower * (mat[row.last][:, None, :] * np.sqrt(col.counts))
+        out.append(terms.sum(axis=2) / np.sqrt(row.counts[orbits, row.last])[:, None])
+    return out
 
 
-def _check_tuple_budget(side: str, letters: int, k: int) -> None:
-    budget = dense_dim_budget()
-    if letters**k > budget:
-        raise DimensionBudgetError(
-            f"dense {side} tuple dimension {letters}**{k} exceeds budget {budget}; "
-            "set FLAB_MAX_DIM to override"
-        )
+def _letter_blocks(k_fine: np.ndarray, k_coarse: np.ndarray, pair_single: np.ndarray) -> tuple[list, list]:
+    """The fine letters and the (K, K', K m) of each letter block with a fine letter.
 
-
-def _coarse_inverse_factors(kernel: np.ndarray, k: int, null_threshold: float):
-    """Factors of the inverse of Re(K'^{(x)k}), or None if it is not certified.
-
-    With lambda the eigenvalues of K', the spectrum of Re(K'^{(x)k}) =
-    (X + conj(X)) / 2, X = K'^{(x)k}, lies in [lambda_min^k, lambda_max^k]
-    (Weyl: conj(X) has the spectrum of X).  When lambda_min^k exceeds
-    null_threshold * lambda_max^k, whitening keeps every direction and the
-    inverse is exact; it is used only while lambda_max^k <= FACTORED_COND_MAX
-    * lambda_min^k, which bounds its roundoff.  With Q = K'^{-1/2} and
-    Q conj(K') Q = V diag(Lambda) V^dagger, Z = V^dagger Q gives
-    Z K' Z^dagger = 1, Z conj(K') Z^dagger = diag(Lambda) and
-
-        Re(K'^{(x)k})^{-1} = 2 Z^{dagger (x)k} diag(1 / (1 + Lambda^{(x)k})) Z^{(x)k}.
-
-    Returns (Z, Lambda) in that case and None otherwise.
+    A letter block is a connected component of the joint exact nonzero
+    pattern of the fine kernel K, the coarse kernel K' and the pairing K m
+    over the fine and coarse letters: in the site eigenframe, the letters of
+    one off-diagonal index pair, or the diagonal ones.  All three vanish
+    between blocks, and a block without fine letters pairs with nothing.
     """
-    vals, vecs = np.linalg.eigh(kernel)
-    low, high = vals[0], vals[-1]
-    if not (
-        low > 0.0
-        and low**k > null_threshold * high**k
-        and high**k <= FACTORED_COND_MAX * low**k
-    ):
-        return None
-    root_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    lam, rot = np.linalg.eigh(root_inv @ kernel.conj() @ root_inv)
-    return rot.conj().T @ root_inv, lam
-
-
-def _coupled(kernel: np.ndarray) -> np.ndarray:
-    """Letters joined, directly or not, by the exact nonzero pattern of a
-    hermitian kernel: in the site eigenframe, those of one off-diagonal
-    index pair, or the diagonal ones (the entries between are exact zeros)."""
-    joined = (kernel != 0) | np.eye(len(kernel), dtype=bool)
+    r = len(k_fine)
+    joined = np.block([[k_fine != 0, pair_single != 0], [pair_single.T != 0, k_coarse != 0]])
+    joined |= np.eye(len(joined), dtype=bool)
     while not np.array_equal(joined, grown := joined @ joined):
         joined = grown
-    return joined
+    # a block's first letter is the first row of its columns; fine letters come first
+    members = [np.flatnonzero(joined[first]) for first in sorted(set(joined.argmax(axis=0).tolist())) if first < r]
+    fine, coarse = [rows[rows < r] for rows in members], [rows[rows >= r] - r for rows in members]
+    mats = [(k_fine[np.ix_(f, f)], k_coarse[np.ix_(c, c)], pair_single[np.ix_(f, c)]) for f, c in zip(fine, coarse)]
+    return fine, mats
 
 
-def _reached_coarse(k_coarse: np.ndarray, pair_single: np.ndarray):
-    """K' and the pairing on the coarse letters R of the nonzero pairing
-    columns (all if none) and those K' joins to them.  Other tuples have zero
-    pairing columns, and Re(K'^{(x)j}) is block diagonal between them and
-    R-tuples.  R is every letter at a faithful state, 2(d - 1) at a pure one."""
-    seed = np.any(pair_single != 0, axis=0)
-    reached = np.flatnonzero(_coupled(k_coarse)[seed if seed.any() else slice(None)].any(axis=0))
-    return k_coarse[np.ix_(reached, reached)], pair_single[:, reached]
+def _kron_stack(mats: dict, keys: list) -> np.ndarray:
+    """Real parts of mats[key[0]] (x) mats[key[1]] (x) ... for keys of one
+    length, as one (keys, rows, cols) stack of broadcast products."""
+    first, *rest = zip(*keys)
+    out = np.stack([mats[i] for i in first])
+    for ids in rest:
+        factor = np.stack([mats[i] for i in ids])
+        shape = (len(keys), out.shape[1] * factor.shape[1], out.shape[2] * factor.shape[2])
+        out = (out[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(shape)
+    return out.real
 
 
-def _orbit_keys(kernel: np.ndarray, basis: _TupleBasis) -> list[tuple]:
-    """Key of each orbit: the letter blocks of its tuples in order, or on
-    Sym^j their counts.  Tuple Gram entries between orbits of different
-    keys are sums of products with an exact zero factor."""
-    blocks = _coupled(kernel).argmax(axis=0)[basis.reps]
-    if basis.symmetric:
-        blocks = (blocks[:, :, None] == np.arange(len(kernel))).sum(axis=1)
-    return list(map(tuple, blocks.tolist()))
+def _check_key_budget(what: str, dims: dict, keys: list, output: dict) -> None:
+    """Refuse a `_key_contraction` before building it if its keys, with
+    dims[i] = (f, c) the shape of factor i's pairing, and the caller's
+    output would not fit.  Per key: three complex stacks, 16 (f^2 + c^2 +
+    f c) bytes, and 16 (3 f^2 + 2 c^2) for the symmetrized copies,
+    eigenvectors and whiteners of both Grams and the fine coefficients."""
+    sizes = [[math.prod(dims[i][side] for i in key) for side in (0, 1)] for key in keys]
+    parts = {
+        f"{len(keys)} key stacks": 16 * sum(f * f + c * c + f * c for f, c in sizes),
+        "their whitening and eigenvectors": 16 * sum(3 * f * f + 2 * c * c for f, c in sizes),
+    }
+    check_byte_budget(what, {**parts, **output})
 
 
-def _tuple_contraction(k_fine, k_coarse, pair_single, fine: _TupleBasis, factors, null_threshold: float):
-    """Contraction eigendata of the channel on the span R of fine j-letter tuples.
+def _key_contraction(factors: dict, keys: list, null_threshold: float) -> list:
+    """Contraction eigendata of a tuple problem that is block diagonal by key.
 
-    The fine Gram R^T Re(K^{(x)j}) R is whitened (W_f) and the pairing
-    P = Re((K m)^{(x)j}) is transported through Re(K'^{(x)j})^{-1} over the
-    coarse tuples of the same kind: in factored form given `factors` (see
-    `_coarse_inverse_factors`), else by whitening the coarse Gram.  For
-    R = Sym^j no coarse projector is needed: Z^{(x)j}, Re(K'^{(x)j}) and
-    P^T preserve symmetric tuples, and 1 / (1 + Lambda^{(x)j}) is constant
-    on orbits.  Both Grams are whitened per key of `_orbit_keys`.  Returns
-    descending eigenvalues and coefficients W_f V.
+    factors[i] is a (fine, coarse, pairing) triple of complex letter
+    matrices and a key a tuple of factor ids i, whose fine Gram,
+    coarse Gram and pairing are the real parts of the Kronecker products of
+    its factors (`_kron_stack`).  Keys with factors of the same shapes are
+    stacked: both sides are whitened with the cut relative to the top of
+    all keys (`whiten_psd`), then `whitened_contraction`.  Returns, per
+    stack, its keys, eigenvalues (m, a) and fine coefficients (m, a, a),
+    descending per key over its kept directions and zero past them.
     """
-    k = fine.reps.shape[1]
-    coarse = fine if len(k_coarse) == fine.letters else _TupleBasis.build(len(k_coarse), k, fine.symmetric)
-    w_fine, _ = whiten_psd(_kron_power(k_fine, fine, fine).real, null_threshold, _orbit_keys(k_fine, fine))
-    if factors is None:
-        gram = _kron_power(k_coarse, coarse, coarse).real
-        w_coarse, _ = whiten_psd(gram, null_threshold, _orbit_keys(k_coarse, coarse))
-        return whitened_contraction(w_fine, w_coarse, _kron_power(pair_single, fine, coarse).real)
-    z, lam = factors
-    # R'^T Z^{(x)k} P^T R W_f, with P^T = ((K m)^{T (x)k} + conj(K m)^{T (x)k}) / 2
-    halves = (z @ pair_single.T, z @ pair_single.conj().T)
-    if fine.symmetric:
-        lifted = _kron_power(halves[0], coarse, fine)
-        lifted += _kron_power(halves[1], coarse, fine)
-        lifted = 0.5 * (lifted @ w_fine)
-    else:
-        lifted = 0.5 * (kron_apply(halves[0], w_fine, k) + kron_apply(halves[1], w_fine, k))
-    lifted *= np.sqrt(2.0 / (1.0 + np.prod(lam[coarse.reps], axis=1)))[:, None]
-    # S = lifted^dagger and Re(S S^dagger) = [Re S, Im S] [Re S, Im S]^T
-    return transported_contraction(w_fine, np.hstack([lifted.real.T, -lifted.imag.T]))
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault(tuple(factors[i][2].shape for i in key), []).append(key)
+    stacked = list(groups.values())
+    sides = [{i: mats[side] for i, mats in factors.items()} for side in range(3)]
+    fine, coarse, pairing = ([_kron_stack(mats, group) for group in stacked] for mats in sides)
+    w_fine, _ = whiten_psd(fine, null_threshold)
+    w_coarse, _ = whiten_psd(coarse, null_threshold)
+    return [(group, *whitened_contraction(*mats)) for group, *mats in zip(stacked, w_fine, w_coarse, pairing)]
 
 
 def _combo_label(coeffs: np.ndarray, names: list[str], tol: float = 1e-8) -> str:
@@ -394,14 +353,20 @@ class FockBlock:
     k: int
     eigenvalues: np.ndarray
     coefficients: np.ndarray
-    tuple_labels: list[str]
+    letter_names: list[str]
     fine_rank: int
+
+    @property
+    def tuple_labels(self) -> list[str]:
+        """Label of each fine tuple, in C order, formatted when read."""
+        return ["(x)".join(word) for word in itertools.product(self.letter_names, repeat=self.k)]
 
     @property
     def eigen_labels(self) -> list[str]:
         """Readable combination of each eigenvector over the tuple labels,
         formatted when read; the zero padding reads "0"."""
-        return [_combo_label(col, self.tuple_labels) for col in self.coefficients.T]
+        labels = self.tuple_labels
+        return [_combo_label(col, labels) for col in self.coefficients.T]
 
 
 def fock_block_spectrum(
@@ -413,18 +378,16 @@ def fock_block_spectrum(
 ) -> FockBlock:
     """Contraction spectrum of the channel on the k-letter tuple space.
 
-    `_tuple_contraction` over all tuples of the r non-null fine letters.
-    The coarse tuple metric, on the c letters the pairing reaches
-    (`_reached_coarse`), is inverted by mode products when
-    `_coarse_inverse_factors` certifies it, and is otherwise (a singular or
-    ill-conditioned coarse kernel, as at y = 1) built and whitened densely,
-    block by block.  Eigenvalues are reported in descending order, zero
-    padded to the full r^k tuple dimension so that directions annihilated
-    by the metric appear explicitly.  Eigenvector coefficients are given
-    over the fine tuple basis, with readable combination labels.  Every
-    tuple dimension built densely (r^k always, c^k on the dense coarse
-    path) is checked against `dense_dim_budget` before allocation;
-    DimensionBudgetError if it exceeds it.
+    On all tuples of the r non-null fine letters, the fine Gram, coarse
+    Gram and pairing Re(K^{(x)k}), Re(K'^{(x)k}), Re((K m)^{(x)k}) are block
+    diagonal by key, a tuple's sequence of letter blocks (`_letter_blocks`):
+    one small `_key_contraction` per key.  Eigenvalues come in descending
+    order (ties in key order), zero padded to the r^k fine tuples so that
+    directions the metric annihilates appear explicitly, with eigenvector
+    coefficients over those tuples and readable labels.
+    DimensionBudgetError before anything is built if r^k exceeds
+    `dense_dim_budget`, or the key stacks and the r^k-square coefficients
+    the byte budget.
     """
     if k < 1:
         raise ValueError("block degree k must be >= 1")
@@ -434,22 +397,34 @@ def fock_block_spectrum(
             f"letter matrix shape {m.shape} does not match spaces "
             f"({sp_fine.dim}, {sp_coarse.dim})"
         )
-    k_coarse, pair_single = _reached_coarse(sp_coarse.kernel, fine_red.kernel @ m[kept, :])
-    factors = _coarse_inverse_factors(k_coarse, k, null_threshold)
-    _check_tuple_budget("fine", fine_red.dim, k)
-    if factors is None:
-        _check_tuple_budget("coarse", len(k_coarse), k)
-    fine = _TupleBasis.build(fine_red.dim, k, symmetric=False)
-    vals, coeffs = _tuple_contraction(fine_red.kernel, k_coarse, pair_single, fine, factors, null_threshold)
-
-    pad = fine_red.dim**k - vals.size
-    return FockBlock(
-        k=k,
-        eigenvalues=np.pad(vals, (0, pad)),
-        coefficients=np.pad(coeffs, ((0, 0), (0, pad))),
-        tuple_labels=["(x)".join(fine_red.letter_names[i] for i in word) for word in fine.reps.tolist()],
-        fine_rank=vals.size,
-    )
+    r, budget = fine_red.dim, dense_dim_budget()
+    if r**k > budget:
+        raise DimensionBudgetError(
+            f"dense fine tuple dimension {r}**{k} exceeds budget {budget}; set FLAB_MAX_DIM to override"
+        )
+    letters, mats = _letter_blocks(fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :])
+    factors = dict(enumerate(mats))
+    keys = list(itertools.product(factors, repeat=k))
+    dims = {b: pair.shape for b, (_, _, pair) in factors.items()}
+    _check_key_budget(f"Fock block {k}", dims, keys, {f"{r**k}-square coefficients": 8 * r ** (2 * k)})
+    vals, vecs, rows = [], [], []
+    for group, key_vals, coeffs in _key_contraction(factors, keys, null_threshold):
+        # each key's fine tuples, in the Kronecker order of its letters
+        tuples = np.zeros((len(group), 1), dtype=np.intp)
+        for ids in zip(*group):
+            tuples = (tuples[:, :, None] * r + np.stack([letters[b] for b in ids])[:, None, :]).reshape(len(group), -1)
+        kept_dirs = coeffs.any(axis=1)
+        vals.append(key_vals[kept_dirs])
+        vecs.append(coeffs.swapaxes(1, 2)[kept_dirs])
+        rows.append(np.repeat(tuples, kept_dirs.sum(axis=1), axis=0))
+    flat = np.concatenate(vals)
+    order = np.argsort(-flat, kind="stable")
+    place = np.argsort(order)
+    # one row per eigenvector, transposed on return
+    coefficients = np.zeros((r**k, r**k))
+    for key_vecs, key_rows, cols in zip(vecs, rows, np.split(place, np.cumsum([len(v) for v in vecs]))):
+        coefficients[cols[:, None], key_rows] = key_vecs
+    return FockBlock(k, np.pad(flat[order], (0, r**k - flat.size)), coefficients.T, fine_red.letter_names, flat.size)
 
 
 def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None):
@@ -489,26 +464,39 @@ def _sector_blocks(
     per(K[u, v]) / (u! v!)^{1/2} (u! the product of the factorials of the
     letter multiplicities of u), a rescaled permanent Gram.  The factor
     c_{n,j} of all three degree-j matrices cancels after whitening, so n
-    only drops degrees above n.  Before any degree is built, each is
-    checked against the byte budget at 6 times its largest array, the
-    complex transport between coarse multisets (of the letters the pairing
-    reaches, `_reached_coarse`) and fine ones or, without a certified
-    coarse inverse, the coarse Gram (measured peaks: 5 to 6 times on a
-    mixed qutrit at degrees 5 to 7).
+    only drops degrees above n.  Keyed by its letter block counts, a
+    multiset's matrices are Kronecker products of each block's Sym^c ones
+    (`_kron_power`; the permanents factor exactly): one `_key_contraction`
+    per degree, each checked against the byte budget, largest first,
+    before anything is built.
     """
     fine_red, kept = sp_fine.reduced(null_threshold)
-    k_coarse, pair_single = _reached_coarse(sp_coarse.kernel, fine_red.kernel @ m[kept, :])
-    r, c = fine_red.dim, len(k_coarse)
+    _, blocks = _letter_blocks(fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :])
     degrees = [j for j in range(1, k + 1) if n is None or j <= n]
-    factors = {j: _coarse_inverse_factors(k_coarse, j, null_threshold) for j in degrees}
+    top = max(degrees, default=0)
+    # factor (c, b) holds block b's Sym^c matrices.  A key lists the factors
+    # of its nonzero counts, largest count first, so that the keys of one
+    # count pattern stack
+    sizes = [pair.shape for _, _, pair in blocks]
+    dims = {(c, b): [math.comb(s + c - 1, c) for s in sizes[b]] for b in range(len(blocks)) for c in range(1, top + 1)}
+    keys = {}
     for j in degrees:
-        rows, cols = math.comb(c + j - 1, j), math.comb((c if factors[j] is None else r) + j - 1, j)
-        check_byte_budget(f"sector degree {j}", {f"6 x the {rows} x {cols} complex array": 96 * rows * cols})
-    kernels = (fine_red.kernel, k_coarse, pair_single)
-    return {
-        j: _tuple_contraction(*kernels, _TupleBasis.build(r, j, symmetric=True), factors[j], null_threshold)[0]
-        for j in degrees
-    }
+        combos = itertools.combinations_with_replacement(range(len(blocks)), j)
+        counts = ([(len(list(run)), b) for b, run in itertools.groupby(combo)] for combo in combos)
+        keys[j] = [tuple(sorted(key, reverse=True)) for key in counts]
+    for j in reversed(degrees):
+        _check_key_budget(f"sector degree {j}", dims, keys[j], {})
+    bases = {s: _TupleBasis.levels(s, top) for s in set(itertools.chain(*sizes))}
+    factors = {}
+    for b, (fine, coarse, pair) in enumerate(blocks):
+        rows, cols = bases[len(fine)], bases[len(coarse)]
+        powers = (_kron_power(fine, rows, rows), _kron_power(coarse, cols, cols), _kron_power(pair, rows, cols))
+        factors.update({(c, b): mats for c, mats in enumerate(zip(*powers), start=1)})
+    out = {}
+    for j in degrees:
+        groups = _key_contraction(factors, keys[j], null_threshold)
+        out[j] = np.sort(np.concatenate([vals[coeffs.any(axis=1)] for _, vals, coeffs in groups]))[::-1]
+    return out
 
 
 def symmetric_sector_spectrum(

@@ -212,7 +212,7 @@ def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.nda
     return np.sqrt(np.maximum(base_sq, 0.0)), np.sqrt(np.maximum(push_sq, 0.0))
 
 
-def whiten_psd(gram: np.ndarray, null_threshold: float = NULL_THRESHOLD, keys=None):
+def whiten_psd(gram, null_threshold: float = NULL_THRESHOLD):
     """Whitening map for a symmetric PSD Gram matrix.
 
     Returns (whitener, kept_eigenvalues) with whitener W = V L^{-1/2} over
@@ -221,35 +221,32 @@ def whiten_psd(gram: np.ndarray, null_threshold: float = NULL_THRESHOLD, keys=No
     purpose: the Gram matrices here are routinely rank deficient and the
     eigenvalue cut doubles as the null-space quotient.
 
-    keys, if given, holds one hashable per row, and entries between rows of
-    different keys must vanish: each key's block then gets its own eigh,
-    and W's columns run block by block (in order of first row).  The cut
-    and the check on negative eigenvalues stay global.
+    gram may also be a list of (keys, a, a) stacks (a free per stack), the
+    diagonal blocks of one block-diagonal Gram: one stacked eigh each, with
+    the cut and the negativity check relative to the top of all blocks.
+    The whitener is then a list of (keys, a, a) stacks, each block's
+    columns in ascending order of its eigenvalues and zero at or below the
+    cut (a leading run); the kept eigenvalues run block by block.
     """
-    gram = np.asarray(gram, dtype=float)
-    sym_dev = np.max(np.abs(gram - gram.T)) if gram.size else 0.0
-    if sym_dev > 1e-10 * max(1.0, float(np.max(np.abs(gram))) if gram.size else 1.0):
+    listed = isinstance(gram, list)
+    stacks = [np.asarray(s, dtype=float) for s in gram] if listed else [np.asarray(gram, dtype=float)[None]]
+    scale = max([1.0] + [float(np.max(np.abs(s))) for s in stacks if s.size])
+    sym_dev = max([0.0] + [float(np.max(np.abs(s - s.swapaxes(1, 2)))) for s in stacks if s.size])
+    if sym_dev > 1e-10 * scale:
         raise NumericalError(f"gram matrix not symmetric: deviation {sym_dev:.3e}")
-    sym = 0.5 * (gram + gram.T)
-    rows_of: dict = {}
-    for row, key in enumerate(() if keys is None else keys):
-        rows_of.setdefault(key, []).append(row)
-    groups = [slice(None)] if keys is None else list(rows_of.values())
-    blocks = [np.linalg.eigh(sym if keys is None else sym[np.ix_(rows, rows)]) for rows in groups]
-    vals = np.concatenate([block_vals for block_vals, _ in blocks])
+    eigs = [np.linalg.eigh(0.5 * (s + s.swapaxes(1, 2))) for s in stacks]
+    vals = np.concatenate([block_vals.ravel() for block_vals, _ in eigs])
     top = max(float(vals.max(initial=0.0)), 0.0)
     if vals.size and vals.min() < -null_threshold * max(top, 1e-300):
         raise NumericalError(
             f"gram matrix has negative eigenvalue {vals.min():.3e}; not a valid pairing"
         )
     cut = null_threshold * max(top, 1e-300)
-    kept_vals = vals[vals > cut]
-    whitener, col = np.zeros((len(gram), kept_vals.size)), 0
-    for rows, (block_vals, vecs) in zip(groups, blocks):
-        keep = block_vals > cut
-        whitener[rows, col : col + np.count_nonzero(keep)] = vecs[:, keep] / np.sqrt(block_vals[keep])
-        col += np.count_nonzero(keep)
-    return whitener, kept_vals
+    if not listed:
+        keep = vals > cut
+        return eigs[0][1][0][:, keep] / np.sqrt(vals[keep]), vals[keep]
+    whiteners = [np.where(v[:, None] > cut, vecs / np.sqrt(np.maximum(v, cut))[:, None], 0.0) for v, vecs in eigs]
+    return whiteners, vals[vals > cut]
 
 
 @dataclass
@@ -316,22 +313,32 @@ def whitened_contraction(w_fine: np.ndarray, w_coarse: np.ndarray, pairing: np.n
     """Eigendata of the squared contraction between two whitened families.
 
     The pairing B (fine rows, coarse columns) is transported into the
-    whitened frames, S = W_f^T B W_c, and handed to `transported_contraction`.
+    whitened frames, S = W_f^T B W_c, and T = S S^T is diagonalised.
+    Returns the eigenvalues of T in descending order, clipped at 0, and the
+    fine-side coefficients W_f V of its eigenvectors.
+
+    The three may also be (keys, ., .) stacks, one problem per key, with
+    whiteners from `whiten_psd` on a list of stacks.  Then T is over each
+    key's kept fine directions (the nonzero whitener columns), solved as
+    one stack per kept count, and the eigenvalues (keys, a) and
+    coefficients (keys, rows, a) are zero past that count.
     """
-    return transported_contraction(w_fine, w_fine.T @ pairing @ w_coarse)
-
-
-def transported_contraction(w_fine: np.ndarray, small: np.ndarray):
-    """Eigendata of T = S S^T for a real transported block S.
-
-    S has one row per whitened fine direction and any number of columns
-    spanning the coarse side.  Returns the eigenvalues of T in descending
-    order, clipped at 0, and the fine-side coefficients W_f V of its
-    eigenvectors.
-    """
-    vals, vecs = np.linalg.eigh(small @ small.T)
-    order = np.argsort(vals)[::-1]
-    return np.clip(vals[order], 0.0, None), w_fine @ vecs[:, order]
+    if w_fine.ndim == 2:
+        small = w_fine.T @ pairing @ w_coarse
+        vals, vecs = np.linalg.eigh(small @ small.T)
+        order = np.argsort(vals)[::-1]
+        return np.clip(vals[order], 0.0, None), w_fine @ vecs[:, order]
+    kept = np.count_nonzero(w_fine.any(axis=1), axis=1)
+    vals, coeffs = np.zeros((len(w_fine), w_fine.shape[2])), np.zeros(w_fine.shape)
+    for count in sorted(set(kept.tolist())):
+        # with one count for all keys the stacks are taken whole, uncopied
+        keys = kept == count if kept.min() < kept.max() else slice(None)
+        w = w_fine[keys, :, w_fine.shape[2] - count :]
+        small = w.swapaxes(1, 2) @ pairing[keys] @ w_coarse[keys]
+        key_vals, vecs = np.linalg.eigh(small @ small.swapaxes(1, 2))
+        vals[keys, :count] = np.clip(key_vals[:, ::-1], 0.0, None)
+        coeffs[keys, :, :count] = w @ vecs[:, :, ::-1]
+    return vals, coeffs
 
 
 @dataclass

@@ -15,6 +15,12 @@ suprema of the decay check.
 
 `permute_sites` conjugates by a site permutation through an axis
 transpose, the oracle for permutation invariance.
+
+`tuple_oracle` is the contraction spectrum of the closed-form tuple
+problem on all j-letter tuples or on Sym^j, from whole Kronecker powers of
+the full letter kernels over every coarse letter, whole Grams and one
+whitened eigenproblem in plain numpy: the oracle for the key stacks of
+`focklimit.fock_block_spectrum` and the sector blocks.
 """
 
 import itertools
@@ -71,6 +77,39 @@ def support_family(d, n, site):
                 matrices.append(site_product(dict(zip(support, word)), system))
                 supports.append(support)
     return np.stack(matrices), supports
+
+
+def _symmetric_isometry(letters, j):
+    """Columns |O|^{-1/2} sum_{t in O} e_t over the j-letter tuples, one per
+    letter multiset O, multisets in lexicographic order."""
+    words = list(itertools.combinations_with_replacement(range(letters), j))
+    q = np.zeros((letters**j, len(words)))
+    for t, tup in enumerate(itertools.product(range(letters), repeat=j)):
+        q[t, words.index(tuple(sorted(tup)))] = 1.0
+    return q / np.linalg.norm(q, axis=0)
+
+
+def tuple_oracle(k_fine, k_coarse, pairing, j, symmetric, null_threshold=NULL_THRESHOLD):
+    """Descending contraction eigenvalues of the tuple problem of degree j:
+    fine Gram Re(K^{(x)j}), coarse Gram Re(K'^{(x)j}) and pairing
+    Re((K m)^{(x)j}), each one np.kron tower, restricted to Sym^j when
+    symmetric, whitened with one eigh each (cut relative to the top) and
+    transported to one eigenproblem."""
+    fine = np.eye(len(k_fine) ** j) if not symmetric else _symmetric_isometry(len(k_fine), j)
+    coarse = np.eye(len(k_coarse) ** j) if not symmetric else _symmetric_isometry(len(k_coarse), j)
+
+    def whitener(gram):
+        vals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+        keep = vals > null_threshold * max(vals.max(initial=0.0), 1e-300)
+        return vecs[:, keep] / np.sqrt(vals[keep])
+
+    def power(mat, rows, cols):
+        return rows.T @ np.real(tensor_many([mat] * j)) @ cols
+
+    w_fine = whitener(power(k_fine, fine, fine))
+    w_coarse = whitener(power(k_coarse, coarse, coarse))
+    small = w_fine.T @ power(pairing, fine, coarse) @ w_coarse
+    return np.clip(np.linalg.eigvalsh(small @ small.T)[::-1], 0.0, None)
 
 
 def _gram(rho, mats):

@@ -172,16 +172,27 @@ def test_spectrum_refuses_n13_before_building_the_state(tmp_path, monkeypatch, c
 
 
 def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
-    # y = 1 leaves the coarse kernel singular, so the coarse tuple Gram would
-    # be built densely; at the pure state the pairing reaches as many coarse
-    # letters as there are fine ones, 4, and the 4**2 fine tuple Gram is
-    # refused first, before allocation
-    monkeypatch.setenv("FLAB_MAX_DIM", "15")
+    # the pure qutrit at y = 1, k = 2: 4 keys of 4 fine and 4 coarse tuples
+    # with the 16-square coefficients need 10240 bytes, over the 16 * 25**2
+    # of FLAB_MAX_DIM = 25; refused before any key stack is built, with no
+    # report.  The r**k cap refuses it first from 15 down
+    from flab import focklimit
+
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("key stacks built before the budget check")
+
     cfg = write_config(tmp_path, "fock", {"d": 3, "y": 1.0, "k_max": 2})
     out = tmp_path / "report.json"
-    assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
-    assert "fine tuple dimension 4**2 exceeds budget" in capsys.readouterr().err
-    assert not out.exists()
+    with monkeypatch.context() as spy:
+        spy.setattr(focklimit, "_kron_stack", nothing_built)
+        refusals = {"25": "Fock block 2 needs an estimated 10240 bytes", "15": "fine tuple dimension 4**2 exceeds budget"}
+        for budget, message in refusals.items():
+            spy.setenv("FLAB_MAX_DIM", budget)
+            assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+    monkeypatch.setenv("FLAB_MAX_DIM", "26")
+    assert main(["fock", "--config", cfg, "--out", str(out)]) == 0
 
 
 def test_fock_runs_the_pure_ququart_at_the_identity_channel(tmp_path):

@@ -43,7 +43,7 @@ from flab.operators import (
 from flab.sampling import haar_unitary, random_positive_density, task_rng
 
 from conftest import assert_close, maximally_mixed_density
-from dense_oracle import site_product, support_family
+from dense_oracle import site_product, support_family, tuple_oracle
 
 
 def test_kernel_at_pure_qubit():
@@ -351,122 +351,103 @@ def test_fock_block_matches_dense_oracle(d, state):
                 assert dev <= 1e-8 * np.max(np.abs(want_proj)), f"{what} cluster {idx}: {dev:.3e}"
 
 
-@pytest.mark.parametrize(
-    "y, eps, dense_degrees, reached",
-    [(2.0, 0.0, (), 4), (1.0, 0.0, (1, 2, 3), 4), (1.0, 0.03, (3,), 8)],
-    ids=["pure-y2", "pure-y1", "nearly-pure-y1"],
-)
-def test_fock_block_whitens_coarse_tuples_only_when_uncertified(monkeypatch, y, eps, dense_degrees, reached):
-    # the coarse tuple Gram is whitened densely exactly when, on the coarse
-    # letters the pairing reaches, lambda_min(K')^k <= threshold *
-    # lambda_max(K')^k or cond(K')^k > FACTORED_COND_MAX: always for the
-    # singular kernel of a pure coarse state (y = 1), from k = 3 on for
-    # cond(K') = 31 (eps = 0.03), never at y = 2 with a pure fine state.
-    # A pure fine state reaches the 4 letters of the index pairs (0, 1) and
-    # (0, 2), a faithful one all 8
-    sizes = []
-
-    def recording_whiten(gram, threshold, keys=None):
-        sizes.append(gram.shape[0])
-        return whiten_psd(gram, threshold, keys)
-
-    monkeypatch.setattr(focklimit, "whiten_psd", recording_whiten)
-    sp_f, sp_c, m = depolarizing_fock_setup(3, y, _nearly_pure(3, eps))
-    for k in (1, 2, 3):
-        sizes.clear()
-        fock_block_spectrum(sp_f, sp_c, m, k)
-        # the fine tuple Gram first, then the coarse one if it is dense
-        assert sizes[1:] == ([reached**k] if k in dense_degrees else []), (k, sizes)
-
-
-def test_real_part_of_kron_power_is_bracketed_by_kernel_extremes():
-    # the rule that picks the factored coarse inverse rests on this bound
-    rng = task_rng(20261018, 99)
-    for dim in (3, 8):
-        for _ in range(3):
-            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            kernel = z @ z.conj().T + 0.05 * np.eye(dim)
-            low, high = np.linalg.eigvalsh(kernel)[[0, -1]]
-            power = np.ones((1, 1))
-            for k in (1, 2, 3):
-                power = np.kron(power, kernel)
-                vals = np.linalg.eigvalsh(np.real(power))
-                slack = 1e-12 * high**k
-                assert vals[0] >= low**k - slack and vals[-1] <= high**k + slack, (dim, k)
-
-
 @pytest.mark.parametrize("d, k_max", [(2, 3), (3, 3), (4, 2)])
 def test_reached_coarse_letters_give_the_unrestricted_spectra(d, k_max):
-    # the tuple core over every coarse letter, rebuilt here, against the
-    # Fock block and the sector on the letters the pairing reaches
+    # the brute-force tuple problem over every coarse letter (whole Kronecker
+    # powers, one eigenproblem) against the Fock block and the sector, which
+    # form only the key stacks of the letter blocks the pairing reaches
     thr = NULL_LETTER_THRESHOLD
     sites = [None, random_positive_density(d, task_rng(20261019, d), min_eigenvalue=0.05), _nearly_pure(d, 1e-4)]
     for site, y in itertools.product(sites, (1.0, 1.5, 2.7)):
         sp_f, sp_c, m = depolarizing_fock_setup(d, y, site)
         fine_red, kept = sp_f.reduced(thr)
         sectors = focklimit._sector_blocks(None, sp_f, sp_c, m, k_max, thr)
+        pairing = fine_red.kernel @ m[kept, :]
         for k, symmetric in itertools.product(range(1, k_max + 1), (False, True)):
-            fine = focklimit._TupleBasis.build(fine_red.dim, k, symmetric)
-            factors = focklimit._coarse_inverse_factors(sp_c.kernel, k, thr)
-            pairing = fine_red.kernel @ m[kept, :]
-            want = focklimit._tuple_contraction(fine_red.kernel, sp_c.kernel, pairing, fine, factors, thr)[0]
-            got = sectors[k] if symmetric else fock_block_spectrum(sp_f, sp_c, m, k).eigenvalues[: want.size]
+            want = tuple_oracle(fine_red.kernel, sp_c.kernel, pairing, k, symmetric, thr)
+            block = fock_block_spectrum(sp_f, sp_c, m, k)
+            got = sectors[k] if symmetric else block.eigenvalues[: block.fine_rank]
             what = f"d={d} site={'pure' if site is None else site.eigensystem()[0]} y={y} k={k} sym={symmetric}"
-            assert_close(got, want, tol=1e-13, what=what)
+            assert got.size == want.size, what
             if y == 1.0:
+                # the identity channel: the oracle whitens the whole coarse
+                # Gram and carries its error (up to 9.9e-8 at nearly pure
+                # states), so every kept eigenvalue is checked against 1
                 assert_close(got, 1.0, tol=1e-11, what=what)
+            else:
+                assert_close(got, want, tol=1e-13, what=what)
     # a pairing that reaches no coarse letter contracts everything to 0
     assert not fock_block_spectrum(sp_f, sp_c, 0 * m, 2).eigenvalues.any()
     assert not np.concatenate(list(focklimit._sector_blocks(None, sp_f, sp_c, 0 * m, 2, thr).values())).any()
 
 
+def _eigh_sizes(monkeypatch) -> list:
+    """Size of every matrix np.linalg.eigh solves from now on, one entry per
+    matrix of a stack."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording_eigh(mat):
+        sizes.extend([mat.shape[-1]] * int(np.prod(mat.shape[:-2])))
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return sizes
+
+
 def test_fock_block_at_the_pure_qutrit_stays_on_reached_letter_blocks(monkeypatch):
-    # k = 4: the pairing reaches 4 of the 8 coarse letters, so no coarse
-    # tuple basis exceeds 4**4 orbits (8**4 over all letters), and the
-    # 256-square fine Gram is 16 blocks of 16 (two letter blocks per site)
-    orbits, fine_eigh = [], []
-    build, eigh = focklimit._TupleBasis.build, np.linalg.eigh
-
-    def recording_build(letters, j, symmetric):
-        basis = build(letters, j, symmetric)
-        orbits.append(len(basis.reps))
-        return basis
-
-    def recording_whiten(gram, threshold, keys=None):
-        with monkeypatch.context() as inner:
-            inner.setattr(np.linalg, "eigh", lambda mat: fine_eigh.append(mat.shape[0]) or eigh(mat))
-            return whiten_psd(gram, threshold, keys)
-
-    monkeypatch.setattr(focklimit._TupleBasis, "build", recording_build)
-    monkeypatch.setattr(focklimit, "whiten_psd", recording_whiten)
+    # k = 4: two letter blocks per site (the index pairs (0, 1) and (0, 2))
+    # make 16 keys of 16 tuples, so no eigh runs on a matrix above 16 x 16
+    # (256 fine and 8**4 coarse tuples over all letters)
+    sizes = _eigh_sizes(monkeypatch)
     block = fock_block_spectrum(*depolarizing_fock_setup(3, 2.5), 4)
-    assert orbits and max(orbits) == 256, orbits
-    # y = 2.5 is certified: the fine Gram is the only one whitened
-    assert fine_eigh == [16] * 16, fine_eigh
+    assert sizes and max(sizes) <= 16, sizes
+    # both Grams whitened key by key
+    assert sizes.count(16) == 32, sizes
     assert block.eigenvalues.size == 256
 
 
+def test_mixed_qutrit_fock_block_4_runs_on_key_stacks(monkeypatch):
+    # 8**4 = 4096 fine tuples; four letter blocks of two letters make 256
+    # keys of 16.  Over whole tuple Grams this took 19 s and 1.2 GB
+    site = random_positive_density(3, task_rng(20261019, 3), min_eigenvalue=0.05)
+    sizes = _eigh_sizes(monkeypatch)
+    setup = depolarizing_fock_setup(3, 3.0, site)
+    block = fock_block_spectrum(*setup, 4)
+    sector = symmetric_sector_spectrum(None, 3, 3.0, 4, state=site)["by_degree"][4]
+    assert max(sizes) <= 16, max(sizes)
+    assert block.fine_rank == 4096 and block.coefficients.shape == (4096, 4096)
+    vals = np.concatenate([block.eigenvalues, sector])
+    assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-10, (vals.min(), vals.max())
+    # the symmetric sector is a part of the Fock block
+    gap = max(float(np.min(np.abs(block.eigenvalues - v))) for v in sector)
+    assert gap <= 1e-12, gap
+
+
 def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("key stacks built before the budget check")
+
+    # d = 3, k = 2 at the pure state: 4 keys of 4 fine and 4 coarse tuples,
+    # 10240 bytes with the 16-square coefficients, within 16 * 50**2 whether
+    # the coarse kernel is faithful (y = 2) or singular (y = 1)
     monkeypatch.setenv("FLAB_MAX_DIM", "50")
-    # y = 2: the 64-dim coarse side is factored, the 16-dim fine side fits
     fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
-
-    def no_allocation(mat, k):
-        raise AssertionError("tuple Gram built before the budget check")
-
-    # y = 1: the singular coarse kernel needs the dense coarse Gram, over the
-    # 4**2 tuples of the 4 coarse letters the pure state's pairing reaches
     fock_block_spectrum(*depolarizing_fock_setup(3, 1.0), 2)
-    monkeypatch.setattr(focklimit, "_kron_power", no_allocation)
-    # rank 2: 7 fine letters, and K' at y = 1.01 couples the 8th coarse
-    # letter to them; cond(K')**2 > FACTORED_COND_MAX, so the 64-dim coarse
-    # Gram would be dense
+    # rank 2 at y = 1.01: 7 fine letters and 8 coarse ones in 4 letter
+    # blocks, 16 keys, 45448 bytes between 16 * 53**2 and 16 * 54**2
     rank_two = DensityMatrix(np.diag([0.6, 0.4, 0.0]).astype(complex))
-    with pytest.raises(DimensionBudgetError, match="coarse tuple dimension 8\\*\\*2"):
-        fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2)
-    monkeypatch.setenv("FLAB_MAX_DIM", "15")
-    with pytest.raises(DimensionBudgetError, match="fine tuple dimension 4\\*\\*2"):
-        fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
+    with monkeypatch.context() as spy:
+        spy.setenv("FLAB_MAX_DIM", "53")
+        for name in ("_kron_stack", "whiten_psd"):
+            spy.setattr(focklimit, name, no_allocation)
+        with pytest.raises(DimensionBudgetError, match="Fock block 2 needs an estimated 45448 bytes .16 key stacks"):
+            fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2)
+        # the r**k cap comes first
+        spy.setenv("FLAB_MAX_DIM", "15")
+        with pytest.raises(DimensionBudgetError, match="fine tuple dimension 4\\*\\*2"):
+            fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
+    monkeypatch.setenv("FLAB_MAX_DIM", "54")
+    assert fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2).eigenvalues.size == 49
 
 
 def test_sector_spectrum_is_n_independent():
@@ -765,15 +746,14 @@ def test_sector_spectrum_of_the_identity_channel_is_one(d):
 
 def test_symmetric_kron_power_is_the_orbit_restriction():
     # R^T A^{(x)j} C against dense orbit isometries, for a complex
-    # non-square A as in the transport Z (K m)^T
+    # non-square A as in a block's pairing, and for no coarse letters
     rng = task_rng(20261018, 5)
     a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    for j in (1, 2, 3):
-        rows = focklimit._TupleBasis.build(3, j, symmetric=True)
-        cols = focklimit._TupleBasis.build(4, j, symmetric=True)
+    powers = focklimit._kron_power(a, focklimit._TupleBasis.levels(3, 3), focklimit._TupleBasis.levels(4, 3))
+    for j, got in enumerate(powers, start=1):
 
-        def isometry(letters, basis):
-            words = [tuple(w) for w in basis.reps.tolist()]
+        def isometry(letters):
+            words = list(itertools.combinations_with_replacement(range(letters), j))
             q = np.zeros((letters**j, len(words)))
             for t, tup in enumerate(itertools.product(range(letters), repeat=j)):
                 q[t, words.index(tuple(sorted(tup)))] = 1.0
@@ -782,33 +762,70 @@ def test_symmetric_kron_power_is_the_orbit_restriction():
         power = np.ones((1, 1))
         for _ in range(j):
             power = np.kron(power, a)
-        want = isometry(3, rows).T @ power @ isometry(4, cols)
-        assert_close(focklimit._kron_power(a, rows, cols), want, tol=1e-13, what=f"j={j}")
+        assert_close(got, isometry(3).T @ power @ isometry(4), tol=1e-13, what=f"j={j}")
+    empty = focklimit._kron_power(a[:, :0], focklimit._TupleBasis.levels(3, 3), focklimit._TupleBasis.levels(0, 3))
+    assert [block.shape for block in empty] == [(3, 0), (6, 0), (10, 0)]
 
 
 @pytest.mark.parametrize(
     "y, k, allowed, what",
-    [(2.0, 3, 10, "1536 bytes .6 x the 4 x 4 complex array"), (1.0, 2, 8, "864 bytes .6 x the 3 x 3 complex")],
+    [(2.0, 3, 12, "2048 bytes .1 key stacks 768 bytes"), (1.0, 2, 9, "1152 bytes .1 key stacks 432 bytes")],
     ids=["certified", "uncertified"],
 )
 def test_sector_budget_refused_before_building(monkeypatch, y, k, allowed, what):
-    # pure qubit: 2 fine letters, and the pairing reaches 2 of the 3 coarse
-    # ones, so degree j has C(j+1, j) multisets on both sides.  With a
-    # certified coarse inverse the largest array of degree 3 is the 4 x 4
-    # transport; at y = 1 that of degree 2 is the 3-square coarse Gram.
-    # Six times their 16-byte entries lie between 16 * (allowed - 1)**2 and
-    # 16 * allowed**2 bytes
+    # pure qubit: x and p form one letter block with the 2 coarse letters
+    # the pairing reaches, so degree j is one key of j + 1 multisets on both
+    # sides, whether the coarse kernel is faithful (y = 2, "certified") or
+    # singular (y = 1).  The top degree, checked first, needs
+    # 16 * (3 + 5) * (j + 1)**2 bytes, between 16 * (allowed - 1)**2 and
+    # 16 * allowed**2
     def nothing_built(*args, **kwargs):
         raise AssertionError("sector arrays built before the budget check")
 
     monkeypatch.setenv("FLAB_MAX_DIM", str(allowed - 1))
     with monkeypatch.context() as spy:
-        for name in ("_kron_power", "kron_apply", "whiten_psd"):
+        for name in ("_kron_power", "_kron_stack", "whiten_psd"):
             spy.setattr(focklimit, name, nothing_built)
-        with pytest.raises(DimensionBudgetError, match=f"sector degree {k} .* estimated {what}"):
+        with pytest.raises(DimensionBudgetError, match=f"sector degree {k} needs an estimated {what}"):
             symmetric_sector_spectrum(None, 2, y, k)
     monkeypatch.setenv("FLAB_MAX_DIM", str(allowed))
     assert set(symmetric_sector_spectrum(None, 2, y, k)["by_degree"]) == set(range(1, k + 1))
+
+
+# the child reads its own peak resident set (VmHWM, in KiB) around a sector
+# spectrum of a seeded mixed qutrit, after one at degree 2 has loaded the
+# code it runs, and prints the growth and the estimate of the top degree
+SECTOR_PEAK = """
+import sys
+from flab import focklimit
+from flab.sampling import random_positive_density, task_rng
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+degree = int(sys.argv[1])
+site = random_positive_density(3, task_rng(5, 3), min_eigenvalue=0.05)
+focklimit.symmetric_sector_spectrum(None, 3, 3.0, 2, site)
+estimates = {}
+check = focklimit.check_byte_budget
+focklimit.check_byte_budget = lambda what, parts: (estimates.setdefault(what, sum(parts.values())), check(what, parts))
+before = peak()
+focklimit.symmetric_sector_spectrum(None, 3, 3.0, degree, site)
+print(1024 * (peak() - before), estimates[f"sector degree {degree}"])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+def test_sector_budget_bounds_the_measured_peak():
+    # degree 6: 84 keys of up to 36 multisets over four letter blocks of two
+    # letters each; the degree-5 and -6 key stacks dominate the peak
+    src = os.path.dirname(os.path.dirname(flab.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    child = [sys.executable, "-c", SECTOR_PEAK, "6"]
+    printed = subprocess.run(child, env=env, capture_output=True, text=True, check=True).stdout
+    growth, estimate = map(int, printed.split())
+    assert 2**20 < growth <= estimate, (growth, estimate)
 
 
 def test_sector_degree_above_permanent_cap_runs():

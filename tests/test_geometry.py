@@ -151,10 +151,11 @@ def _whiten_psd_one_eigh(gram, null_threshold):
 
 
 def _block_diagonal_gram(rng):
-    """A PSD Gram of four blocks on interleaved rows, with their row keys.
-    One block is rank deficient and one lies wholly below the global cut."""
-    sizes, scales, ranks = (3, 4, 2, 5), (1.0, 2.5, 1e-12, 0.3), (3, 2, 2, 5)
-    keys = np.repeat(np.arange(4), sizes)
+    """A PSD Gram of six blocks on interleaved rows, with their row keys.
+    Blocks 0-2 are 3 x 3, blocks 3-5 are 4 x 4; two are rank deficient and
+    one lies wholly below the global cut."""
+    sizes, scales, ranks = (3, 3, 3, 4, 4, 4), (1.0, 1e-12, 0.3, 2.5, 0.7, 1.5), (3, 3, 2, 4, 4, 2)
+    keys = np.repeat(np.arange(6), sizes)
     rng.shuffle(keys)
     gram = np.zeros((keys.size, keys.size))
     for key, (size, scale, rank) in enumerate(zip(sizes, scales, ranks)):
@@ -164,24 +165,44 @@ def _block_diagonal_gram(rng):
     return gram, keys
 
 
+def _key_stacks(gram, keys):
+    """The Gram's diagonal blocks, stacked by size: [(3, 3, 3), (3, 4, 4)]."""
+    blocks = [gram[np.ix_(rows, rows)] for rows in (np.flatnonzero(keys == key) for key in range(6))]
+    return [np.stack(blocks[:3]), np.stack(blocks[3:])]
+
+
 def test_keyed_whiten_psd_matches_one_eigh():
+    # one whitener per key block, from a list of stacks, against one eigh
+    # of the whole Gram: same cut, kept eigenspace and inverse
     rng = task_rng(20261019, 7)
     gram, keys = _block_diagonal_gram(rng)
-    w, kept = whiten_psd(gram, NULL_THRESHOLD, keys.tolist())
     w_ref, kept_ref = whiten_psd(gram, NULL_THRESHOLD)
-    # 3 + 2 + 5 kept; the whole 1e-12 block is cut against the global top
-    assert w.shape == w_ref.shape == (14, 10)
+    stacks = _key_stacks(gram, keys)
+    whiteners, kept = whiten_psd(stacks, NULL_THRESHOLD)
+    assert [w.shape for w in whiteners] == [(3, 3, 3), (3, 4, 4)]
+    # 3 + 2 + 4 + 4 + 2 kept; the whole 1e-12 block is cut against the
+    # global top, and the dropped columns are a leading run of zeros
+    assert w_ref.shape == (21, 15) and kept.size == 15
     assert_close(np.sort(kept), kept_ref, tol=1e-12 * kept_ref[-1])
-    assert_close(w.T @ gram @ w, np.eye(10), tol=1e-12)
-    # the kept eigenspace and the inverse on it agree
-    assert_close((w * kept) @ w.T, (w_ref * kept_ref) @ w_ref.T, tol=1e-12)
+    assert [np.count_nonzero(w.any(axis=1), axis=1).tolist() for w in whiteners] == [[3, 0, 2], [4, 4, 2]]
+    for w in whiteners:
+        kept_cols = w.any(axis=1)
+        assert np.all(np.diff(kept_cols.astype(int), axis=1) >= 0)
+    # scattered back over the rows, the blocks whiten the Gram; the kept
+    # eigenspace (its projector W W^T G) and the inverse on it agree
+    blocks = [block for w in whiteners for block in w]
+    w = np.zeros((21, 21))
+    for key, (block, start) in enumerate(zip(blocks, np.cumsum([0, 3, 3, 3, 4, 4]))):
+        w[np.flatnonzero(keys == key), start : start + len(block)] = block
+    w = w[:, w.any(axis=0)]
+    assert_close(w.T @ gram @ w, np.eye(15), tol=1e-12)
+    assert_close(w @ w.T @ gram, w_ref @ w_ref.T @ gram, tol=1e-12)
     assert_close(w @ w.T, w_ref @ w_ref.T, tol=1e-12 * np.max(np.abs(w_ref @ w_ref.T)))
-    # rows of different keys share no column, and the check on negative
-    # eigenvalues sees every block
-    for col in w.T:
-        assert np.unique(keys[col != 0]).size == 1
+    # the check on negative eigenvalues sees every block (the last one has
+    # rank 2)
+    stacks[1][2] -= 1e-3 * np.eye(4)
     with pytest.raises(NumericalError, match="negative eigenvalue"):
-        whiten_psd(gram - 1e-3 * np.diag(keys == 1), NULL_THRESHOLD, keys.tolist())
+        whiten_psd(stacks, NULL_THRESHOLD)
 
 
 def test_unkeyed_whiten_psd_is_one_eigh_bit_for_bit():
@@ -190,6 +211,11 @@ def test_unkeyed_whiten_psd_is_one_eigh_bit_for_bit():
         w, kept = whiten_psd(gram)
         w_ref, kept_ref = _whiten_psd_one_eigh(gram, NULL_THRESHOLD)
         assert np.array_equal(w, w_ref) and np.array_equal(kept, kept_ref)
+    # a stack of one gives the same eigh, and so the same kept columns
+    gram = _block_diagonal_gram(rng)[0]
+    (w_stack,), kept = whiten_psd([gram[None]])
+    w_ref, kept_ref = _whiten_psd_one_eigh(gram, NULL_THRESHOLD)
+    assert np.array_equal(w_stack[0][:, w_stack[0].any(axis=0)], w_ref) and np.array_equal(kept, kept_ref)
 
 
 def test_whitened_contraction_closed_forms():
@@ -342,18 +368,19 @@ def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
 
 
 def test_klocal_decay_check_refused_before_building(monkeypatch):
-    # pure qubit at y = 2: degree 3, the top block of k_max = 2, needs six
-    # 4 x 4 complex transports (the pairing reaches 2 coarse letters), 1536
-    # bytes, over the 16 * 9**2 = 1296 of FLAB_MAX_DIM = 9; every degree is
-    # refused before any block is built
+    # pure qubit at y = 2: degree 3, the top block of k_max = 2, is one key
+    # of 4 multisets on both sides (x and p with the 2 coarse letters the
+    # pairing reaches), 16 * 8 * 4**2 = 2048 bytes, over the 16 * 11**2 =
+    # 1936 of FLAB_MAX_DIM = 11; every degree is refused before any block
+    # is built
     def nothing_built(*args, **kwargs):
         raise AssertionError("sector arrays built before the budget check")
 
-    monkeypatch.setenv("FLAB_MAX_DIM", "9")
+    monkeypatch.setenv("FLAB_MAX_DIM", "11")
     with monkeypatch.context() as spy:
-        for name in ("_kron_power", "kron_apply", "whiten_psd"):
+        for name in ("_kron_power", "_kron_stack", "whiten_psd"):
             spy.setattr(focklimit, name, nothing_built)
-        with pytest.raises(DimensionBudgetError, match="sector degree 3 needs an estimated 1536 bytes"):
+        with pytest.raises(DimensionBudgetError, match="sector degree 3 needs an estimated 2048 bytes"):
             klocal_decay_check(4, 2, [2.0, 3.0], k_max=2)
     assert set(klocal_decay_check(4, 2, [2.0, 3.0], k_max=1)["k"]) == {0, 1}
 
