@@ -237,10 +237,12 @@ def _pair_block_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
     move it: walker 2 to (0, r +- 1), walker 1 to (-+1, r +- 1), or onto the
     other, exchanging them: (0, 1) -> (1, L-1), (0, L-1) -> (-1, 1).  A move
     to (di, r') adds e^{2 pi i K di / L} at [r, r'] and -1 on the diagonal.
+    Block L - K is the complex conjugate of block K, so only the blocks
+    K <= L/2 are diagonalised (see `SwapDiffusion.pair_apply`).
     """
     n = L - 1
-    w = np.exp(2j * np.pi * np.arange(L) / L)[:, None]
-    blocks = np.zeros((L, n, n), dtype=complex)
+    w = np.exp(2j * np.pi * np.arange(L // 2 + 1) / L)[:, None]
+    blocks = np.zeros((len(w), n, n), dtype=complex)
     r = np.arange(n - 1)
     blocks[:, r, r + 1] = 1.0 + w.conj()
     blocks[:, r + 1, r] = 1.0 + w
@@ -292,11 +294,21 @@ class SwapDiffusion:
     def pair_apply(self, x, block=None) -> np.ndarray:
         """Pair-walker semigroup on Bloch-block coefficients: exp(time G_K) on
         the columns x[K] (shape (L, L-1, m)) of every block K, or on the
-        columns of x (shape (L-1, m)) of one given `block`.
+        columns of x (shape (L-1, m)) of one given `block`.  Blocks past
+        L/2 use exp(time G_{L-K}) x = conj(exp(time G_K) conj(x)).
         DimensionBudgetError before anything is built if it would not fit."""
         L = self.lattice.n_sites
         check_walker_budget(L, 2)
         vals, vecs = _pair_block_eigh(L)
+        x, half = np.asarray(x), len(vals)
         if block is not None:
-            vals, vecs = vals[block], vecs[block]
-        return _eigen_apply(vals, vecs, self.time, np.asarray(x))
+            if block < half:
+                return _eigen_apply(vals[block], vecs[block], self.time, x)
+            return _eigen_apply(vals[L - block], vecs[L - block], self.time, x.conj()).conj()
+        out = np.empty(x.shape, dtype=complex)
+        out[:half] = _eigen_apply(vals, vecs, self.time, x[:half])
+        # blocks L - 1 down to half are blocks 1 to L - half conjugated
+        partners = slice(1, L - half + 1)
+        upper = _eigen_apply(vals[partners], vecs[partners], self.time, x[: half - 1 : -1].conj())
+        out[half:] = upper.conj()[::-1]
+        return out

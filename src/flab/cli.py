@@ -248,6 +248,7 @@ def run_bound_check(params: dict) -> Report:
                 "samples": samples,
                 "bound": data["bound"],
                 "max_ratio_sq": data["max_ratio_sq"],
+                "supremum": data["supremum"],
                 "violations": data["violations"],
                 "bound_decreasing_in_k": beta_bound_decreasing(d, y),
             }

@@ -26,17 +26,14 @@ for the exact finite-n spectrum on the symmetric k-local sector
 between letter blocks, so each splits into small problems, one per block
 sequence or block count (`_key_contraction`).  `beta_bound_test` checks
 the sector-wise norm bound under sitewise depolarizing noise on random
-draws, measured as quadratic forms over per-support Gram blocks.  A
-block's letter products are made a chunk at a time, as one broadcast
-Kronecker product, and each chunk goes through the channel as one stack;
-`beta_bound_supremum` gives the exact supremum from the blocks.
+draws, measured as quadratic forms over the same key-block Grams on every
+support size, beside the exact supremum the draws sample.
 `klocal_decay_check` reads the exact decay of that supremum in y under the
 homogeneous coarse graining from the top of each sector block.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,18 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionBudgetError, NumericalError
-from .geometry import (
-    DRAW_CHUNK_ENTRIES,
-    GRAM_CHUNK_ENTRIES,
-    norm_grams,
-    sampled_norms,
-    whiten_psd,
-    whitened_contraction,
-)
+from .geometry import DRAW_CHUNK_ENTRIES, sampled_norms, whiten_psd, whitened_contraction
 from .operators import (
     FIRST_RUN_BYTES,
     DensityMatrix,
-    QuditSystem,
     check_byte_budget,
     dense_dim_budget,
     zero_mean_letters,
@@ -312,24 +301,41 @@ def _check_key_budget(what: str, dims: dict, keys: list, output: dict) -> None:
     check_byte_budget(what, {**parts, **output})
 
 
+def _key_stacks(factors: dict, keys: list) -> tuple:
+    """The keys grouped by the shapes of their factors, and per group the
+    (keys, ., .) stacks of its fine Grams, coarse Grams and pairings: the
+    real parts of the Kronecker products of its factors (`_kron_stack`)."""
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault(tuple(factors[i][2].shape for i in key), []).append(key)
+    stacked = list(groups.values())
+    sides = [{i: mats[side] for i, mats in factors.items()} for side in range(3)]
+    return (stacked, *([_kron_stack(mats, group) for group in stacked] for mats in sides))
+
+
+def _key_tuples(letters: list, group: list, r: int) -> np.ndarray:
+    """Each key's fine tuples as a (keys, f) array of indices into the r^j
+    tuples of its length j in C order, in the Kronecker order of the letters
+    of its blocks, letters[b] being those of block b."""
+    tuples = np.zeros((len(group), 1), dtype=np.intp)
+    for ids in zip(*group):
+        tuples = (tuples[:, :, None] * r + np.stack([letters[b] for b in ids])[:, None, :]).reshape(len(group), -1)
+    return tuples
+
+
 def _key_contraction(factors: dict, keys: list, null_threshold: float) -> list:
     """Contraction eigendata of a tuple problem that is block diagonal by key.
 
     factors[i] is a (fine, coarse, pairing) triple of complex letter
     matrices and a key a tuple of factor ids i, whose fine Gram,
     coarse Gram and pairing are the real parts of the Kronecker products of
-    its factors (`_kron_stack`).  Keys with factors of the same shapes are
+    its factors (`_key_stacks`).  Keys with factors of the same shapes are
     stacked: both sides are whitened with the cut relative to the top of
     all keys (`whiten_psd`), then `whitened_contraction`.  Returns, per
     stack, its keys, eigenvalues (m, a) and fine coefficients (m, a, a),
     descending per key over its kept directions and zero past them.
     """
-    groups: dict = {}
-    for key in keys:
-        groups.setdefault(tuple(factors[i][2].shape for i in key), []).append(key)
-    stacked = list(groups.values())
-    sides = [{i: mats[side] for i, mats in factors.items()} for side in range(3)]
-    fine, coarse, pairing = ([_kron_stack(mats, group) for group in stacked] for mats in sides)
+    stacked, fine, coarse, pairing = _key_stacks(factors, keys)
     w_fine, _ = whiten_psd(fine, null_threshold)
     w_coarse, _ = whiten_psd(coarse, null_threshold)
     return [(group, *whitened_contraction(*mats)) for group, *mats in zip(stacked, w_fine, w_coarse, pairing)]
@@ -409,14 +415,10 @@ def fock_block_spectrum(
     _check_key_budget(f"Fock block {k}", dims, keys, {f"{r**k}-square coefficients": 8 * r ** (2 * k)})
     vals, vecs, rows = [], [], []
     for group, key_vals, coeffs in _key_contraction(factors, keys, null_threshold):
-        # each key's fine tuples, in the Kronecker order of its letters
-        tuples = np.zeros((len(group), 1), dtype=np.intp)
-        for ids in zip(*group):
-            tuples = (tuples[:, :, None] * r + np.stack([letters[b] for b in ids])[:, None, :]).reshape(len(group), -1)
         kept_dirs = coeffs.any(axis=1)
         vals.append(key_vals[kept_dirs])
         vecs.append(coeffs.swapaxes(1, 2)[kept_dirs])
-        rows.append(np.repeat(tuples, kept_dirs.sum(axis=1), axis=0))
+        rows.append(np.repeat(_key_tuples(letters, group, r), kept_dirs.sum(axis=1), axis=0))
     flat = np.concatenate(vals)
     order = np.argsort(-flat, kind="stable")
     place = np.argsort(order)
@@ -568,101 +570,64 @@ def beta_bound_decreasing(d: int, y: float) -> bool:
     return y * (y - 1.0) > d
 
 
-class _LetterProducts:
-    """The products of `size` site letters, one per word of
-    itertools.product(range(len(letters)), repeat=size) and in that order,
-    built on demand: a slice is one stack, made site by site as a broadcast
-    Kronecker product of the letters its words gather.  letters is an
-    (L, d, d) stack; the family has L**size members and is never held."""
-
-    def __init__(self, letters: np.ndarray, size: int):
-        self.letters, self.size = letters, size
-
-    def __len__(self) -> int:
-        return len(self.letters) ** self.size
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        words = np.arange(*rows.indices(len(self)))
-        count, d = len(self.letters), self.letters.shape[-1]
-        out = np.ones((len(words), 1, 1), dtype=complex)
-        for site in range(self.size):
-            # a word's letter at this site is its base-count digit, most significant first
-            factor = self.letters[words // count ** (self.size - 1 - site) % count]
-            side = out.shape[-1] * d
-            out = (out[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(len(words), side, side)
-        return out
-
-
 def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | None):
-    """Bures and pushforward Gram blocks of the sectors with |S| >= k.
+    """Bures and pushforward Grams of the sectors with |S| >= k, as the
+    `sampled_norms` runs of the letter products on every support of those
+    sizes (sizes ascending, supports lexicographic, products in
+    itertools.product order), and the exact supremum of their ratio.
 
-    Returns ((bures, push, carried), count) per support size s = k..n,
-    count = C(n, s) supports; repeated count times, in order of size, the
-    blocks make up the Grams of the family of zero-mean letter products over
-    every support of those sizes.  carried is a boolean mask over a
-    support's (d^2 - 1)^s products, in itertools.product order, and the
-    blocks are over the marked ones only (see below).
-    The channel is sitewise depolarizing at a product of identical site
-    states, so:
-
-    * blocks of different supports vanish.  A site in one support only
-      contributes the factor tr(rho_i f) = 0 of a zero-mean letter f to a
-      Bures cross term; to a pushforward cross term it contributes
-      tr N_i(rho_i f), the same number because N_i preserves traces;
-    * the block of a support S is that of the |S|-site chain.  Off S the
-      operators are the identity, Omega_rho puts rho_i there, the channel
-      sigma_i, and Omega^{-1} at the product state maps Y (x) sigma_i to
-      Omega^{-1}(Y) (x) 1, leaving factors tr rho_i = 1.
-
-    Everything is written in the site eigenframe, where the site state is
-    diag(mu) and the letters are `zero_mean_letters(mu)`; sitewise
-    depolarizing is unitarily covariant, so the blocks are those of the
-    original frame up to roundoff.  There both the product state and its
-    image are diagonal, so `norm_grams` takes the product of the site
-    diagonals and weighs entries instead of rotating them.  Only carried
-    letters enter: those with a nonzero entry (i, j) where mu_i + mu_j > 0,
-    the entries Omega_rho weighs.  A product with any other letter vanishes
-    on every entry of positive weight, so it is exactly zero after Omega_rho
-    and its rows of both Grams are zero, N(0) = 0; at a pure site state
-    2(d - 1) letters are carried, at a faithful one all of them.  Each
-    size's carried products (`_LetterProducts`) are built chunk by chunk as
-    `norm_grams` slices them; the family itself is never held.
+    Only carried letters enter, those with a nonzero entry (i, j) where
+    mu_i + mu_j > 0 (2(d - 1) at a pure site state, all at a faithful one):
+    a product with any other letter is zero after Omega_rho, so both its
+    norms vanish.  Under sitewise depolarizing at a product of identical
+    site states, blocks of different supports vanish and the block of a
+    support is that of its |S|-site chain.  There, in the site eigenframe,
+    the Bures Gram Re tr(rho A_a A_b) is Re(K^{(x)s}) over carried tuples,
+    and the pushforward Gram is P G_c^{-1} P^T, the supremum over coarse
+    observables B of Re tr(B N(X))^2 / |B|^2: P = Re((K m)^{(x)s}) pairs
+    each product with the coarse letter products, whose Gram is G_c =
+    Re(K'^{(x)s}).  All three are block diagonal by key (`_key_stacks`);
+    with W_c whitening G_c, a key's pushforward block is (P W_c)(P W_c)^T,
+    and the supremum is the top of `whitened_contraction` over every key.
+    DimensionBudgetError first if the keys and a draw block would not fit.
     """
-    from .channels import DepolarizingChannel, ProductChannel
-
     if k < 1 or k > n:
         raise ValueError(f"sector index k={k} out of range for n={n}")
+    sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state_1site)
     mu = _site_eigenvalues(d, state_1site)
-    letters = np.stack(zero_mean_letters(mu))
-    carried = np.any((letters != 0) & (mu[:, None] + mu[None, :] > 0), axis=(1, 2))
-    # the row blocks of the largest support (at most dim^2 complex entries
-    # per operator), one pair of real Gram blocks per support size, the
-    # transients of one chunk (at most 4.5 chunks measured) and of one
-    # `sampled_norms` draw block (coefficients of all products, their
-    # carried columns, two products with the largest blocks) and the pages
-    # a first run touches
-    rows, dim = int(carried.sum()), d**n
-    products = sum(math.comb(n, s) * (d * d - 1) ** s for s in range(k, n + 1))
-    draws = max(1, DRAW_CHUNK_ENTRIES // products)
-    carried_products = sum(math.comb(n, s) * rows**s for s in range(k, n + 1))
+    weighed = mu[:, None] + mu[None, :] > 0
+    carried = np.flatnonzero([np.any((f != 0) & weighed) for f in sp_fine.basis])
+    k_fine = sp_fine.kernel[np.ix_(carried, carried)]
+    letters, blocks = _letter_blocks(k_fine, sp_coarse.kernel, k_fine @ m[carried, :])
+    # the keys of size s are every block sequence, so a sum over them is a power
+    f, c = np.array([pair.shape for _, _, pair in blocks]).T
+    f2, c2, fc = int(f @ f), int(c @ c), int(f @ c)
+    sizes = range(k, n + 1)
+    products = [math.comb(n, s) * len(carried) ** s for s in sizes]
+    draws = max(1, DRAW_CHUNK_ENTRIES // sum(products))
     check_byte_budget(
         f"bound check at d={d}, n={n}, k={k}",
         {
-            f"{rows**n} x {dim**2} row blocks": 2 * 16 * rows**n * dim**2,
-            "Gram blocks": 2 * 8 * sum(rows ** (2 * s) for s in range(k, n + 1)),
-            "8 chunk-sized transients": 8 * 16 * max(GRAM_CHUNK_ENTRIES, dim**2),
-            f"{draws} x {products} draw-block transients": 8 * draws * (products + carried_products + 2 * rows**n),
+            f"{sum(len(blocks) ** s for s in sizes)} key stacks": 16 * sum(f2**s + c2**s + fc**s for s in sizes),
+            "their whitening and eigenvectors": 16 * sum(3 * f2**s + 2 * c2**s for s in sizes),
+            f"{draws} x {sum(products)} draw-block transients": 8 * draws * (sum(products) + 4 * max(products)),
             "a first run's code and buffers": FIRST_RUN_BYTES,
         },
     )
-    blocks = []
-    for size in range(k, n + 1):
-        channel = ProductChannel(DepolarizingChannel(y, d), QuditSystem(d, size))
-        diagonal = functools.reduce(np.kron, [mu] * size)
-        bures, push = norm_grams(diagonal, channel, _LetterProducts(letters[carried], size))
-        words = functools.reduce(np.logical_and.outer, [carried] * size).ravel()
-        blocks.append(((bures, push, words), math.comb(n, size)))
-    return blocks
+    factors = dict(enumerate(blocks))
+    grams, supremum = [], 0.0
+    for s in sizes:
+        groups, fine, coarse, pairing = _key_stacks(factors, list(itertools.product(factors, repeat=s)))
+        w_fine, _ = whiten_psd(fine, NULL_LETTER_THRESHOLD)
+        w_coarse, _ = whiten_psd(coarse, NULL_LETTER_THRESHOLD)
+        stacks = []
+        for group, bures, wf, wc, pair in zip(groups, fine, w_fine, w_coarse, pairing):
+            supremum = max(supremum, float(whitened_contraction(wf, wc, pair)[0].max(initial=0.0)))
+            reach = pair @ wc
+            members = _key_tuples(letters, group, len(carried))
+            stacks.append((members, np.ascontiguousarray(bures), reach @ reach.swapaxes(1, 2)))
+        grams.append((math.comb(n, s), stacks))
+    return grams, supremum
 
 
 def beta_bound_test(
@@ -679,22 +644,19 @@ def beta_bound_test(
     Draws random hermitian combinations from the sectors supported on at
     least k sites and verifies, for the sitewise depolarizing channel, that
     the pushforward norm squared never exceeds beta_k times the base norm
-    squared (relative slack 1e-10).  Returns the violation count and the
-    largest observed ratio.
+    squared (relative slack 1e-10).  Returns the violation count, the
+    largest observed ratio and the exact supremum it samples.
 
-    Both norms are quadratic forms in a draw's coefficients, so each draw
-    is measured against the per-support Gram blocks of `_bound_grams`,
-    built once per support size, instead of being assembled as an
-    operator.  The draws are the same, coefficients of letter products that
-    are not carried included, but only the carried ones are measured;
-    `beta_bound_supremum` gives the exact supremum they sample.
-    DimensionBudgetError, before anything is built, if the blocks would not
-    fit.
+    Both norms are quadratic forms in a draw's coefficients, measured
+    against the key-block Grams of `_bound_grams` (DimensionBudgetError,
+    before anything is built, if they would not fit).  A draw is
+    rng.standard_normal over the products of carried letters only: the
+    other products vanish, so their coefficients would change neither norm.
     """
     from .sampling import task_rng
 
-    grams = [block for block, count in _bound_grams(n, d, y, k, state_1site) for _ in range(count)]
     bound = beta_bound_value(d, y, k)
+    grams, supremum = _bound_grams(n, d, y, k, state_1site)
     rng = task_rng(seed, (n, d, int(y * 1000), k))
     base, pushed = sampled_norms(rng, samples, grams)
     kept = base >= 1e-12
@@ -708,29 +670,8 @@ def beta_bound_test(
         "bound": bound,
         "violations": int(np.count_nonzero(ratio_sq > bound * (1.0 + 1e-10))),
         "max_ratio_sq": float(np.max(ratio_sq, initial=0.0)),
+        "supremum": supremum,
     }
-
-
-def beta_bound_supremum(
-    n: int,
-    d: int,
-    y: float,
-    k: int,
-    state_1site: DensityMatrix | None = None,
-) -> float:
-    """Exact supremum of |A|_N^2 / |A|^2 over the sectors with |S| >= k.
-
-    The quantity `beta_bound_test` samples.  The support blocks are
-    orthogonal on both sides, so the supremum is the largest, over support
-    sizes, top eigenvalue of W^T P W, where W whitens the Bures block
-    (`whiten_psd`, which quotients null directions) and P is the
-    pushforward block.
-    """
-    best = 0.0
-    for (bures, push, _), _ in _bound_grams(n, d, y, k, state_1site):
-        w = whiten_psd(bures)[0]
-        best = max(best, float(np.linalg.eigvalsh(w.T @ push @ w)[-1]))
-    return best
 
 
 def klocal_decay_check(

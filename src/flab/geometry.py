@@ -11,9 +11,9 @@ Heisenberg adjoint gives the pairing matrices whitened into a finite
 eigenvalue problem (`contraction_spectrum`).  Pushing the tangent vector
 Omega_rho(A) forward through N and measuring it at N(rho) gives the
 channel-deformed norm (`pushforward_norm`).  Both norms are quadratic forms
-in the real coefficients of an operator family, so a family is measured
-through its Grams (`norm_grams`), and random draws from it as quadratic
-forms over them (`sampled_norms`) rather than one operator at a time.
+in the real coefficients of an operator family, so random draws from a
+family whose Grams are known are measured as quadratic forms over them
+(`sampled_norms`) rather than one operator at a time.
 """
 
 from __future__ import annotations
@@ -52,10 +52,8 @@ SINGULAR_DIRECTION = (
     "state is singular on the requested direction; "
     "use the GNS-side formulation with a null-space quotient"
 )
-# matrix entries of the operators turned into Gram rows per chunk, and
-# coefficient entries per block of random draws; both only bound the size of
+# coefficient entries per block of random draws; only bounds the size of
 # transient arrays
-GRAM_CHUNK_ENTRIES = 2**14
 DRAW_CHUNK_ENTRIES = 2**16
 
 
@@ -113,98 +111,46 @@ def pushforward_norm(state: DensityMatrix, channel, a) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def norm_grams(diagonal, channel, operators) -> tuple[np.ndarray, np.ndarray]:
-    """Bures and pushforward Grams (G, P) of a family of hermitian operators
-    at the diagonal state rho = diag(diagonal).
-
-    For A = sum_a c_a A_a with real c, |A|^2 = c^T G c and |A|_N^2 =
-    c^T P c (see `bures_norm`, `pushforward_norm`) with
-
-        G_ab = Re tr(A_a Omega_rho(A_b)),
-        P_ab = Re tr(N(X_a)^dagger Omega_{N(rho)}^{-1} N(X_b)),  X = Omega_rho(A).
-
-    The channel must keep rho diagonal, as sitewise depolarizing and the
-    permutation average do at a product state in its site eigenframe;
-    NumericalError otherwise.  Then Omega_rho weighs entry (i, j) by
-    (rho_i + rho_j) / 2 and Omega_{N(rho)}^{-1} by 2 / (lam_i + lam_j), lam
-    the diagonal of N(rho); scaled by the square roots of these weights,
-    every operator becomes one row of each Gram and the Grams are row
-    products.  Entries of weight zero, and entries where Omega_{N(rho)} is
-    singular (checked negligible row by row, as in `omega_inverse_apply`),
-    are dropped.
-
-    operators is the family as an (N, dim, dim) stack, a list of matrices,
-    or anything else with a length whose slices are such stacks, so that it
-    can be built on demand.  It is sliced into chunks of at most
-    GRAM_CHUNK_ENTRIES matrix entries (one operator at least); the channel
-    acts once per chunk stack, and the chunk is dropped once it is turned
-    into rows.
-    """
-    rho = np.asarray(diagonal, dtype=float)
-    coarse = channel.apply(np.diag(rho))
-    lam = np.diagonal(coarse).real
-    if np.max(np.abs(coarse - np.diag(lam))) > OMEGA_REL_TOL * max(float(lam.max()), 1e-300):
-        raise NumericalError("the channel does not keep the state diagonal")
-    bures_weight = 0.5 * (rho[:, None] + rho[None, :])
-    bures_keep = bures_weight > 0.0
-    bures_scale = np.sqrt(bures_weight[bures_keep])
-    denom = lam[:, None] + lam[None, :]
-    singular = denom < OMEGA_REL_TOL * max(float(lam.max()), 1e-300)
-    push_scale = np.sqrt(2.0 / denom[~singular])
-    count = len(operators)
-    bures_rows = np.empty((count, bures_scale.size), dtype=complex)
-    push_rows = np.empty((count, push_scale.size), dtype=complex)
-    per_chunk = max(1, GRAM_CHUNK_ENTRIES // rho.size**2)
-    for start in range(0, count, per_chunk):
-        rows = slice(start, min(start + per_chunk, count))
-        chunk = as_matrix(operators[rows])
-        bures_rows[rows] = chunk[:, bures_keep] * bures_scale
-        pushed = channel.apply(chunk * bures_weight)
-        if singular.any():
-            mag = np.abs(pushed)
-            tol = OMEGA_REL_TOL * np.maximum(1.0, mag.max(axis=(1, 2)))
-            if np.any(mag[:, singular] > tol[:, None]):
-                raise NumericalError(SINGULAR_DIRECTION)
-        push_rows[rows] = pushed[:, ~singular] * push_scale
-    # Re(R R^dagger) as one real product over interleaved (re, im) columns
-    bures_real = bures_rows.view(float)
-    push_real = push_rows.view(float)
-    return bures_real @ bures_real.T, push_real @ push_real.T
+def _per_draw(terms: np.ndarray, draws: int) -> np.ndarray:
+    """Sum of (keys, a, draws * groups) terms per draw."""
+    return terms.sum(axis=(0, 1)).reshape(draws, -1).sum(axis=1)
 
 
 def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.ndarray, np.ndarray]:
     """Bures and pushforward norms of random combinations of a family.
 
-    grams holds one (bures, push, carried) triple per consecutive group of
-    the family: carried is a boolean mask over the group's members, and
-    bures, push are the Gram blocks of the marked members, as returned by
-    `norm_grams`.  The unmarked members are taken to have zero rows in both
-    Grams, and the blocks between groups to vanish.  Each draw's
-    coefficients are rng.standard_normal(N) over the whole family of N
-    operators, marked or not; the draws are made in (m, N) blocks, which
-    consumes the stream exactly as one draw at a time does, and only the
-    marked columns of a block are measured.  Returns the two norms of every
-    draw.  A squared norm negative beyond roundoff raises NumericalError,
-    as in `bures_norm` and `pushforward_norm`; the pushforward's roundoff
-    scale is its triangle-inequality bound (sum_a |c_a| P_aa^{1/2})^2.
+    The family is a sequence of groups whose Grams vanish between groups;
+    grams holds one (count, blocks) pair per run of `count` groups with the
+    same Grams.  Each of a group's blocks is a (members, bures, push) triple:
+    a (keys, a) array of member indices within the group, which every
+    member is in once, and the (keys, a, a) Gram blocks of those members;
+    entries between blocks vanish.  A draw's coefficients are
+    rng.standard_normal(N) over the family's N members, drawn in (m, N)
+    blocks, which consume the stream exactly as one draw at a time does.
+    Returns the two norms of every draw.  A squared norm negative beyond
+    roundoff raises NumericalError, as in `bures_norm` and
+    `pushforward_norm`; the pushforward's roundoff scale is its
+    triangle-inequality bound (sum_a |c_a| P_aa^{1/2})^2.
     """
-    marks = np.concatenate([carried for _, _, carried in grams])
-    # a plain slice, so that a family with every member marked is not copied
-    columns = slice(None) if marks.all() else np.flatnonzero(marks)
-    push_roots = [np.sqrt(np.clip(np.diag(push), 0.0, None)) for _, push, _ in grams]
-    total = marks.size
+    widths = [sum(members.size for members, _, _ in blocks) for _, blocks in grams]
+    total = sum(count * width for (count, _), width in zip(grams, widths))
+    roots = [[np.sqrt(np.clip(np.diagonal(p, axis1=1, axis2=2), 0.0, None)) for *_, p in blocks] for _, blocks in grams]
     per_block = max(1, DRAW_CHUNK_ENTRIES // max(total, 1))
     base_sq, push_sq, push_bound = (np.zeros(samples) for _ in range(3))
     for start in range(0, samples, per_block):
         stop = min(start + per_block, samples)
-        coeffs = rng.standard_normal((stop - start, total))[:, columns]
+        coeffs = rng.standard_normal((stop - start, total))
         lo = 0
-        for (bures, push, _), roots in zip(grams, push_roots):
-            c = coeffs[:, lo : lo + len(bures)]
-            lo += len(bures)
-            base_sq[start:stop] += np.sum((c @ bures) * c, axis=1)
-            push_sq[start:stop] += np.sum((c @ push) * c, axis=1)
-            push_bound[start:stop] += np.abs(c) @ roots
+        for (count, blocks), width, block_roots in zip(grams, widths, roots):
+            # the run's coefficients by member, then draw and group
+            run = coeffs[:, lo : lo + count * width].reshape(stop - start, count, width).transpose(2, 0, 1)
+            lo += count * width
+            for (members, bures, push), root in zip(blocks, block_roots):
+                # (keys, a, draws * count): one matrix product per key
+                c = run[members].reshape(*members.shape, -1)
+                base_sq[start:stop] += _per_draw((bures @ c) * c, stop - start)
+                push_sq[start:stop] += _per_draw((push @ c) * c, stop - start)
+                push_bound[start:stop] += _per_draw(np.abs(c) * root[..., None], stop - start)
     if np.any(base_sq < -1e-12):
         raise NumericalError(f"norm squared came out negative: {base_sq.min():.3e}")
     if np.any(push_sq < -1e-10 * push_bound**2):

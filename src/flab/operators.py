@@ -29,7 +29,7 @@ PRUNE_THRESHOLD = 1e-10
 DEFAULT_MAX_DIM = 2**14
 # resident growth of a first run beyond its arrays (BLAS code and buffers,
 # numpy.random's lazy import), measured with numpy 2.4: 8.5-10.4 MiB for
-# `flab lattice`, 2.5-6 MiB for the bound check
+# `flab lattice`, 3.5-9.5 MiB for the bound check
 FIRST_RUN_BYTES = 12 * 2**20
 
 

@@ -10,8 +10,13 @@ GEMM.
 `support_family` is the whole operator family of a chain, every product of
 zero-mean site letters over every nonempty support, d^(2n) - 1 operators of
 dim^2 entries, each built by `site_product` as a tower of krons: the oracle
-for the per-support Gram blocks of the bound check and for the sector
-suprema of the decay check.
+for the bound check's draws and for the sector suprema of the decay check.
+
+`norm_grams` is the Bures and pushforward Grams of a family of dim x dim
+operators at a diagonal state, row by row through a channel, and
+`letter_products` the products of site letters on one support as dim x dim
+matrices: the dim^2 oracle for the key-block Grams of
+`focklimit._bound_grams`.
 
 `permute_sites` conjugates by a site permutation through an axis
 transpose, the oracle for permutation invariance.
@@ -28,13 +33,18 @@ import itertools
 import numpy as np
 
 from flab.channels import homogeneous_coarse_graining
-from flab.geometry import NULL_THRESHOLD, whiten_psd, whitened_contraction
+from flab.errors import NumericalError
+from flab.geometry import NULL_THRESHOLD, OMEGA_REL_TOL, SINGULAR_DIRECTION, whiten_psd, whitened_contraction
 from flab.operators import (
     QuditSystem,
     _greedy_gram_prune,
+    as_matrix,
     single_site_zero_mean_basis,
     symmetric_klocal_basis,
 )
+
+# matrix entries of the operators turned into Gram rows per chunk
+GRAM_CHUNK_ENTRIES = 2**14
 
 
 def tensor_many(ops):
@@ -77,6 +87,74 @@ def support_family(d, n, site):
                 matrices.append(site_product(dict(zip(support, word)), system))
                 supports.append(support)
     return np.stack(matrices), supports
+
+
+def norm_grams(diagonal, channel, operators) -> tuple[np.ndarray, np.ndarray]:
+    """Bures and pushforward Grams (G, P) of a family of hermitian operators
+    at the diagonal state rho = diag(diagonal).
+
+    For A = sum_a c_a A_a with real c, |A|^2 = c^T G c and |A|_N^2 =
+    c^T P c (see `bures_norm`, `pushforward_norm`) with
+
+        G_ab = Re tr(A_a Omega_rho(A_b)),
+        P_ab = Re tr(N(X_a)^dagger Omega_{N(rho)}^{-1} N(X_b)),  X = Omega_rho(A).
+
+    The channel must keep rho diagonal, as sitewise depolarizing and the
+    permutation average do at a product state in its site eigenframe;
+    NumericalError otherwise.  Then Omega_rho weighs entry (i, j) by
+    (rho_i + rho_j) / 2 and Omega_{N(rho)}^{-1} by 2 / (lam_i + lam_j), lam
+    the diagonal of N(rho); scaled by the square roots of these weights,
+    every operator becomes one row of each Gram and the Grams are row
+    products.  Entries of weight zero, and entries where Omega_{N(rho)} is
+    singular (checked negligible row by row, as in `omega_inverse_apply`),
+    are dropped.
+
+    operators is the family as an (N, dim, dim) stack or a list of
+    matrices.  It is sliced into chunks of at most GRAM_CHUNK_ENTRIES matrix
+    entries (one operator at least); the channel acts once per chunk stack.
+    """
+    rho = np.asarray(diagonal, dtype=float)
+    coarse = channel.apply(np.diag(rho))
+    lam = np.diagonal(coarse).real
+    if np.max(np.abs(coarse - np.diag(lam))) > OMEGA_REL_TOL * max(float(lam.max()), 1e-300):
+        raise NumericalError("the channel does not keep the state diagonal")
+    bures_weight = 0.5 * (rho[:, None] + rho[None, :])
+    bures_keep = bures_weight > 0.0
+    bures_scale = np.sqrt(bures_weight[bures_keep])
+    denom = lam[:, None] + lam[None, :]
+    singular = denom < OMEGA_REL_TOL * max(float(lam.max()), 1e-300)
+    push_scale = np.sqrt(2.0 / denom[~singular])
+    count = len(operators)
+    bures_rows = np.empty((count, bures_scale.size), dtype=complex)
+    push_rows = np.empty((count, push_scale.size), dtype=complex)
+    per_chunk = max(1, GRAM_CHUNK_ENTRIES // rho.size**2)
+    for start in range(0, count, per_chunk):
+        rows = slice(start, min(start + per_chunk, count))
+        chunk = as_matrix(operators[rows])
+        bures_rows[rows] = chunk[:, bures_keep] * bures_scale
+        pushed = channel.apply(chunk * bures_weight)
+        if singular.any():
+            mag = np.abs(pushed)
+            tol = OMEGA_REL_TOL * np.maximum(1.0, mag.max(axis=(1, 2)))
+            if np.any(mag[:, singular] > tol[:, None]):
+                raise NumericalError(SINGULAR_DIRECTION)
+        push_rows[rows] = pushed[:, ~singular] * push_scale
+    # Re(R R^dagger) as one real product over interleaved (re, im) columns
+    bures_real = bures_rows.view(float)
+    push_real = push_rows.view(float)
+    return bures_real @ bures_real.T, push_real @ push_real.T
+
+def letter_products(letters, size):
+    """The products of `size` site letters, one per word of
+    itertools.product(range(len(letters)), repeat=size) and in that order,
+    as one (len(letters)**size, d**size, d**size) stack, built site by site
+    as a broadcast Kronecker product."""
+    letters = np.asarray(letters, dtype=complex)
+    out = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(size):
+        side = out.shape[-1] * letters.shape[-1]
+        out = (out[:, None, :, None, :, None] * letters[None, :, None, :, None, :]).reshape(-1, side, side)
+    return out
 
 
 def _symmetric_isometry(letters, j):

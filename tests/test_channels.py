@@ -329,6 +329,37 @@ def test_pair_blocks_match_dense_oracle(L, sigma):
     assert_close(restricted, np.zeros_like(restricted), tol=1e-12, what="momentum mixing")
 
 
+def _every_pair_block(L):
+    """All L Bloch blocks of the pair generator, each built from its own
+    phase e^{2 pi i K / L} as in `channels._pair_block_eigh`."""
+    n = L - 1
+    w = np.exp(2j * np.pi * np.arange(L) / L)[:, None]
+    blocks = np.zeros((L, n, n), dtype=complex)
+    r = np.arange(n - 1)
+    blocks[:, r, r + 1] = 1.0 + w.conj()
+    blocks[:, r + 1, r] = 1.0 + w
+    blocks[:, 0, n - 1] = w[:, 0]
+    blocks[:, n - 1, 0] = w[:, 0].conj()
+    blocks[:, np.arange(n), np.arange(n)] = -4.0
+    blocks[:, [0, n - 1], [0, n - 1]] = -3.0
+    return blocks
+
+
+@pytest.mark.parametrize("L", [8, 24, 64])
+def test_pair_apply_matches_the_eigh_of_every_block(L):
+    # only the blocks K <= L/2 are diagonalised; the others are applied as
+    # their conjugates, and agree with one eigh of all L blocks
+    sd = SwapDiffusion(RingLattice(L, 1.0), 2.0)
+    assert len(channels._pair_block_eigh(L)[0]) == L // 2 + 1
+    vals, vecs = np.linalg.eigh(_every_pair_block(L))
+    rng = task_rng(36, L)
+    x = rng.standard_normal((L, L - 1, 3)) + 1j * rng.standard_normal((L, L - 1, 3))
+    want = vecs @ (np.exp(sd.time * vals)[..., None] * (vecs.conj().swapaxes(1, 2) @ x))
+    assert_close(sd.pair_apply(x), want, tol=1e-13, what="all blocks")
+    for K in (0, 1, L // 2, L // 2 + 1, L - 1):
+        assert_close(sd.pair_apply(x[K], K), want[K], tol=1e-13, what=f"block {K} alone")
+
+
 def test_swap_validation(monkeypatch):
     lattice = RingLattice(8, 1.0)
     with pytest.raises(ValueError):
@@ -382,7 +413,8 @@ def test_walker_budget_bounds_the_measured_peak(monkeypatch):
     parts = {}
     monkeypatch.setattr(channels, "check_byte_budget", lambda what, p: parts.update(p))
     check_walker_budget(L, 2)
-    assert 2 * 16 * L * (L - 1) ** 2 < growth <= sum(parts.values())
+    # the L/2 + 1 pair blocks diagonalised and their eigenvectors
+    assert 2 * 16 * (L // 2 + 1) * (L - 1) ** 2 < growth <= sum(parts.values())
 
 
 def test_walker_budget_counts_the_pair_probe_words(monkeypatch):

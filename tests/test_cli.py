@@ -210,20 +210,26 @@ def test_fock_runs_the_pure_ququart_at_the_identity_channel(tmp_path):
 
 
 def test_bound_check_budget_is_config_error(tmp_path, monkeypatch, capsys):
-    # dim 3**6 = 729 passes the dimension budget, but the row blocks of the
-    # pure state's 4**6 carried letter products do not; nothing is built
-    # before the refusal
+    # at the pure qutrit the key stacks of sizes up to 9 hold about 8**9
+    # entries a side, over the budget; nothing is built before the refusal
     from flab import focklimit
 
-    def no_products(*args, **kwargs):
-        raise AssertionError("letter products built before the budget check")
+    def no_stacks(*args, **kwargs):
+        raise AssertionError("key stacks built before the budget check")
 
-    monkeypatch.setattr(focklimit._LetterProducts, "__getitem__", no_products)
-    cfg = write_config(tmp_path, "bound", {"d": 3, "n": 6, "y": 3.0, "k": 1, "samples": 10})
-    out = tmp_path / "report.json"
-    assert main(["bound-check", "--config", cfg, "--out", str(out)]) == 2
-    assert "needs an estimated" in capsys.readouterr().err
-    assert not out.exists()
+    with monkeypatch.context() as spy:
+        spy.setattr(focklimit, "_kron_stack", no_stacks)
+        cfg = write_config(tmp_path, "bound", {"d": 3, "n": 9, "y": 3.0, "k": 1, "samples": 10})
+        out = tmp_path / "report.json"
+        assert main(["bound-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "needs an estimated" in capsys.readouterr().err
+        assert not out.exists()
+    # n = 6 with 1000 draws, refused at an estimated 66784 MiB when every
+    # carried product was a dim x dim matrix, now runs
+    cfg = write_config(tmp_path, "bound", {"d": 3, "n": 6, "y": 3.0, "k": 1, "samples": 1000})
+    assert main(["bound-check", "--config", cfg, "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["tables"]["bound"][0]
+    assert row["max_ratio_sq"] <= row["supremum"] <= row["bound"]
 
 
 def test_fock_refuses_largest_block_first(tmp_path, monkeypatch, capsys):

@@ -27,7 +27,6 @@ from flab.geometry import (
     contraction_spectrum,
     gns_build,
     gns_gram,
-    norm_grams,
     omega_apply,
     omega_inverse_apply,
     pushforward_norm,
@@ -59,7 +58,8 @@ from flab.sampling import (
 )
 
 from conftest import assert_close, maximally_mixed_density
-from dense_oracle import original_frame_spectrum, support_family, tensor_many
+import dense_oracle
+from dense_oracle import norm_grams, original_frame_spectrum, support_family, tensor_many
 
 
 def test_omega_roundtrip_full_rank():
@@ -435,25 +435,30 @@ def test_norm_grams_do_not_depend_on_the_chunking(d, n, monkeypatch):
     for channel in (ProductChannel(DepolarizingChannel(2.5, d), system), homogeneous_coarse_graining(system, 2.5)):
         whole = norm_grams(_diagonal(state), channel, matrices)
         for entries in (1, 6 * system.dim**2):
-            monkeypatch.setattr(geometry, "GRAM_CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(dense_oracle, "GRAM_CHUNK_ENTRIES", entries)
             for want, got in zip(whole, norm_grams(_diagonal(state), channel, matrices)):
                 assert_close(got, want, tol=1e-14 * np.max(np.abs(want)), what=f"{entries} entries per chunk")
             monkeypatch.undo()
 
 
 def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
-    # at the mixed site every member is marked; at the pure one only the
-    # members whose rows of the Bures Gram are not zero, and the unmarked
-    # coefficients are still drawn
+    # the draws run over the products of nonzero Bures norm: all of them at
+    # the mixed site, the carried ones at the pure one.  The supports of one
+    # size share their Grams and run as one, each given as one block with
+    # its members in reverse order
     for site in (_diagonal_site(2, task_rng(19, 0)), basis_pure_density(2)):
         system, state, matrices, supports = _support_family(2, 3, site)
+        kept = [bures_norm(state, m) > 0.0 for m in matrices]
+        matrices, supports = matrices[kept], [s for s, keep in zip(supports, kept) if keep]
         channel = ProductChannel(DepolarizingChannel(3.0, 2), system)
         grams = []
-        for s in dict.fromkeys(supports):
-            bures, push = norm_grams(_diagonal(state), channel, [m for m, t in zip(matrices, supports) if t == s])
-            marked = np.any(bures != 0.0, axis=1)
-            assert np.all(push[~marked] == 0.0)
-            grams.append((bures[np.ix_(marked, marked)], push[np.ix_(marked, marked)], marked))
+        for size in (1, 2, 3):
+            first = next(s for s in supports if len(s) == size)
+            bures, push = norm_grams(_diagonal(state), channel, [m for m, t in zip(matrices, supports) if t == first])
+            members = np.arange(len(bures))[::-1]
+            count = sum(len(s) == size for s in dict.fromkeys(supports))
+            block = [gram[np.ix_(members, members)][None] for gram in (bures, push)]
+            grams.append((count, [(members[None], *block)]))
         rng = task_rng(20, 0)
         draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
         want_base = [bures_norm(state, a) for a in draws]
@@ -469,10 +474,11 @@ def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
 
 def test_sampled_norms_reject_negative_squares():
     rng = task_rng(22, 0)
+    members = np.arange(2)[None]
     with pytest.raises(NumericalError, match="^norm squared came out negative"):
-        sampled_norms(rng, 3, [(-np.eye(2), np.eye(2), np.ones(2, dtype=bool))])
+        sampled_norms(rng, 3, [(1, [(members, -np.eye(2)[None], np.eye(2)[None])])])
     with pytest.raises(NumericalError, match="pushforward norm squared came out negative"):
-        sampled_norms(rng, 3, [(np.eye(2), -np.eye(2), np.ones(2, dtype=bool))])
+        sampled_norms(rng, 3, [(1, [(members, np.eye(2)[None], -np.eye(2)[None])])])
 
 
 def _decay_cells():
