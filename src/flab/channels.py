@@ -13,6 +13,7 @@ import functools
 import numpy as np
 
 from .errors import NumericalError
+from .geometry import DRAW_CHUNK_ENTRIES
 from .operators import FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, entry_orbits, kron_apply
 
 TRACE_PRESERVING_TOL = 1e-10
@@ -196,23 +197,30 @@ class SuperoperatorChannel(Channel):
 
 def check_walker_budget(L: int, walkers: int, pair_words: int = 0) -> None:
     """Refuse a ring whose walker arrays would not fit, before any is built.
-    The semigroups are only applied, so the peak is the batched pair eigh;
-    counted is what is alive there: the generator blocks and eigenvectors,
-    the workspace, the single-walker arrays (eigenvectors, a batch of L
-    plane waves and its products) and a first run's pages, plus the
-    `pair_words` words per Bloch block a caller applies the pair semigroup
-    to, with four temporaries of their size (the apply's coefficients and
-    images, the probe's Gram products; 3.5 to 4.1 measured at L = 128, 64)."""
+    Counted is what is alive at the peak: the single-walker arrays
+    (eigenvectors, a batch of L plane waves and its products), a first
+    run's pages, and for two walkers the largest of three stages.  The pair
+    eigh holds the L/2 + 1 blocks K <= L/2, their eigenvectors and its
+    workspace.  The probes keep the eigenvectors and hold their words with
+    four temporaries of their size (3.5 to 4.1 measured at L = 128, 64): the
+    `pair_words` words per Bloch block of the high-momentum probe, or the
+    swap probe's at most L (L + 2) / 8 words and one group of blocks of at
+    most L/4 + 1 words (within DRAW_CHUNK_ENTRIES and all L, or one)."""
     parts = {
         f"8 complex {L} x {L} single-walker arrays": 128 * L * L,
         "a first run's code and buffers": FIRST_RUN_BYTES,
     }
     if walkers == 2:
-        n = L - 1
-        parts[f"2 x the {L} pair blocks of {n} x {n}"] = 32 * L * n * n
-        parts[f"8 complex {L} x {n} arrays of eigh workspace"] = 128 * L * n
-    if pair_words:
-        parts[f"{pair_words} pair words per block and 4 temporaries of their size"] = 80 * pair_words * L * (L - 1)
+        n, half, swap_words = L - 1, L // 2 + 1, L * (L + 2) // 8
+        vecs, block = 16 * half * n * n, n * (n + L // 4 + 1)
+        stages = {
+            f"the {half} pair blocks of {n} x {n}, their eigenvectors and eigh workspace": 2 * vecs + 128 * half * n,
+            f"the pair eigenvectors and {pair_words} pair words per block": vecs + 80 * pair_words * L * n,
+            f"the pair eigenvectors and {swap_words} swap-probe words and a group with 4 temporaries": vecs
+            + 80 * (swap_words * n + max(block, min(DRAW_CHUNK_ENTRIES, L * block))),
+        }
+        peak = max(stages, key=stages.get)
+        parts[peak] = stages[peak]
     check_byte_budget(f"swap diffusion of {walkers} walker(s) on {L} sites", parts)
 
 
@@ -293,18 +301,20 @@ class SwapDiffusion:
 
     def pair_apply(self, x, block=None) -> np.ndarray:
         """Pair-walker semigroup on Bloch-block coefficients: exp(time G_K) on
-        the columns x[K] (shape (L, L-1, m)) of every block K, or on the
-        columns of x (shape (L-1, m)) of one given `block`.  Blocks past
-        L/2 use exp(time G_{L-K}) x = conj(exp(time G_K) conj(x)).
+        the columns x[K] (shape (L, L-1, m)) of every block K, or, given an
+        index array `block`, on the columns x[i] of block block[i].  Blocks
+        past L/2 use exp(time G_{L-K}) x = conj(exp(time G_K) conj(x)).
         DimensionBudgetError before anything is built if it would not fit."""
         L = self.lattice.n_sites
         check_walker_budget(L, 2)
         vals, vecs = _pair_block_eigh(L)
         x, half = np.asarray(x), len(vals)
         if block is not None:
-            if block < half:
-                return _eigen_apply(vals[block], vecs[block], self.time, x)
-            return _eigen_apply(vals[L - block], vecs[L - block], self.time, x.conj()).conj()
+            block = np.asarray(block)
+            partner = np.where(block < half, block, L - block)
+            upper = (block >= half)[:, None, None]
+            out = _eigen_apply(vals[partner], vecs[partner], self.time, np.where(upper, x.conj(), x))
+            return np.where(upper, out.conj(), out)
         out = np.empty(x.shape, dtype=complex)
         out[:half] = _eigen_apply(vals, vecs, self.time, x[:half])
         # blocks L - 1 down to half are blocks 1 to L - half conjugated

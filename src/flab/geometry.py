@@ -422,7 +422,7 @@ def symmetric_sector_dense_spectrum(
     words = [w for w in symmetric_words(d * d - 1, k) if len(w) <= n]
     labels = [word_label(w) for w in words]
     mu, _ = identical_site_state(state, system).eigensystem()
-    letters = np.array(zero_mean_letters(mu))
+    letters = zero_mean_letters(mu)
     depolarizing = DepolarizingChannel(y, d)
     fine_site = DensityMatrix(np.diag(mu), check=False)
     coarse_site = DensityMatrix(depolarizing.apply(fine_site.matrix), check=False)

@@ -11,8 +11,9 @@ Everything is computed in coefficient space: the k-letter sectors close
 under the dynamics, so no dense chain operators are ever built.  The
 two-letter sector is carried as L Bloch blocks of size L-1, one per total
 momentum.  No semigroup is assembled: the cached walker eigendecompositions
-are applied to all plane waves or draws at once, to pair words block by
-block, so L is limited only by the byte budget of the block eigh.
+are applied to all plane waves or draws at once, and to the swap probe's
+pair words in groups of Bloch blocks of similar word count, so L is limited
+only by the byte budget of the block eigh and the probes' words.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .channels import SwapDiffusion
 from .errors import NumericalError
+from .geometry import DRAW_CHUNK_ENTRIES
 from .operators import DensityMatrix
 
 FIELD_SYMMETRY_TOL = 1e-10
@@ -133,23 +135,22 @@ def _high_modes(lattice: RingLattice, cutoff: float) -> tuple[list[int], np.ndar
     if not modes:
         raise ValueError("no representable modes at or above the requested cutoff")
     xs = lattice.positions()
-    return modes, np.array([np.exp(1j * lattice.momentum(m) * xs) for m in modes])
+    return modes, np.exp(1j * np.multiply.outer([lattice.momentum(m) for m in modes], xs))
 
 
-def _high_mode_profile(modes: list[int], waves: np.ndarray, rng) -> np.ndarray:
-    """Random real profile over the plane waves of `_high_modes`."""
-    coeffs: dict[int, complex] = {m: 0j for m in modes}
-    for m in modes:
-        if m < 0:
-            continue
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        coeffs[m] = c
-        if -m in coeffs:
-            coeffs[-m] = np.conj(c)
-    values = np.zeros(waves.shape[1], dtype=complex)
-    for c, wave in zip(coeffs.values(), waves):
-        values += c * wave
-    if np.max(np.abs(values.imag)) > FIELD_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(values)))):
+def _high_mode_profiles(modes: list[int], waves: np.ndarray, rng, count: int) -> np.ndarray:
+    """`count` random real profiles over the plane waves of `_high_modes`,
+    one row each.  Each profile draws one complex coefficient per positive
+    mode, real part first, and the negative modes take the conjugates; the
+    waves are summed in mode order, one array operation per mode."""
+    positive = [m for m in modes if m > 0]
+    drawn = rng.standard_normal((count, len(positive), 2)).view(complex)[..., 0]
+    coeffs = dict(zip(positive, drawn.T)) | {-m: c.conj() for m, c in zip(positive, drawn.T)}
+    values = np.zeros((count, waves.shape[1]), dtype=complex)
+    for m, wave in zip(modes, waves):
+        values += coeffs[m][:, None] * wave
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=1))
+    if np.any(np.max(np.abs(values.imag), axis=1) > FIELD_SYMMETRY_TOL * scale):
         raise NumericalError("profile sampled to complex values")
     return values.real
 
@@ -171,9 +172,10 @@ def high_momentum_suppression_probe(
     analysis gives the hard bound
     y^{-1} e^{-(sigma/eps)^2 (1 - cos(cutoff eps))}, which is asserted; for
     k=2 only the measured maximum is reported, next to the Gaussian-limit
-    value y^{-k} e^{-k sigma^2 cutoff^2 / 2} the construction aims at.  A
-    k=2 word f_i g_j enters the Bloch blocks by one FFT over i of
-    f_i g_{i+r}, and both norms are taken blockwise.
+    value y^{-k} e^{-k sigma^2 cutoff^2 / 2} the construction aims at.  The
+    profiles are one draw, evolved at once.  A k=2 word f_i g_j enters the
+    Bloch blocks by one FFT over i of f_i g_{i+r}, and both norms are taken
+    blockwise.
     """
     from .sampling import task_rng
 
@@ -185,7 +187,7 @@ def high_momentum_suppression_probe(
     sd = SwapDiffusion(lattice, sigma)
     modes, waves = _high_modes(lattice, cutoff)
     if k == 1:
-        draws = np.array([_high_mode_profile(modes, waves, rng) for _ in range(samples)]).T
+        draws = _high_mode_profiles(modes, waves, rng, samples).T
         norms = np.linalg.norm(draws, axis=0)
         kept = norms >= 1e-12
         evolved = sd.single_walker_apply(draws[:, kept])
@@ -202,7 +204,7 @@ def high_momentum_suppression_probe(
             )
     else:
         L = lattice.n_sites
-        draws = np.array([_high_mode_profile(modes, waves, rng) for _ in range(2 * samples)])
+        draws = _high_mode_profiles(modes, waves, rng, 2 * samples)
         words = np.fft.fft(draws[0::2, :, None] * draws[1::2, _pair_partner(L)], axis=1) / math.sqrt(L)
         evolved = sd.pair_apply(words.transpose(1, 2, 0)).transpose(2, 0, 1)
         base_sq, evolved_sq = (
@@ -331,8 +333,9 @@ def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int) -> dict
     fourth-order dispersion bound.  j=2: over a fixed panel of mode pairs
     (momenta below half Nyquist), pair words evolved by the two-walker swap
     semigroup are compared entrywise with the independent-mode prediction
-    s_{q1} s_{q2}, Bloch block by block, since words of different total
-    momentum pair to zero; the supremum deviation is reported, not asserted.
+    s_{q1} s_{q2} within each Bloch block (words of different total momentum
+    pair to zero), one `pair_apply` per group of blocks of similar word
+    count; the supremum deviation is reported, not asserted.
     """
     if j == 1:
         worst_gap = 0.0
@@ -376,12 +379,29 @@ def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int) -> dict
     norm_sq = np.real(np.sum(words.conj() * gram_words, axis=1))
     kept = norm_sq >= 1e-12 * L * (L - 1)
     scale = 1.0 / np.sqrt(norm_sq[kept])[:, None]
-    words, gram_words, blocks, s_pred = words[kept] * scale, gram_words[kept] * scale, blocks[kept], s_pred[kept]
-    # words of different blocks pair to exactly zero under both I + S and W2
+    # scaled in place: at large L these word stacks set the run's peak
+    words, blocks, s_pred = words[kept], blocks[kept], s_pred[kept]
+    words *= scale
+    gram_words = gram_words[kept]
+    gram_words *= scale
+    # words of different blocks pair to exactly zero under both I + S and W2.
+    # Blocks sorted by word count are zero-padded to their group's widest, a
+    # group's eigenvectors and words within DRAW_CHUNK_ENTRIES or one block
+    order = np.argsort(blocks, kind="stable")
+    keys, starts, counts = np.unique(blocks[order], return_index=True, return_counts=True)
+    groups = [[]]
+    for b in np.argsort(counts, kind="stable"):
+        if groups[-1] and (len(groups[-1]) + 1) * (L - 1) * (L - 1 + counts[b]) > DRAW_CHUNK_ENTRIES:
+            groups.append([])
+        groups[-1].append(b)
     sup_dev = 0.0
-    for K in np.unique(blocks):
-        C, left = words[blocks == K], gram_words[blocks == K].conj()
-        deviation = left @ sd.pair_apply(C.T, K) - (left @ C.T) * s_pred[blocks == K]
+    for group in groups:
+        valid = np.arange(counts[group[-1]]) < counts[group, None]
+        rows = order[(starts[group, None] + np.arange(valid.shape[1]))[valid]]
+        C, left, pred = (np.zeros(valid.shape + a.shape[1:], a.dtype) for a in (words, gram_words, s_pred))
+        C[valid], left[valid], pred[valid] = words[rows], gram_words[rows].conj(), s_pred[rows]
+        C = C.transpose(0, 2, 1)
+        deviation = left @ sd.pair_apply(C, keys[group]) - (left @ C) * pred[:, None, :]
         sup_dev = max(sup_dev, float(np.max(np.abs(deviation))))
     return {
         "j": 2,

@@ -196,8 +196,10 @@ def identical_site_state(state: DensityMatrix, system: QuditSystem) -> DensityMa
     return site
 
 
-def gell_mann_basis(d: int) -> list[np.ndarray]:
-    """Traceless hermitian basis with tr(g_a g_b) = 2 delta_ab.
+@functools.lru_cache(maxsize=None)
+def gell_mann_basis(d: int) -> np.ndarray:
+    """Traceless hermitian basis with tr(g_a g_b) = 2 delta_ab, as one
+    read-only (d*d - 1, d, d) stack shared by every caller.
 
     Order: for each index pair j<k (lexicographic) the symmetric then the
     antisymmetric matrix, followed by the d-1 diagonal matrices.  For d=2
@@ -205,33 +207,28 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    basis = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            basis.append(sym)
-            antisym = np.zeros((d, d), dtype=complex)
-            antisym[j, k] = -1j
-            antisym[k, j] = 1j
-            basis.append(antisym)
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    for a, (j, k) in enumerate(itertools.combinations(range(d), 2)):
+        basis[2 * a, [j, k], [k, j]] = 1.0
+        basis[2 * a + 1, [j, k], [k, j]] = -1j, 1j
     for l in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        for j in range(l):
-            diag[j, j] = 1.0
-        diag[l, l] = -l
-        basis.append(diag * math.sqrt(2.0 / (l * (l + 1))))
+        basis[d * (d - 1) + l - 1] = np.diag([1.0] * l + [-l] + [0.0] * (d - 1 - l)) * math.sqrt(2.0 / (l * (l + 1)))
+    basis.flags.writeable = False
     return basis
 
 
-def zero_mean_letters(mu) -> list[np.ndarray]:
+def zero_mean_letters(mu) -> np.ndarray:
     """Gell-Mann letters shifted to zero mean at the diagonal state diag(mu).
 
     Each letter is g - (mu . diag g) 1: the site letters written in the
     eigenframe of a site state with eigenvalues mu.
     """
     mu = np.asarray(mu, dtype=float)
-    return [g - float(mu @ np.diagonal(g).real) * np.eye(mu.size) for g in gell_mann_basis(mu.size)]
+    letters = gell_mann_basis(mu.size)
+    # one dot per strided diagonal: a stacked product rounds some means
+    # differently at d >= 3
+    means = np.array([mu @ np.diagonal(g).real for g in letters])
+    return letters - means[:, None, None] * np.eye(mu.size)
 
 
 def single_site_zero_mean_basis(state: DensityMatrix) -> list[np.ndarray]:

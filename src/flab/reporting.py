@@ -21,6 +21,9 @@ from .errors import ConfigError
 
 
 def _jsonify(value):
+    # exact built-ins first; np.float64 subclasses float, so it is converted below
+    if value is None or type(value) in (float, int, str, bool):
+        return value
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -37,7 +40,7 @@ def _jsonify(value):
         if value.imag == 0:
             return value.real
         return {"re": value.real, "im": value.imag}
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return value
     raise ConfigError(f"value of type {type(value).__name__} cannot be serialized")
 

@@ -321,10 +321,12 @@ def test_pair_blocks_match_dense_oracle(L, sigma):
     # the oracle restricted to total momentum K is block K, and momenta do not mix
     U = bloch_basis(L)
     restricted = U.conj().T @ dense @ U
+    # the index-array form, given every block in reverse order
+    picked = sd.pair_apply(block_identities(L), np.arange(L)[::-1])[::-1]
     for K in range(L):
         rows = slice(K * n, (K + 1) * n)
         assert_close(restricted[rows, rows], blocks[K], tol=1e-12, what=f"block {K}")
-        assert_close(sd.pair_apply(np.eye(n), K), blocks[K], tol=1e-12, what=f"block {K} alone")
+        assert_close(picked[K], blocks[K], tol=1e-12, what=f"block {K} by index")
         restricted[rows, rows] = 0.0
     assert_close(restricted, np.zeros_like(restricted), tol=1e-12, what="momentum mixing")
 
@@ -356,8 +358,12 @@ def test_pair_apply_matches_the_eigh_of_every_block(L):
     x = rng.standard_normal((L, L - 1, 3)) + 1j * rng.standard_normal((L, L - 1, 3))
     want = vecs @ (np.exp(sd.time * vals)[..., None] * (vecs.conj().swapaxes(1, 2) @ x))
     assert_close(sd.pair_apply(x), want, tol=1e-13, what="all blocks")
+    # an index array picks blocks on both sides of L/2, in any order and
+    # with repeats, or one block alone
+    picked = np.array([L - 1, 0, L // 2 + 1, 1, L // 2, L - 1])
+    assert_close(sd.pair_apply(x[picked], picked), want[picked], tol=1e-13, what="picked blocks")
     for K in (0, 1, L // 2, L // 2 + 1, L - 1):
-        assert_close(sd.pair_apply(x[K], K), want[K], tol=1e-13, what=f"block {K} alone")
+        assert_close(sd.pair_apply(x[[K]], [K]), want[[K]], tol=1e-13, what=f"block {K} alone")
 
 
 def test_swap_validation(monkeypatch):
@@ -365,15 +371,16 @@ def test_swap_validation(monkeypatch):
     with pytest.raises(ValueError):
         SwapDiffusion(lattice, -1.0)
     # one walker on 64 sites fits the 16 MiB of FLAB_MAX_DIM=1024 (12.5 MiB), a
-    # pair does not: its 64 blocks of 63 x 63 and their eigenvectors add
-    # 7.8 MiB; the refusal comes before any block is built or diagonalised
+    # pair does not: the pair eigenvectors, the swap probe's 1056 words and
+    # one group of blocks add 12 MiB; the refusal comes before any block is
+    # built or diagonalised
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called before the budget check")
 
     monkeypatch.setenv("FLAB_MAX_DIM", "1024")
     check_walker_budget(64, 1)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    with pytest.raises(DimensionBudgetError, match="pair blocks"):
+    with pytest.raises(DimensionBudgetError, match="2 walker.*swap-probe words"):
         SwapDiffusion(RingLattice(64, 1.0), 1.0).pair_apply(np.ones((64, 63, 1)))
 
 
@@ -381,40 +388,39 @@ def test_swap_validation(monkeypatch):
 # would not do, since across exec it keeps the parent's peak
 WALKER_PEAK = """
 import sys
-import numpy as np
 import flab
-from flab.channels import SwapDiffusion
-from flab.lattice import RingLattice
+from flab import cli
 
 def peak():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-L = int(sys.argv[1])
 before = peak()
-sd = SwapDiffusion(RingLattice(L, 1.0), 2.0)
-sd.single_walker_apply(np.ones((L, L - 1), dtype=complex))
-sd.pair_apply(np.ones((L, L - 1, 8), dtype=complex))
+cli.run_lattice({"L": int(sys.argv[1]), "spacing": 1.0, "y": 2.0, "sigma_list": [2.0, 4.0], "probe_samples": 32})
 print(1024 * (peak() - before))
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
 def test_walker_budget_bounds_the_measured_peak(monkeypatch):
-    # a fresh interpreter at one BLAS thread: peak resident growth from
-    # `import flab` through both eigendecompositions and an apply of each
-    L = 96
+    # fresh interpreters at one BLAS thread: peak resident growth from
+    # `import flab` through a lattice run (both eigendecompositions, every
+    # probe), against the estimate the run checks first (8 pair words per
+    # block); 24.8 and 44.9 MiB measured against 33.4 and 55.2 MiB
     src = os.path.dirname(os.path.dirname(flab.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
-    run = subprocess.run(
-        [sys.executable, "-c", WALKER_PEAK, str(L)], env=env, capture_output=True, text=True, check=True
-    )
-    growth = int(run.stdout)
     parts = {}
     monkeypatch.setattr(channels, "check_byte_budget", lambda what, p: parts.update(p))
-    check_walker_budget(L, 2)
-    # the L/2 + 1 pair blocks diagonalised and their eigenvectors
-    assert 2 * 16 * (L // 2 + 1) * (L - 1) ** 2 < growth <= sum(parts.values())
+    for L in (96, 128):
+        run = subprocess.run(
+            [sys.executable, "-c", WALKER_PEAK, str(L)], env=env, capture_output=True, text=True, check=True
+        )
+        growth = int(run.stdout)
+        parts.clear()
+        check_walker_budget(L, 2, 8)
+        # the L/2 + 1 pair blocks diagonalised and their eigenvectors are
+        # alive at once, and the estimate counts no block past L/2
+        assert 2 * 16 * (L // 2 + 1) * (L - 1) ** 2 < growth <= sum(parts.values()) < 1.5 * growth
 
 
 def test_walker_budget_counts_the_pair_probe_words(monkeypatch):
@@ -440,7 +446,12 @@ def test_walker_budget_counts_the_pair_probe_words(monkeypatch):
             cli.run_lattice(params)
     with pytest.raises(Checked):
         cli.run_lattice({**params, "pair_probe": False})
-    words = [sum(size for name, size in parts.items() if "pair words" in name) for parts in seen]
-    assert words == [80 * 8 * L * (L - 1), 80 * 250 * L * (L - 1), 0]
-    rest = [sum(parts.values()) - w for parts, w in zip(seen, words)]
-    assert rest[0] == rest[1] > rest[2]
+    # the two-walker estimate is its largest stage: at 8 words per block the
+    # swap probe's, at 250 the high-momentum probe's
+    vecs = 16 * (L // 2 + 1) * (L - 1) ** 2
+    stages = [sum(size for name, size in parts.items() if "pair eigenvectors" in name) for parts in seen]
+    assert any("swap-probe words" in name for name in seen[0])
+    assert any("250 pair words per block" in name for name in seen[1])
+    assert stages[1] == vecs + 80 * 250 * L * (L - 1) > stages[0] > 0 == stages[2]
+    rest = [sum(parts.values()) - stage for parts, stage in zip(seen, stages)]
+    assert rest[0] == rest[1] == rest[2]

@@ -463,12 +463,16 @@ def test_sector_spectrum_is_n_independent():
 
 
 def test_finite_limit_comparison_structure():
-    out = finite_limit_comparison([2, 4, 8], 2, 2.0, 2)
-    assert out["n_list"] == [2, 4, 8]
-    assert len(out["deviations"]) == 3
-    # the per-degree scalar weights cancel between gram and pairing,
-    # so finite n and the limit agree to roundoff
-    assert max(out["deviations"]) < 1e-12
+    # the pure qubit and a mixed qutrit
+    for d, k, n_list, state in ((2, 2, [2, 4, 8], None), (3, 3, [3, 5], DensityMatrix(np.diag([0.5, 0.3, 0.2])))):
+        out = finite_limit_comparison(n_list, d, 2.0, k, state)
+        assert out["n_list"] == n_list
+        assert out["deviations"] == [0.0] * len(n_list)
+        # the per-degree scalar weights cancel between gram and pairing, and
+        # n >= k drops no degree, so each finite spectrum is the limit bit for bit
+        for n in n_list:
+            finite = symmetric_sector_spectrum(n, d, 2.0, k, state)["eigenvalues"]
+            assert finite.tobytes() == out["spectra"][n].tobytes() == out["limit"].tobytes()
 
 
 def test_beta_bound_values():

@@ -7,9 +7,12 @@ import pytest
 
 from flab.channels import SwapDiffusion
 from flab.errors import NumericalError
+from flab import lattice
 from flab.lattice import (
     ContinuumField,
     RingLattice,
+    _high_mode_profiles,
+    _high_modes,
     continuum_inner_convergence,
     continuum_mode_multiplier,
     dispersion_bound,
@@ -19,6 +22,7 @@ from flab.lattice import (
     swap_factorization_probe,
 )
 from flab.operators import basis_pure_density
+from flab.sampling import task_rng
 
 from conftest import assert_close
 import walker_oracle
@@ -167,11 +171,32 @@ def test_swap_factorization_probe_j2_smoothing_decreases_deviation():
     assert swap_factorization_probe(lat, 2.0, 2)["word_count"] > 0
 
 
-@pytest.mark.parametrize("L", [12, 16, 24])
-def test_pair_probes_match_dense_loops(L):
+@pytest.mark.parametrize("L", [16, 30])
+@pytest.mark.parametrize("fraction", [0.3, 0.7])
+def test_high_mode_profiles_match_the_per_sample_draws(L, fraction):
     lat = RingLattice(L, 1.0)
-    for sigma in (2.0, 4.0):
-        got = swap_factorization_probe(lat, sigma, 2)
+    modes, waves = _high_modes(lat, fraction * lat.nyquist)
+    one, batched = task_rng(9, L), task_rng(9, L)
+    want = np.array([walker_oracle.high_mode_profile(modes, waves, one) for _ in range(12)])
+    got = _high_mode_profiles(modes, waves, batched, 12)
+    assert got.tobytes() == want.tobytes()
+    # both leave the stream at the same point
+    assert one.standard_normal() == batched.standard_normal()
+
+
+def _swap_probes(lat):
+    return [swap_factorization_probe(lat, sigma, 2) for sigma in (2.0, 4.0)]
+
+
+# the last case caps the entries so that every group holds a single block
+@pytest.mark.parametrize(
+    "L, cap", [(12, None), (16, None), (24, None), (30, None), (24, 1)], ids=["12", "16", "24", "30", "24-single-blocks"]
+)
+def test_pair_probes_match_dense_loops(L, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(lattice, "DRAW_CHUNK_ENTRIES", cap)
+    lat = RingLattice(L, 1.0)
+    for sigma, got in zip((2.0, 4.0), _swap_probes(lat)):
         want = walker_oracle.swap_factorization_probe_j2(lat, sigma)
         assert got["word_count"] == want["word_count"]
         assert abs(got["sup_deviation"] - want["sup_deviation"]) <= 1e-12
@@ -180,3 +205,22 @@ def test_pair_probes_match_dense_loops(L):
     want = walker_oracle.high_momentum_k2(lat, 2.0, 2.0, cutoff, samples=8, seed=5)
     assert got["samples"] == want["samples"]
     assert abs(got["max_contraction"] - want["max_contraction"]) <= 1e-12
+
+
+def test_grouped_pair_probe_matches_block_by_block(monkeypatch):
+    # at L = 64 the dense loops would need a 4032-square eigh, so the grouped
+    # probe (several groups of unequal width here) is checked against one
+    # block per group, which the dense loops check at small L
+    lat, calls = RingLattice(64, 1.0), []
+    apply = SwapDiffusion.pair_apply
+    monkeypatch.setattr(SwapDiffusion, "pair_apply", lambda sd, x, block=None: calls.append(block) or apply(sd, x, block))
+    grouped = _swap_probes(lat)
+    sizes = [len(block) for block in calls]
+    calls.clear()
+    monkeypatch.setattr(lattice, "DRAW_CHUNK_ENTRIES", 1)
+    single = _swap_probes(lat)
+    assert all(len(block) == 1 for block in calls) and len(calls) == sum(sizes)
+    assert 2 < len(sizes) < sum(sizes) / 4
+    for a, b in zip(grouped, single):
+        assert a["word_count"] == b["word_count"]
+        assert abs(a["sup_deviation"] - b["sup_deviation"]) <= 1e-13

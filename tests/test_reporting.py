@@ -20,6 +20,7 @@ def test_jsonify_numpy_and_complex():
             "c": 1 + 2j,
             "creal": 2 + 0j,
             "nested": [np.int64(7), {"x": None}],
+            "rows": [{"f": np.float64(0.1), "i": np.int64(-2), "b": np.bool_(False), "plain": 0.1}],
         }
     )
     assert out["f"] == 1.5 and isinstance(out["f"], float)
@@ -29,6 +30,10 @@ def test_jsonify_numpy_and_complex():
     assert out["c"] == {"re": 1.0, "im": 2.0}
     assert out["creal"] == 2.0
     assert out["nested"] == [7, {"x": None}]
+    # numpy scalars in a table row become exact built-ins
+    row = out["rows"][0]
+    assert row == {"f": 0.1, "i": -2, "b": False, "plain": 0.1}
+    assert [type(row[key]) for key in ("f", "i", "b", "plain")] == [float, int, bool, float]
     with pytest.raises(ConfigError):
         _jsonify(object())
 

@@ -3,6 +3,8 @@
 The pair generator here is the L(L-1)-square matrix on ordered distinct
 pairs, built edge by edge, and the probes are the word-by-word loops over
 it.  They are exact but cost O(L^6) flops, so they serve only small rings.
+The profiles they draw come from `high_mode_profile`, one profile and one
+scalar draw at a time, the oracle for the batched `_high_mode_profiles`.
 """
 
 import itertools
@@ -10,8 +12,29 @@ import math
 
 import numpy as np
 
-from flab.lattice import _high_mode_profile, _high_modes, lattice_mode_multiplier
+from flab.errors import NumericalError
+from flab.lattice import FIELD_SYMMETRY_TOL, _high_modes, lattice_mode_multiplier
 from flab.sampling import task_rng
+
+
+def high_mode_profile(modes, waves, rng):
+    """One random real profile over the plane waves of `_high_modes`: each
+    positive mode draws its coefficient's real then imaginary part, and its
+    negative partner takes the conjugate."""
+    coeffs = {m: 0j for m in modes}
+    for m in modes:
+        if m < 0:
+            continue
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        coeffs[m] = c
+        if -m in coeffs:
+            coeffs[-m] = np.conj(c)
+    values = np.zeros(waves.shape[1], dtype=complex)
+    for c, wave in zip(coeffs.values(), waves):
+        values += c * wave
+    if np.max(np.abs(values.imag)) > FIELD_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(values)))):
+        raise NumericalError("profile sampled to complex values")
+    return values.real
 
 
 def ring_laplacian(L):
@@ -123,8 +146,8 @@ def high_momentum_k2(lattice, sigma, y, cutoff, samples=32, seed=11):
     modes, waves = _high_modes(lattice, cutoff)
     ratios = []
     for _ in range(samples):
-        f = _high_mode_profile(modes, waves, rng)
-        g = _high_mode_profile(modes, waves, rng)
+        f = high_mode_profile(modes, waves, rng)
+        g = high_mode_profile(modes, waves, rng)
         c = np.array([f[i] * g[j] for (i, j) in states])
         base_sq = float(c @ gram @ c)
         if base_sq < 1e-20:
