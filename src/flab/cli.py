@@ -14,6 +14,7 @@ timestamp.  Exit codes: 0 all assertions passed, 1 an assertion failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -455,7 +456,10 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call and reused:
+    parsing leaves it unchanged, and each parse returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="flab",
         description="Contraction spectra of coarse-graining channels on spin systems.",
@@ -465,7 +469,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         params = _load_config(args.config)

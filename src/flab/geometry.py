@@ -18,6 +18,7 @@ family whose Grams are known are measured as quadratic forms over them
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .operators import (
     QuditSystem,
     _check_hermitian,
     _fix_column_phases,
-    _greedy_gram_prune,
     _hermitian_word_values,
     as_matrix,
     check_byte_budget,
@@ -39,7 +39,6 @@ from .operators import (
     orbit_counts,
     real_overlaps,
     state_product,
-    symmetric_word_values,
     symmetric_words,
     word_label,
     zero_mean_letters,
@@ -338,15 +337,18 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
 
     The words live on the word-support orbits (`operators.orbit_counts`),
     so the dim-square arrays are the caller's: the dense product state,
-    beside 48 bytes per dim^2 / d^2 entries for either its last Kronecker
-    factor while it is built (with the earlier partial products left on the
-    heap) or the later sites' product, a block and its modulus in
+    beside 48 bytes per dim^2 / d^2 entries for either the product of the
+    later sites it is built from (with the earlier partial products left
+    on the heap) or that product, a block and its modulus in
     `identical_site_state`.  That is the peak.  Beside it count the orbit
-    values of the words and of their Heisenberg images, the word
+    values of the words and their weighted copy for the Grams, the word
     polynomials of the last orbit level (`operators.symmetric_word_values`:
     the polynomials, their parents' copies, the running slot sum, one
     slot's gathered sources and site factors and their product), the orbit
-    bookkeeping and a first run's code and buffers.
+    bookkeeping and a first run's code and buffers.  The Heisenberg images
+    of the words are never formed: the pairing is the fine Gram
+    recombined by `_image_matrix`, a words-square array like the Grams,
+    which the orbit values outnumber.
     """
     d, n = system.d, system.n
     labels, top = d * d, min(k, n)
@@ -357,7 +359,7 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
         f"dense sector at d={d}, n={n}",
         {
             f"dense state and its product check ({system.dim}-square)": (16 * labels + 48) * system.dim**2 // labels,
-            f"{words} x {orbits} orbit values and images": 2 * 16 * words * orbits,
+            f"{words} x {orbits} orbit values and their weighted copy": 2 * 16 * words * orbits,
             "last-level word polynomials": 6 * 16 * orbits * words,
             "orbit counts, ranks and levels": 6 * 8 * orbits * labels,
             "a first run's code and buffers": FIRST_RUN_BYTES,
@@ -372,6 +374,81 @@ def _orbit_weights(counts: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     factorials = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
     sizes = factorials[n] / np.prod(factorials[counts], axis=1)
     return sizes * np.prod(diagonal[np.arange(d * d) % d] ** counts, axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _sub_words(n_letters: int, top: int):
+    """Every sub-multiset of every word of `symmetric_words(n_letters, top)`,
+    one entry per subset of the word's letter positions kept.
+
+    Returns, per entry, the flat index word * words + sub-word into the
+    words-square, the degrees of the word and of the sub-word, and the
+    dropped letters padded with n_letters.  A sub-word's index is found
+    without a search: with L = n_letters, a sorted word w_1 <= ... <= w_q
+    is number C(q + L - 1, q) - 1 - r (from 0) among the words of its
+    degree in `symmetric_words` (lexicographic) order, where r = sum_p
+    C(L - 1 - w_{q-p} + p, p + 1), p = 0, ..., q - 1, is the
+    colexicographic rank of its reversed complement L - 1 - w_q <= ... <=
+    L - 1 - w_1.  Cached, so the arrays are read-only.
+    """
+    size = [math.comb(j + n_letters - 1, j) for j in range(top + 1)]
+    start = np.cumsum([0] + size)
+    binom = np.array([[math.comb(a, b) for b in range(top + 2)] for a in range(n_letters + top)], dtype=np.intp)
+    words = symmetric_words(n_letters, top)
+    parts = []
+    for j in range(top + 1):
+        block = np.array(words[start[j] : start[j + 1]], dtype=np.intp).reshape(size[j], j)
+        # one row per subset of the j positions; kept letters keep their order
+        keep = (np.arange(2**j)[:, None] >> np.arange(j)) & 1
+        kept = keep.sum(axis=1)
+        # position of each kept letter in the reversed complement
+        p = kept[:, None] - np.cumsum(keep, axis=1)
+        rank = np.sum(keep * binom[n_letters - 1 - block[:, None, :] + p, p + 1], axis=2)
+        rows = np.arange(start[j], start[j + 1])[:, None]
+        dropped = np.where(keep == 1, n_letters, block[:, None, :])
+        dropped = np.concatenate([dropped, np.full((*dropped.shape[:2], top - j), n_letters)], axis=2)
+        parts.append(
+            (
+                (rows * start[-1] + start[kept + 1] - 1 - rank).ravel(),
+                np.full(rank.size, j),
+                np.broadcast_to(kept, rank.shape).ravel(),
+                dropped.reshape(-1, top),
+            )
+        )
+    arrays = [np.concatenate(column) for column in zip(*parts)]
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _image_matrix(traces: np.ndarray, y: float, n: int, top: int) -> np.ndarray:
+    """The lower-triangular T with images = T @ values: the orbit values of
+    the Heisenberg images, under the coarse graining at strength y, of the
+    words of `symmetric_words(len(traces), top)` on n sites, as
+    combinations of the words' own values.
+
+    The site depolarizing maps each letter to D^dagger(f_t) = f_t / y +
+    a_t 1 with a_t = (1 - 1/y) tr(f_t) / d, and traces holds tr(f_t) / d.
+    Expanding the image word over which letters turn into the identity
+    leaves, for each sub-multiset u of the word's letter multiset c, the
+    word u on the sites kept, and the identity placements fill n - |u|
+    free sites with |c| - |u| ordered distinct picks.  So
+
+        T[c, u] = y^-|u| n^((|u| - |c|)/2) (n - |u|)! / (n - |c|)!
+                  prod_t C(c_t, u_t) a_t^(c_t - u_t),
+
+    zero unless u is a sub-multiset of c.  The binomials are summed, not
+    computed: each subset of c's letter positions is one entry of
+    `_sub_words`.  T reads only y, n and the traces, no letter kernel.
+    """
+    index, degree, kept, dropped = _sub_words(len(traces), top)
+    shift = np.append((1.0 - 1.0 / y) * np.asarray(traces, dtype=float), 1.0)
+    # n^{-j/2} n! / (n - j)!, so that ratio[j, i] holds the degree factors
+    scaled = np.cumprod(np.append(1.0, (n - np.arange(top)) / math.sqrt(n)))
+    ratio = np.outer(scaled, 1.0 / scaled) * float(y) ** -np.arange(top + 1)
+    coef = ratio[degree, kept] * np.prod(shift[dropped], axis=1)
+    size = math.comb(len(traces) + top, top)
+    return np.bincount(index, coef, size * size).reshape(size, size)
 
 
 def symmetric_sector_dense_spectrum(
@@ -401,45 +478,38 @@ def symmetric_sector_dense_spectrum(
     depolarizing D, and the Heisenberg image of a symmetric word under the
     coarse graining is the word of the image letters D^dagger(f_t): the
     permutation average fixes it, the product channel acts site by site,
-    and D is unital, so D^dagger(1) = 1 on the other sites.  No dense word,
-    channel apply or letter kernel is formed, so this route stays
-    independent of the closed form it checks.  `out_space` and `in_space`
-    hold orbit coordinates (see `GnsSpace`).
+    and D is unital, so D^dagger(1) = 1 on the other sites.  Since
+    D^dagger(f_t) is f_t / y plus a multiple of the identity, each image is
+    a fixed combination of the words of lower or equal degree, images =
+    T @ values with the lower-triangular T of `_image_matrix`, so the
+    words are built once and the pairing Re sum_o |o| prod_l
+    mu_{b(l)}^{n_l} conj(E_o) (T F)_o is the fine Gram times T^T.  No
+    dense word, channel apply or letter kernel is formed, so this route
+    stays independent of the closed form it checks.  `out_space` and
+    `in_space` hold orbit coordinates (see `GnsSpace`).
 
-    The fine family is pruned to a numerically independent set at the fine
-    state; the coarse side keeps the full unpruned word family.  Pruning
-    both sides by the fine Gram would clip the adjoint's image: a word
-    relation that holds at the fine state (a null direction, say at a pure
-    state) generally fails at the coarse state, where the dropped word is
-    independent again.  The fine Gram is formed once, over the full family,
-    and the pruned space reuses its kept sub-block.  DimensionBudgetError,
-    before any word is built, if the arrays would not fit.
+    Both sides whiten the full word family, each at its own state: the
+    eigenvalue cut quotients the null and dependent directions of each
+    Gram, so no word is dropped beforehand.  DimensionBudgetError, before
+    any word is built, if the arrays would not fit.
     """
     from .channels import DepolarizingChannel
 
     check_dense_sector_budget(system, k)
     d, n = system.d, system.n
-    words = [w for w in symmetric_words(d * d - 1, k) if len(w) <= n]
+    top = min(k, n)
+    words = symmetric_words(d * d - 1, top)
     labels = [word_label(w) for w in words]
     mu, _ = identical_site_state(state, system).eigensystem()
     letters = zero_mean_letters(mu)
-    depolarizing = DepolarizingChannel(y, d)
     fine_site = DensityMatrix(np.diag(mu), check=False)
-    coarse_site = DensityMatrix(depolarizing.apply(fine_site.matrix), check=False)
+    coarse_site = DensityMatrix(DepolarizingChannel(y, d).apply(fine_site.matrix), check=False)
     values = _hermitian_word_values(words, letters, n)
-    # the site depolarizing is unital, so the images keep the identity
-    # background
-    images = symmetric_word_values(words, depolarizing.adjoint_apply(letters), n)
     counts = orbit_counts(d, n, k)
-    fine_weights = _orbit_weights(counts, mu)
-    coarse_weights = _orbit_weights(counts, np.diagonal(coarse_site.matrix).real)
-    gram = real_overlaps(values, values * fine_weights)
-    keep = _greedy_gram_prune(gram, null_threshold)
-    fine = _gns_space(
-        fine_site, values[keep], [labels[i] for i in keep], gram[np.ix_(keep, keep)], null_threshold
-    )
-    coarse_gram = real_overlaps(values, values * coarse_weights)
+    gram = real_overlaps(values, values * _orbit_weights(counts, mu))
+    coarse_gram = real_overlaps(values, values * _orbit_weights(counts, np.diagonal(coarse_site.matrix).real))
+    fine = _gns_space(fine_site, values, labels, gram, null_threshold)
     coarse = _gns_space(coarse_site, values, labels, coarse_gram, null_threshold)
-    # B[a, b] = Re tr(rho E_a^dagger N^dagger(F_b)), over the same orbits
-    pairing = real_overlaps(fine.matrices, images * fine_weights)
-    return _contraction_between(fine, coarse, pairing)
+    # B[a, b] = Re tr(rho E_a^dagger N^dagger(F_b)) = sum_u T[b, u] gram[a, u]
+    traces = np.trace(letters, axis1=1, axis2=2).real / d
+    return _contraction_between(fine, coarse, gram @ _image_matrix(traces, y, n, top).T)

@@ -137,13 +137,13 @@ class DensityMatrix:
 
 
 def _fix_column_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        pivot = out[np.argmax(np.abs(out[:, j])), j]
-        if abs(pivot) > 0:
-            out[:, j] *= abs(pivot) / pivot
-    return out
+    """Rotate each column so its largest-magnitude entry (the first of
+    equal ones) is real positive; all-zero columns are left as they are."""
+    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
+    # hypot is what abs() of one complex scalar computes; np.abs of an
+    # array can differ from it in the last bit
+    modulus = np.hypot(pivot.real, pivot.imag)
+    return np.where(modulus > 0, vecs * (modulus / np.where(modulus > 0, pivot, 1.0)), vecs)
 
 
 def pure_state_density(vec) -> DensityMatrix:
@@ -163,11 +163,13 @@ def basis_pure_density(d: int, level: int = 0) -> DensityMatrix:
 
 def product_density(state_1site: DensityMatrix, n: int) -> DensityMatrix:
     """n-fold tensor power of a single-site state, one broadcast outer
-    product per site: the products np.kron forms, without its overhead."""
+    product site (x) mat per site: the products np.kron(site, mat) forms,
+    without its overhead.  The growing factor takes the inner axes, so
+    each broadcast runs along its long rows rather than the site's d."""
     site = state_1site.matrix
     mat = np.array([[1.0]], dtype=complex)
     for _ in range(n):
-        mat = (mat[:, None, :, None] * site[None, :, None, :]).reshape(len(mat) * len(site), -1)
+        mat = (site[:, None, :, None] * mat[None, :, None, :]).reshape(len(site) * len(mat), -1)
     return DensityMatrix(mat, check=False)
 
 
@@ -376,22 +378,13 @@ def symmetric_word_values(words, letters, n: int) -> np.ndarray:
     top = max(len(w) for w in words)
     if top > n:
         raise ValueError(f"word length {top} exceeds site count {n}")
-    monomials = symmetric_words(n_letters, top)
-    index = {w: i for i, w in enumerate(monomials)}
-    # monomial i is monomial source[i, r] times x_t for each distinct letter
-    # t = lead[i, r] of it; unused slots take the zero row past the letters
-    width = max(top, 1)
-    source = np.zeros((len(monomials), width), dtype=np.intp)
-    lead = np.full((len(monomials), width), n_letters)
-    for i, mono in enumerate(monomials):
-        for r, t in enumerate(sorted(set(mono))):
-            at = mono.index(t)
-            source[i, r], lead[i, r] = index[mono[:at] + mono[at + 1 :]], t
+    index, source, lead, multiplicity = _monomial_tables(n_letters, top)
+    width = source.shape[1]
     entries = np.concatenate([letters.reshape(n_letters, d * d), np.zeros((1, d * d))])
     # one (labels, monomials) site factor per slot
     site = entries[lead].transpose(1, 2, 0)
     identity = np.eye(d).reshape(d * d)
-    poly = np.zeros((1, len(monomials)), dtype=complex)
+    poly = np.zeros((1, len(index)), dtype=complex)
     poly[0, 0] = 1.0
     for parent, label in _orbit_levels(d, n, top)[2]:
         prev = poly[parent]
@@ -400,8 +393,34 @@ def symmetric_word_values(words, letters, n: int) -> np.ndarray:
         for r in range(1, width):
             slots += prev[:, source[:, r]] * site[r][label]
         poly = identity[label, None] * prev + slots
-    scale = [math.prod(math.factorial(w.count(t)) for t in set(w)) / n ** (len(w) / 2) for w in words]
-    return poly[:, [index[w] for w in words]].T * np.array(scale)[:, None]
+    columns = [index[w] for w in words]
+    roots = [n ** (j / 2) for j in range(top + 1)]
+    scale = [multiplicity[i] / roots[len(w)] for i, w in zip(columns, words)]
+    return poly[:, columns].T * np.array(scale)[:, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _monomial_tables(n_letters: int, top: int):
+    """The recurrence of `symmetric_word_values` over the monomials of
+    `symmetric_words(n_letters, top)`: their index by letter multiset, and
+    (monomials, max(top, 1)) tables by which monomial i is monomial
+    source[i, r] times x_t for each distinct letter t = lead[i, r] of it
+    (unused slots take the zero row n_letters past the letters), and each
+    monomial's prod_t c_t!.  Cached, so the arrays are read-only and the
+    index and multiplicities must not be modified.
+    """
+    monomials = symmetric_words(n_letters, top)
+    index = {w: i for i, w in enumerate(monomials)}
+    width = max(top, 1)
+    source = np.zeros((len(monomials), width), dtype=np.intp)
+    lead = np.full((len(monomials), width), n_letters)
+    for i, mono in enumerate(monomials):
+        for r, t in enumerate(sorted(set(mono))):
+            at = mono.index(t)
+            source[i, r], lead[i, r] = index[mono[:at] + mono[at + 1 :]], t
+    source.flags.writeable = lead.flags.writeable = False
+    multiplicity = tuple(math.prod(math.factorial(w.count(t)) for t in set(w)) for w in monomials)
+    return index, source, lead, multiplicity
 
 
 def symmetric_word_operator(word, basis_ops, system: QuditSystem) -> np.ndarray:

@@ -289,3 +289,30 @@ def test_csv_output(tmp_path):
     assert code == 0
     assert out.exists()
     assert out.read_text().startswith("# ")
+
+
+def test_consecutive_main_calls_parse_independently(tmp_path, monkeypatch):
+    # the parser is built once and reused; flags of one call must not leak
+    # into the next
+    calls = []
+
+    def recording(name, params):
+        calls.append((name, dict(params)))
+        return run_experiment(name, params)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    cli._parser.cache_clear()
+    spectrum = write_config(tmp_path, "spectrum", {"d": 2, "n": 3, "y": 2.0, "k": 1})
+    fock = write_config(tmp_path, "fock", {"d": 2, "y": 2.0, "k_max": 1})
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["spectrum", "--config", spectrum, "--seed", "7", "--format", "csv", "--out", str(csv_out)]) == 0
+    assert main(["fock", "--config", fock]) == 0
+    assert main(["spectrum", "--config", spectrum, "--out", str(json_out)]) == 0
+    assert calls == [
+        ("spectrum", {"d": 2, "n": 3, "y": 2.0, "k": 1, "seed": 7}),
+        ("fock", {"d": 2, "y": 2.0, "k_max": 1}),
+        ("spectrum", {"d": 2, "n": 3, "y": 2.0, "k": 1}),
+    ]
+    assert csv_out.read_text().startswith("# ")
+    assert json.loads(json_out.read_text())["metadata"]["seed"] == 0
+    assert cli._parser.cache_info().misses == 1

@@ -349,7 +349,6 @@ def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
 
     for owner, name in (
         (operators, "symmetric_word_values"),
-        (geometry, "symmetric_word_values"),
         (focklimit, "_bound_grams"),
         (channels, "ProductChannel"),
     ):
@@ -543,8 +542,9 @@ def test_norm_grams_refuse_a_channel_that_rotates_the_state():
 
 
 def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
-    overlaps, checks = [], []
+    overlaps, checks, walks = [], [], []
     real_overlaps, real_check = geometry.real_overlaps, operators._check_hermitian
+    real_walk = operators.symmetric_word_values
 
     def counting_overlaps(a, b):
         overlaps.append((len(a), len(b)))
@@ -554,18 +554,79 @@ def test_symmetric_sector_dense_spectrum_forms_the_fine_gram_once(monkeypatch):
         checks.append(len(values))
         return real_check(values, transposed, labels)
 
+    def counting_walk(words, letters, n):
+        walks.append(len(words))
+        return real_walk(words, letters, n)
+
     def no_dense_gram(*args, **kwargs):
         raise AssertionError("dense Gram formed on the orbit route")
+
+    def no_prune(*args, **kwargs):
+        raise AssertionError("the orbit route pruned its fine family")
 
     monkeypatch.setattr(geometry, "real_overlaps", counting_overlaps)
     monkeypatch.setattr(geometry, "gns_gram", no_dense_gram)
     monkeypatch.setattr(operators, "_check_hermitian", counting_check)
-    symmetric_sector_dense_spectrum(QuditSystem(2, 4), product_density(basis_pure_density(2), 4), 2.5, 2)
-    # one Gram at the fine state, one at the coarse state, both over the
-    # full word family, which is checked hermitian once; the pairing rows
-    # are the 5 words kept at the pure state
-    assert overlaps == [(10, 10), (10, 10), (5, 10)]
+    monkeypatch.setattr(operators, "symmetric_word_values", counting_walk)
+    monkeypatch.setattr(operators, "_greedy_gram_prune", no_prune)
+    got = symmetric_sector_dense_spectrum(QuditSystem(2, 4), product_density(basis_pure_density(2), 4), 2.5, 2)
+    # one Gram at the fine state and one at the coarse state, both over the
+    # full word family, which is built by one orbit walk and checked
+    # hermitian once; the pairing is the fine Gram recombined, so no third
+    # overlap is formed, and both sides whiten all 10 words, the fine side
+    # keeping the 5 directions left at the pure state
+    assert overlaps == [(10, 10), (10, 10)]
+    assert walks == [10]
     assert checks == [10]
+    assert got.out_space.matrices.shape[0] == got.in_space.matrices.shape[0] == 10
+    assert got.out_space.rank == 5
+
+
+def _image_oracle(d, n, k, y, mu):
+    """The orbit values of the words and of their Heisenberg images, both
+    built by an orbit walk, the images over the depolarized letters."""
+    letters = operators.zero_mean_letters(mu)
+    words = symmetric_words(d * d - 1, k)
+    images = symmetric_word_values(words, DepolarizingChannel(y, d).adjoint_apply(letters), n)
+    return letters, symmetric_word_values(words, letters, n), images
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("sites", ["k", "k+1", "8"])
+def test_image_matrix_recombines_the_word_values_into_their_images(d, k, sites):
+    n = {"k": k, "k+1": k + 1, "8": 8}[sites]
+    rng = task_rng(47, 10 * d + k)
+    pure = np.eye(d)[0]
+    mixed = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+    for mu, y in ((pure, 2.5), (mixed, float(rng.uniform(1.2, 4.0)))):
+        letters, values, want = _image_oracle(d, n, k, y, mu)
+        transform = geometry._image_matrix(np.trace(letters, axis1=1, axis2=2).real / d, y, n, k)
+        # lower triangular in `symmetric_words` order, with 1/y^j on the
+        # diagonal
+        assert np.array_equal(transform, np.tril(transform))
+        degrees = np.array([len(w) for w in symmetric_words(d * d - 1, k)])
+        assert_close(np.diagonal(transform), y**-degrees.astype(float), tol=1e-15)
+        got = transform @ values
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, f"d={d} n={n} k={k} mu={mu}"
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [np.array([1 - 2e-4, 1e-4, 1e-4]), np.array([1 - 1e-4, 1e-4])],
+    ids=["nearly-pure-qutrit", "nearly-pure-qubit"],
+)
+@pytest.mark.parametrize("k", [2, 3])
+def test_unpruned_whitening_keeps_the_closed_form_count_near_pure_states(mu, k):
+    # the fine Gram is nearly singular here: whitening the full family cuts
+    # the same directions the closed form's whitening does
+    d, n = mu.size, k + 2
+    site = DensityMatrix(np.diag(mu))
+    got = symmetric_sector_dense_spectrum(QuditSystem(d, n), product_density(site, n), 2.5, k)
+    closed = symmetric_sector_spectrum(n, d, 2.5, k, state=site, include_identity=True)
+    assert got.eigenvalues.shape == closed["eigenvalues"].shape
+    assert_close(got.eigenvalues, closed["eigenvalues"], tol=1e-12, what=f"d={d} k={k}")
 
 
 @pytest.mark.parametrize("d, n, k", [(2, 4, 3), (3, 3, 3)])
@@ -655,7 +716,7 @@ def test_dense_sector_budget_default_limits(monkeypatch):
     # on the 10 multisets of 2 joint labels out of 4
     pair = QuditSystem(2, 2)
     monkeypatch.setenv("FLAB_MAX_DIM", "2")
-    with pytest.raises(DimensionBudgetError, match="10 x 10 orbit values and images"):
+    with pytest.raises(DimensionBudgetError, match="10 x 10 orbit values and their weighted copy"):
         check_dense_sector_budget(pair, 3)
 
 
@@ -672,7 +733,6 @@ def test_dense_sector_spectrum_refused_before_building(monkeypatch):
     monkeypatch.setenv("FLAB_MAX_DIM", "889")
     with monkeypatch.context() as spy:
         spy.setattr(operators, "symmetric_word_values", nothing_built)
-        spy.setattr(geometry, "symmetric_word_values", nothing_built)
         spy.setattr(geometry, "identical_site_state", nothing_built)
         with pytest.raises(DimensionBudgetError, match="dense sector at d=2, n=5 needs an estimated"):
             symmetric_sector_dense_spectrum(system, state, 2.0, 2)

@@ -11,6 +11,7 @@ from flab.operators import (
     PRODUCT_STATE_TOL,
     DensityMatrix,
     QuditSystem,
+    _fix_column_phases,
     _greedy_gram_prune,
     _hermitian_word_values,
     basis_pure_density,
@@ -144,8 +145,11 @@ def test_reduced_density_against_kron():
 
 @pytest.mark.parametrize("d, n", [(2, 0), (2, 8), (3, 5), (4, 1)])
 def test_product_density_is_the_kron_chain_bit_for_bit(d, n):
+    # each site is multiplied in on the left, site (x) mat, as np.kron(site, mat)
     site = random_positive_density(d, task_rng(45, d), min_eigenvalue=0.05)
-    want = tensor_many([site.matrix] * n)
+    want = np.array([[1.0]], dtype=complex)
+    for _ in range(n):
+        want = np.kron(site.matrix, want)
     assert np.array_equal(product_density(site, n).matrix, want)
 
 
@@ -413,6 +417,33 @@ def test_greedy_gram_prune_matches_the_loop_scan():
         assert got == _greedy_gram_prune_loop(gram, 1e-10)
         assert len(got) == np.linalg.matrix_rank(family)
     assert _greedy_gram_prune(families[0] @ families[0].T, 1e-10) == [0, 1, 4]
+
+
+def _fix_column_phases_loop(vecs: np.ndarray) -> np.ndarray:
+    """Reference: one column at a time, scaled by the scalar |pivot| / pivot."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        pivot = out[np.argmax(np.abs(out[:, j])), j]
+        if abs(pivot) > 0:
+            out[:, j] *= abs(pivot) / pivot
+    return out
+
+
+def test_fix_column_phases_matches_the_column_loop_bit_for_bit():
+    rng = task_rng(46)
+    for rows, cols in [(1, 1), (3, 3), (9, 4), (45, 45), (7, 120)]:
+        vecs = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        # an all-zero column (with a negative zero) stays as it is
+        vecs[:, 0] = 0.0
+        vecs[-1, 0] = -0.0 - 0.0j
+        if rows > 1:
+            # tied moduli: the first of the equal entries is the pivot
+            vecs[1, -1] = 1j * vecs[0, -1]
+        got, want = _fix_column_phases(vecs), _fix_column_phases_loop(vecs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    tie = np.array([[1.0, 3.0], [1.0j, -3.0], [-1.0, 0.5j]])
+    assert np.array_equal(_fix_column_phases(tie), np.array([[1.0, 3.0], [1.0j, -3.0], [-1.0, 0.5j]]))
 
 
 def test_word_length_capped_by_sites():
