@@ -168,9 +168,10 @@ def homogeneous_coarse_graining(system: QuditSystem, y: float) -> ComposedChanne
 
 
 class SuperoperatorChannel(Channel):
-    """Channel given by an explicit Kraus family."""
+    """Channel given by an explicit Kraus family, which must be trace
+    preserving within TRACE_PRESERVING_TOL."""
 
-    def __init__(self, kraus: list[np.ndarray], require_trace_preserving: bool = True):
+    def __init__(self, kraus: list[np.ndarray]):
         kraus = [np.asarray(K, dtype=complex) for K in kraus]
         if not kraus:
             raise ValueError("need at least one Kraus operator")
@@ -180,11 +181,10 @@ class SuperoperatorChannel(Channel):
                 raise ValueError("all Kraus operators must be square and same-dimensional")
         self.kraus = kraus
         self.dim = dim
-        if require_trace_preserving:
-            total = sum(K.conj().T @ K for K in kraus)
-            dev = np.max(np.abs(total - np.eye(dim)))
-            if dev > TRACE_PRESERVING_TOL:
-                raise NumericalError(f"Kraus family not trace preserving: deviation {dev:.3e}")
+        total = sum(K.conj().T @ K for K in kraus)
+        dev = np.max(np.abs(total - np.eye(dim)))
+        if dev > TRACE_PRESERVING_TOL:
+            raise NumericalError(f"Kraus family not trace preserving: deviation {dev:.3e}")
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)

@@ -99,11 +99,11 @@ def _int_list(params: dict, key: str, minimum: int):
     return out
 
 
-def _float_list(params: dict, key: str, positive: bool = True):
+def _float_list(params: dict, key: str):
     raw = _require(params, key, list)
     out = []
     for v in raw:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or (positive and v <= 0):
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
             raise ConfigError(f"config key {key!r} must list positive numbers")
         out.append(float(v))
     if not out:

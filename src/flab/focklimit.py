@@ -24,7 +24,9 @@ and on the symmetric tuples, a diagonal rescaling of the permanent Gram,
 for the exact finite-n spectrum on the symmetric k-local sector
 (`symmetric_sector_spectrum`).  K, K' and the pairing vanish exactly
 between letter blocks, so each splits into small problems, one per block
-sequence or block count (`_key_contraction`).  `beta_bound_test` checks
+sequence or block count (`_key_contraction`), all set up by
+`_letter_blocks`.  `beta_bound_test`, whose letters are set up the same
+way with the null cut at 0.0 (exactly null letters only), checks
 the sector-wise norm bound under sitewise depolarizing noise on random
 draws, measured as quadratic forms over the same key-block Grams on every
 support size, beside the exact supremum the draws sample.
@@ -44,13 +46,13 @@ from .errors import DimensionBudgetError, NumericalError
 from .geometry import DRAW_CHUNK_ENTRIES, sampled_norms, whiten_psd, whitened_contraction
 from .operators import (
     FIRST_RUN_BYTES,
+    NULL_THRESHOLD as NULL_LETTER_THRESHOLD,
     DensityMatrix,
     check_byte_budget,
     dense_dim_budget,
     zero_mean_letters,
 )
 
-NULL_LETTER_THRESHOLD = 1e-10
 PERMANENT_MAX_SIZE = 8
 
 
@@ -73,8 +75,15 @@ class SingleParticleSpace:
 
     @classmethod
     def from_eigenvalues(cls, mu, letter_names: list[str] | None = None) -> "SingleParticleSpace":
-        """The letters and kernel at the site state diag(mu)."""
+        """The letters and kernel at the site state diag(mu); DimensionBudgetError
+        before any letter is built if the kernel and the four letter stacks
+        alive at once (Gell-Mann, zero-mean, weighted, conjugated) would not fit."""
         mu = np.asarray(mu, dtype=float)
+        r = mu.size**2 - 1
+        check_byte_budget(
+            f"letter setup at d={mu.size}",
+            {f"4 stacks of {r} letters": 4 * 16 * r * mu.size**2, f"{r}-square kernel": 16 * r * r},
+        )
         basis = zero_mean_letters(mu)
         if letter_names is None:
             letter_names = [f"f{a + 1}" for a in range(len(basis))]
@@ -87,29 +96,19 @@ class SingleParticleSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def kept_indices(self, threshold: float = NULL_LETTER_THRESHOLD) -> list[int]:
+    def reduced(self, threshold: float) -> tuple["SingleParticleSpace", list[int]]:
+        """Drop the letters whose kernel diagonal is at or below threshold
+        times its largest entry; returns the smaller space and the kept
+        indices."""
         diag = np.real(np.diag(self.kernel))
         scale = max(float(diag.max(initial=0.0)), 1e-300)
-        return [a for a, v in enumerate(diag) if v > threshold * scale]
-
-    def reduced(self, threshold: float = NULL_LETTER_THRESHOLD) -> tuple["SingleParticleSpace", list[int]]:
-        """Drop null letters; returns the smaller space and the kept indices."""
-        kept = self.kept_indices(threshold)
+        kept = [a for a, v in enumerate(diag) if v > threshold * scale]
         sub = SingleParticleSpace(
             basis=self.basis[kept],
             kernel=self.kernel[np.ix_(kept, kept)],
             letter_names=[self.letter_names[a] for a in kept],
         )
         return sub, kept
-
-
-def _site_eigenvalues(d: int, state: DensityMatrix | None) -> np.ndarray:
-    """Descending eigenvalues of a site state; the pure ground state by default."""
-    if state is None:
-        return np.eye(d)[0]
-    if state.dim != d:
-        raise ValueError(f"site state of dimension {state.dim} for local dimension {d}")
-    return state.eigensystem()[0]
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -253,15 +252,28 @@ def _kron_power(mat: np.ndarray, rows: list, cols: list) -> list:
     return out
 
 
-def _letter_blocks(k_fine: np.ndarray, k_coarse: np.ndarray, pair_single: np.ndarray) -> tuple[list, list]:
-    """The fine letters and the (K, K', K m) of each letter block with a fine letter.
+def _letter_blocks(
+    sp_fine: SingleParticleSpace, sp_coarse: SingleParticleSpace, m: np.ndarray, threshold: float
+) -> tuple[list, list, list]:
+    """The letter setup of the tuple core: the names of the kept fine
+    letters, and the kept fine letters and the (K, K', K m) of each letter
+    block with a fine letter.
 
-    A letter block is a connected component of the joint exact nonzero
-    pattern of the fine kernel K, the coarse kernel K' and the pairing K m
-    over the fine and coarse letters: in the site eigenframe, the letters of
-    one off-diagonal index pair, or the diagonal ones.  All three vanish
-    between blocks, and a block without fine letters pairs with nothing.
+    A fine letter is kept if its kernel diagonal exceeds threshold times
+    the largest (`SingleParticleSpace.reduced`).  K_aa = sum_ij |f_ij|^2
+    mu_j sums terms >= 0, so the cut 0.0 keeps the letters with a nonzero
+    entry (i, j) where mu_i + mu_j > 0, those that survive Omega_rho; the
+    cut NULL_LETTER_THRESHOLD also drops letters of roundoff weight.  A
+    letter block is a connected component of the joint exact nonzero
+    pattern of K, K' and K m over the kept fine and all coarse letters: in
+    the site eigenframe, the letters of one off-diagonal index pair, or the
+    diagonal ones.  All three vanish between blocks, and a block without
+    fine letters pairs with nothing.
     """
+    if m.shape != (sp_fine.dim, sp_coarse.dim):
+        raise ValueError(f"letter matrix shape {m.shape} does not match spaces ({sp_fine.dim}, {sp_coarse.dim})")
+    fine_red, kept = sp_fine.reduced(threshold)
+    k_fine, k_coarse, pair_single = fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :]
     r = len(k_fine)
     joined = np.block([[k_fine != 0, pair_single != 0], [pair_single.T != 0, k_coarse != 0]])
     joined |= np.eye(len(joined), dtype=bool)
@@ -271,7 +283,7 @@ def _letter_blocks(k_fine: np.ndarray, k_coarse: np.ndarray, pair_single: np.nda
     members = [np.flatnonzero(joined[first]) for first in sorted(set(joined.argmax(axis=0).tolist())) if first < r]
     fine, coarse = [rows[rows < r] for rows in members], [rows[rows >= r] - r for rows in members]
     mats = [(k_fine[np.ix_(f, f)], k_coarse[np.ix_(c, c)], pair_single[np.ix_(f, c)]) for f, c in zip(fine, coarse)]
-    return fine, mats
+    return fine_red.letter_names, fine, mats
 
 
 def _kron_stack(mats: dict, keys: list) -> np.ndarray:
@@ -300,18 +312,6 @@ def _check_key_budget(what: str, dims: dict, keys: list, output: dict) -> None:
     check_byte_budget(what, {**parts, **output})
 
 
-def _key_stacks(factors: dict, keys: list) -> tuple:
-    """The keys grouped by the shapes of their factors, and per group the
-    (keys, ., .) stacks of its fine Grams, coarse Grams and pairings: the
-    real parts of the Kronecker products of its factors (`_kron_stack`)."""
-    groups: dict = {}
-    for key in keys:
-        groups.setdefault(tuple(factors[i][2].shape for i in key), []).append(key)
-    stacked = list(groups.values())
-    sides = [{i: mats[side] for i, mats in factors.items()} for side in range(3)]
-    return (stacked, *([_kron_stack(mats, group) for group in stacked] for mats in sides))
-
-
 def _key_tuples(letters: list, group: list, r: int) -> np.ndarray:
     """Each key's fine tuples as a (keys, f) array of indices into the r^j
     tuples of its length j in C order, in the Kronecker order of the letters
@@ -322,28 +322,40 @@ def _key_tuples(letters: list, group: list, r: int) -> np.ndarray:
     return tuples
 
 
-def _key_contraction(factors: dict, keys: list, null_threshold: float) -> list:
+def _key_contraction(factors: dict, keys: list):
     """Contraction eigendata of a tuple problem that is block diagonal by key.
 
     factors[i] is a (fine, coarse, pairing) triple of complex letter
     matrices and a key a tuple of factor ids i, whose fine Gram,
     coarse Gram and pairing are the real parts of the Kronecker products of
-    its factors (`_key_stacks`).  Keys with factors of the same shapes are
+    its factors (`_kron_stack`).  Keys with factors of the same shapes are
     stacked: both sides are whitened with the cut relative to the top of
-    all keys (`whiten_psd`), then `whitened_contraction`.  Returns, per
+    all keys (`whiten_psd`), then `whitened_contraction`.  Yields, per
     stack, its keys, eigenvalues (m, a) and fine coefficients (m, a, a),
-    descending per key over its kept directions and zero past them.
+    descending per key over its kept directions and zero past them, and
+    the stack's fine Grams, coarse whiteners and pairings.  The stacks are
+    built and whitened at the call; each contraction runs when it is read.
     """
-    stacked, fine, coarse, pairing = _key_stacks(factors, keys)
-    w_fine, _ = whiten_psd(fine, null_threshold)
-    w_coarse, _ = whiten_psd(coarse, null_threshold)
-    return [(group, *whitened_contraction(*mats)) for group, *mats in zip(stacked, w_fine, w_coarse, pairing)]
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault(tuple(factors[i][2].shape for i in key), []).append(key)
+    stacked = list(groups.values())
+    fine, coarse, pairing = (
+        [_kron_stack({i: mats[side] for i, mats in factors.items()}, group) for group in stacked] for side in range(3)
+    )
+    w_fine, _ = whiten_psd(fine)
+    w_coarse, _ = whiten_psd(coarse)
+    return (
+        (group, *whitened_contraction(wf, wc, pair), gram, wc, pair)
+        for group, gram, wf, wc, pair in zip(stacked, fine, w_fine, w_coarse, pairing)
+    )
 
 
-def _combo_label(coeffs: np.ndarray, names: list[str], tol: float = 1e-8) -> str:
+def _combo_label(coeffs: np.ndarray, names: list[str]) -> str:
+    """Readable combination of the coefficients above 1e-8 in modulus."""
     parts = [
         f"{'-' if coeffs[i] < 0 else '+'} {abs(coeffs[i]):.3g}*{names[i]}"
-        for i in np.flatnonzero(np.abs(coeffs) > tol)
+        for i in np.flatnonzero(np.abs(coeffs) > 1e-8)
     ]
     if not parts:
         return "0"
@@ -379,41 +391,34 @@ def fock_block_spectrum(
     sp_coarse: SingleParticleSpace,
     m: np.ndarray,
     k: int,
-    null_threshold: float = NULL_LETTER_THRESHOLD,
 ) -> FockBlock:
     """Contraction spectrum of the channel on the k-letter tuple space.
 
-    On all tuples of the r non-null fine letters, the fine Gram, coarse
-    Gram and pairing Re(K^{(x)k}), Re(K'^{(x)k}), Re((K m)^{(x)k}) are block
-    diagonal by key, a tuple's sequence of letter blocks (`_letter_blocks`):
-    one small `_key_contraction` per key.  Eigenvalues come in descending
-    order (ties in key order), zero padded to the r^k fine tuples so that
-    directions the metric annihilates appear explicitly, with eigenvector
-    coefficients over those tuples and readable labels.
-    DimensionBudgetError before anything is built if r^k exceeds
-    `dense_dim_budget`, or the key stacks and the r^k-square coefficients
-    the byte budget.
+    On all tuples of the r fine letters `_letter_blocks` keeps at the cut
+    NULL_LETTER_THRESHOLD, the fine Gram, coarse Gram and pairing
+    Re(K^{(x)k}), Re(K'^{(x)k}), Re((K m)^{(x)k}) are block diagonal by
+    key, a tuple's sequence of letter blocks: one small `_key_contraction`
+    per key.  Eigenvalues come in descending order (ties in key order),
+    zero padded to the r^k fine tuples so that directions the metric
+    annihilates appear explicitly, with eigenvector coefficients over those
+    tuples and readable labels.  DimensionBudgetError before anything is
+    built if r^k exceeds `dense_dim_budget`, or the key stacks and the
+    r^k-square coefficients the byte budget.
     """
     if k < 1:
         raise ValueError("block degree k must be >= 1")
-    fine_red, kept = sp_fine.reduced(null_threshold)
-    if m.shape != (sp_fine.dim, sp_coarse.dim):
-        raise ValueError(
-            f"letter matrix shape {m.shape} does not match spaces "
-            f"({sp_fine.dim}, {sp_coarse.dim})"
-        )
-    r, budget = fine_red.dim, dense_dim_budget()
+    names, letters, mats = _letter_blocks(sp_fine, sp_coarse, m, NULL_LETTER_THRESHOLD)
+    r, budget = len(names), dense_dim_budget()
     if r**k > budget:
         raise DimensionBudgetError(
             f"dense fine tuple dimension {r}**{k} exceeds budget {budget}; set FLAB_MAX_DIM to override"
         )
-    letters, mats = _letter_blocks(fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :])
     factors = dict(enumerate(mats))
     keys = list(itertools.product(factors, repeat=k))
     dims = {b: pair.shape for b, (_, _, pair) in factors.items()}
     _check_key_budget(f"Fock block {k}", dims, keys, {f"{r**k}-square coefficients": 8 * r ** (2 * k)})
     vals, vecs, rows = [], [], []
-    for group, key_vals, coeffs in _key_contraction(factors, keys, null_threshold):
+    for group, key_vals, coeffs, *_ in _key_contraction(factors, keys):
         kept_dirs = coeffs.any(axis=1)
         vals.append(key_vals[kept_dirs])
         vecs.append(coeffs.swapaxes(1, 2)[kept_dirs])
@@ -425,7 +430,7 @@ def fock_block_spectrum(
     coefficients = np.zeros((r**k, r**k))
     for key_vecs, key_rows, cols in zip(vecs, rows, np.split(place, np.cumsum([len(v) for v in vecs]))):
         coefficients[cols[:, None], key_rows] = key_vecs
-    return FockBlock(k, np.pad(flat[order], (0, r**k - flat.size)), coefficients.T, fine_red.letter_names, flat.size)
+    return FockBlock(k, np.pad(flat[order], (0, r**k - flat.size)), coefficients.T, names, flat.size)
 
 
 def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None):
@@ -443,7 +448,9 @@ def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None
         raise ValueError(f"depolarizing strength must satisfy y >= 1, got {y}")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    mu = _site_eigenvalues(d, state)
+    if state is not None and state.dim != d:
+        raise ValueError(f"site state of dimension {state.dim} for local dimension {d}")
+    mu = np.eye(d)[0] if state is None else state.eigensystem()[0]
     names = ["x", "p", "z0"] if d == 2 and state is None else None
     sp_fine = SingleParticleSpace.from_eigenvalues(mu, names)
     sp_coarse = SingleParticleSpace.from_eigenvalues(mu / y + (1.0 - 1.0 / y) / d)
@@ -456,7 +463,6 @@ def _sector_blocks(
     sp_coarse: SingleParticleSpace,
     m: np.ndarray,
     k: int,
-    null_threshold: float,
 ) -> dict[int, np.ndarray]:
     """Contraction eigenvalues per degree on the symmetric sector.
 
@@ -471,8 +477,7 @@ def _sector_blocks(
     per degree, each checked against the byte budget, largest first,
     before anything is built.
     """
-    fine_red, kept = sp_fine.reduced(null_threshold)
-    _, blocks = _letter_blocks(fine_red.kernel, sp_coarse.kernel, fine_red.kernel @ m[kept, :])
+    *_, blocks = _letter_blocks(sp_fine, sp_coarse, m, NULL_LETTER_THRESHOLD)
     degrees = [j for j in range(1, k + 1) if n is None or j <= n]
     top = max(degrees, default=0)
     # factor (c, b) holds block b's Sym^c matrices.  A key lists the factors
@@ -495,8 +500,8 @@ def _sector_blocks(
         factors.update({(c, b): mats for c, mats in enumerate(zip(*powers), start=1)})
     out = {}
     for j in degrees:
-        groups = _key_contraction(factors, keys[j], null_threshold)
-        out[j] = np.sort(np.concatenate([vals[coeffs.any(axis=1)] for _, vals, coeffs in groups]))[::-1]
+        groups = _key_contraction(factors, keys[j])
+        out[j] = np.sort(np.concatenate([vals[coeffs.any(axis=1)] for _, vals, coeffs, *_ in groups]))[::-1]
     return out
 
 
@@ -507,7 +512,6 @@ def symmetric_sector_spectrum(
     k: int,
     state: DensityMatrix | None = None,
     include_identity: bool = False,
-    null_threshold: float = NULL_LETTER_THRESHOLD,
 ) -> dict:
     """Exact contraction spectrum on the symmetric k-local sector.
 
@@ -519,7 +523,7 @@ def symmetric_sector_spectrum(
     excluded unless requested.
     """
     sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state)
-    by_degree = _sector_blocks(n, sp_fine, sp_coarse, m, k, null_threshold)
+    by_degree = _sector_blocks(n, sp_fine, sp_coarse, m, k)
     eigs = list(by_degree.values()) + ([np.array([1.0])] if include_identity else [])
     all_vals = np.sort(np.concatenate(eigs))[::-1] if eigs else np.array([])
     return {"n": n, "eigenvalues": all_vals, "by_degree": by_degree}
@@ -571,34 +575,31 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     sizes (sizes ascending, supports lexicographic, products in
     itertools.product order), and the exact supremum of their ratio.
 
-    Only carried letters enter, those with a nonzero entry (i, j) where
-    mu_i + mu_j > 0 (2(d - 1) at a pure site state, all at a faithful one):
-    a product with any other letter is zero after Omega_rho, so both its
-    norms vanish.  Under sitewise depolarizing at a product of identical
-    site states, blocks of different supports vanish and the block of a
-    support is that of its |S|-site chain.  There, in the site eigenframe,
-    the Bures Gram Re tr(rho A_a A_b) is Re(K^{(x)s}) over carried tuples,
-    and the pushforward Gram is P G_c^{-1} P^T, the supremum over coarse
-    observables B of Re tr(B N(X))^2 / |B|^2: P = Re((K m)^{(x)s}) pairs
-    each product with the coarse letter products, whose Gram is G_c =
-    Re(K'^{(x)s}).  All three are block diagonal by key (`_key_stacks`);
-    with W_c whitening G_c, a key's pushforward block is (P W_c)(P W_c)^T,
-    and the supremum is the top of `whitened_contraction` over every key.
-    DimensionBudgetError first if the keys and a draw block would not fit.
+    Only carried letters enter, the letters `_letter_blocks` keeps at the
+    cut 0.0, whose kernel diagonal is nonzero (2(d - 1) at a pure site
+    state, all at a faithful one): a product with any other letter is zero
+    after Omega_rho, so both its norms vanish.  Under sitewise depolarizing
+    at a product of identical site states, blocks of different supports
+    vanish and the block of a support is that of its |S|-site chain.
+    There, in the site eigenframe, the Bures Gram Re tr(rho A_a A_b) is
+    Re(K^{(x)s}) over carried tuples, and the pushforward Gram is P G_c^{-1}
+    P^T, the supremum over coarse observables B of Re tr(B N(X))^2 /
+    |B|^2: P = Re((K m)^{(x)s}) pairs each product with the coarse letter
+    products, whose Gram is G_c = Re(K'^{(x)s}).  All three are block
+    diagonal by key, and `_key_contraction` builds each size's stacks once
+    and whitens them; with W_c whitening G_c, a key's pushforward block is
+    (P W_c)(P W_c)^T, and the supremum is the largest contraction
+    eigenvalue over every key of every size.  DimensionBudgetError first if
+    the keys and a draw block would not fit.
     """
     if k < 1 or k > n:
         raise ValueError(f"sector index k={k} out of range for n={n}")
-    sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state_1site)
-    mu = _site_eigenvalues(d, state_1site)
-    weighed = mu[:, None] + mu[None, :] > 0
-    carried = np.flatnonzero([np.any((f != 0) & weighed) for f in sp_fine.basis])
-    k_fine = sp_fine.kernel[np.ix_(carried, carried)]
-    letters, blocks = _letter_blocks(k_fine, sp_coarse.kernel, k_fine @ m[carried, :])
+    names, letters, blocks = _letter_blocks(*depolarizing_fock_setup(d, y, state_1site), 0.0)
     # the keys of size s are every block sequence, so a sum over them is a power
     f, c = np.array([pair.shape for _, _, pair in blocks]).T
     f2, c2, fc = int(f @ f), int(c @ c), int(f @ c)
     sizes = range(k, n + 1)
-    products = [math.comb(n, s) * len(carried) ** s for s in sizes]
+    products = [math.comb(n, s) * len(names) ** s for s in sizes]
     draws = max(1, DRAW_CHUNK_ENTRIES // sum(products))
     check_byte_budget(
         f"bound check at d={d}, n={n}, k={k}",
@@ -612,14 +613,11 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     factors = dict(enumerate(blocks))
     grams, supremum = [], 0.0
     for s in sizes:
-        groups, fine, coarse, pairing = _key_stacks(factors, list(itertools.product(factors, repeat=s)))
-        w_fine, _ = whiten_psd(fine, NULL_LETTER_THRESHOLD)
-        w_coarse, _ = whiten_psd(coarse, NULL_LETTER_THRESHOLD)
         stacks = []
-        for group, bures, wf, wc, pair in zip(groups, fine, w_fine, w_coarse, pairing):
-            supremum = max(supremum, float(whitened_contraction(wf, wc, pair)[0].max(initial=0.0)))
+        for group, vals, _, bures, wc, pair in _key_contraction(factors, list(itertools.product(factors, repeat=s))):
+            supremum = max(supremum, float(vals.max(initial=0.0)))
             reach = pair @ wc
-            members = _key_tuples(letters, group, len(carried))
+            members = _key_tuples(letters, group, len(names))
             stacks.append((members, np.ascontiguousarray(bures), reach @ reach.swapaxes(1, 2)))
         grams.append((math.comb(n, s), stacks))
     return grams, supremum

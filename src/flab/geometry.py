@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NumericalError
 from .operators import (
     FIRST_RUN_BYTES,
+    NULL_THRESHOLD,
     DensityMatrix,
     QuditSystem,
     _check_hermitian,
@@ -40,11 +41,9 @@ from .operators import (
     real_overlaps,
     state_product,
     symmetric_words,
-    word_label,
     zero_mean_letters,
 )
 
-NULL_THRESHOLD = 1e-10
 # relative size of eigenvalue pairs below which Omega_rho is singular
 OMEGA_REL_TOL = 1e-12
 SINGULAR_DIRECTION = (
@@ -63,19 +62,20 @@ def omega_apply(state: DensityMatrix, x) -> np.ndarray:
     return 0.5 * (rho @ mat + mat @ rho)
 
 
-def omega_inverse_apply(state: DensityMatrix, x, rel_tol: float = OMEGA_REL_TOL) -> np.ndarray:
+def omega_inverse_apply(state: DensityMatrix, x) -> np.ndarray:
     """Solve Omega_rho(Y) = X in the eigenbasis of rho.
 
     Entrywise in that basis Y_ij = 2 X_ij / (lambda_i + lambda_j).  Pairs of
-    near-zero eigenvalues make the problem singular; in that case the
-    symmetrized product has null directions and the inverse is not defined.
+    near-zero eigenvalues (sums below OMEGA_REL_TOL times the largest) make
+    the problem singular; in that case the symmetrized product has null
+    directions and the inverse is not defined.
     """
     vals, vecs = state.eigensystem()
     tilde = vecs.conj().T @ as_matrix(x) @ vecs
     denom = vals[:, None] + vals[None, :]
-    cutoff = rel_tol * max(float(vals.max()), 1e-300)
+    cutoff = OMEGA_REL_TOL * max(float(vals.max()), 1e-300)
     bad = denom < cutoff
-    if np.any(bad & (np.abs(tilde) > rel_tol * max(1.0, float(np.abs(tilde).max())))):
+    if np.any(bad & (np.abs(tilde) > OMEGA_REL_TOL * max(1.0, float(np.abs(tilde).max())))):
         raise NumericalError(SINGULAR_DIRECTION)
     out = np.where(bad, 0.0, 2.0 * tilde / np.where(bad, 1.0, denom))
     return vecs @ out @ vecs.conj().T
@@ -198,30 +198,22 @@ def whiten_psd(gram, null_threshold: float = NULL_THRESHOLD):
 class GnsSpace:
     """Whitened GNS representation of an operator family at a state.
 
-    matrices is the family as one (m, dim, dim) stack; gram is its real GNS
-    Gram Re tr(rho A_a^dagger A_b).  From `symmetric_sector_dense_spectrum`
-    the family is permutation symmetric and held in orbit coordinates
-    instead: matrices is (m, orbits), each word's values on the word-support
-    orbits of `operators.orbit_counts(d, n, k)` (zero on the others), and
-    state is the site state diag(mu) of which rho is the n-fold product.
+    matrices is the family as one (m, dim, dim) stack, and whitener the
+    `whiten_psd` whitener of its real GNS Gram Re tr(rho A_a^dagger A_b).
+    From `symmetric_sector_dense_spectrum` the family is permutation
+    symmetric and held in orbit coordinates instead: matrices is (m,
+    orbits), each word's values on the word-support orbits of
+    `operators.orbit_counts(d, n, k)` (zero on the others), and state is
+    the site state diag(mu) of which rho is the n-fold product.
     """
 
     state: DensityMatrix
     matrices: np.ndarray
-    labels: list[str]
-    gram: np.ndarray
     whitener: np.ndarray
-    kept_eigenvalues: np.ndarray
-    null_threshold: float = NULL_THRESHOLD
 
     @property
     def rank(self) -> int:
         return self.whitener.shape[1]
-
-
-def _gns_space(state: DensityMatrix, stack: np.ndarray, labels, gram: np.ndarray, null_threshold: float) -> GnsSpace:
-    """Whitened GNS space of a family whose real Gram is already known."""
-    return GnsSpace(state, stack, labels, gram, *whiten_psd(gram, null_threshold), null_threshold)
 
 
 def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOLD) -> GnsSpace:
@@ -235,9 +227,8 @@ def gns_build(state: DensityMatrix, basis, null_threshold: float = NULL_THRESHOL
     if not matrices:
         raise ValueError("empty basis")
     stack = np.stack(matrices)
-    labels = [f"b{idx}" for idx in range(len(stack))]
-    _check_hermitian(stack, stack.swapaxes(1, 2), labels)
-    return _gns_space(state, stack, labels, gns_gram(state, stack), null_threshold)
+    _check_hermitian(stack, stack.swapaxes(1, 2), lambda i: f"b{i}")
+    return GnsSpace(state, stack, whiten_psd(gns_gram(state, stack), null_threshold)[0])
 
 
 def channel_pairing_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> np.ndarray:
@@ -456,7 +447,6 @@ def symmetric_sector_dense_spectrum(
     state: DensityMatrix,
     y: float,
     k: int,
-    null_threshold: float = NULL_THRESHOLD,
 ) -> ContractionSpectrum:
     """Dense reference spectrum on the symmetric k-local sector.
 
@@ -499,7 +489,6 @@ def symmetric_sector_dense_spectrum(
     d, n = system.d, system.n
     top = min(k, n)
     words = symmetric_words(d * d - 1, top)
-    labels = [word_label(w) for w in words]
     mu, _ = identical_site_state(state, system).eigensystem()
     letters = zero_mean_letters(mu)
     fine_site = DensityMatrix(np.diag(mu), check=False)
@@ -508,8 +497,8 @@ def symmetric_sector_dense_spectrum(
     counts = orbit_counts(d, n, k)
     gram = real_overlaps(values, values * _orbit_weights(counts, mu))
     coarse_gram = real_overlaps(values, values * _orbit_weights(counts, np.diagonal(coarse_site.matrix).real))
-    fine = _gns_space(fine_site, values, labels, gram, null_threshold)
-    coarse = _gns_space(coarse_site, values, labels, coarse_gram, null_threshold)
+    fine = GnsSpace(fine_site, values, whiten_psd(gram)[0])
+    coarse = GnsSpace(coarse_site, values, whiten_psd(coarse_gram)[0])
     # B[a, b] = Re tr(rho E_a^dagger N^dagger(F_b)) = sum_u T[b, u] gram[a, u]
     traces = np.trace(letters, axis1=1, axis2=2).real / d
     return _contraction_between(fine, coarse, gram @ _image_matrix(traces, y, n, top).T)

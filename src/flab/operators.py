@@ -25,7 +25,8 @@ HERMITIAN_BASIS_TOL = 1e-10
 STATE_TRACE_TOL = 1e-12
 STATE_EIG_FLOOR = -1e-12
 PRODUCT_STATE_TOL = 1e-10
-PRUNE_THRESHOLD = 1e-10
+# relative eigenvalue (or residual) cut below which a Gram direction is null
+NULL_THRESHOLD = 1e-10
 DEFAULT_MAX_DIM = 2**14
 # resident growth of a first run beyond its arrays (BLAS code and buffers,
 # numpy.random's lazy import), measured with numpy 2.4: 8.5-10.4 MiB for
@@ -155,10 +156,9 @@ def pure_state_density(vec) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()), check=False)
 
 
-def basis_pure_density(d: int, level: int = 0) -> DensityMatrix:
-    vec = np.zeros(d)
-    vec[level] = 1.0
-    return pure_state_density(vec)
+def basis_pure_density(d: int) -> DensityMatrix:
+    """The pure ground state |0><0| of one qudit."""
+    return pure_state_density(np.eye(d)[0])
 
 
 def product_density(state_1site: DensityMatrix, n: int) -> DensityMatrix:
@@ -460,15 +460,15 @@ def word_label(word: tuple[int, ...]) -> str:
     return "*".join(f"f{a}" for a in word)
 
 
-def _check_hermitian(values: np.ndarray, transposed: np.ndarray, labels) -> None:
-    """NumericalError naming the first member of a family that is not
-    hermitian: whose values differ from the conjugates of `transposed`, its
-    values at the transposed positions."""
+def _check_hermitian(values: np.ndarray, transposed: np.ndarray, label) -> None:
+    """NumericalError naming, by label(index), the first member of a family
+    that is not hermitian: whose values differ from the conjugates of
+    `transposed`, its values at the transposed positions."""
     axes = tuple(range(1, np.ndim(values)))
     dev = np.max(np.abs(values - np.conj(transposed)), axis=axes)
     bad = np.flatnonzero(dev > HERMITIAN_BASIS_TOL * np.maximum(1.0, np.max(np.abs(values), axis=axes)))
     if bad.size:
-        raise NumericalError(f"basis element {labels[bad[0]]} is not hermitian (deviation {dev[bad[0]]:.3e})")
+        raise NumericalError(f"basis element {label(bad[0])} is not hermitian (deviation {dev[bad[0]]:.3e})")
 
 
 def _hermitian_word_values(words, letters, n: int) -> np.ndarray:
@@ -481,7 +481,7 @@ def _hermitian_word_values(words, letters, n: int) -> np.ndarray:
     counts, ranks, _ = _orbit_levels(d, n, max(map(len, words)))
     label = np.arange(d * d)
     transposed = np.searchsorted(ranks, _count_rank(counts[:, label % d * d + label // d], n))
-    _check_hermitian(values, values[:, transposed], [word_label(w) for w in words])
+    _check_hermitian(values, values[:, transposed], lambda i: word_label(words[i]))
     return values
 
 
@@ -490,7 +490,7 @@ def symmetric_klocal_basis(
     system: QuditSystem,
     state: DensityMatrix,
     prune: bool = True,
-    null_threshold: float = PRUNE_THRESHOLD,
+    null_threshold: float = NULL_THRESHOLD,
 ) -> np.ndarray:
     """Permutation-symmetric words of degree <= k over the zero-mean basis.
 

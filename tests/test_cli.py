@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,7 +176,8 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
     # the pure qutrit at y = 1, k = 2: 4 keys of 4 fine and 4 coarse tuples
     # with the 16-square coefficients need 10240 bytes, over the 16 * 25**2
     # of FLAB_MAX_DIM = 25; refused before any key stack is built, with no
-    # report.  The r**k cap refuses it first from 15 down
+    # report.  At 15 the letter setup (four stacks of the 8 letters and
+    # their kernel, 5632 bytes) refuses it before any letter is built
     from flab import focklimit
 
     def nothing_built(*args, **kwargs):
@@ -185,7 +187,7 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.json"
     with monkeypatch.context() as spy:
         spy.setattr(focklimit, "_kron_stack", nothing_built)
-        refusals = {"25": "Fock block 2 needs an estimated 10240 bytes", "15": "fine tuple dimension 4**2 exceeds budget"}
+        refusals = {"25": "Fock block 2 needs an estimated 10240 bytes", "15": "letter setup at d=3 needs an estimated 5632 bytes"}
         for budget, message in refusals.items():
             spy.setenv("FLAB_MAX_DIM", budget)
             assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
@@ -193,6 +195,31 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
             assert not out.exists()
     monkeypatch.setenv("FLAB_MAX_DIM", "26")
     assert main(["fock", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "experiment, config",
+    [
+        ("fock", {"d": 30, "y": 2.0, "k_max": 1}),
+        ("clt", {"d": 30, "n_list": [4, 8]}),
+        ("bound-check", {"d": 30, "n": 2, "y": 3.0, "k": 1, "samples": 10}),
+    ],
+)
+def test_letter_setup_is_refused_before_any_letter_is_built(tmp_path, monkeypatch, capsys, experiment, config):
+    # at d = 30 the letter setup, four stacks of the 899 letters and their
+    # kernel, takes about 62 MiB (a traced peak of 49 to 87 MiB when it was
+    # built before any check); with a 64-byte budget each experiment exits
+    # 2 having built no letter
+    monkeypatch.setenv("FLAB_MAX_DIM", "2")
+    cfg = write_config(tmp_path, experiment, config)
+    tracemalloc.start()
+    try:
+        assert main([experiment, "--config", cfg]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "letter setup at d=30 needs an estimated" in capsys.readouterr().err
+    assert peak < 2**20, peak
 
 
 def test_fock_runs_the_pure_ququart_at_the_identity_channel(tmp_path):

@@ -1,11 +1,13 @@
 """Single-particle kernels, permanents, and the limiting block spectra."""
 
+import ast
 import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,10 +53,10 @@ def test_kernel_at_pure_qubit():
     want = np.array([[1, 1j, 0], [-1j, 1, 0], [0, 0, 0]])
     assert_close(sp.kernel, want, tol=1e-12)
     assert sp.letter_names == ["x", "p", "z0"]
-    assert sp.kept_indices() == [0, 1]
-    sub, kept = sp.reduced()
-    assert kept == [0, 1]
-    assert sub.letter_names == ["x", "p"]
+    for threshold in (NULL_LETTER_THRESHOLD, 0.0):
+        sub, kept = sp.reduced(threshold)
+        assert kept == [0, 1]
+        assert sub.letter_names == ["x", "p"]
 
 
 def test_kernel_is_psd_at_random_state():
@@ -102,6 +104,12 @@ def test_letter_matrix_is_identity_over_y():
         depolarizing_fock_setup(2, 0.5)
     with pytest.raises(ValueError, match="local dimension"):
         depolarizing_fock_setup(1, 2.0)
+    with pytest.raises(ValueError, match="site state of dimension 3 for local dimension 2"):
+        depolarizing_fock_setup(2, 2.0, maximally_mixed_density(3))
+    # the letter setup checks the letter matrix for every regime
+    sp_fine, sp_coarse, m = depolarizing_fock_setup(2, 2.0)
+    with pytest.raises(ValueError, match="letter matrix shape .3, 2. does not match spaces .3, 3."):
+        fock_block_spectrum(sp_fine, sp_coarse, m[:, :2], 1)
 
 
 def test_permanent_values():
@@ -361,7 +369,7 @@ def test_reached_coarse_letters_give_the_unrestricted_spectra(d, k_max):
     for site, y in itertools.product(sites, (1.0, 1.5, 2.7)):
         sp_f, sp_c, m = depolarizing_fock_setup(d, y, site)
         fine_red, kept = sp_f.reduced(thr)
-        sectors = focklimit._sector_blocks(None, sp_f, sp_c, m, k_max, thr)
+        sectors = focklimit._sector_blocks(None, sp_f, sp_c, m, k_max)
         pairing = fine_red.kernel @ m[kept, :]
         for k, symmetric in itertools.product(range(1, k_max + 1), (False, True)):
             want = tuple_oracle(fine_red.kernel, sp_c.kernel, pairing, k, symmetric, thr)
@@ -378,7 +386,7 @@ def test_reached_coarse_letters_give_the_unrestricted_spectra(d, k_max):
                 assert_close(got, want, tol=1e-13, what=what)
     # a pairing that reaches no coarse letter contracts everything to 0
     assert not fock_block_spectrum(sp_f, sp_c, 0 * m, 2).eigenvalues.any()
-    assert not np.concatenate(list(focklimit._sector_blocks(None, sp_f, sp_c, 0 * m, 2, thr).values())).any()
+    assert not np.concatenate(list(focklimit._sector_blocks(None, sp_f, sp_c, 0 * m, 2).values())).any()
 
 
 def _eigh_sizes(monkeypatch) -> list:
@@ -442,10 +450,16 @@ def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
             spy.setattr(focklimit, name, no_allocation)
         with pytest.raises(DimensionBudgetError, match="Fock block 2 needs an estimated 45448 bytes .16 key stacks"):
             fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2)
-        # the r**k cap comes first
+        # at 15 the letter setup, four stacks of the 8 letters and their
+        # kernel, is refused before the r**k cap
         spy.setenv("FLAB_MAX_DIM", "15")
-        with pytest.raises(DimensionBudgetError, match="fine tuple dimension 4\\*\\*2"):
+        with pytest.raises(DimensionBudgetError, match="letter setup at d=3 needs an estimated 5632 bytes"):
             fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
+        # the pure qubit's letter setup, 912 bytes, fits 16 * 8**2, and the
+        # r**k cap refuses its 2**4 fine tuples
+        spy.setenv("FLAB_MAX_DIM", "8")
+        with pytest.raises(DimensionBudgetError, match="fine tuple dimension 2\\*\\*4"):
+            fock_block_spectrum(*depolarizing_fock_setup(2, 2.0), 4)
     monkeypatch.setenv("FLAB_MAX_DIM", "54")
     assert fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2).eigenvalues.size == 49
 
@@ -615,7 +629,7 @@ def _oracle_bound_blocks(n, d, y, k, site):
     the mask of the carried ones."""
     from flab.channels import ProductChannel
 
-    mu = focklimit._site_eigenvalues(d, site)
+    mu = np.eye(d)[0] if site is None else site.eigensystem()[0]
     letters = np.stack(zero_mean_letters(mu))
     carried = np.any((letters != 0) & (mu[:, None] + mu[None, :] > 0), axis=(1, 2))
     out = []
@@ -706,18 +720,92 @@ def test_bound_check_builds_only_carried_letter_products(d, monkeypatch):
     assert widths == [[(math.comb(3, s), letters**s) for s in (1, 2, 3)] for letters in (2 * (d - 1), d * d - 1)]
 
 
+def _diagonal_state(*mu):
+    return DensityMatrix(np.diag(mu).astype(complex))
+
+
+LETTER_RULE_STATES = {
+    "pure-2": (2, None),
+    "pure-3": (3, None),
+    "pure-4": (4, None),
+    "mixed-2": (2, random_positive_density(2, task_rng(36, 2), min_eigenvalue=0.05)),
+    "mixed-3": (3, random_positive_density(3, task_rng(36, 3), min_eigenvalue=0.05)),
+    "nearly-pure-3": (3, _nearly_pure(3, 1e-4)),
+    "rank-2-of-3": (3, _diagonal_state(0.6, 0.4, 0.0)),
+    "rank-3-of-4": (4, _diagonal_state(0.5, 0.3, 0.2, 0.0)),
+    "tiny-3": (3, _diagonal_state(1.0 - 1e-12, 1e-12, 0.0)),
+    "tiny-2": (2, _diagonal_state(1.0 - 1e-13, 1e-13)),
+}
+
+
+@pytest.mark.parametrize("name", list(LETTER_RULE_STATES))
+def test_bound_check_letters_are_the_nonzero_kernel_diagonal(name, monkeypatch):
+    # the bound check keeps the letters with K_aa > 0, which for mu >= 0 are
+    # those with a nonzero entry (i, j) where mu_i + mu_j > 0; the Fock
+    # block's relative cut drops more only where an eigenvalue sits far
+    # below it
+    d, site = LETTER_RULE_STATES[name]
+    setups, real = [], focklimit._letter_blocks
+
+    def recording(sp_fine, sp_coarse, m, threshold):
+        out = real(sp_fine, sp_coarse, m, threshold)
+        setups.append((threshold, out[0], sp_fine))
+        return out
+
+    monkeypatch.setattr(focklimit, "_letter_blocks", recording)
+    beta_bound_test(n=3, d=d, y=3.0, k=1, samples=5, state_1site=site)
+    fock = fock_block_spectrum(*depolarizing_fock_setup(d, 3.0, site), 1)
+    (cut, names, sp), (fock_cut, fock_names, _) = setups
+    assert (cut, fock_cut) == (0.0, NULL_LETTER_THRESHOLD) and fock.letter_names == fock_names
+    assert names == [sp.letter_names[a] for a in np.flatnonzero(np.real(np.diag(sp.kernel)) > 0.0)]
+    mu = np.eye(d)[0] if site is None else site.eigensystem()[0]
+    carried = [np.any((f != 0) & (mu[:, None] + mu[None, :] > 0)) for f in sp.basis]
+    assert names == [a for a, kept in zip(sp.letter_names, carried) if kept]
+    if name.startswith("tiny"):
+        assert set(fock_names) < set(names), (fock_names, names)
+    else:
+        assert fock_names == names
+
+
+def test_letters_are_set_up_in_one_place(monkeypatch):
+    # `reduced` has one caller in flab, and `_bound_grams` neither chooses
+    # letters nor whitens on its own
+    callers, bound_names = set(), set()
+    for path in sorted(Path(flab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                calls = [sub.func for sub in ast.walk(node) if isinstance(sub, ast.Call)]
+                called = {func.attr for func in calls if isinstance(func, ast.Attribute)}
+                if "reduced" in called:
+                    callers.add(f"{path.stem}.{node.name}")
+                if node.name == "_bound_grams":
+                    bound_names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    assert callers == {"focklimit._letter_blocks"}
+    assert bound_names and not bound_names & {"whiten_psd", "whitened_contraction", "reduced"}
+    cuts, real = [], focklimit._letter_blocks
+    monkeypatch.setattr(focklimit, "_letter_blocks", lambda *args: cuts.append(args[3]) or real(*args))
+    site = random_positive_density(3, task_rng(36, 3), min_eigenvalue=0.05)
+    fock_block_spectrum(*depolarizing_fock_setup(3, 2.0, site), 3)
+    assert cuts == [NULL_LETTER_THRESHOLD]
+    symmetric_sector_spectrum(None, 3, 2.0, 3, state=site)
+    assert cuts == [NULL_LETTER_THRESHOLD] * 2
+    beta_bound_test(n=4, d=3, y=3.0, k=1, samples=5, state_1site=site)
+    assert cuts == [NULL_LETTER_THRESHOLD] * 2 + [0.0]
+
+
 class _Checked(Exception):
     pass
 
 
 def _bound_estimate(monkeypatch, *args, **kwargs) -> dict:
     """The parts of the bound check's byte estimate, captured before anything
-    is built."""
+    is built; the letter setup's estimate is passed over."""
     parts = {}
 
     def capture(what, p):
-        parts.update(p)
-        raise _Checked
+        if what.startswith("bound check"):
+            parts.update(p)
+            raise _Checked
 
     with monkeypatch.context() as patch:
         patch.setattr(focklimit, "check_byte_budget", capture)
