@@ -20,18 +20,19 @@ mu/y + (1 - 1/y)/d, and its letter matrix is exactly 1/y
 Coarse-graining channels act letterwise in this picture, so their
 contraction spectra reduce to whitened eigenproblems over tensor powers of
 K: on all k-letter tuples for the limiting blocks (`fock_block_spectrum`),
-and on the symmetric tuples, a diagonal rescaling of the permanent Gram,
-for the exact finite-n spectrum on the symmetric k-local sector
-(`symmetric_sector_spectrum`).  K, K' and the pairing vanish exactly
-between letter blocks, so each splits into small problems, one per block
-sequence or block count (`_key_contraction`), all set up by
-`_letter_blocks`.  `beta_bound_test`, whose letters are set up the same
-way with the null cut at 0.0 (exactly null letters only), checks
-the sector-wise norm bound under sitewise depolarizing noise on random
-draws, measured as quadratic forms over the same key-block Grams on every
-support size, beside the exact supremum the draws sample.
-`klocal_decay_check` reads the exact decay of that supremum in y under the
-homogeneous coarse graining from the top of each sector block.
+and on the symmetric tuples, a diagonal rescaling of the permanent Gram
+over the multisets of `operators.letter_multisets`, for the exact finite-n
+spectrum on the symmetric k-local sector (`symmetric_sector_spectrum`).
+K, K' and the pairing vanish exactly between letter blocks, so each
+splits into small problems, one per block sequence or block count
+(`_key_contraction`), all set up by `_letter_blocks`.  `beta_bound_test`,
+whose letters are set up the same way with the null cut at 0.0 (exactly
+null letters only), checks the sector-wise norm bound under sitewise
+depolarizing noise on random draws, measured as quadratic forms over the
+same key-block Grams on every support size, beside the exact supremum the
+draws sample.  `klocal_decay_check` reads the exact decay of that supremum
+in y under the homogeneous coarse graining from the top of each sector
+block.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .operators import (
     DensityMatrix,
     check_byte_budget,
     dense_dim_budget,
+    letter_multisets,
     zero_mean_letters,
 )
 
@@ -75,16 +77,16 @@ class SingleParticleSpace:
 
     @classmethod
     def from_eigenvalues(cls, mu, letter_names: list[str] | None = None) -> "SingleParticleSpace":
-        """The letters and kernel at the site state diag(mu); DimensionBudgetError
-        before any letter is built if the kernel and the four letter stacks
-        alive at once (Gell-Mann, zero-mean, weighted, conjugated) would not fit."""
+        """The letters and kernel at the site state diag(mu), DimensionBudgetError
+        first if they would not fit.  Eigenvalues within d eps of 0 (relative) and
+        letter entries within 2 d eps (a mean of d entries up to sqrt(2)) are the
+        roundoff of a rank-deficient state; set to 0, null letters stay null."""
         mu = np.asarray(mu, dtype=float)
-        r = mu.size**2 - 1
-        check_byte_budget(
-            f"letter setup at d={mu.size}",
-            {f"4 stacks of {r} letters": 4 * 16 * r * mu.size**2, f"{r}-square kernel": 16 * r * r},
-        )
+        _check_letter_setup(mu.size, 1)
+        roundoff = mu.size * np.finfo(float).eps
+        mu = np.where(np.abs(mu) <= roundoff * mu.max(), 0.0, mu)
         basis = zero_mean_letters(mu)
+        basis[np.abs(basis) <= 2 * roundoff] = 0.0
         if letter_names is None:
             letter_names = [f"f{a + 1}" for a in range(len(basis))]
         if len(letter_names) != len(basis):
@@ -109,6 +111,18 @@ class SingleParticleSpace:
             letter_names=[self.letter_names[a] for a in kept],
         )
         return sub, kept
+
+
+def _check_letter_setup(d: int, spaces: int) -> None:
+    """Refuse the letter setup of `spaces` spaces at dimension d if it would
+    not fit: per space a kernel and the letter names (60 bytes a name, 128
+    with the small arrays), and the stacks alive while the last is built:
+    Gell-Mann, each earlier space's letters, zero-mean, weighted, conjugated."""
+    r, stacks = d * d - 1, spaces + 3
+    parts = {f"{stacks} stacks of {r} letters": 16 * stacks * r * d * d}
+    parts[f"{spaces} x {r}-square kernel"] = 16 * spaces * r * r
+    parts[f"{spaces} x {r} letter names"] = 128 * spaces * r
+    check_byte_budget(f"letter setup at d={d}", parts)
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -202,53 +216,26 @@ def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class _TupleBasis:
-    """Orthonormal vectors |O_u|^{-1/2} sum_{t in O_u} e_t over Sym^j: each
-    orbit O_u holds the rearrangements of one j-letter multiset u, the
-    multisets in lexicographic order.  last[u] is the largest letter of u,
-    counts[u, b] the multiplicity of letter b in u, and below[u, b] the
-    index of u minus one b among the (j - 1)-letter multisets (0 if b is
-    not in u).
-    """
-
-    last: np.ndarray
-    counts: np.ndarray
-    below: np.ndarray
-
-    @classmethod
-    def levels(cls, letters: int, top: int) -> list["_TupleBasis"]:
-        """The bases of Sym^1 to Sym^top, each grown from the one before."""
-        reps, out = np.zeros((1, 0), dtype=np.intp), []
-        for _ in range(top):
-            grown = np.hstack([np.repeat(reps, letters, axis=0), np.tile(np.arange(letters), len(reps))[:, None]])
-            grown = np.sort(grown, axis=1)
-            # a row's digits in base `letters` are its 1-D key, in lexicographic order
-            keys = grown @ letters ** np.arange(grown.shape[1])[::-1]
-            _, first, step = np.unique(keys, return_index=True, return_inverse=True)
-            below = np.zeros((len(first), letters), dtype=np.intp)
-            # w -> w + b is one to one for each letter b
-            below[step.reshape(len(reps), letters), np.arange(letters)] = np.arange(len(reps))[:, None]
-            reps = grown[first]
-            out.append(cls(reps[:, -1], (reps[:, :, None] == np.arange(letters)).sum(axis=1), below))
-        return out
-
-
-def _kron_power(mat: np.ndarray, rows: list, cols: list) -> list:
-    """R^T mat^{(x)j} C between the levels j = 1, 2, ... of two tuple bases.
+def _kron_power(mat: np.ndarray, top: int) -> list:
+    """R^T mat^{(x)j} C for j = 1, ..., top, R and C the bases |O_u|^{-1/2}
+    sum_{t in O_u} e_t of Sym^j, O_u the orderings of a `letter_multisets` u.
 
     Entry (u, v) is per(mat[u, v]) / (u! v!)^{1/2}, with u! the product of
     the factorials of the multiplicities in u.  Each degree is grown from
     the one below by expanding the permanent along the last letter a of u,
-    per(mat[u, v]) = sum_b m_v(b) mat[a, b] per(mat[u - a, v - b]), so no
-    tuple-sized array and no permanent is formed.
+    per(mat[u, v]) = sum_b m_v(b) mat[a, b] per(mat[u - a, v - b]), u - a
+    and v - b read from the tables, so no tuple-sized array and no
+    permanent is formed.
     """
+    (row_counts, row_below, rows), (col_counts, col_below, cols) = (letter_multisets(s, top) for s in mat.shape)
     out = [np.asarray(mat, dtype=complex)]
-    for row, col in zip(rows[1:], cols[1:]):
-        orbits = np.arange(len(row.last))
-        lower = out[-1][row.below[orbits, row.last]][:, col.below]
-        terms = lower * (mat[row.last][:, None, :] * np.sqrt(col.counts))
-        out.append(terms.sum(axis=2) / np.sqrt(row.counts[orbits, row.last])[:, None])
+    for j in range(2, top + 1):
+        row, col = slice(rows[j], rows[j + 1]), slice(cols[j], cols[j + 1])
+        orbits = np.arange(rows[j + 1] - rows[j])
+        last = np.max((row_counts[row] > 0) * np.arange(mat.shape[0]), axis=1, initial=0)
+        lower = out[-1][row_below[row][orbits, last] - rows[j - 1]][:, col_below[col] - cols[j - 1]]
+        terms = lower * (mat[last][:, None, :] * np.sqrt(col_counts[col]))
+        out.append(terms.sum(axis=2) / np.sqrt(row_counts[row][orbits, last])[:, None])
     return out
 
 
@@ -450,6 +437,7 @@ def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None
         raise ValueError(f"local dimension must be >= 2, got {d}")
     if state is not None and state.dim != d:
         raise ValueError(f"site state of dimension {state.dim} for local dimension {d}")
+    _check_letter_setup(d, 2)
     mu = np.eye(d)[0] if state is None else state.eigensystem()[0]
     names = ["x", "p", "z0"] if d == 2 and state is None else None
     sp_fine = SingleParticleSpace.from_eigenvalues(mu, names)
@@ -471,33 +459,27 @@ def _sector_blocks(
     per(K[u, v]) / (u! v!)^{1/2} (u! the product of the factorials of the
     letter multiplicities of u), a rescaled permanent Gram.  The factor
     c_{n,j} of all three degree-j matrices cancels after whitening, so n
-    only drops degrees above n.  Keyed by its letter block counts, a
-    multiset's matrices are Kronecker products of each block's Sym^c ones
-    (`_kron_power`; the permanents factor exactly): one `_key_contraction`
-    per degree, each checked against the byte budget, largest first,
-    before anything is built.
+    only drops degrees above n.  Keyed by its letter block counts (a
+    `letter_multisets` row), a multiset's matrices are Kronecker products
+    of each block's Sym^c ones (`_kron_power`; the permanents factor
+    exactly): one `_key_contraction` per degree, each checked against the
+    byte budget, largest first, before anything is built.
     """
     *_, blocks = _letter_blocks(sp_fine, sp_coarse, m, NULL_LETTER_THRESHOLD)
     degrees = [j for j in range(1, k + 1) if n is None or j <= n]
     top = max(degrees, default=0)
-    # factor (c, b) holds block b's Sym^c matrices.  A key lists the factors
-    # of its nonzero counts, largest count first, so that the keys of one
-    # count pattern stack
+    # factor (c, b) holds block b's Sym^c matrices.  A degree-j key lists
+    # the factors of the nonzero counts of a j-multiset of blocks, largest
+    # count first, so that the keys of one count pattern stack
     sizes = [pair.shape for _, _, pair in blocks]
     dims = {(c, b): [math.comb(s + c - 1, c) for s in sizes[b]] for b in range(len(blocks)) for c in range(1, top + 1)}
-    keys = {}
-    for j in degrees:
-        combos = itertools.combinations_with_replacement(range(len(blocks)), j)
-        counts = ([(len(list(run)), b) for b, run in itertools.groupby(combo)] for combo in combos)
-        keys[j] = [tuple(sorted(key, reverse=True)) for key in counts]
+    counts, _, start = letter_multisets(len(blocks), top)
+    multiset_keys = [tuple(sorted(((c, b) for b, c in enumerate(row) if c), reverse=True)) for row in counts.tolist()]
+    keys = {j: multiset_keys[start[j] : start[j + 1]] for j in degrees}
     for j in reversed(degrees):
         _check_key_budget(f"sector degree {j}", dims, keys[j], {})
-    bases = {s: _TupleBasis.levels(s, top) for s in set(itertools.chain(*sizes))}
-    factors = {}
-    for b, (fine, coarse, pair) in enumerate(blocks):
-        rows, cols = bases[len(fine)], bases[len(coarse)]
-        powers = (_kron_power(fine, rows, rows), _kron_power(coarse, cols, cols), _kron_power(pair, rows, cols))
-        factors.update({(c, b): mats for c, mats in enumerate(zip(*powers), start=1)})
+    powers = [zip(*(_kron_power(mat, top) for mat in block)) for block in blocks]
+    factors = {(c, b): mats for b, block in enumerate(powers) for c, mats in enumerate(block, start=1)}
     out = {}
     for j in degrees:
         groups = _key_contraction(factors, keys[j])

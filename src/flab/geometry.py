@@ -37,6 +37,7 @@ from .operators import (
     check_byte_budget,
     gns_gram,
     identical_site_state,
+    letter_multisets,
     orbit_counts,
     real_overlaps,
     state_product,
@@ -374,38 +375,25 @@ def _sub_words(n_letters: int, top: int):
 
     Returns, per entry, the flat index word * words + sub-word into the
     words-square, the degrees of the word and of the sub-word, and the
-    dropped letters padded with n_letters.  A sub-word's index is found
-    without a search: with L = n_letters, a sorted word w_1 <= ... <= w_q
-    is number C(q + L - 1, q) - 1 - r (from 0) among the words of its
-    degree in `symmetric_words` (lexicographic) order, where r = sum_p
-    C(L - 1 - w_{q-p} + p, p + 1), p = 0, ..., q - 1, is the
-    colexicographic rank of its reversed complement L - 1 - w_q <= ... <=
-    L - 1 - w_1.  Cached, so the arrays are read-only.
+    dropped letters padded with n_letters.  A sub-word is found without a
+    search, by dropping its letters one at a time through the `below`
+    table of `letter_multisets`.  Cached, so the arrays are read-only.
     """
-    size = [math.comb(j + n_letters - 1, j) for j in range(top + 1)]
-    start = np.cumsum([0] + size)
-    binom = np.array([[math.comb(a, b) for b in range(top + 2)] for a in range(n_letters + top)], dtype=np.intp)
-    words = symmetric_words(n_letters, top)
+    counts, below, start = letter_multisets(n_letters, top)
     parts = []
     for j in range(top + 1):
-        block = np.array(words[start[j] : start[j + 1]], dtype=np.intp).reshape(size[j], j)
-        # one row per subset of the j positions; kept letters keep their order
+        rows = np.arange(start[j], start[j + 1])
+        # each word's letters in ascending order, and one entry per subset
+        # of its positions, position p kept if bit p is set
+        block = np.repeat(np.tile(np.arange(n_letters), len(rows)), counts[rows].ravel()).reshape(len(rows), j)
         keep = (np.arange(2**j)[:, None] >> np.arange(j)) & 1
-        kept = keep.sum(axis=1)
-        # position of each kept letter in the reversed complement
-        p = kept[:, None] - np.cumsum(keep, axis=1)
-        rank = np.sum(keep * binom[n_letters - 1 - block[:, None, :] + p, p + 1], axis=2)
-        rows = np.arange(start[j], start[j + 1])[:, None]
-        dropped = np.where(keep == 1, n_letters, block[:, None, :])
-        dropped = np.concatenate([dropped, np.full((*dropped.shape[:2], top - j), n_letters)], axis=2)
-        parts.append(
-            (
-                (rows * start[-1] + start[kept + 1] - 1 - rank).ravel(),
-                np.full(rank.size, j),
-                np.broadcast_to(kept, rank.shape).ravel(),
-                dropped.reshape(-1, top),
-            )
-        )
+        sub = np.repeat(rows[:, None], 2**j, axis=1)
+        for p in range(j):
+            sub = np.where(keep[:, p] == 1, sub, below[sub, block[:, p, None]])
+        dropped = np.full((len(rows), 2**j, top), n_letters)
+        dropped[:, :, :j] = np.where(keep == 1, n_letters, block[:, None, :])
+        kept = np.tile(keep.sum(axis=1), len(rows))
+        parts.append(((rows[:, None] * start[-1] + sub).ravel(), np.full(sub.size, j), kept, dropped.reshape(-1, top)))
     arrays = [np.concatenate(column) for column in zip(*parts)]
     for array in arrays:
         array.flags.writeable = False
@@ -430,7 +418,8 @@ def _image_matrix(traces: np.ndarray, y: float, n: int, top: int) -> np.ndarray:
 
     zero unless u is a sub-multiset of c.  The binomials are summed, not
     computed: each subset of c's letter positions is one entry of
-    `_sub_words`.  T reads only y, n and the traces, no letter kernel.
+    `_sub_words`, u found in the `letter_multisets` table.  T reads only y,
+    n and the traces, no letter kernel.
     """
     index, degree, kept, dropped = _sub_words(len(traces), top)
     shift = np.append((1.0 - 1.0 / y) * np.asarray(traces, dtype=float), 1.0)

@@ -368,9 +368,9 @@ def symmetric_word_values(words, letters, n: int) -> np.ndarray:
     identity (delta_l = 1 on diagonal labels) on the other sites.  So each
     off-diagonal site takes a letter, and a word vanishes, whatever its
     letters, on the orbits with more such sites than its degree.  The
-    polynomial, truncated at the words' top degree, is multiplied up one
-    site factor at a time along `_orbit_levels`, so no dense entry is ever
-    formed.
+    polynomial, truncated at the words' top degree, its monomials indexed by
+    `letter_multisets`, is multiplied up one site factor at a time along
+    `_orbit_levels`, so no dense entry is ever formed.
     """
     words = [tuple(sorted(w)) for w in words]
     letters = np.asarray(letters, dtype=complex)
@@ -404,22 +404,21 @@ def _monomial_tables(n_letters: int, top: int):
     """The recurrence of `symmetric_word_values` over the monomials of
     `symmetric_words(n_letters, top)`: their index by letter multiset, and
     (monomials, max(top, 1)) tables by which monomial i is monomial
-    source[i, r] times x_t for each distinct letter t = lead[i, r] of it
-    (unused slots take the zero row n_letters past the letters), and each
-    monomial's prod_t c_t!.  Cached, so the arrays are read-only and the
-    index and multiplicities must not be modified.
+    source[i, r] times x_t for each distinct letter t = lead[i, r] of it,
+    ascending (unused slots take the zero row n_letters past the letters),
+    and each monomial's prod_t c_t!, all read from `letter_multisets`.
+    Cached, so the arrays are read-only and the index must not be modified.
     """
-    monomials = symmetric_words(n_letters, top)
-    index = {w: i for i, w in enumerate(monomials)}
-    width = max(top, 1)
-    source = np.zeros((len(monomials), width), dtype=np.intp)
-    lead = np.full((len(monomials), width), n_letters)
-    for i, mono in enumerate(monomials):
-        for r, t in enumerate(sorted(set(mono))):
-            at = mono.index(t)
-            source[i, r], lead[i, r] = index[mono[:at] + mono[at + 1 :]], t
-    source.flags.writeable = lead.flags.writeable = False
-    multiplicity = tuple(math.prod(math.factorial(w.count(t)) for t in set(w)) for w in monomials)
+    counts, below, _ = letter_multisets(n_letters, top)
+    index = {w: i for i, w in enumerate(symmetric_words(n_letters, top))}
+    mono, letter = np.nonzero(counts)
+    slot = np.cumsum(counts > 0, axis=1)[mono, letter] - 1
+    source = np.zeros((len(counts), max(top, 1)), dtype=np.intp)
+    lead = np.full(source.shape, n_letters)
+    source[mono, slot], lead[mono, slot] = below[mono, letter], letter
+    factorials = np.array([math.factorial(c) for c in range(top + 1)])
+    multiplicity = np.prod(factorials[counts], axis=1)
+    source.flags.writeable = lead.flags.writeable = multiplicity.flags.writeable = False
     return index, source, lead, multiplicity
 
 
@@ -452,6 +451,35 @@ def symmetric_words(n_letters: int, max_degree: int) -> list[tuple[int, ...]]:
     for degree in range(1, max_degree + 1):
         words.extend(itertools.combinations_with_replacement(range(n_letters), degree))
     return words
+
+
+@functools.lru_cache(maxsize=16)
+def letter_multisets(n_letters: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one index of the letter multisets of `symmetric_words(n_letters,
+    top)`, in that order: counts[u, b], the multiplicity of letter b in u;
+    below[u, b], the index of u minus one b (if b is not in u, of the first
+    multiset one degree down; 0 for the empty multiset); and start, the
+    index of the first multiset of each degree 0, ..., top + 1.  Cached, so
+    the arrays are read-only.
+    """
+    # degree j grows from j - 1 by a letter t no smaller than the largest, in
+    # lexicographic order; for b != t, u - b = (u - t - b) + t is a key of j - 1
+    counts, below = [np.zeros((1, n_letters), dtype=np.int64)], [np.zeros((1, n_letters), dtype=np.intp)]
+    largest = keys = np.zeros(1, dtype=np.intp)
+    for _ in range(top):
+        parent, label = np.nonzero(np.arange(n_letters) >= largest[:, None])
+        rows = np.arange(len(parent))
+        level = counts[-1][parent]
+        level[rows, label] += 1
+        lower = np.searchsorted(keys, below[-1][parent] * n_letters + label[:, None])
+        lower[rows, label] = parent
+        counts.append(level)
+        below.append(np.where(level > 0, lower, 0))
+        largest, keys = label, parent * n_letters + label
+    start = np.cumsum([0] + [len(level) for level in counts])
+    counts, below = np.concatenate(counts), np.concatenate([b + s for b, s in zip(below, [0, *start[:-2]])])
+    counts.flags.writeable = below.flags.writeable = start.flags.writeable = False
+    return counts, below, start
 
 
 def word_label(word: tuple[int, ...]) -> str:

@@ -1,8 +1,11 @@
 """The benchmark's workloads import everything they use from flab, and pass
 their own correctness checks."""
 
+import ast
 import importlib
 from pathlib import Path
+
+from flab import cli, focklimit, geometry
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -27,3 +30,18 @@ def test_benchmark_checks_pass_at_seed_1(monkeypatch, tmp_path):
         assert checks, name
         failed = [f"{check.name}: {check.detail}" for check in checks if not check.ok]
         assert not failed, (name, failed)
+
+
+def test_benchmark_reads_only_existing_flab_attributes():
+    # the traced replays (--trace 1) call flab functions that the untraced
+    # pass above never reaches, so a renamed one would only show when the
+    # benchmark is traced
+    modules = {"cli": cli, "focklimit": focklimit, "geometry": geometry}
+    reads, missing = 0, []
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                reads += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert reads and not missing, missing

@@ -176,8 +176,9 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
     # the pure qutrit at y = 1, k = 2: 4 keys of 4 fine and 4 coarse tuples
     # with the 16-square coefficients need 10240 bytes, over the 16 * 25**2
     # of FLAB_MAX_DIM = 25; refused before any key stack is built, with no
-    # report.  At 15 the letter setup (four stacks of the 8 letters and
-    # their kernel, 5632 bytes) refuses it before any letter is built
+    # report.  At 15 the letter setup (five stacks of the 8 letters with
+    # the two kernels and letter names, 9856 bytes) refuses it before any
+    # letter is built
     from flab import focklimit
 
     def nothing_built(*args, **kwargs):
@@ -187,7 +188,7 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.json"
     with monkeypatch.context() as spy:
         spy.setattr(focklimit, "_kron_stack", nothing_built)
-        refusals = {"25": "Fock block 2 needs an estimated 10240 bytes", "15": "letter setup at d=3 needs an estimated 5632 bytes"}
+        refusals = {"25": "Fock block 2 needs an estimated 10240 bytes", "15": "letter setup at d=3 needs an estimated 9856 bytes"}
         for budget, message in refusals.items():
             spy.setenv("FLAB_MAX_DIM", budget)
             assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
@@ -206,8 +207,8 @@ def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
     ],
 )
 def test_letter_setup_is_refused_before_any_letter_is_built(tmp_path, monkeypatch, capsys, experiment, config):
-    # at d = 30 the letter setup, four stacks of the 899 letters and their
-    # kernel, takes about 62 MiB (a traced peak of 49 to 87 MiB when it was
+    # at d = 30 the letter setup of one space (clt) or two (fock and
+    # bound-check) takes about 62 or 87 MiB (the traced peaks when it was
     # built before any check); with a 64-byte budget each experiment exits
     # 2 having built no letter
     monkeypatch.setenv("FLAB_MAX_DIM", "2")

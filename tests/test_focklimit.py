@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from flab.operators import (
     DensityMatrix,
     QuditSystem,
     basis_pure_density,
+    gell_mann_basis,
     product_density,
     single_site_zero_mean_basis,
     symmetric_word_operator,
@@ -450,14 +452,14 @@ def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
             spy.setattr(focklimit, name, no_allocation)
         with pytest.raises(DimensionBudgetError, match="Fock block 2 needs an estimated 45448 bytes .16 key stacks"):
             fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2)
-        # at 15 the letter setup, four stacks of the 8 letters and their
-        # kernel, is refused before the r**k cap
+        # at 15 the letter setup, five stacks of the 8 letters with the two
+        # kernels and letter names, is refused before the r**k cap
         spy.setenv("FLAB_MAX_DIM", "15")
-        with pytest.raises(DimensionBudgetError, match="letter setup at d=3 needs an estimated 5632 bytes"):
+        with pytest.raises(DimensionBudgetError, match="letter setup at d=3 needs an estimated 9856 bytes"):
             fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
-        # the pure qubit's letter setup, 912 bytes, fits 16 * 8**2, and the
+        # the pure qubit's letter setup, 2016 bytes, fits 16 * 12**2, and the
         # r**k cap refuses its 2**4 fine tuples
-        spy.setenv("FLAB_MAX_DIM", "8")
+        spy.setenv("FLAB_MAX_DIM", "12")
         with pytest.raises(DimensionBudgetError, match="fine tuple dimension 2\\*\\*4"):
             fock_block_spectrum(*depolarizing_fock_setup(2, 2.0), 4)
     monkeypatch.setenv("FLAB_MAX_DIM", "54")
@@ -767,6 +769,41 @@ def test_bound_check_letters_are_the_nonzero_kernel_diagonal(name, monkeypatch):
         assert fock_names == names
 
 
+@pytest.mark.parametrize("diagonal", [(1.0, 0.0, 0.0, 0.0), (0.6, 0.4, 0.0)], ids=["rank-1-of-4", "rank-2-of-3"])
+def test_rotated_rank_deficient_states_carry_no_roundoff_letters(diagonal):
+    # eigh returns the zero eigenvalues of a rotated rank-deficient state as
+    # +-1e-16, and the others sum to 1 only within roundoff; unless the
+    # letter setup zeroes both, the cut 0.0 carries letters of roundoff
+    # weight (9 to 15 of the 15 ququart letters here, for 6)
+    d, y = len(diagonal), 3.0
+    unrotated = beta_bound_test(n=2, d=d, y=y, k=1, samples=50, state_1site=_diagonal_state(*diagonal))
+    for i in range(6):
+        u = haar_unitary(d, task_rng(8, i))
+        site = DensityMatrix(u @ np.diag(diagonal) @ u.conj().T)
+        setup = depolarizing_fock_setup(d, y, site)
+        assert focklimit._letter_blocks(*setup, 0.0)[0] == fock_block_spectrum(*setup, 1).letter_names
+        got = beta_bound_test(n=2, d=d, y=y, k=1, samples=50, state_1site=site)
+        for key in ("supremum", "max_ratio_sq"):
+            assert abs(got[key] - unrotated[key]) <= 1e-12, (i, key, got[key], unrotated[key])
+
+
+@pytest.mark.parametrize("d", [20, 30])
+def test_letter_setup_estimate_bounds_its_traced_peak(monkeypatch, d):
+    # the fine space's letters, kernel and names stay alive while the coarse
+    # space is built (86.5 MiB at d = 30; one space's four stacks and kernel
+    # counted 61.7).  The setup builds the Gell-Mann stack it counts
+    estimates = []
+    monkeypatch.setattr(focklimit, "check_byte_budget", lambda what, parts: estimates.append(sum(parts.values())))
+    gell_mann_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        depolarizing_fock_setup(d, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.99 * estimates[0] < peak <= estimates[0], (peak, estimates)
+
+
 def test_letters_are_set_up_in_one_place(monkeypatch):
     # `reduced` has one caller in flab, and `_bound_grams` neither chooses
     # letters nor whitens on its own
@@ -960,7 +997,7 @@ def test_symmetric_kron_power_is_the_orbit_restriction():
     # non-square A as in a block's pairing, and for no coarse letters
     rng = task_rng(20261018, 5)
     a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    powers = focklimit._kron_power(a, focklimit._TupleBasis.levels(3, 3), focklimit._TupleBasis.levels(4, 3))
+    powers = focklimit._kron_power(a, 3)
     for j, got in enumerate(powers, start=1):
 
         def isometry(letters):
@@ -974,13 +1011,13 @@ def test_symmetric_kron_power_is_the_orbit_restriction():
         for _ in range(j):
             power = np.kron(power, a)
         assert_close(got, isometry(3).T @ power @ isometry(4), tol=1e-13, what=f"j={j}")
-    empty = focklimit._kron_power(a[:, :0], focklimit._TupleBasis.levels(3, 3), focklimit._TupleBasis.levels(0, 3))
-    assert [block.shape for block in empty] == [(3, 0), (6, 0), (10, 0)]
+    assert [block.shape for block in focklimit._kron_power(a[:, :0], 3)] == [(3, 0), (6, 0), (10, 0)]
+    assert [block.shape for block in focklimit._kron_power(a[:0, :0], 3)] == [(0, 0)] * 3
 
 
 @pytest.mark.parametrize(
     "y, k, allowed, what",
-    [(2.0, 3, 12, "2048 bytes .1 key stacks 768 bytes"), (1.0, 2, 9, "1152 bytes .1 key stacks 432 bytes")],
+    [(2.0, 4, 15, "3200 bytes .1 key stacks 1200 bytes"), (1.0, 5, 17, "4608 bytes .1 key stacks 1728 bytes")],
     ids=["certified", "uncertified"],
 )
 def test_sector_budget_refused_before_building(monkeypatch, y, k, allowed, what):
@@ -989,7 +1026,7 @@ def test_sector_budget_refused_before_building(monkeypatch, y, k, allowed, what)
     # sides, whether the coarse kernel is faithful (y = 2, "certified") or
     # singular (y = 1).  The top degree, checked first, needs
     # 16 * (3 + 5) * (j + 1)**2 bytes, between 16 * (allowed - 1)**2 and
-    # 16 * allowed**2
+    # 16 * allowed**2; the letter setup, 2016 bytes, fits both
     def nothing_built(*args, **kwargs):
         raise AssertionError("sector arrays built before the budget check")
 

@@ -367,20 +367,20 @@ def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
 
 
 def test_klocal_decay_check_refused_before_building(monkeypatch):
-    # pure qubit at y = 2: degree 3, the top block of k_max = 2, is one key
-    # of 4 multisets on both sides (x and p with the 2 coarse letters the
-    # pairing reaches), 16 * 8 * 4**2 = 2048 bytes, over the 16 * 11**2 =
-    # 1936 of FLAB_MAX_DIM = 11; every degree is refused before any block
-    # is built
+    # pure qubit at y = 2: degree 4, the top block of k_max = 3, is one key
+    # of 5 multisets on both sides (x and p with the 2 coarse letters the
+    # pairing reaches), 16 * 8 * 5**2 = 3200 bytes, over the 16 * 14**2 =
+    # 3136 of FLAB_MAX_DIM = 14, which the letter setup's 2016 bytes fit;
+    # every degree is refused before any block is built
     def nothing_built(*args, **kwargs):
         raise AssertionError("sector arrays built before the budget check")
 
-    monkeypatch.setenv("FLAB_MAX_DIM", "11")
+    monkeypatch.setenv("FLAB_MAX_DIM", "14")
     with monkeypatch.context() as spy:
         for name in ("_kron_power", "_kron_stack", "whiten_psd"):
             spy.setattr(focklimit, name, nothing_built)
-        with pytest.raises(DimensionBudgetError, match="sector degree 3 needs an estimated 2048 bytes"):
-            klocal_decay_check(4, 2, [2.0, 3.0], k_max=2)
+        with pytest.raises(DimensionBudgetError, match="sector degree 4 needs an estimated 3200 bytes"):
+            klocal_decay_check(4, 2, [2.0, 3.0], k_max=3)
     assert set(klocal_decay_check(4, 2, [2.0, 3.0], k_max=1)["k"]) == {0, 1}
 
 

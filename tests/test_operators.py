@@ -1,11 +1,15 @@
 """Operator construction, tensor bookkeeping, and symmetric word sums."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flab
+from flab import focklimit
 from flab.errors import DimensionBudgetError, NumericalError
 from flab.operators import (
     PRODUCT_STATE_TOL,
@@ -19,6 +23,7 @@ from flab.operators import (
     entry_orbits,
     gell_mann_basis,
     identical_site_state,
+    letter_multisets,
     orbit_counts,
     product_density,
     pure_state_density,
@@ -237,6 +242,50 @@ def test_symmetric_words_and_labels():
     assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
     assert word_label(()) == "1"
     assert word_label((0, 1, 1)) == "f0*f1*f1"
+
+
+@pytest.mark.parametrize("letters", [0, 1, 3, 8, 15])
+def test_letter_multisets_against_brute_force(letters):
+    for top in range(5):
+        counts, below, start = letter_multisets(letters, top)
+        words = [()]
+        for degree in range(1, top + 1):
+            words += itertools.combinations_with_replacement(range(letters), degree)
+        assert counts.shape == below.shape == (len(words), letters)
+        assert start.tolist() == [sum(len(w) < j for w in words) for j in range(top + 2)]
+        for u, word in enumerate(words):
+            assert counts[u].tolist() == [word.count(b) for b in range(letters)]
+            for b in set(word):
+                rest = list(word)
+                rest.remove(b)
+                assert words[below[u, b]] == tuple(rest), (letters, top, word, b)
+            # a letter not in the word points at the first word one degree down
+            absent = [below[u, b] for b in range(letters) if b not in word]
+            assert not word or set(absent) <= {start[len(word) - 1]}
+        assert not any(array.flags.writeable for array in (counts, below, start))
+
+
+def test_letter_multisets_are_enumerated_in_operators_only():
+    # the Sym^j bases, the sector keys, the word-value recurrence and the
+    # sub-words of the image matrix all read `letter_multisets`
+    assert not hasattr(focklimit, "_TupleBasis")
+    readers = {"_kron_power", "_sector_blocks", "_sub_words", "_monomial_tables"}
+    for path in sorted(Path(flab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        names |= {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+        if path.stem in ("focklimit", "geometry"):
+            assert not names & {"combinations_with_replacement", "groupby", "unique"}, path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in readers:
+                readers.remove(node.name)
+                used = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+                assert "letter_multisets" in used, node.name
+                attributes = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+                # no colex rank of the sub-words, no loop over the monomials
+                assert node.name != "_sub_words" or "comb" not in attributes
+                assert node.name != "_monomial_tables" or not any(isinstance(sub, ast.For) for sub in ast.walk(node))
+    assert not readers, readers
 
 
 def test_fluctuation_operator_scaling_and_mean_check():
