@@ -36,6 +36,7 @@ from .geometry import check_dense_sector_budget, symmetric_sector_dense_spectrum
 from .lattice import (
     RingLattice,
     continuum_mode_multiplier,
+    dispersion_bound,
     lattice_mode_multiplier,
     high_momentum_suppression_probe,
     mode_contractions,
@@ -108,6 +109,9 @@ def _float_list(params: dict, key: str):
         out.append(float(v))
     if not out:
         raise ConfigError(f"config key {key!r} must not be empty")
+    # every value list feeds a trend over its values
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ConfigError(f"config key {key!r} must be strictly increasing")
     return out
 
 
@@ -289,29 +293,44 @@ def run_lattice(params: dict) -> Report:
     seed = _seed(params)
     report = Report("lattice", params, seed)
 
-    mode_rows = []
+    # one pass over the modes of every sigma: each mode's lattice and
+    # continuum multipliers feed the mode table, the closed-form and
+    # low-momentum checks and the dispersion bound
+    mode_rows, disp_rows = [], []
     formula_gap = 0.0
     exponent_gaps = []
+    disp_detail = ""
     for sigma in sigma_list:
+        max_gap = bound_at_max = 0.0
+        failure = ""
         for m, contraction in mode_contractions(lattice, sigma, y).items():
-            formula = lattice_mode_multiplier(lattice, sigma, m) / y
-            cont = continuum_mode_multiplier(sigma, lattice.momentum(m)) / y
+            p = lattice.momentum(m)
+            lat = lattice_mode_multiplier(lattice, sigma, m)
+            cont = continuum_mode_multiplier(sigma, p)
             mode_rows.append(
                 {
                     "sigma": sigma,
                     "mode": m,
-                    "momentum": lattice.momentum(m),
+                    "momentum": p,
                     "contraction": contraction,
-                    "closed_form": formula,
-                    "continuum": cont,
+                    "closed_form": lat / y,
+                    "continuum": cont / y,
                 }
             )
-            formula_gap = max(formula_gap, abs(contraction - formula))
-            u = abs(lattice.momentum(m)) * spacing
+            formula_gap = max(formula_gap, abs(contraction - lat / y))
+            u = abs(p) * spacing
             if 0 < u <= 0.5:
                 a = (sigma / spacing) ** 2 * (1.0 - math.cos(u))
-                b = 0.5 * (sigma * lattice.momentum(m)) ** 2
+                b = 0.5 * (sigma * p) ** 2
                 exponent_gaps.append(abs(a - b) / b)
+            gap, allowance = abs(lat - cont), dispersion_bound(lattice, sigma, m) + 1e-12
+            if gap > allowance and not failure:
+                failure = f"mode {m}: multiplier gap {gap:.3e} exceeds dispersion bound {allowance:.3e}"
+            if gap > max_gap:
+                max_gap, bound_at_max = gap, allowance
+        disp_rows.append({"sigma": sigma, "max_gap": max_gap, "bound_at_max": bound_at_max})
+        # the detail names the first failing mode of the last failing sigma
+        disp_detail = failure or disp_detail
     report.add_table("modes", mode_rows)
     report.add_assertion(
         "mode-contraction-matches-closed-form",
@@ -330,63 +349,33 @@ def run_lattice(params: dict) -> Report:
     )
 
     probe_rows = []
-    bound_ok, bound_detail = True, ""
+    bound_detail = ""
+    degrees = [(1, probe_samples), (2, pair_samples)] if pair_probe else [(1, probe_samples)]
+    keys = ("k", "max_contraction", "mode_bound", "gaussian_claim")
     for sigma in sigma_list:
-        try:
-            out = high_momentum_suppression_probe(lattice, sigma, y, cutoff, 1, samples=probe_samples, seed=seed)
-            probe_rows.append(
-                {
-                    "sigma": sigma,
-                    "k": 1,
-                    "max_contraction": out["max_contraction"],
-                    "mode_bound": out["mode_bound"],
-                    "gaussian_claim": out["gaussian_claim"],
-                }
-            )
-        except NumericalError as exc:
-            bound_ok, bound_detail = False, str(exc)
-        if pair_probe:
-            out2 = high_momentum_suppression_probe(lattice, sigma, y, cutoff, 2, samples=pair_samples, seed=seed)
-            probe_rows.append(
-                {
-                    "sigma": sigma,
-                    "k": 2,
-                    "max_contraction": out2["max_contraction"],
-                    "mode_bound": None,
-                    "gaussian_claim": out2["gaussian_claim"],
-                }
-            )
+        for k, samples in degrees:
+            out = high_momentum_suppression_probe(lattice, sigma, y, cutoff, k, samples=samples, seed=seed)
+            probe_rows.append({"sigma": sigma} | {key: out[key] for key in keys})
+            # absolute allowance: semigroup entries from the eigendecomposition
+            # carry machine-level noise, so bounds far below it are unobservable
+            if k == 1 and out["max_contraction"] > out["mode_bound"] * (1.0 + 1e-10) + 1e-13:
+                bound_detail = (
+                    f"high-momentum contraction {out['max_contraction']:.6e} exceeds the "
+                    f"mode bound {out['mode_bound']:.6e}"
+                )
     report.add_table("high_momentum", probe_rows)
-    report.add_assertion("high-momentum-mode-bound", bound_ok, bound_detail)
-
-    disp_ok, disp_detail = True, ""
-    disp_rows = []
-    for sigma in sigma_list:
-        try:
-            out = swap_factorization_probe(lattice, sigma, 1)
-            disp_rows.append(
-                {"sigma": sigma, "max_gap": out["max_gap"], "bound_at_max": out["bound_at_max"]}
-            )
-        except NumericalError as exc:
-            disp_ok, disp_detail = False, str(exc)
+    report.add_assertion("high-momentum-mode-bound", not bound_detail, bound_detail)
     report.add_table("dispersion", disp_rows)
-    report.add_assertion("multiplier-gap-within-dispersion-bound", disp_ok, disp_detail)
+    report.add_assertion("multiplier-gap-within-dispersion-bound", not disp_detail, disp_detail)
 
     if pair_probe:
         pair_rows = []
-        sups = []
+        keys = ("sigma_over_eps", "sup_deviation", "word_count")
         for sigma in sigma_list:
-            out = swap_factorization_probe(lattice, sigma, 2)
-            sups.append(out["sup_deviation"])
-            pair_rows.append(
-                {
-                    "sigma": sigma,
-                    "sigma_over_eps": sigma / spacing,
-                    "sup_deviation": out["sup_deviation"],
-                    "word_count": out["word_count"],
-                }
-            )
+            out = swap_factorization_probe(lattice, sigma)
+            pair_rows.append({"sigma": sigma} | {key: out[key] for key in keys})
         report.add_table("pair_independence", pair_rows)
+        sups = [row["sup_deviation"] for row in pair_rows]
         if len(sups) >= 2:
             mono = all(b < a for a, b in zip(sups, sups[1:]))
             report.add_assertion(
@@ -410,15 +399,18 @@ def run_clt(params: dict) -> Report:
     all_ok = True
     details = []
     for degree, word in ((1, (letter,)), (2, (letter, letter))):
-        try:
-            data = clt_convergence(sp, word, word, n_list)
-            for n, dev in zip(data["n_list"], data["deviations"]):
-                rows.append({"degree": degree, "n": n, "deviation": dev})
-            if data["rate"] is not None:
-                details.append(f"degree {degree} rate {data['rate']:.3f}")
-        except NumericalError as exc:
+        data = clt_convergence(sp, word, word, n_list)
+        devs, rate = data["deviations"], data["rate"]
+        rows.extend({"degree": degree, "n": n, "deviation": dev} for n, dev in zip(data["n_list"], devs))
+        rises = [(a, b) for a, b in zip(devs, devs[1:]) if b > a * (1.0 + 1e-12) + 1e-300]
+        if rises:
             all_ok = False
-            details.append(f"degree {degree}: {exc}")
+            details.append(f"degree {degree}: finite-n deviations increased: {rises[0][0]:.3e} -> {rises[0][1]:.3e}")
+        elif rate is not None and degree == 2 and abs(rate + 1.0) > 0.2:
+            all_ok = False
+            details.append(f"degree 2: degree-2 convergence rate {rate:.3f} outside -1 +- 0.2")
+        elif rate is not None:
+            details.append(f"degree {degree} rate {rate:.3f}")
     report.add_table("convergence", rows)
     report.add_assertion(
         "word-metric-converges-at-one-over-n", all_ok, "; ".join(details)

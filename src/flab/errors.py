@@ -14,4 +14,9 @@ class DimensionBudgetError(FlabError):
 
 
 class NumericalError(FlabError):
-    """A numerical precondition failed (non-PSD metric, ill-conditioned Gram, ...)."""
+    """A numerical precondition failed (non-PSD metric, ill-conditioned Gram, ...).
+
+    Never a verdict: a bound, rate or trend that does not hold is a failed
+    report assertion (exit 1), judged by the experiment's runner.  This
+    error is exit 3.
+    """

@@ -183,10 +183,11 @@ def limiting_inner(sp: SingleParticleSpace, u, v) -> complex:
 def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
     """Convergence of finite-n word inner products to the permanent limit.
 
-    Returns the deviation sequence and its fitted log-log rate in n, and
-    asserts that deviations never increase.  For degree-2 words the
-    deviation is (1 - c_{n,2}) |per| = |per| / n, so the fitted rate is -1;
-    that is asserted within +-0.2 whenever the deviations are nonzero.
+    Returns the deviation sequence and its fitted log-log rate in n (None
+    when a deviation is zero).  For degree-2 words the deviation is
+    (1 - c_{n,2}) |per| = |per| / n, so the rate is -1; that the deviations
+    never increase and the rate is near -1 is judged by `flab clt`.
+    ValueError only for an n_list that is not strictly increasing.
     """
     u, v = tuple(u), tuple(v)
     n_list = [int(n) for n in n_list]
@@ -195,18 +196,9 @@ def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
     limit = limiting_inner(sp, u, v)
     finite = [finite_n_inner(sp, u, v, n) for n in n_list]
     deviations = [abs(f - limit) for f in finite]
-    for prev, nxt in zip(deviations, deviations[1:]):
-        if nxt > prev * (1.0 + 1e-12) + 1e-300:
-            raise NumericalError(
-                f"finite-n deviations increased: {prev:.3e} -> {nxt:.3e}"
-            )
     rate = None
     if all(dev > 1e-300 for dev in deviations):
         rate = float(np.polyfit(np.log(n_list), np.log(deviations), 1)[0])
-        if len(u) == 2 and abs(rate + 1.0) > 0.2:
-            raise NumericalError(
-                f"degree-2 convergence rate {rate:.3f} outside -1 +- 0.2"
-            )
     return {
         "n_list": n_list,
         "finite": finite,

@@ -393,7 +393,8 @@ def _sub_words(n_letters: int, top: int):
         dropped = np.full((len(rows), 2**j, top), n_letters)
         dropped[:, :, :j] = np.where(keep == 1, n_letters, block[:, None, :])
         kept = np.tile(keep.sum(axis=1), len(rows))
-        parts.append(((rows[:, None] * start[-1] + sub).ravel(), np.full(sub.size, j), kept, dropped.reshape(-1, top)))
+        index = (rows[:, None] * start[-1] + sub).ravel()
+        parts.append((index, np.full(sub.size, j), kept, dropped.reshape(sub.size, top)))
     arrays = [np.concatenate(column) for column in zip(*parts)]
     for array in arrays:
         array.flags.writeable = False

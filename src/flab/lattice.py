@@ -14,6 +14,11 @@ momentum.  No semigroup is assembled: the cached walker eigendecompositions
 are applied to all plane waves or draws at once, and to the swap probe's
 pair words in groups of Bloch blocks of similar word count, so L is limited
 only by the byte budget of the block eigh and the probes' words.
+
+The probes measure and return their bounds next to the measurements; the
+`flab lattice` runner judges them.  NumericalError here means only a failed
+numerical precondition (a profile sampled to complex values, a site factor
+reaching 1), never a bound that did not hold.
 """
 
 from __future__ import annotations
@@ -170,10 +175,10 @@ def high_momentum_suppression_probe(
     on momenta >= cutoff) are contracted through the swap semigroup and
     the letter's depolarizing factor y^{-k}.  For k=1 the exact single-mode
     analysis gives the hard bound
-    y^{-1} e^{-(sigma/eps)^2 (1 - cos(cutoff eps))}, which is asserted; for
-    k=2 only the measured maximum is reported, next to the Gaussian-limit
-    value y^{-k} e^{-k sigma^2 cutoff^2 / 2} the construction aims at.  The
-    profiles are one draw, evolved at once.  A k=2 word f_i g_j enters the
+    y^{-1} e^{-(sigma/eps)^2 (1 - cos(cutoff eps))}, returned as `mode_bound`
+    for the caller to judge; for k=2 only the measured maximum is returned,
+    next to the Gaussian-limit value y^{-k} e^{-k sigma^2 cutoff^2 / 2} the
+    construction aims at.  The profiles are one draw, evolved at once.  A k=2 word f_i g_j enters the
     Bloch blocks by one FFT over i of f_i g_{i+r}, and both norms are taken
     blockwise.
     """
@@ -194,14 +199,6 @@ def high_momentum_suppression_probe(
         ratios = np.linalg.norm(evolved, axis=0) / norms[kept] / y
         u = cutoff * lattice.spacing
         hard_bound = math.exp(-((sigma / lattice.spacing) ** 2) * (1.0 - math.cos(u))) / y
-        max_contraction = ratios.max()
-        # absolute allowance: semigroup entries from the eigendecomposition
-        # carry machine-level noise, so bounds far below it are unobservable
-        if max_contraction > hard_bound * (1.0 + 1e-10) + 1e-13:
-            raise NumericalError(
-                f"high-momentum contraction {max_contraction:.6e} exceeds the "
-                f"mode bound {hard_bound:.6e}"
-            )
     else:
         L = lattice.n_sites
         draws = _high_mode_profiles(modes, waves, rng, 2 * samples)
@@ -325,40 +322,18 @@ def continuum_inner_convergence(
     }
 
 
-def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int) -> dict:
-    """Swap-diffusion against independent Gaussian smoothing, degree by degree.
+def swap_factorization_probe(lattice: RingLattice, sigma: float) -> dict:
+    """Two-walker swap diffusion against independent Gaussian smoothing.
 
-    j=1: every sub-Nyquist mode's lattice multiplier is compared with the
-    continuum smoother multiplier and the gap is asserted to sit within the
-    fourth-order dispersion bound.  j=2: over a fixed panel of mode pairs
-    (momenta below half Nyquist), pair words evolved by the two-walker swap
-    semigroup are compared entrywise with the independent-mode prediction
-    s_{q1} s_{q2} within each Bloch block (words of different total momentum
-    pair to zero), one `pair_apply` per group of blocks of similar word
-    count; the supremum deviation is reported, not asserted.
+    Over a fixed panel of mode pairs (momenta below half Nyquist), pair
+    words evolved by the two-walker swap semigroup are compared entrywise
+    with the independent-mode prediction s_{q1} s_{q2} within each Bloch
+    block (words of different total momentum pair to zero), one
+    `pair_apply` per group of blocks of similar word count.  The supremum
+    deviation is returned; judging it is left to the caller.  The one-walker
+    comparison, each mode's multiplier against the continuum smoother, is
+    the per-mode pass of `flab lattice`.
     """
-    if j == 1:
-        worst_gap = 0.0
-        worst_allowance = 0.0
-        table = []
-        for m in lattice.mode_indices():
-            if abs(m) == lattice.n_sites // 2:
-                continue
-            lat = lattice_mode_multiplier(lattice, sigma, m)
-            cont = continuum_mode_multiplier(sigma, lattice.momentum(m))
-            gap = abs(lat - cont)
-            allowance = dispersion_bound(lattice, sigma, m) + 1e-12
-            table.append({"mode": m, "lattice": lat, "continuum": cont, "gap": gap})
-            if gap > allowance:
-                raise NumericalError(
-                    f"mode {m}: multiplier gap {gap:.3e} exceeds dispersion bound {allowance:.3e}"
-                )
-            if gap > worst_gap:
-                worst_gap, worst_allowance = gap, allowance
-        return {"j": 1, "max_gap": worst_gap, "bound_at_max": worst_allowance, "modes": table}
-    if j != 2:
-        raise ValueError(f"probe degree must be 1 or 2, got {j}")
-
     L = lattice.n_sites
     sd = SwapDiffusion(lattice, sigma)
     panel = [m for m in lattice.mode_indices() if abs(lattice.momentum(m)) < 0.5 * lattice.nyquist]
@@ -404,7 +379,6 @@ def swap_factorization_probe(lattice: RingLattice, sigma: float, j: int) -> dict
         deviation = left @ sd.pair_apply(C, keys[group]) - (left @ C) * pred[:, None, :]
         sup_dev = max(sup_dev, float(np.max(np.abs(deviation))))
     return {
-        "j": 2,
         "sigma_over_eps": sigma / lattice.spacing,
         "panel_modes": panel,
         "word_count": len(words),

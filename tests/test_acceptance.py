@@ -241,7 +241,7 @@ def test_criterion_7_site_product_converges(record_criterion):
 def test_criterion_8_pair_factorization_improves(record_criterion):
     t0 = time.monotonic()
     lattice = RingLattice(24, 1.0)
-    devs = [swap_factorization_probe(lattice, s, 2)["sup_deviation"] for s in (2.0, 4.0, 8.0)]
+    devs = [swap_factorization_probe(lattice, s)["sup_deviation"] for s in (2.0, 4.0, 8.0)]
     elapsed = time.monotonic() - t0
     ok = devs[0] > devs[1] > devs[2]
     seq = ", ".join(f"{d:.3e}" for d in devs)

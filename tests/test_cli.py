@@ -1,7 +1,10 @@
 """Command-line entry: configs, exit codes, determinism of reports."""
 
+import ast
+import inspect
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from flab import cli
 from flab.cli import main, run_experiment
 from flab.errors import ConfigError
+from flab.lattice import RingLattice, continuum_mode_multiplier, lattice_mode_multiplier
 
 
 def write_config(tmp_path, name, payload):
@@ -119,8 +123,17 @@ def test_lattice_limits_are_config_errors(tmp_path, capsys, monkeypatch, overrid
         ("compare", {"d": 2, "y": 2.0, "k": 2, "n_list": []}),
         ("clt", {"n_list": [4]}),  # one size: no rate to fit
         ("lattice", {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": []}),
+        # the pair check reads deviations in list order as smoothing grows
+        ("lattice", {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [4.0, 2.0]}),
+        ("lattice", {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0, 2.0]}),
     ],
-    ids=["compare-n_list", "clt-n_list", "lattice-sigma_list"],
+    ids=[
+        "compare-n_list",
+        "clt-n_list",
+        "lattice-sigma_list",
+        "lattice-sigma_list-descending",
+        "lattice-sigma_list-repeated",
+    ],
 )
 def test_size_lists_are_config_errors(tmp_path, capsys, experiment, payload):
     out = tmp_path / "report.json"
@@ -128,6 +141,83 @@ def test_size_lists_are_config_errors(tmp_path, capsys, experiment, payload):
     key = "sigma_list" if experiment == "lattice" else "n_list"
     assert f"config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+LATTICE = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [2.0, 4.0], "probe_samples": 8}
+
+
+def _failed_run(tmp_path, experiment, payload, assertion):
+    """Exit code, tables and the named assertion's detail of a run whose
+    named assertion, and only that one, fails."""
+    out = tmp_path / "report.json"
+    code = main([experiment, "--config", write_config(tmp_path, experiment, payload), "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1
+    assert [name for name, a in report["assertions"].items() if not a["passed"]] == [assertion]
+    return report["tables"], report["assertions"][assertion]["detail"]
+
+
+def test_dispersion_failure_is_an_assertion(tmp_path, monkeypatch):
+    # a negative bound fails every mode; the detail names the first mode of
+    # the last sigma, and every sigma keeps its row
+    monkeypatch.setattr(cli, "dispersion_bound", lambda lattice, sigma, m: -1.0)
+    tables, detail = _failed_run(tmp_path, "lattice", LATTICE, "multiplier-gap-within-dispersion-bound")
+    assert [row["sigma"] for row in tables["dispersion"]] == [2.0, 4.0]
+    lat = RingLattice(16, 1.0)
+    gap = abs(lattice_mode_multiplier(lat, 4.0, -7) - continuum_mode_multiplier(4.0, lat.momentum(-7)))
+    assert detail == f"mode -7: multiplier gap {gap:.3e} exceeds dispersion bound {-1.0 + 1e-12:.3e}"
+
+
+def test_high_momentum_failure_is_an_assertion(tmp_path, monkeypatch):
+    probe = cli.high_momentum_suppression_probe
+
+    def loud(*args, **kwargs):
+        out = probe(*args, **kwargs)
+        return out | {"max_contraction": 2.0 * out["mode_bound"]} if out["k"] == 1 else out
+
+    monkeypatch.setattr(cli, "high_momentum_suppression_probe", loud)
+    tables, detail = _failed_run(tmp_path, "lattice", LATTICE, "high-momentum-mode-bound")
+    rows = [row for row in tables["high_momentum"] if row["k"] == 1]
+    assert [row["sigma"] for row in rows] == [2.0, 4.0]
+    last = rows[-1]
+    assert detail == (
+        f"high-momentum contraction {last['max_contraction']:.6e} exceeds the "
+        f"mode bound {last['mode_bound']:.6e}"
+    )
+
+
+def test_clt_failure_is_an_assertion(tmp_path, monkeypatch):
+    convergence = cli.clt_convergence
+
+    def rising(*args):
+        out = convergence(*args)
+        return out | {"deviations": out["deviations"][::-1]}
+
+    monkeypatch.setattr(cli, "clt_convergence", rising)
+    tables, detail = _failed_run(tmp_path, "clt", {"n_list": [4, 8, 16]}, "word-metric-converges-at-one-over-n")
+    rows = tables["convergence"]
+    assert [(row["degree"], row["n"]) for row in rows] == [(g, n) for g in (1, 2) for n in (4, 8, 16)]
+    # degree 1 sits exactly at its limit, so only degree 2 rises
+    first, second = (row["deviation"] for row in rows[3:5])
+    assert detail == f"degree 2: finite-n deviations increased: {first:.3e} -> {second:.3e}"
+
+
+def test_only_main_catches_numerical_errors():
+    # verdicts are report assertions: NumericalError means exit 3 and is
+    # caught nowhere but at the entry point, by name or through a base class
+    def catches(handler):
+        names = set(re.findall(r"\w+", ast.unparse(handler.type))) if handler.type else {"BaseException"}
+        return bool(names & {"NumericalError", "FlabError", "Exception", "BaseException"})
+
+    tree = ast.parse(inspect.getsource(cli))
+    catchers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for handler in ast.walk(func)
+        if isinstance(handler, ast.ExceptHandler) and catches(handler)
+    }
+    assert catchers == {"main"}
 
 
 def test_lattice_fits_budget_at_base_ring(monkeypatch):

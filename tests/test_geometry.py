@@ -320,6 +320,16 @@ def test_dense_sector_spectrum_matches_closed_form_at_mixed_states():
         assert_close(dense.eigenvalues, closed["eigenvalues"], tol=1e-13, what=f"d={d} n={n} k={k}")
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
+def test_dense_sector_spectrum_at_degree_zero(d, n):
+    # the degree-0 sector is the identity alone, which the channel fixes
+    dense = symmetric_sector_dense_spectrum(QuditSystem(d, n), product_density(basis_pure_density(d), n), 2.5, 0)
+    closed = symmetric_sector_spectrum(n, d, 2.5, 0, include_identity=True)
+    assert dense.eigenvalues.shape == closed["eigenvalues"].shape == (1,)
+    assert_close(dense.eigenvalues, closed["eigenvalues"], tol=1e-13, what=f"d={d} n={n} k=0")
+    assert_close(closed["eigenvalues"], [1.0], tol=1e-13)
+
+
 def test_klocal_decay_check_output_and_validation():
     out = klocal_decay_check(2, 2, [3.0, 4.0], k_max=0)
     assert out["y_values"] == [3.0, 4.0]

@@ -157,18 +157,11 @@ def test_high_momentum_suppression_probe_k2_reports():
         high_momentum_suppression_probe(lat, 1.0, 2.0, cutoff=0.5 * lat.nyquist, k=3)
 
 
-def test_swap_factorization_probe_j1_within_dispersion():
-    lat = RingLattice(24, 1.0)
-    out = swap_factorization_probe(lat, 2.0, 1)
-    assert out["j"] == 1
-    assert out["max_gap"] <= out["bound_at_max"] + 1e-12
-
-
 def test_swap_factorization_probe_j2_smoothing_decreases_deviation():
     lat = RingLattice(16, 1.0)
-    devs = [swap_factorization_probe(lat, s, 2)["sup_deviation"] for s in (2.0, 4.0)]
+    devs = [swap_factorization_probe(lat, s)["sup_deviation"] for s in (2.0, 4.0)]
     assert devs[1] < devs[0]
-    assert swap_factorization_probe(lat, 2.0, 2)["word_count"] > 0
+    assert swap_factorization_probe(lat, 2.0)["word_count"] > 0
 
 
 @pytest.mark.parametrize("L", [16, 30])
@@ -185,7 +178,7 @@ def test_high_mode_profiles_match_the_per_sample_draws(L, fraction):
 
 
 def _swap_probes(lat):
-    return [swap_factorization_probe(lat, sigma, 2) for sigma in (2.0, 4.0)]
+    return [swap_factorization_probe(lat, sigma) for sigma in (2.0, 4.0)]
 
 
 # the last case caps the entries so that every group holds a single block
