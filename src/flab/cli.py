@@ -64,7 +64,8 @@ def _require(params: dict, key: str, kind, predicate=None, describe: str = ""):
         raise ConfigError(f"missing required config key {key!r}")
     value = params[key]
     if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # json.load reads Infinity and NaN, and an integer literal may overflow a float
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
         value = float(value) if ok else value
     elif kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
@@ -73,7 +74,7 @@ def _require(params: dict, key: str, kind, predicate=None, describe: str = ""):
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise ConfigError(f"config key {key!r} must be of type {kind.__name__}")
+        raise ConfigError(f"config key {key!r} must be {'a finite' if kind is float else 'of type'} {kind.__name__}")
     if predicate is not None and not predicate(value):
         raise ConfigError(f"config key {key!r} invalid: {describe}")
     return value
@@ -102,11 +103,7 @@ def _int_list(params: dict, key: str, minimum: int):
 
 def _float_list(params: dict, key: str):
     raw = _require(params, key, list)
-    out = []
-    for v in raw:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise ConfigError(f"config key {key!r} must list positive numbers")
-        out.append(float(v))
+    out = [_require({key: v}, key, float, lambda x: x > 0, "need positive numbers") for v in raw]
     if not out:
         raise ConfigError(f"config key {key!r} must not be empty")
     # every value list feeds a trend over its values
@@ -122,7 +119,7 @@ def _reject_unknown(params: dict, allowed: set[str]):
 
 
 def _seed(params: dict) -> int:
-    return _optional(params, "seed", int, 0)
+    return _optional(params, "seed", int, 0, lambda v: v >= 0, "need seed >= 0")
 
 
 def run_spectrum(params: dict) -> Report:
@@ -234,7 +231,7 @@ def run_compare(params: dict) -> Report:
 def run_bound_check(params: dict) -> Report:
     _reject_unknown(params, {"d", "y", "n", "k", "samples"})
     d = _require(params, "d", int, lambda v: v >= 2, "need d >= 2")
-    y = _require(params, "y", float, lambda v: v > 1.0, "need y > 1")
+    y = _require(params, "y", float, lambda v: 1.0 < v < 1.79e305, "need 1 < y < 1.79e305 (draw key int(1000 y))")
     n = _require(params, "n", int, lambda v: v >= 2, "need n >= 2")
     k = _require(params, "k", int, lambda v: v >= 1, "need k >= 1")
     samples = _require(params, "samples", int, lambda v: 1 <= v <= 100000, "1..100000")

@@ -277,18 +277,18 @@ def _kron_stack(mats: dict, keys: list) -> np.ndarray:
     return out.real
 
 
-def _check_key_budget(what: str, dims: dict, keys: list, output: dict) -> None:
+def _check_key_budget(what: str, dims: dict, keys: list) -> None:
     """Refuse a `_key_contraction` before building it if its keys, with
-    dims[i] = (f, c) the shape of factor i's pairing, and the caller's
-    output would not fit.  Per key: three complex stacks, 16 (f^2 + c^2 +
-    f c) bytes, and 16 (3 f^2 + 2 c^2) for the symmetrized copies,
-    eigenvectors and whiteners of both Grams and the fine coefficients."""
+    dims[i] = (f, c) the shape of factor i's pairing, would not fit.  Per
+    key: three complex stacks, 16 (f^2 + c^2 + f c) bytes, and 16 (3 f^2 +
+    2 c^2) for the symmetrized copies, eigenvectors and whiteners of both
+    Grams and the fine coefficients."""
     sizes = [[math.prod(dims[i][side] for i in key) for side in (0, 1)] for key in keys]
     parts = {
         f"{len(keys)} key stacks": 16 * sum(f * f + c * c + f * c for f, c in sizes),
         "their whitening and eigenvectors": 16 * sum(3 * f * f + 2 * c * c for f, c in sizes),
     }
-    check_byte_budget(what, {**parts, **output})
+    check_byte_budget(what, parts)
 
 
 def _key_tuples(letters: list, group: list, r: int) -> np.ndarray:
@@ -344,25 +344,29 @@ def _combo_label(coeffs: np.ndarray, names: list[str]) -> str:
 
 @dataclass
 class FockBlock:
-    """Contraction eigendata of one k-letter block in the limiting geometry."""
+    """Contraction eigendata of one k-letter block in the limiting geometry.
+
+    vectors holds one (rows, values) pair per kept eigenvalue (the first
+    fine_rank), in their order: rows are the tuples of the key the
+    eigenvector was solved on, ascending indices into the r^k tuples of
+    letter_names in C order, and values its coefficients over them."""
 
     k: int
     eigenvalues: np.ndarray
-    coefficients: np.ndarray
+    vectors: list[tuple[np.ndarray, np.ndarray]]
     letter_names: list[str]
     fine_rank: int
 
     @property
-    def tuple_labels(self) -> list[str]:
-        """Label of each fine tuple, in C order, formatted when read."""
-        return ["(x)".join(word) for word in itertools.product(self.letter_names, repeat=self.k)]
-
-    @property
     def eigen_labels(self) -> list[str]:
-        """Readable combination of each eigenvector over the tuple labels,
-        formatted when read; the zero padding reads "0"."""
-        labels = self.tuple_labels
-        return [_combo_label(col, labels) for col in self.coefficients.T]
+        """Readable combination of each eigenvector over the labels of its
+        tuples, formatted when read; the zero padding reads "0"."""
+        shape = (len(self.letter_names),) * self.k
+        labels = []
+        for rows, values in self.vectors:
+            words = zip(*np.unravel_index(rows, shape))
+            labels.append(_combo_label(values, ["(x)".join(self.letter_names[a] for a in w) for w in words]))
+        return labels + ["0"] * (self.eigenvalues.size - len(labels))
 
 
 def fock_block_spectrum(
@@ -379,10 +383,10 @@ def fock_block_spectrum(
     key, a tuple's sequence of letter blocks: one small `_key_contraction`
     per key.  Eigenvalues come in descending order (ties in key order),
     zero padded to the r^k fine tuples so that directions the metric
-    annihilates appear explicitly, with eigenvector coefficients over those
-    tuples and readable labels.  DimensionBudgetError before anything is
-    built if r^k exceeds `dense_dim_budget`, or the key stacks and the
-    r^k-square coefficients the byte budget.
+    annihilates appear explicitly; each kept eigenvector stays on its
+    key's tuples (`FockBlock.vectors`), with readable labels.
+    DimensionBudgetError before anything is built if r^k exceeds
+    `dense_dim_budget`, or the key stacks the byte budget.
     """
     if k < 1:
         raise ValueError("block degree k must be >= 1")
@@ -395,21 +399,16 @@ def fock_block_spectrum(
     factors = dict(enumerate(mats))
     keys = list(itertools.product(factors, repeat=k))
     dims = {b: pair.shape for b, (_, _, pair) in factors.items()}
-    _check_key_budget(f"Fock block {k}", dims, keys, {f"{r**k}-square coefficients": 8 * r ** (2 * k)})
-    vals, vecs, rows = [], [], []
+    _check_key_budget(f"Fock block {k}", dims, keys)
+    vals, vectors = [], []
     for group, key_vals, coeffs, *_ in _key_contraction(factors, keys):
         kept_dirs = coeffs.any(axis=1)
         vals.append(key_vals[kept_dirs])
-        vecs.append(coeffs.swapaxes(1, 2)[kept_dirs])
-        rows.append(np.repeat(_key_tuples(letters, group, r), kept_dirs.sum(axis=1), axis=0))
+        rows = np.repeat(_key_tuples(letters, group, r), kept_dirs.sum(axis=1), axis=0)
+        vectors.extend(zip(rows, coeffs.swapaxes(1, 2)[kept_dirs]))
     flat = np.concatenate(vals)
     order = np.argsort(-flat, kind="stable")
-    place = np.argsort(order)
-    # one row per eigenvector, transposed on return
-    coefficients = np.zeros((r**k, r**k))
-    for key_vecs, key_rows, cols in zip(vecs, rows, np.split(place, np.cumsum([len(v) for v in vecs]))):
-        coefficients[cols[:, None], key_rows] = key_vecs
-    return FockBlock(k, np.pad(flat[order], (0, r**k - flat.size)), coefficients.T, names, flat.size)
+    return FockBlock(k, np.pad(flat[order], (0, r**k - flat.size)), [vectors[i] for i in order], names, flat.size)
 
 
 def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None):
@@ -469,7 +468,7 @@ def _sector_blocks(
     multiset_keys = [tuple(sorted(((c, b) for b, c in enumerate(row) if c), reverse=True)) for row in counts.tolist()]
     keys = {j: multiset_keys[start[j] : start[j + 1]] for j in degrees}
     for j in reversed(degrees):
-        _check_key_budget(f"sector degree {j}", dims, keys[j], {})
+        _check_key_budget(f"sector degree {j}", dims, keys[j])
     powers = [zip(*(_kron_power(mat, top) for mat in block)) for block in blocks]
     factors = {(c, b): mats for b, block in enumerate(powers) for c, mats in enumerate(block, start=1)}
     out = {}

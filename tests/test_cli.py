@@ -91,6 +91,30 @@ def test_config_errors(tmp_path):
     # nested config values are rejected
     cfg = write_config(tmp_path, "nested", {"d": 2, "n": 3, "y": 2.0, "k": {"a": 1}})
     assert main(["spectrum", "--config", cfg]) == 2
+    valid = {
+        "spectrum": {"d": 2, "n": 3, "y": 2.0, "k": 2},
+        "fock": {"d": 2, "y": 2.0, "k_max": 2},
+        "compare": {"d": 2, "y": 2.0, "k": 2, "n_list": [2, 4, 8]},
+        "bound-check": {"d": 2, "y": 3.0, "n": 3, "k": 1, "samples": 20},
+        "lattice": LATTICE,
+        "clt": {"n_list": [4, 8, 16]},
+    }
+    # a seed is an integer >= 0, from the config or the flag
+    for experiment, payload in valid.items():
+        assert main([experiment, "--config", write_config(tmp_path, "seed", payload | {"seed": -3})]) == 2
+        assert main([experiment, "--config", write_config(tmp_path, "flag", payload), "--seed", "-1"]) == 2
+    # json.load reads Infinity and NaN; every number must be finite
+    for value in (math.inf, -math.inf, math.nan):
+        for experiment, key in [(name, "y") for name in valid if "y" in valid[name]] + [("lattice", "spacing")]:
+            cfg = write_config(tmp_path, "nonfinite", valid[experiment] | {key: value})
+            assert main([experiment, "--config", cfg]) == 2, (experiment, key, value)
+        cfg = write_config(tmp_path, "nonfinite", LATTICE | {"sigma_list": [2.0, value]})
+        assert main(["lattice", "--config", cfg]) == 2, value
+    # an integer literal too large for a float
+    assert main(["fock", "--config", write_config(tmp_path, "huge", valid["fock"] | {"y": 10**400})]) == 2
+    # bound-check's draw key int(1000 y) overflows
+    cfg = write_config(tmp_path, "overflow", valid["bound-check"] | {"y": 1e306})
+    assert main(["bound-check", "--config", cfg]) == 2
 
 
 @pytest.mark.parametrize(
@@ -263,28 +287,31 @@ def test_spectrum_refuses_n13_before_building_the_state(tmp_path, monkeypatch, c
 
 
 def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
-    # the pure qutrit at y = 1, k = 2: 4 keys of 4 fine and 4 coarse tuples
-    # with the 16-square coefficients need 10240 bytes, over the 16 * 25**2
-    # of FLAB_MAX_DIM = 25; refused before any key stack is built, with no
-    # report.  At 15 the letter setup (five stacks of the 8 letters with
-    # the two kernels and letter names, 9856 bytes) refuses it before any
-    # letter is built
+    # the pure qubit at y = 1, k = 3: one key of 8 fine and 8 coarse tuples
+    # needs 8192 bytes, over the 16 * 22**2 of FLAB_MAX_DIM = 22, while the
+    # letter setup (five stacks of the 3 letters with the two kernels and
+    # letter names, 2016 bytes) and the 2**3 fine tuples fit; refused before
+    # any key stack is built, with no report.  At 11 the letter setup
+    # refuses it before any letter is built
     from flab import focklimit
 
     def nothing_built(*args, **kwargs):
         raise AssertionError("key stacks built before the budget check")
 
-    cfg = write_config(tmp_path, "fock", {"d": 3, "y": 1.0, "k_max": 2})
+    cfg = write_config(tmp_path, "fock", {"d": 2, "y": 1.0, "k_max": 3})
     out = tmp_path / "report.json"
     with monkeypatch.context() as spy:
         spy.setattr(focklimit, "_kron_stack", nothing_built)
-        refusals = {"25": "Fock block 2 needs an estimated 10240 bytes", "15": "letter setup at d=3 needs an estimated 9856 bytes"}
+        refusals = {
+            "22": "Fock block 3 needs an estimated 8192 bytes",
+            "11": "letter setup at d=2 needs an estimated 2016 bytes",
+        }
         for budget, message in refusals.items():
             spy.setenv("FLAB_MAX_DIM", budget)
             assert main(["fock", "--config", cfg, "--out", str(out)]) == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
-    monkeypatch.setenv("FLAB_MAX_DIM", "26")
+    monkeypatch.setenv("FLAB_MAX_DIM", "23")
     assert main(["fock", "--config", cfg, "--out", str(out)]) == 0
 
 

@@ -287,9 +287,9 @@ def test_fock_blocks_closed_form():
 def test_fock_block_labels():
     sp_f, sp_c, m = depolarizing_fock_setup(2, 2.0)
     b1 = fock_block_spectrum(sp_f, sp_c, m, 1)
-    assert set(b1.tuple_labels) == {"x", "p"}
+    assert set(b1.eigen_labels) == {"1*x", "1*p"}
     b2 = fock_block_spectrum(sp_f, sp_c, m, 2)
-    assert "x(x)x" in b2.tuple_labels or "x(x)p" in b2.tuple_labels
+    assert any("x(x)x" in label or "x(x)p" in label for label in b2.eigen_labels)
     # the columns past the fine rank are zero padding
     assert b2.fine_rank == 2 and b2.eigen_labels[2:] == ["0", "0"]
     assert "0" not in b2.eigen_labels[:2]
@@ -353,7 +353,9 @@ def test_fock_block_matches_dense_oracle(d, state):
             else:
                 assert_close(block.eigenvalues[: want_vals.size], want_vals, tol=1e-12, what=what)
                 clusters = _clusters(want_vals)
-            got_coeffs = block.coefficients[:, : want_vals.size]
+            got_coeffs = np.zeros((want_coeffs.shape[0], want_vals.size))
+            for col, (rows, values) in zip(got_coeffs.T, block.vectors):
+                col[rows] = values
             for idx in clusters:
                 want_proj = want_coeffs[:, idx] @ want_coeffs[:, idx].T
                 got_proj = got_coeffs[:, idx] @ got_coeffs[:, idx].T
@@ -425,7 +427,8 @@ def test_mixed_qutrit_fock_block_4_runs_on_key_stacks(monkeypatch):
     block = fock_block_spectrum(*setup, 4)
     sector = symmetric_sector_spectrum(None, 3, 3.0, 4, state=site)["by_degree"][4]
     assert max(sizes) <= 16, max(sizes)
-    assert block.fine_rank == 4096 and block.coefficients.shape == (4096, 4096)
+    assert block.fine_rank == len(block.vectors) == 4096
+    assert {(rows.size, values.size) for rows, values in block.vectors} == {(16, 16)}
     vals = np.concatenate([block.eigenvalues, sector])
     assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-10, (vals.min(), vals.max())
     # the symmetric sector is a part of the Fock block
@@ -433,25 +436,64 @@ def test_mixed_qutrit_fock_block_4_runs_on_key_stacks(monkeypatch):
     assert gap <= 1e-12, gap
 
 
+def test_mixed_qutrit_fock_block_4_keeps_each_vector_on_its_key():
+    # 4096 eigenvectors of 16 coefficients; scattered into one 4096-square
+    # array they took 128 MiB of a 132 MiB traced peak
+    site = random_positive_density(3, task_rng(20261019, 3), min_eigenvalue=0.05)
+    setup = depolarizing_fock_setup(3, 3.0, site)
+    tracemalloc.start()
+    try:
+        labels = fock_block_spectrum(*setup, 4).eigen_labels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 4096 and "0" not in labels
+    assert peak <= 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("state", ["pure", "mixed", "nearly-pure"])
+def test_fock_eigen_labels_match_the_dense_format(d, state):
+    # the dense format: each eigenvector a column over all r^k tuples in C
+    # order, zero past the fine rank, labelled over all r^k tuple labels.
+    # Built a column at a time: at d = 4, k = 3 the square array is 87 MiB
+    site = {
+        "pure": None,
+        "mixed": random_positive_density(d, task_rng(20261018, d), min_eigenvalue=0.05),
+        "nearly-pure": _nearly_pure(d, 1e-4),
+    }[state]
+    for y, k in itertools.product((1.0, 1.5, 3.0), (1, 2, 3)):
+        block = fock_block_spectrum(*depolarizing_fock_setup(d, y, site), k)
+        labels = ["(x)".join(word) for word in itertools.product(block.letter_names, repeat=k)]
+        pad = [(np.zeros(0, dtype=int), np.zeros(0))] * (len(labels) - len(block.vectors))
+        want = []
+        for rows, values in block.vectors + pad:
+            col = np.zeros(len(labels))
+            col[rows] = values
+            want.append(focklimit._combo_label(col, labels))
+        assert block.eigen_labels == want, f"d={d} {state} y={y} k={k}"
+
+
 def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("key stacks built before the budget check")
 
     # d = 3, k = 2 at the pure state: 4 keys of 4 fine and 4 coarse tuples,
-    # 10240 bytes with the 16-square coefficients, within 16 * 50**2 whether
-    # the coarse kernel is faithful (y = 2) or singular (y = 1)
+    # 8192 bytes, within 16 * 50**2 whether the coarse kernel is faithful
+    # (y = 2) or singular (y = 1)
     monkeypatch.setenv("FLAB_MAX_DIM", "50")
     fock_block_spectrum(*depolarizing_fock_setup(3, 2.0), 2)
     fock_block_spectrum(*depolarizing_fock_setup(3, 1.0), 2)
-    # rank 2 at y = 1.01: 7 fine letters and 8 coarse ones in 4 letter
-    # blocks, 16 keys, 45448 bytes between 16 * 53**2 and 16 * 54**2
-    rank_two = DensityMatrix(np.diag([0.6, 0.4, 0.0]).astype(complex))
+    # a mixed qubit at y = 1.01, k = 3: the letter blocks {x, p} and {z}
+    # make 8 keys, 16000 bytes between 16 * 31**2 and 16 * 32**2, while its
+    # 3**3 fine tuples pass the r**k cap at both
+    mixed = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
     with monkeypatch.context() as spy:
-        spy.setenv("FLAB_MAX_DIM", "53")
+        spy.setenv("FLAB_MAX_DIM", "31")
         for name in ("_kron_stack", "whiten_psd"):
             spy.setattr(focklimit, name, no_allocation)
-        with pytest.raises(DimensionBudgetError, match="Fock block 2 needs an estimated 45448 bytes .16 key stacks"):
-            fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2)
+        with pytest.raises(DimensionBudgetError, match="Fock block 3 needs an estimated 16000 bytes .8 key stacks"):
+            fock_block_spectrum(*depolarizing_fock_setup(2, 1.01, mixed), 3)
         # at 15 the letter setup, five stacks of the 8 letters with the two
         # kernels and letter names, is refused before the r**k cap
         spy.setenv("FLAB_MAX_DIM", "15")
@@ -462,8 +504,8 @@ def test_fock_block_budget_counts_dense_tuple_spaces(monkeypatch):
         spy.setenv("FLAB_MAX_DIM", "12")
         with pytest.raises(DimensionBudgetError, match="fine tuple dimension 2\\*\\*4"):
             fock_block_spectrum(*depolarizing_fock_setup(2, 2.0), 4)
-    monkeypatch.setenv("FLAB_MAX_DIM", "54")
-    assert fock_block_spectrum(*depolarizing_fock_setup(3, 1.01, rank_two), 2).eigenvalues.size == 49
+    monkeypatch.setenv("FLAB_MAX_DIM", "32")
+    assert fock_block_spectrum(*depolarizing_fock_setup(2, 1.01, mixed), 3).eigenvalues.size == 27
 
 
 def test_sector_spectrum_is_n_independent():
