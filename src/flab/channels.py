@@ -1,7 +1,8 @@
 """Quantum channels used as coarse-graining maps.
 
-The central object is the homogeneous coarse-graining: a tensor power of a
-single-site depolarizing map followed by averaging over site permutations.
+The central object is the homogeneous coarse-graining: sitewise
+depolarizing, applied as one partial trace per site, followed by averaging
+over site permutations.
 Generic Kraus channels and the classical swap-diffusion generators for
 lattice walkers live here as well.
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .geometry import DRAW_CHUNK_ENTRIES
-from .operators import FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, entry_orbits, kron_apply
+from .operators import FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, entry_orbits
 
 TRACE_PRESERVING_TOL = 1e-10
 
@@ -40,74 +41,37 @@ class Channel:
 
 
 class DepolarizingChannel(Channel):
-    """Single-site depolarizing map X -> X/y + (1 - 1/y) tr(X) I/d.
+    """Sitewise depolarizing on the n sites of a QuditSystem: on each site i
+    in turn X -> X/y + (1 - 1/y) tr_i(X) (x) I/d.
 
     The strength parameter y >= 1 interpolates from the identity (y=1)
     toward complete erasure.  The map is unital, trace preserving and equal
-    to its own Heisenberg adjoint.
+    to its own Heisenberg adjoint.  It works in place on one copy of X, so
+    no superoperator is built, and divides by y once per site (y**n would
+    overflow at large y).
     """
 
-    def __init__(self, y: float, d: int):
+    def __init__(self, y: float, system: QuditSystem):
         if y < 1.0:
             raise ValueError(f"depolarizing strength must satisfy y >= 1, got {y}")
-        if d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {d}")
         self.y = float(y)
-        self.d = int(d)
-        self.dim = int(d)
-
-    def apply(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        trace = np.trace(X, axis1=-2, axis2=-1)[..., None, None]
-        return X / self.y + (1.0 - 1.0 / self.y) * trace * np.eye(self.d) / self.d
-
-    adjoint_apply = apply
-
-
-def single_site_superoperator(channel: Channel, d: int, adjoint: bool = False) -> np.ndarray:
-    """(d*d, d*d) matrix of the channel action on vectorised d x d operators."""
-    action = channel.adjoint_apply if adjoint else channel.apply
-    S = np.zeros((d, d, d, d), dtype=complex)
-    for b in range(d):
-        for e in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[b, e] = 1.0
-            S[:, :, b, e] = action(unit)
-    return S.reshape(d * d, d * d)
-
-
-class ProductChannel(Channel):
-    """Independent action of one single-site channel on every site."""
-
-    def __init__(self, site_channel: Channel, system: QuditSystem):
-        if site_channel.dim != system.d:
-            raise ValueError(
-                f"site channel dimension {site_channel.dim} does not match d={system.d}"
-            )
-        self.site_channel = site_channel
         self.system = system
         self.dim = system.dim
-        d = system.d
-        self._superop = single_site_superoperator(site_channel, d)
-        self._superop_adj = single_site_superoperator(site_channel, d, adjoint=True)
-
-    def _apply_all_sites(self, X, superop: np.ndarray) -> np.ndarray:
-        """superop^{(x)n} on X, with each site's (row, column) pair as one mode
-        and the stack members as kron_apply's columns."""
-        d, n = self.system.d, self.system.n
-        X = as_matrix(X)
-        # (m, r_0..r_{n-1}, c_0..c_{n-1}) -> (r_0, c_0, r_1, c_1, ..., m) and back
-        pairs = [1 + a for site in range(n) for a in (site, n + site)]
-        tens = X.reshape((-1,) + (d,) * (2 * n)).transpose(pairs + [0])
-        out = kron_apply(superop, tens.reshape(d ** (2 * n), -1), n)
-        back = np.argsort(pairs + [0])
-        return out.reshape((d,) * (2 * n) + (-1,)).transpose(back).reshape(X.shape)
 
     def apply(self, X) -> np.ndarray:
-        return self._apply_all_sites(X, self._superop)
+        d, n = self.system.d, self.system.n
+        out = as_matrix(X).copy()
+        # (m, r_0..r_{n-1}, c_0..c_{n-1}): a view that the sites update in place
+        sites = out.reshape((-1,) + (d,) * (2 * n))
+        for i in range(n):
+            share = (1.0 - 1.0 / self.y) * np.trace(sites, axis1=1 + i, axis2=1 + n + i) / d
+            sites /= self.y
+            for a in range(d):
+                # row and column label a on site i
+                sites[(slice(None),) * (1 + i) + (a,) + (slice(None),) * (n - 1) + (a,)] += share
+        return out
 
-    def adjoint_apply(self, X) -> np.ndarray:
-        return self._apply_all_sites(X, self._superop_adj)
+    adjoint_apply = apply
 
 
 class PermutationAverage(Channel):
@@ -164,7 +128,7 @@ def homogeneous_coarse_graining(system: QuditSystem, y: float) -> ComposedChanne
 
     The two factors commute, so the composition order is a convention.
     """
-    return ComposedChannel(PermutationAverage(system), ProductChannel(DepolarizingChannel(y, system.d), system))
+    return ComposedChannel(PermutationAverage(system), DepolarizingChannel(y, system))
 
 
 class SuperoperatorChannel(Channel):

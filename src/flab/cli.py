@@ -26,6 +26,7 @@ from .errors import ConfigError, DimensionBudgetError, FlabError, NumericalError
 from .focklimit import (
     beta_bound_decreasing,
     beta_bound_test,
+    check_letter_setup,
     clt_convergence,
     depolarizing_fock_setup,
     finite_limit_comparison,
@@ -284,6 +285,20 @@ def run_lattice(params: dict) -> Report:
     )
     pair_probe = _optional(params, "pair_probe", bool, True)
     probe_samples = _optional(params, "probe_samples", int, 32, lambda v: v >= 1, "need >= 1")
+    # refused before any mode is computed: each mode squares sigma p (the
+    # largest at the top mode), the low-momentum check divides by
+    # (sigma p)^2 / 2 at the lowest, the degree-2 probe divides by y^2, and
+    # the probes draw modes at or above the cutoff
+    reach, low = sigma_list[-1] * top_momentum, lattice.momentum(1)
+    smoothing = "config keys 'sigma_list' and 'spacing' invalid: (sigma p)^2"
+    if not math.isfinite(reach * reach):
+        raise ConfigError(f"{smoothing} overflows at p={top_momentum:.6g}")
+    if 0 < low * spacing <= 0.5 and 0.5 * (sigma_list[0] * low) ** 2 == 0.0:
+        raise ConfigError(f"{smoothing} / 2 underflows to 0 at p={low:.6g}")
+    if pair_probe and not math.isfinite(y * y):
+        raise ConfigError(f"config key 'y' invalid: y^2 overflows at y={y:.6g}")
+    if not 0 < cutoff <= top_momentum:
+        raise ConfigError(f"config key 'spacing' invalid: no sub-Nyquist mode reaches the cutoff {cutoff:.6g}")
     # the degree-2 probe applies the pair semigroup to this many words per block
     pair_samples = max(4, probe_samples // 4) if pair_probe else 0
     check_walker_budget(L, 2 if pair_probe else 1, pair_samples)
@@ -391,6 +406,8 @@ def run_clt(params: dict) -> Report:
     if letter >= d * d - 1:
         raise ConfigError(f"letter index {letter} out of range for d={d}")
     report = Report("clt", params, _seed(params))
+    # refused before the site state, d^2 floats, is built
+    check_letter_setup(d, 1)
     sp = SingleParticleSpace.from_eigenvalues(np.eye(d)[0])
     rows = []
     all_ok = True

@@ -82,7 +82,7 @@ class SingleParticleSpace:
         letter entries within 2 d eps (a mean of d entries up to sqrt(2)) are the
         roundoff of a rank-deficient state; set to 0, null letters stay null."""
         mu = np.asarray(mu, dtype=float)
-        _check_letter_setup(mu.size, 1)
+        check_letter_setup(mu.size, 1)
         roundoff = mu.size * np.finfo(float).eps
         mu = np.where(np.abs(mu) <= roundoff * mu.max(), 0.0, mu)
         basis = zero_mean_letters(mu)
@@ -113,7 +113,7 @@ class SingleParticleSpace:
         return sub, kept
 
 
-def _check_letter_setup(d: int, spaces: int) -> None:
+def check_letter_setup(d: int, spaces: int) -> None:
     """Refuse the letter setup of `spaces` spaces at dimension d if it would
     not fit: per space a kernel and the letter names (60 bytes a name, 128
     with the small arrays), and the stacks alive while the last is built:
@@ -156,45 +156,31 @@ def distinct_site_factor(n: int, j: int) -> float:
     return out
 
 
-def finite_n_inner(sp: SingleParticleSpace, u, v, n: int) -> complex:
-    """Inner product of two symmetric letter words at the n-site product state.
-
-    Words of different degree are exactly orthogonal; equal degree j gives
-    c_{n,j} times the permanent of the kernel minor K[u, v].  Degrees above
-    n are rejected: such words have no distinct-site realization.
-    """
-    u, v = tuple(u), tuple(v)
-    if max(len(u), len(v)) > n:
-        raise ValueError(f"word degree {max(len(u), len(v))} exceeds site count {n}")
-    if len(u) != len(v):
-        return 0.0 + 0.0j
-    minor = sp.kernel[np.ix_(u, v)]
-    return distinct_site_factor(n, len(u)) * permanent(minor)
-
-
-def limiting_inner(sp: SingleParticleSpace, u, v) -> complex:
-    """Large-n limit of finite_n_inner: the plain permanent of K[u, v]."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        return 0.0 + 0.0j
-    return permanent(sp.kernel[np.ix_(u, v)])
-
-
 def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
     """Convergence of finite-n word inner products to the permanent limit.
 
-    Returns the deviation sequence and its fitted log-log rate in n (None
-    when a deviation is zero).  For degree-2 words the deviation is
-    (1 - c_{n,2}) |per| = |per| / n, so the rate is -1; that the deviations
-    never increase and the rate is near -1 is judged by `flab clt`.
-    ValueError only for an n_list that is not strictly increasing.
+    Words of different degree are exactly orthogonal; equal degree j gives
+    the limit per(K[u, v]), the permanent of the kernel minor, and at n
+    sites c_{n,j} times it.  Returns the finite values, the limit, the
+    deviation sequence and its fitted log-log rate in n (None when a
+    deviation is zero).  For degree-2 words the deviation is (1 - c_{n,2})
+    |per| = |per| / n, so the rate is -1; that the deviations never
+    increase and the rate is near -1 is judged by `flab clt`.  ValueError
+    for an n_list that is not strictly increasing, or for a degree above
+    its first n: such words have no distinct-site realization.
     """
     u, v = tuple(u), tuple(v)
     n_list = [int(n) for n in n_list]
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly increasing")
-    limit = limiting_inner(sp, u, v)
-    finite = [finite_n_inner(sp, u, v, n) for n in n_list]
+    if n_list and max(len(u), len(v)) > n_list[0]:
+        raise ValueError(f"word degree {max(len(u), len(v))} exceeds site count {n_list[0]}")
+    if len(u) == len(v):
+        limit = permanent(sp.kernel[np.ix_(u, v)])
+        finite = [distinct_site_factor(n, len(u)) * limit for n in n_list]
+    else:
+        limit = 0.0 + 0.0j
+        finite = [0.0 + 0.0j] * len(n_list)
     deviations = [abs(f - limit) for f in finite]
     rate = None
     if all(dev > 1e-300 for dev in deviations):
@@ -428,7 +414,7 @@ def depolarizing_fock_setup(d: int, y: float, state: DensityMatrix | None = None
         raise ValueError(f"local dimension must be >= 2, got {d}")
     if state is not None and state.dim != d:
         raise ValueError(f"site state of dimension {state.dim} for local dimension {d}")
-    _check_letter_setup(d, 2)
+    check_letter_setup(d, 2)
     mu = np.eye(d)[0] if state is None else state.eigensystem()[0]
     names = ["x", "p", "z0"] if d == 2 and state is None else None
     sp_fine = SingleParticleSpace.from_eigenvalues(mu, names)
@@ -571,21 +557,29 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     # the keys of size s are every block sequence, so a sum over them is a power
     f, c = np.array([pair.shape for _, _, pair in blocks]).T
     f2, c2, fc = int(f @ f), int(c @ c), int(f @ c)
-    sizes = range(k, n + 1)
-    products = [math.comb(n, s) * len(names) ** s for s in sizes]
-    draws = max(1, DRAW_CHUNK_ENTRIES // sum(products))
-    check_byte_budget(
-        f"bound check at d={d}, n={n}, k={k}",
-        {
-            f"{sum(len(blocks) ** s for s in sizes)} key stacks": 16 * sum(f2**s + c2**s + fc**s for s in sizes),
-            "their whitening and eigenvectors": 16 * sum(3 * f2**s + 2 * c2**s for s in sizes),
-            f"{draws} x {sum(products)} draw-block transients": 8 * draws * (sum(products) + 4 * max(products)),
-            "a first run's code and buffers": FIRST_RUN_BYTES,
-        },
-    )
+    what = f"bound check at d={d}, n={n}, k={k}"
+    keys = key_bytes = whitening_bytes = products = widest = 0
+    for s in range(k, n + 1):
+        keys += len(blocks) ** s
+        key_bytes += 16 * (f2**s + c2**s + fc**s)
+        whitening_bytes += 16 * (3 * f2**s + 2 * c2**s)
+        size = math.comb(n, s) * len(names) ** s
+        products, widest = products + size, max(widest, size)
+        # one draw per block until the last size, a lower bound, so a huge n
+        # is refused at its first size over the budget; the last is exact
+        draws = max(1, DRAW_CHUNK_ENTRIES // products) if s == n else 1
+        check_byte_budget(
+            what,
+            {
+                f"{keys} key stacks": key_bytes,
+                "their whitening and eigenvectors": whitening_bytes,
+                f"{draws} x {products} draw-block transients": 8 * draws * (products + 4 * widest),
+                "a first run's code and buffers": FIRST_RUN_BYTES,
+            },
+        )
     factors = dict(enumerate(blocks))
     grams, supremum = [], 0.0
-    for s in sizes:
+    for s in range(k, n + 1):
         stacks = []
         for group, vals, _, bures, wc, pair in _key_contraction(factors, list(itertools.product(factors, repeat=s))):
             supremum = max(supremum, float(vals.max(initial=0.0)))

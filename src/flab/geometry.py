@@ -457,7 +457,7 @@ def symmetric_sector_dense_spectrum(
     l.  The coarse state is diag(D(diag mu))^{(x)n} for the site
     depolarizing D, and the Heisenberg image of a symmetric word under the
     coarse graining is the word of the image letters D^dagger(f_t): the
-    permutation average fixes it, the product channel acts site by site,
+    permutation average fixes it, the depolarizing acts site by site,
     and D is unital, so D^dagger(1) = 1 on the other sites.  Since
     D^dagger(f_t) is f_t / y plus a multiple of the identity, each image is
     a fixed combination of the words of lower or equal degree, images =
@@ -482,7 +482,7 @@ def symmetric_sector_dense_spectrum(
     mu, _ = identical_site_state(state, system).eigensystem()
     letters = zero_mean_letters(mu)
     fine_site = DensityMatrix(np.diag(mu), check=False)
-    coarse_site = DensityMatrix(DepolarizingChannel(y, d).apply(fine_site.matrix), check=False)
+    coarse_site = DensityMatrix(DepolarizingChannel(y, QuditSystem(d, 1)).apply(fine_site.matrix), check=False)
     values = _hermitian_word_values(words, letters, n)
     counts = orbit_counts(d, n, k)
     gram = real_overlaps(values, values * _orbit_weights(counts, mu))

@@ -52,8 +52,20 @@ def dense_dim_budget() -> int:
     return value
 
 
+def _half_even(value: int, bits: int) -> int:
+    """value / 2**bits rounded to an integer, halves to even."""
+    quotient, rest = divmod(value, 1 << bits)
+    return quotient + (2 * rest > 1 << bits or (2 * rest == 1 << bits and quotient % 2))
+
+
 def _format_bytes(nbytes: int) -> str:
-    return f"{nbytes} bytes" if nbytes < 2**20 else f"{nbytes / 2**20:.0f} MiB"
+    """Bytes below 1 MiB, else MiB as a float quotient would print them
+    (the 53-bit float, then halves to even), in integer arithmetic, so an
+    estimate past the float range formats too."""
+    if nbytes < 2**20:
+        return f"{nbytes} bytes"
+    spare = max(nbytes.bit_length() - 53, 0)
+    return f"{_half_even(_half_even(nbytes, spare) << spare, 20)} MiB"
 
 
 def check_byte_budget(what: str, parts: dict[str, int]) -> None:
@@ -82,7 +94,8 @@ class QuditSystem:
         if self.n < 1:
             raise ValueError(f"site count must be >= 1, got {self.n}")
         budget = dense_dim_budget()
-        if self.d**self.n > budget:
+        # d**n >= 2**n > budget once n reaches its bit length: no power taken
+        if self.n >= budget.bit_length() or self.d**self.n > budget:
             raise DimensionBudgetError(
                 f"dense dimension {self.d}**{self.n} exceeds budget {budget}; "
                 "set FLAB_MAX_DIM to override"
@@ -245,19 +258,6 @@ def single_site_zero_mean_basis(state: DensityMatrix) -> list[np.ndarray]:
     """
     vals, vecs = state.eigensystem()
     return [vecs @ f @ vecs.conj().T for f in zero_mean_letters(vals)]
-
-
-def kron_apply(mat: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """mat^{(x)k} @ x as k mode products on a (cols, ..., cols, x-cols) reshape.
-
-    Each factor is one GEMM against its own tensor axis, so no (rows^k,
-    cols^k) array is built.
-    """
-    rows, cols = mat.shape
-    out = x.reshape((cols,) * k + (x.shape[1],))
-    for axis in range(k):
-        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
-    return out.reshape(rows**k, x.shape[1])
 
 
 def _orbit_rank(prefix_sums, n: int, labels: int):

@@ -45,3 +45,22 @@ def test_benchmark_reads_only_existing_flab_attributes():
                 if not hasattr(modules[node.value.id], node.attr):
                     missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert reads and not missing, missing
+
+
+def test_dense_chain_replay_matches_the_top_level_call(monkeypatch, tmp_path):
+    # the traced pass (--trace 1) replays each dense-chain case through the
+    # dim^2 route, `homogeneous_coarse_graining` and `contraction_spectrum`,
+    # which no untraced pass reaches: the replay must reproduce the orbit
+    # route's spectrum and pass the workload's own checks
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    workload = workloads.DenseChain(1, tmp_path)
+    replayed = {}
+    for case in workload.cases:
+        top_level = case.run()[0]
+        replayed[case.name] = case.replay(tracing.Tracer())[0]
+        assert workloads.agree(top_level, replayed[case.name]), case.name
+    checks = workload.check(replayed)
+    failed = [f"{check.name}: {check.detail}" for check in checks if not check.ok]
+    assert len(checks) == len(workload.cases) and not failed, failed

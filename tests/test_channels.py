@@ -1,5 +1,6 @@
-"""Channel actions: depolarizing, product, permutation average, swaps."""
+"""Channel actions: sitewise depolarizing, permutation average, swaps."""
 
+import functools
 import itertools
 import math
 import os
@@ -15,13 +16,11 @@ from flab.channels import (
     ComposedChannel,
     DepolarizingChannel,
     PermutationAverage,
-    ProductChannel,
     SuperoperatorChannel,
     SwapDiffusion,
     _ring_laplacian_eigh,
     check_walker_budget,
     homogeneous_coarse_graining,
-    single_site_superoperator,
 )
 from flab.errors import DimensionBudgetError, NumericalError
 from flab.lattice import RingLattice
@@ -38,19 +37,24 @@ def random_matrix(dim, seed):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
+def one_site(d):
+    return QuditSystem(d, 1)
+
+
 def test_depolarizing_formula_and_validation():
-    ch = DepolarizingChannel(2.0, 2)
+    ch = DepolarizingChannel(2.0, one_site(2))
     x = random_matrix(2, 0)
     want = x / 2.0 + 0.5 * np.trace(x) * np.eye(2) / 2
     assert_close(ch.apply(x), want)
-    # y = 1 is the identity
-    assert_close(DepolarizingChannel(1.0, 3).apply(random_matrix(3, 1)), random_matrix(3, 1))
+    # y = 1 is the identity, on one site and on four
+    assert_close(DepolarizingChannel(1.0, one_site(3)).apply(random_matrix(3, 1)), random_matrix(3, 1))
+    assert_close(DepolarizingChannel(1.0, QuditSystem(2, 4)).apply(random_matrix(16, 1)), random_matrix(16, 1))
     with pytest.raises(ValueError):
-        DepolarizingChannel(0.5, 2)
+        DepolarizingChannel(0.5, one_site(2))
 
 
 def test_depolarizing_is_self_adjoint():
-    ch = DepolarizingChannel(3.0, 3)
+    ch = DepolarizingChannel(3.0, one_site(3))
     a, b = random_matrix(3, 2), random_matrix(3, 3)
     lhs = np.trace(a.conj().T @ ch.apply(b))
     rhs = np.trace(ch.adjoint_apply(a).conj().T @ b)
@@ -72,7 +76,7 @@ def depolarizing_kraus(d, y):
 
 def test_depolarizing_kraus_consistency():
     for d, y in ((2, 2.0), (3, 4.0)):
-        ch = DepolarizingChannel(y, d)
+        ch = DepolarizingChannel(y, one_site(d))
         kraus = depolarizing_kraus(d, y)
         assert len(kraus) == d * d
         x = random_matrix(d, 7)
@@ -81,25 +85,6 @@ def test_depolarizing_kraus_consistency():
         # trace preservation of the family
         total = sum(k.conj().T @ k for k in kraus)
         assert_close(total, np.eye(d), tol=1e-12)
-
-
-def test_single_site_superoperator_matches_apply():
-    ch = DepolarizingChannel(2.5, 2)
-    S = single_site_superoperator(ch, 2)
-    x = random_matrix(2, 9)
-    assert_close((S @ x.ravel()).reshape(2, 2), ch.apply(x))
-
-
-def test_product_channel_matches_kron_superoperator():
-    system = QuditSystem(2, 2)
-    ch = ProductChannel(DepolarizingChannel(2.0, 2), system)
-    x = random_matrix(4, 4)
-    S1 = single_site_superoperator(DepolarizingChannel(2.0, 2), 2)
-    # two-site superoperator acts on vec with site-major index interleaving
-    big = np.kron(S1, S1)
-    tens = x.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
-    out = (big @ tens).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    assert_close(ch.apply(x), out, tol=1e-12)
 
 
 def _interleave(x, d, n):
@@ -113,37 +98,33 @@ def _deinterleave(v, d, n):
     return v.reshape((d,) * (2 * n)).transpose(np.argsort(pairs)).reshape(d**n, d**n)
 
 
-@pytest.mark.parametrize("d, n", [(3, 3), (2, 4)])
-def test_product_channel_random_site_channel(d, n):
-    # a random CPTP site channel is not its own adjoint, so a swapped
-    # apply/adjoint_apply or a wrong un-interleave shows here
-    site = random_cptp_channel(d, 2, task_rng(31, (d, n)))
-    system = QuditSystem(d, n)
-    ch = ProductChannel(site, system)
-    x, y = random_matrix(system.dim, 16), random_matrix(system.dim, 17)
-    S1 = single_site_superoperator(site, d)
-    big = S1
-    for _ in range(n - 1):
-        big = np.kron(big, S1)
-    want = _deinterleave(big @ _interleave(x, d, n), d, n)
-    assert_close(ch.apply(x), want, tol=1e-12, what="apply")
-    lhs = np.vdot(y, ch.apply(x))
-    rhs = np.vdot(ch.adjoint_apply(y), x)
-    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+def test_product_channel_matches_kron_superoperator():
+    # oracle: the Kronecker product of n site superoperators from the Weyl
+    # Kraus family, on operators vectorised with each site's (row, column)
+    # pair adjacent; at y = 1e300 the sites are erased, one division by
+    # y**n would overflow
+    for d, n, y in ((2, 2, 2.0), (3, 3, 2.5), (2, 4, 1.7), (2, 3, 1e300)):
+        system = QuditSystem(d, n)
+        ch = DepolarizingChannel(y, system)
+        s1 = sum(np.kron(k, k.conj()) for k in depolarizing_kraus(d, y))
+        big = functools.reduce(np.kron, [s1] * n)
+        x, z = random_matrix(system.dim, 30), random_matrix(system.dim, 31)
+        want = _deinterleave(big @ _interleave(x, d, n), d, n)
+        got = ch.apply(x)
+        assert_close(got, want, tol=1e-13 * np.max(np.abs(want)), what=f"d={d} n={n} y={y}")
+        lhs, rhs = np.vdot(z, got), np.vdot(ch.adjoint_apply(z), x)
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+    # the last case erases every site: only the trace is left
+    assert_close(got, np.trace(x) * np.eye(system.dim) / system.dim, tol=1e-15 * np.max(np.abs(x)))
 
 
 def _stack_cases():
     cases = []
     for d, n in ((3, 3), (2, 4)):
-        system = QuditSystem(d, n)
-        site = random_cptp_channel(d, 2, task_rng(31, (d, n)))
-        cases += [
-            pytest.param(ProductChannel(DepolarizingChannel(2.5, d), system), id=f"product-depolarizing-{d}-{n}"),
-            pytest.param(ProductChannel(site, system), id=f"product-random-{d}-{n}"),
-        ]
+        cases.append(pytest.param(DepolarizingChannel(2.5, QuditSystem(d, n)), id=f"product-depolarizing-{d}-{n}"))
     system = QuditSystem(2, 3)
     return cases + [
-        pytest.param(DepolarizingChannel(2.5, 3), id="depolarizing"),
+        pytest.param(DepolarizingChannel(2.5, one_site(3)), id="depolarizing"),
         pytest.param(PermutationAverage(QuditSystem(3, 3)), id="permutation-average"),
         pytest.param(homogeneous_coarse_graining(system, 2.5), id="coarse-graining"),
         pytest.param(ComposedChannel(PermutationAverage(system), random_cptp_channel(8, 2, task_rng(32))), id="composed"),
@@ -177,7 +158,7 @@ def test_channels_act_on_stacks(channel):
 
 def test_product_channel_preserves_trace_and_adjoint_unit():
     system = QuditSystem(2, 3)
-    ch = ProductChannel(DepolarizingChannel(3.0, 2), system)
+    ch = DepolarizingChannel(3.0, system)
     x = random_matrix(8, 5)
     assert abs(np.trace(ch.apply(x)) - np.trace(x)) < 1e-12
     assert_close(ch.adjoint_apply(np.eye(8)), np.eye(8), tol=1e-12)
@@ -234,7 +215,7 @@ def test_permutation_average_orbits_match_sorted_pair_labels(d, n):
 def test_coarse_graining_factors_commute():
     system = QuditSystem(2, 3)
     x = random_matrix(8, 10)
-    depol = ProductChannel(DepolarizingChannel(2.0, 2), system)
+    depol = DepolarizingChannel(2.0, system)
     perm = PermutationAverage(system)
     assert_close(perm.apply(depol.apply(x)), depol.apply(perm.apply(x)), tol=1e-12)
 
@@ -243,11 +224,11 @@ def test_coarse_graining_composition_order():
     system = QuditSystem(2, 2)
     cg = homogeneous_coarse_graining(system, 2.0)
     x = random_matrix(4, 12)
-    assert isinstance(cg.outer, PermutationAverage) and isinstance(cg.inner, ProductChannel)
+    assert isinstance(cg.outer, PermutationAverage) and isinstance(cg.inner, DepolarizingChannel)
     manual = cg.outer.apply(cg.inner.apply(x))
     assert_close(cg.apply(x), manual, tol=1e-13)
     with pytest.raises(ValueError):
-        ComposedChannel(DepolarizingChannel(2.0, 2), DepolarizingChannel(2.0, 3))
+        ComposedChannel(DepolarizingChannel(2.0, one_site(2)), DepolarizingChannel(2.0, one_site(3)))
 
 
 def test_superoperator_channel_checks():

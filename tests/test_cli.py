@@ -4,12 +4,18 @@ import ast
 import inspect
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import flab
 from flab import cli
 from flab.cli import main, run_experiment
 from flab.errors import ConfigError
@@ -461,3 +467,59 @@ def test_consecutive_main_calls_parse_independently(tmp_path, monkeypatch):
     assert csv_out.read_text().startswith("# ")
     assert json.loads(json_out.read_text())["metadata"]["seed"] == 0
     assert cli._parser.cache_info().misses == 1
+
+
+BOUND = {"d": 2, "n": 3, "y": 3.0, "k": 1, "samples": 10}
+SMOOTHING = "config keys 'sigma_list' and 'spacing' invalid"
+# each ended in a traceback; each is refused with exit 2, naming its key or
+# its estimate, before its arithmetic overflows or its arrays are built
+EXTREMES = [
+    pytest.param("bound-check", {**BOUND, "n": 1000}, "bound check at d=2, n=1000, k=1 needs an", id="bound-check-n=1000"),
+    pytest.param("lattice", {**LATTICE, "spacing": 1e300}, SMOOTHING, id="lattice-spacing=1e300"),
+    pytest.param("lattice", {**LATTICE, "sigma_list": [1e-300, 1.0]}, SMOOTHING, id="lattice-sigma_list=[1e-300,1]"),
+    pytest.param("lattice", {**LATTICE, "spacing": 1e-300}, SMOOTHING, id="lattice-spacing=1e-300"),
+    pytest.param("lattice", {**LATTICE, "sigma_list": [2.0, 1e300]}, SMOOTHING, id="lattice-sigma_list=[2,1e300]"),
+    pytest.param("lattice", {**LATTICE, "y": 1e300}, "config key 'y' invalid", id="lattice-y=1e300"),
+    pytest.param("lattice", {**LATTICE, "y": 1.7e308}, "config key 'y' invalid", id="lattice-y=1.7e308"),
+    pytest.param("lattice", {**LATTICE, "spacing": 1.7e308}, "config key 'spacing' invalid", id="lattice-spacing=1.7e308"),
+    pytest.param("clt", {"d": 10**6, "n_list": [4, 8]}, "letter setup at d=1000000 needs an", id="clt-d=1e6"),
+    pytest.param("clt", {"d": 10**20, "n_list": [4, 8]}, f"letter setup at d={10**20} needs an", id="clt-d=1e20"),
+]
+# these never returned: each runs in a child with a timeout and a 2 GiB
+# address space, so a regression fails here instead of hanging the suite
+HANGING = [
+    pytest.param("spectrum", {"d": 2, "n": 10**20, "y": 2.5, "k": 2}, "dense dimension 2**", id="spectrum-n=1e20"),
+    pytest.param("bound-check", {**BOUND, "n": 10**6}, "k=1 needs an estimated", id="bound-check-n=1e6"),
+    pytest.param("bound-check", {**BOUND, "n": 10**20}, "k=1 needs an estimated", id="bound-check-n=1e20"),
+]
+
+
+@pytest.mark.parametrize("experiment, config, message", EXTREMES)
+def test_extreme_configs_are_refused_within_a_second(tmp_path, capsys, experiment, config, message):
+    cfg = write_config(tmp_path, experiment, config)
+    start = time.perf_counter()
+    assert main([experiment, "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+
+def _child_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="limits the child with setrlimit")
+@pytest.mark.parametrize("experiment, config, message", HANGING)
+def test_configs_that_never_returned_are_refused(tmp_path, experiment, config, message):
+    src = os.path.dirname(os.path.dirname(flab.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "flab.cli", experiment, "--config", write_config(tmp_path, experiment, config)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_child_address_space,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("config error:") and message in run.stderr and "Traceback" not in run.stderr

@@ -27,9 +27,7 @@ from flab.focklimit import (
     depolarizing_fock_setup,
     distinct_site_factor,
     finite_limit_comparison,
-    finite_n_inner,
     fock_block_spectrum,
-    limiting_inner,
     permanent,
     symmetric_sector_spectrum,
 )
@@ -94,7 +92,7 @@ def test_letter_matrix_is_identity_over_y():
         for (name, state), y in itertools.product(_site_states(d).items(), (1.0, 1.5, 3.0)):
             mu = np.eye(d)[0] if state is None else state.eigensystem()[0]
             sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y, state)
-            channel = DepolarizingChannel(y, d)
+            channel = DepolarizingChannel(y, QuditSystem(d, 1))
             coarse = channel.apply(np.diag(mu))
             what = f"d={d} {name} y={y}"
             for c, letter in enumerate(sp_coarse.basis):
@@ -133,25 +131,35 @@ def test_distinct_site_factor():
         distinct_site_factor(2, 3)
 
 
+def finite_inner(sp, u, v, n):
+    """The inner product of two symmetric letter words at n sites, as
+    `clt_convergence` reports it (a second site count gives its rate fit
+    two points)."""
+    return clt_convergence(sp, u, v, [n, 2 * n])["finite"][0]
+
+
 def test_finite_inner_degree_one_is_kernel():
     sp, _, _ = depolarizing_fock_setup(2, 2.0)
     for n in (2, 5):
         for a in range(3):
             for b in range(3):
-                got = finite_n_inner(sp, (a,), (b,), n)
+                got = finite_inner(sp, (a,), (b,), n)
                 assert abs(got - sp.kernel[a, b]) < 1e-12
 
 
 def test_finite_inner_cross_degree_vanishes():
     sp, _, _ = depolarizing_fock_setup(2, 2.0)
-    assert finite_n_inner(sp, (0,), (0, 1), 4) == 0
-    assert finite_n_inner(sp, (), (0,), 4) == 0
+    assert finite_inner(sp, (0,), (0, 1), 4) == 0
+    assert finite_inner(sp, (), (0,), 4) == 0
+    assert clt_convergence(sp, (0,), (0, 1), [4, 8])["limit"] == 0
 
 
 def test_finite_inner_rejects_words_longer_than_chain():
     sp, _, _ = depolarizing_fock_setup(2, 2.0)
-    with pytest.raises(ValueError):
-        finite_n_inner(sp, (0, 0, 0), (0, 0, 0), 2)
+    # the first site count decides, at equal and at unequal degrees
+    for u, v in (((0, 0, 0), (0, 0, 0)), ((0,), (0, 0, 0))):
+        with pytest.raises(ValueError, match="word degree 3 exceeds site count 2"):
+            clt_convergence(sp, u, v, [2, 8])
 
 
 def test_finite_inner_against_dense_words():
@@ -166,7 +174,7 @@ def test_finite_inner_against_dense_words():
     for u in words:
         for v in words:
             want = np.trace(state.matrix @ dense[u].conj().T @ dense[v])
-            got = finite_n_inner(sp, u, v, n)
+            got = finite_inner(sp, u, v, n)
             assert abs(got - want) < 1e-11, (u, v)
 
 
@@ -218,9 +226,9 @@ def test_permanent_gram_matches_ryser():
 def test_limiting_inner_is_permanent():
     sp, _, _ = depolarizing_fock_setup(2, 2.0)
     # per [[K_xx, K_xx], [K_xx, K_xx]] with K_xx = 1
-    assert abs(limiting_inner(sp, (0, 0), (0, 0)) - 2.0) < 1e-12
-    got = finite_n_inner(sp, (0, 0), (0, 0), 4)
-    assert abs(got - 2.0 * distinct_site_factor(4, 2)) < 1e-12
+    out = clt_convergence(sp, (0, 0), (0, 0), [4, 8])
+    assert abs(out["limit"] - 2.0) < 1e-12
+    assert abs(out["finite"][0] - 2.0 * distinct_site_factor(4, 2)) < 1e-12
 
 
 def generating_overlap(sp, a, b, n):
@@ -568,12 +576,10 @@ def _per_draw_ratios(n, d, y, k, samples, seed, state_1site):
     family is built, and every draw, a combination of the products of
     carried letters, is assembled and measured with bures_norm and
     pushforward_norm."""
-    from flab.channels import ProductChannel
-
     system = QuditSystem(d, n)
     site = state_1site if state_1site is not None else basis_pure_density(d)
     state = product_density(site, n)
-    channel = ProductChannel(DepolarizingChannel(y, d), system)
+    channel = DepolarizingChannel(y, system)
     family, supports = support_family(d, n, site)
     stack = family[[len(s) >= k for s in supports]]
     if state_1site is None:
@@ -612,11 +618,9 @@ def test_uncarried_coefficients_move_neither_norm(d, k):
     # a product with a letter that is not carried is zero after Omega_rho,
     # so dropping its coefficient from a draw over the whole family, as
     # the bound check's draws do, leaves both norms where they were
-    from flab.channels import ProductChannel
-
     site = basis_pure_density(d)
     state = product_density(site, 3)
-    channel = ProductChannel(DepolarizingChannel(3.0, d), QuditSystem(d, 3))
+    channel = DepolarizingChannel(3.0, QuditSystem(d, 3))
     family, supports = support_family(d, 3, site)
     stack = family[[len(s) >= k for s in supports]]
     carried = _carried_members(d, 3, k, site)
@@ -671,14 +675,12 @@ def _dense_bound_blocks(n, d, y, k, site):
 def _oracle_bound_blocks(n, d, y, k, site):
     """The dim^2 oracle of the same blocks over every letter product, and
     the mask of the carried ones."""
-    from flab.channels import ProductChannel
-
     mu = np.eye(d)[0] if site is None else site.eigensystem()[0]
     letters = np.stack(zero_mean_letters(mu))
     carried = np.any((letters != 0) & (mu[:, None] + mu[None, :] > 0), axis=(1, 2))
     out = []
     for size in range(k, n + 1):
-        channel = ProductChannel(DepolarizingChannel(y, d), QuditSystem(d, size))
+        channel = DepolarizingChannel(y, QuditSystem(d, size))
         diagonal = functools.reduce(np.kron, [mu] * size)
         words = functools.reduce(np.logical_and.outer, [carried] * size).ravel()
         out.append((norm_grams(diagonal, channel, letter_products(letters, size)), words))
@@ -878,16 +880,22 @@ class _Checked(Exception):
 
 def _bound_estimate(monkeypatch, *args, **kwargs) -> dict:
     """The parts of the bound check's byte estimate, captured before anything
-    is built; the letter setup's estimate is passed over."""
+    is built; the letter setup's estimate is passed over.  The check runs
+    once per support size, at one draw per block until the last size, whose
+    estimate is the whole; the key stacks built next stop the run."""
     parts = {}
 
     def capture(what, p):
         if what.startswith("bound check"):
+            parts.clear()
             parts.update(p)
-            raise _Checked
+
+    def stop(*args, **kwargs):
+        raise _Checked
 
     with monkeypatch.context() as patch:
         patch.setattr(focklimit, "check_byte_budget", capture)
+        patch.setattr(focklimit, "_key_contraction", stop)
         with pytest.raises(_Checked):
             beta_bound_test(*args, **kwargs)
     return parts

@@ -13,7 +13,6 @@ from flab import channels, focklimit, geometry, operators
 from flab.channels import (
     Channel,
     DepolarizingChannel,
-    ProductChannel,
     SuperoperatorChannel,
     homogeneous_coarse_graining,
 )
@@ -95,7 +94,7 @@ def test_inner_products():
 def test_pushforward_identity_channel_is_isometric():
     rng = task_rng(3)
     rho = random_positive_density(3, rng, min_eigenvalue=0.05)
-    ident = DepolarizingChannel(1.0, 3)
+    ident = DepolarizingChannel(1.0, QuditSystem(3, 1))
     for _ in range(5):
         a = random_zero_mean_hermitian(rho, rng)
         assert abs(pushforward_norm(rho, ident, a) - bures_norm(rho, a)) < 1e-9
@@ -278,7 +277,7 @@ def test_contraction_spectrum_identity_channel():
     rng = task_rng(8)
     rho = random_positive_density(2, rng, min_eigenvalue=0.1)
     letters = single_site_zero_mean_basis(rho)
-    spectrum = contraction_spectrum(DepolarizingChannel(1.0, 2), rho, letters)
+    spectrum = contraction_spectrum(DepolarizingChannel(1.0, QuditSystem(2, 1)), rho, letters)
     assert_close(spectrum.eigenvalues, np.ones(3), tol=1e-10)
 
 
@@ -288,7 +287,7 @@ def test_contraction_spectrum_depolarizing_mixed_site():
     y = 3.0
     rho = maximally_mixed_density(2)
     letters = single_site_zero_mean_basis(rho)
-    spectrum = contraction_spectrum(DepolarizingChannel(y, 2), rho, letters)
+    spectrum = contraction_spectrum(DepolarizingChannel(y, QuditSystem(2, 1)), rho, letters)
     assert_close(spectrum.eigenvalues, np.full(3, y**-2), tol=1e-12)
     assert spectrum.coefficients.shape == (3, 3)
 
@@ -353,14 +352,14 @@ def test_klocal_decay_check_output_and_validation():
 def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
     # the whole family at d = 3, n = 12 would be 9**12 operators of 3**24
     # entries; the sector blocks behind the check take well under a second,
-    # and no dense word, Gram block or product channel is built
+    # and no dense word, Gram block or depolarizing channel is built
     def dense_builder(*args, **kwargs):
         raise AssertionError("the decay check built a dense family")
 
     for owner, name in (
         (operators, "symmetric_word_values"),
         (focklimit, "_bound_grams"),
-        (channels, "ProductChannel"),
+        (channels, "DepolarizingChannel"),
     ):
         monkeypatch.setattr(owner, name, dense_builder)
     site = random_positive_density(3, task_rng(24, 0), min_eigenvalue=0.05)
@@ -419,7 +418,7 @@ def test_norm_grams_cross_support_blocks(d, n):
     labels = np.array([supports.index(s) for s in supports])
     cross = labels[:, None] != labels[None, :]
     for channel, push_cross_vanishes in (
-        (ProductChannel(DepolarizingChannel(2.5, d), system), True),
+        (DepolarizingChannel(2.5, system), True),
         (homogeneous_coarse_graining(system, 2.5), False),
     ):
         bures, push = norm_grams(_diagonal(state), channel, matrices)
@@ -441,7 +440,7 @@ def test_norm_grams_do_not_depend_on_the_chunking(d, n, monkeypatch):
     site = _diagonal_site(d, task_rng(21, d))
     system, state, matrices, _ = _support_family(d, n, site)
     assert len(matrices) % 6 != 0
-    for channel in (ProductChannel(DepolarizingChannel(2.5, d), system), homogeneous_coarse_graining(system, 2.5)):
+    for channel in (DepolarizingChannel(2.5, system), homogeneous_coarse_graining(system, 2.5)):
         whole = norm_grams(_diagonal(state), channel, matrices)
         for entries in (1, 6 * system.dim**2):
             monkeypatch.setattr(dense_oracle, "GRAM_CHUNK_ENTRIES", entries)
@@ -459,7 +458,7 @@ def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
         system, state, matrices, supports = _support_family(2, 3, site)
         kept = [bures_norm(state, m) > 0.0 for m in matrices]
         matrices, supports = matrices[kept], [s for s, keep in zip(supports, kept) if keep]
-        channel = ProductChannel(DepolarizingChannel(3.0, 2), system)
+        channel = DepolarizingChannel(3.0, system)
         grams = []
         for size in (1, 2, 3):
             first = next(s for s in supports if len(s) == size)
@@ -597,7 +596,7 @@ def _image_oracle(d, n, k, y, mu):
     built by an orbit walk, the images over the depolarized letters."""
     letters = operators.zero_mean_letters(mu)
     words = symmetric_words(d * d - 1, k)
-    images = symmetric_word_values(words, DepolarizingChannel(y, d).adjoint_apply(letters), n)
+    images = symmetric_word_values(words, DepolarizingChannel(y, QuditSystem(d, 1)).adjoint_apply(letters), n)
     return letters, symmetric_word_values(words, letters, n), images
 
 
@@ -647,7 +646,7 @@ def test_orbit_images_are_the_coarse_graining_adjoint_of_the_words(d, n, k):
     y, system = 2.7, QuditSystem(d, n)
     site = random_positive_density(d, task_rng(23, d), min_eigenvalue=0.05)
     letters = np.array(single_site_zero_mean_basis(site))
-    depolarizing = DepolarizingChannel(y, d)
+    depolarizing = DepolarizingChannel(y, QuditSystem(d, 1))
     words = symmetric_words(d * d - 1, k)
     dense = dense_from_orbits(symmetric_word_values(words, letters, n), d, n, k)
     images = symmetric_word_values(words, depolarizing.adjoint_apply(letters), n)

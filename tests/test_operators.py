@@ -16,6 +16,7 @@ from flab.operators import (
     DensityMatrix,
     QuditSystem,
     _fix_column_phases,
+    _format_bytes,
     _greedy_gram_prune,
     _hermitian_word_values,
     basis_pure_density,
@@ -82,6 +83,38 @@ def test_dimension_budget_env(monkeypatch):
     monkeypatch.setenv("FLAB_MAX_DIM", "banana")
     with pytest.raises(DimensionBudgetError):
         QuditSystem(2, 2)
+
+
+@pytest.mark.parametrize("budget", [2, 8, 9, 2**14, 10**30])
+def test_dimension_budget_is_exact_without_the_power(monkeypatch, budget):
+    # d**n is compared only below the budget's bit length, where it is
+    # small; at n = 10**20 the refusal keeps its message and takes no power
+    monkeypatch.setenv("FLAB_MAX_DIM", str(budget))
+    for d in (2, 3, 10):
+        for n in range(1, 110):
+            fits = d**n <= budget
+            if not fits:
+                with pytest.raises(DimensionBudgetError, match=rf"dense dimension {d}\*\*{n} exceeds budget {budget}"):
+                    QuditSystem(d, n)
+            else:
+                assert QuditSystem(d, n).dim == d**n
+    with pytest.raises(DimensionBudgetError, match=rf"dense dimension 2\*\*{10**20} exceeds budget"):
+        QuditSystem(2, 10**20)
+
+
+def test_byte_counts_format_as_the_float_quotient_did():
+    # MiB in integer arithmetic, the text of f"{nbytes / 2**20:.0f}" while
+    # that quotient is a float (halves to even, also past 2**53 bytes where
+    # the float rounds first), and past the float range too
+    rng = np.random.default_rng(5)
+    values = [2**20 - 1, 2**20, 3 * 2**19, 5 * 2**19, 2**53 + 2**19, 2**62 + 2**19 + 1, 2**63 - 1, 2**1000 + 2**19]
+    for bits in range(21, 64):
+        base = int(rng.integers(0, 2 ** (bits - 20))) << 20
+        values += [base + 2**19 + delta for delta in (-1, 0, 1)] + [base + int(rng.integers(0, 2**20))]
+    for nbytes in values:
+        want = f"{nbytes} bytes" if nbytes < 2**20 else f"{nbytes / 2**20:.0f} MiB"
+        assert _format_bytes(nbytes) == want, nbytes
+    assert _format_bytes(2**1100) == f"{2**1080} MiB"
 
 
 def test_density_matrix_validation():
