@@ -194,8 +194,12 @@ def _ring_laplacian(L: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _ring_laplacian_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the L-site ring Laplacian, shared by every sigma."""
+    """Eigendecomposition of the L-site ring Laplacian, shared by every sigma.
+    eigh returns the exactly null constant mode as roundoff of either sign,
+    which long smoothing times amplify, so eigenvalues within 4 L eps of 0
+    (|G| = 4) are set to 0, far inside the next, -2 (1 - cos(2 pi / L))."""
     vals, vecs = np.linalg.eigh(_ring_laplacian(L))
+    vals[np.abs(vals) <= 4 * L * np.finfo(float).eps] = 0.0
     vals.flags.writeable = vecs.flags.writeable = False  # shared by every caller
     return vals, vecs
 

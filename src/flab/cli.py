@@ -33,7 +33,7 @@ from .focklimit import (
     fock_block_spectrum,
     SingleParticleSpace,
 )
-from .geometry import check_dense_sector_budget, symmetric_sector_dense_spectrum
+from .geometry import symmetric_sector_dense_spectrum
 from .lattice import (
     RingLattice,
     continuum_mode_multiplier,
@@ -43,7 +43,7 @@ from .lattice import (
     mode_contractions,
     swap_factorization_probe,
 )
-from .operators import QuditSystem, basis_pure_density, product_density
+from .operators import QuditSystem, basis_pure_density
 from .reporting import Report
 
 _SCALAR = (bool, int, float, str)
@@ -130,11 +130,8 @@ def run_spectrum(params: dict) -> Report:
     y = _require(params, "y", float, lambda v: v >= 1.0, "need y >= 1")
     k = _require(params, "k", int, lambda v: v >= 1, "need k >= 1")
     report = Report("spectrum", params, _seed(params))
-    system = QuditSystem(d, n)
-    # refused before the dim-square product state is built, not only before the words
-    check_dense_sector_budget(system, k)
-    state = product_density(basis_pure_density(d), n)
-    spectrum = symmetric_sector_dense_spectrum(system, state, y, k)
+    # the route reads the site state; the chain's product state is never built
+    spectrum = symmetric_sector_dense_spectrum(QuditSystem(d, n), basis_pure_density(d), y, k)
     rows = [
         {"index": i, "eigenvalue": float(v), "contraction_factor": math.sqrt(max(v, 0.0))}
         for i, v in enumerate(spectrum.eigenvalues)

@@ -162,8 +162,8 @@ def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
     Words of different degree are exactly orthogonal; equal degree j gives
     the limit per(K[u, v]), the permanent of the kernel minor, and at n
     sites c_{n,j} times it.  Returns the finite values, the limit, the
-    deviation sequence and its fitted log-log rate in n (None when a
-    deviation is zero).  For degree-2 words the deviation is (1 - c_{n,2})
+    deviation sequence and its fitted log-log rate in n (None for one size
+    or a zero deviation).  For degree-2 words the deviation is (1 - c_{n,2})
     |per| = |per| / n, so the rate is -1; that the deviations never
     increase and the rate is near -1 is judged by `flab clt`.  ValueError
     for an n_list that is not strictly increasing, or for a degree above
@@ -183,7 +183,7 @@ def clt_convergence(sp: SingleParticleSpace, u, v, n_list) -> dict:
         finite = [0.0 + 0.0j] * len(n_list)
     deviations = [abs(f - limit) for f in finite]
     rate = None
-    if all(dev > 1e-300 for dev in deviations):
+    if len(n_list) > 1 and all(dev > 1e-300 for dev in deviations):
         rate = float(np.polyfit(np.log(n_list), np.log(deviations), 1)[0])
     return {
         "n_list": n_list,

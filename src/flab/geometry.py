@@ -247,24 +247,17 @@ def channel_pairing_matrix(channel, out_space: GnsSpace, in_space: GnsSpace) -> 
 
 
 def whitened_contraction(w_fine: np.ndarray, w_coarse: np.ndarray, pairing: np.ndarray):
-    """Eigendata of the squared contraction between two whitened families.
+    """Eigendata of the squared contraction between two whitened families,
+    one problem per key of three (keys, ., .) stacks.
 
-    The pairing B (fine rows, coarse columns) is transported into the
-    whitened frames, S = W_f^T B W_c, and T = S S^T is diagonalised.
-    Returns the eigenvalues of T in descending order, clipped at 0, and the
-    fine-side coefficients W_f V of its eigenvectors.
-
-    The three may also be (keys, ., .) stacks, one problem per key, with
-    whiteners from `whiten_psd` on a list of stacks.  Then T is over each
-    key's kept fine directions (the nonzero whitener columns), solved as
-    one stack per kept count, and the eigenvalues (keys, a) and
-    coefficients (keys, rows, a) are zero past that count.
+    Each key's pairing B (fine rows, coarse columns) is transported into
+    the whitened frames, S = W_f^T B W_c, and T = S S^T is diagonalised
+    over the key's kept fine directions (the nonzero whitener columns, a
+    trailing run), one stack per kept count.  Returns the eigenvalues
+    (keys, a) in descending order, clipped at 0, and the fine-side
+    coefficients W_f V (keys, rows, a), both zero past the key's count.
+    One Gram's 2-D `whiten_psd` whitener is passed as w[None].
     """
-    if w_fine.ndim == 2:
-        small = w_fine.T @ pairing @ w_coarse
-        vals, vecs = np.linalg.eigh(small @ small.T)
-        order = np.argsort(vals)[::-1]
-        return np.clip(vals[order], 0.0, None), w_fine @ vecs[:, order]
     kept = np.count_nonzero(w_fine.any(axis=1), axis=1)
     vals, coeffs = np.zeros((len(w_fine), w_fine.shape[2])), np.zeros(w_fine.shape)
     for count in sorted(set(kept.tolist())):
@@ -314,10 +307,10 @@ def contraction_spectrum(
 
 
 def _contraction_between(fine: GnsSpace, coarse: GnsSpace, pairing: np.ndarray) -> ContractionSpectrum:
-    vals, coeffs = whitened_contraction(fine.whitener, coarse.whitener, pairing)
+    vals, coeffs = whitened_contraction(fine.whitener[None], coarse.whitener[None], pairing[None])
     return ContractionSpectrum(
-        eigenvalues=vals,
-        coefficients=_fix_column_phases(coeffs),
+        eigenvalues=vals[0],
+        coefficients=_fix_column_phases(coeffs[0]),
         out_space=fine,
         in_space=coarse,
     )
@@ -328,19 +321,16 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
     if its arrays would not fit, before any is built.
 
     The words live on the word-support orbits (`operators.orbit_counts`),
-    so the dim-square arrays are the caller's: the dense product state,
-    beside 48 bytes per dim^2 / d^2 entries for either the product of the
-    later sites it is built from (with the earlier partial products left
-    on the heap) or that product, a block and its modulus in
-    `identical_site_state`.  That is the peak.  Beside it count the orbit
-    values of the words and their weighted copy for the Grams, the word
-    polynomials of the last orbit level (`operators.symmetric_word_values`:
-    the polynomials, their parents' copies, the running slot sum, one
-    slot's gathered sources and site factors and their product), the orbit
-    bookkeeping and a first run's code and buffers.  The Heisenberg images
-    of the words are never formed: the pairing is the fine Gram
-    recombined by `_image_matrix`, a words-square array like the Grams,
-    which the orbit values outnumber.
+    so no dim-square array is the route's own: a product state is the
+    caller's, and its product check is refused by `identical_site_state`.
+    Count the orbit values of the words and their weighted copy for the
+    Grams, the word polynomials of the last orbit level
+    (`operators.symmetric_word_values`: the polynomials, their parents'
+    copies, the running slot sum, one slot's gathered sources and site
+    factors and their product), the orbit bookkeeping and a first run's
+    code and buffers.  The Heisenberg images of the words are never
+    formed: the pairing is the fine Gram recombined by `_image_matrix`, a
+    words-square array like the Grams, which the orbit values outnumber.
     """
     d, n = system.d, system.n
     labels, top = d * d, min(k, n)
@@ -350,7 +340,6 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
     check_byte_budget(
         f"dense sector at d={d}, n={n}",
         {
-            f"dense state and its product check ({system.dim}-square)": (16 * labels + 48) * system.dim**2 // labels,
             f"{words} x {orbits} orbit values and their weighted copy": 2 * 16 * words * orbits,
             "last-level word polynomials": 6 * 16 * orbits * words,
             "orbit counts, ranks and levels": 6 * 8 * orbits * labels,
@@ -440,12 +429,15 @@ def symmetric_sector_dense_spectrum(
 ) -> ContractionSpectrum:
     """Dense reference spectrum on the symmetric k-local sector.
 
-    The state must be a product of identical site states rho_1 = U diag(mu)
-    U^dagger.  Everything is computed in the site eigenframe U^{(x)n}: there
-    the state is diag(mu)^{(x)n}, the zero-mean letters are the Gell-Mann
-    letters g - (mu . diag g) 1 (`zero_mean_letters`), and the coarse
-    graining is unchanged, because sitewise depolarizing is unitarily
-    covariant and permutation averaging commutes with U^{(x)n}.
+    The chain is in the product of identical site states rho_1 = U diag(mu)
+    U^dagger, and only mu is read from `state`: the site state rho_1
+    itself (dimension d), or its n-fold product (dimension d^n), which
+    `identical_site_state` checks and reduces to rho_1.  Everything is
+    computed in the site eigenframe U^{(x)n}: there the state is
+    diag(mu)^{(x)n}, the zero-mean letters are the Gell-Mann letters
+    g - (mu . diag g) 1 (`zero_mean_letters`), and the coarse graining is
+    unchanged, because sitewise depolarizing is unitarily covariant and
+    permutation averaging commutes with U^{(x)n}.
 
     The words are permutation symmetric, so they are held in orbit
     coordinates (`operators.symmetric_word_values`), on the word-support
@@ -471,7 +463,7 @@ def symmetric_sector_dense_spectrum(
     Both sides whiten the full word family, each at its own state: the
     eigenvalue cut quotients the null and dependent directions of each
     Gram, so no word is dropped beforehand.  DimensionBudgetError, before
-    any word is built, if the arrays would not fit.
+    any word or product check is built, if the arrays would not fit.
     """
     from .channels import DepolarizingChannel
 
@@ -479,7 +471,7 @@ def symmetric_sector_dense_spectrum(
     d, n = system.d, system.n
     top = min(k, n)
     words = symmetric_words(d * d - 1, top)
-    mu, _ = identical_site_state(state, system).eigensystem()
+    mu, _ = (state if state.dim == d else identical_site_state(state, system)).eigensystem()
     letters = zero_mean_letters(mu)
     fine_site = DensityMatrix(np.diag(mu), check=False)
     coarse_site = DensityMatrix(DepolarizingChannel(y, QuditSystem(d, 1)).apply(fine_site.matrix), check=False)

@@ -193,10 +193,13 @@ def identical_site_state(state: DensityMatrix, system: QuditSystem) -> DensityMa
     the state as its n-fold product, block by block: one block of the later
     sites' product per entry of the first sites' (two for qubits, one
     otherwise), so few blocks are visited and none exceeds dim^2 / d^2
-    entries.  NumericalError naming the deviation if it exceeds
+    entries.  DimensionBudgetError before the check builds anything if its
+    arrays, 48 bytes per dim^2 / d^2 entries, would not fit (the state is
+    the caller's).  NumericalError naming the deviation if it exceeds
     PRODUCT_STATE_TOL: the state is not a product, or its sites differ.
     """
     d, n, rest = system.d, system.n, system.d ** (system.n - 1)
+    check_byte_budget(f"product check at d={d}, n={n}", {f"later sites and a block ({rest}-square)": 48 * rest**2})
     site = DensityMatrix(np.trace(state.matrix.reshape(d, rest, d, rest), axis1=1, axis2=3), check=False)
     first = min(n, 2) if d == 2 else 1
     others = product_density(site, n - first).matrix

@@ -208,5 +208,5 @@ def original_frame_spectrum(system, state, y, k, null_threshold=NULL_THRESHOLD):
     # B[a, b] = Re tr(rho E_a^dagger N^dagger(F_b))
     back = [channel.adjoint_apply(f) @ rho for f in full]
     pairing = np.array([[np.vdot(full[a], b).real for b in back] for a in keep])
-    vals, _ = whitened_contraction(w_fine, w_coarse, pairing)
-    return vals
+    vals, _ = whitened_contraction(w_fine[None], w_coarse[None], pairing[None])
+    return vals[0]

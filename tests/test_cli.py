@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import flab
-from flab import cli
+from flab import cli, geometry, operators
 from flab.cli import main, run_experiment
 from flab.errors import ConfigError
 from flab.lattice import RingLattice, continuum_mode_multiplier, lattice_mode_multiplier
@@ -275,21 +275,21 @@ def test_budget_maps_to_config_error(tmp_path, monkeypatch):
     assert main(["spectrum", "--config", cfg]) == 2
 
 
-def test_spectrum_refuses_n13_before_building_the_state(tmp_path, monkeypatch, capsys):
-    # at FLAB_MAX_DIM = 8192, dim 8192 passes the dimension budget; the
-    # dense product state with its product check (1792 MiB) does not fit
-    # the 1024 MiB of one 8192-square operator, and neither the state nor
-    # any word is built before the refusal
+def test_spectrum_builds_no_product_state(tmp_path, monkeypatch):
+    # the orbit route reads the site state: at n = 13, where the chain's
+    # product state would take 1 GiB, neither it nor its product check is
+    # built, and the default budget admits the run
     def nothing_built(*args, **kwargs):
-        raise AssertionError("dense arrays built before the budget check")
+        raise AssertionError("dense product state built for the spectrum")
 
-    monkeypatch.setenv("FLAB_MAX_DIM", "8192")
-    monkeypatch.setattr(cli, "product_density", nothing_built)
-    cfg = write_config(tmp_path, "big", {"d": 2, "n": 13, "y": 2.0, "k": 2})
+    monkeypatch.delenv("FLAB_MAX_DIM", raising=False)
+    monkeypatch.setattr(operators, "product_density", nothing_built)
+    monkeypatch.setattr(geometry, "identical_site_state", nothing_built)
+    cfg = write_config(tmp_path, "big", {"d": 2, "n": 13, "y": 2.5, "k": 2})
     out = tmp_path / "report.json"
-    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-    assert "dense sector at d=2, n=13 needs an estimated 1804 MiB" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"] and report["tables"]["eigenvalues"]
 
 
 def test_fock_budget_is_config_error(tmp_path, monkeypatch, capsys):
@@ -494,6 +494,16 @@ HANGING = [
 ]
 
 
+# chains whose product state alone would fill the address space: each
+# runs in a child with a 1 GiB address space and a timeout, so a return
+# of the dim-square state to the spectrum path fails here
+OFF_THE_DENSE_STATE = [
+    pytest.param({"d": 2, "n": 13, "y": 2.5, "k": 2}, id="d=2-n=13-k=2"),
+    pytest.param({"d": 2, "n": 14, "y": 2.5, "k": 4}, id="d=2-n=14-k=4"),
+    pytest.param({"d": 4, "n": 7, "y": 2.5, "k": 2}, id="d=4-n=7-k=2"),
+]
+
+
 @pytest.mark.parametrize("experiment, config, message", EXTREMES)
 def test_extreme_configs_are_refused_within_a_second(tmp_path, capsys, experiment, config, message):
     cfg = write_config(tmp_path, experiment, config)
@@ -523,3 +533,21 @@ def test_configs_that_never_returned_are_refused(tmp_path, experiment, config, m
     )
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("config error:") and message in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="limits the child with setrlimit")
+@pytest.mark.parametrize("config", OFF_THE_DENSE_STATE)
+def test_spectrum_runs_without_the_product_state(tmp_path, config):
+    src = os.path.dirname(os.path.dirname(flab.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "FLAB_MAX_DIM"}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "flab.cli", "spectrum", "--config", write_config(tmp_path, "spectrum", config)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert run.returncode == 0, run.stderr
+    assert "overall: PASS" in run.stdout

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,15 @@ def test_clt_convergence_rate():
     assert abs(out["rate"] + 1.0) < 0.2
     with pytest.raises(ValueError):
         clt_convergence(sp, (0,), (0,), [8, 4])
+
+
+def test_clt_convergence_fits_no_rate_to_one_size():
+    site = DensityMatrix(np.diag([0.8, 0.2]))
+    sp = SingleParticleSpace.from_eigenvalues(site.eigensystem()[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = clt_convergence(sp, (0, 0), (0, 0), [8])
+    assert out["rate"] is None and len(out["deviations"]) == 1 and out["deviations"][0] > 0
 
 
 def test_fock_blocks_closed_form():
@@ -1012,7 +1022,7 @@ def _permanent_sector_blocks(n, d, y, k, site):
         ]
         w_f, _ = whiten_psd(grams[0], NULL_LETTER_THRESHOLD)
         w_c, _ = whiten_psd(grams[1], NULL_LETTER_THRESHOLD)
-        out[j] = whitened_contraction(w_f, w_c, grams[2])[0]
+        out[j] = whitened_contraction(w_f[None], w_c[None], grams[2][None])[0][0]
     return out
 
 

@@ -217,29 +217,34 @@ def test_unkeyed_whiten_psd_is_one_eigh_bit_for_bit():
     assert np.array_equal(w_stack[0][:, w_stack[0].any(axis=0)], w_ref) and np.array_equal(kept, kept_ref)
 
 
+def _one_key_contraction(w_fine, w_coarse, pairing):
+    vals, coeffs = whitened_contraction(w_fine[None], w_coarse[None], pairing[None])
+    return vals[0], coeffs[0]
+
+
 def test_whitened_contraction_closed_forms():
     rng = task_rng(9)
     z = rng.standard_normal((4, 4))
     gram = z @ z.T + 0.1 * np.eye(4)
     w, _ = whiten_psd(gram)
     # pairing equal to both Grams: every whitened direction is kept whole
-    vals, coeffs = whitened_contraction(w, w, gram)
+    vals, coeffs = _one_key_contraction(w, w, gram)
     assert_close(vals, np.ones(4), tol=1e-10)
     assert_close(coeffs.T @ gram @ coeffs, np.eye(4), tol=1e-10)
-    vals, _ = whitened_contraction(w, w, 0.5 * gram)
+    vals, _ = _one_key_contraction(w, w, 0.5 * gram)
     assert_close(vals, np.full(4, 0.25), tol=1e-10)
     # rank-3 fine Gram: exactly its null direction drops out
     b = rng.standard_normal((4, 3))
     fine = b @ b.T
     null = np.linalg.svd(b.T)[2][-1]
     w_f, _ = whiten_psd(fine)
-    vals, coeffs = whitened_contraction(w_f, w_f, fine)
+    vals, coeffs = _one_key_contraction(w_f, w_f, fine)
     assert vals.shape == (3,) and coeffs.shape == (4, 3)
     assert_close(vals, np.ones(3), tol=1e-10)
     assert_close(null @ coeffs, np.zeros(3), tol=1e-10)
     # rank-2 pairing: descending, and the zero eigenvalues are clipped at 0
     pairing = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
-    vals, _ = whitened_contraction(w, w, pairing)
+    vals, _ = _one_key_contraction(w, w, pairing)
     assert np.all(np.diff(vals) <= 0.0)
     assert vals.min() >= 0.0 and vals[2] < 1e-12
 
@@ -687,6 +692,22 @@ def test_dense_sector_spectrum_matches_original_frame_oracle(d, n, k, y, site):
     assert_close(words, rotation.conj().T @ full @ rotation, tol=1e-13, what="eigenframe words")
 
 
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 5), (4, 3)])
+def test_dense_sector_spectrum_from_the_site_state(d, n):
+    # the route reads mu from a site state directly and from a product
+    # state through its partial trace: the same bits at a pure basis state,
+    # within the partial trace's roundoff at mixed ones
+    system = QuditSystem(d, n)
+    mixed = random_positive_density(d, task_rng(20261020, d), min_eigenvalue=0.05)
+    for site, tol in ((basis_pure_density(d), 0.0), (mixed, 4e-15)):
+        product = product_density(site, n)
+        for k in (1, 2, 3):
+            got = symmetric_sector_dense_spectrum(system, site, 2.5, k).eigenvalues
+            want = symmetric_sector_dense_spectrum(system, product, 2.5, k).eigenvalues
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= tol, (d, n, k)
+
+
 @pytest.mark.parametrize("d, n", [(2, 11), (3, 6)])
 def test_dense_sector_spectrum_past_the_old_ceiling(d, n):
     # chains whose words would be large as dense matrices (the 10 qubit
@@ -712,15 +733,16 @@ def test_state_product_scales_columns_only_for_diagonal_states():
 
 
 def test_dense_sector_budget_default_limits(monkeypatch):
-    # at the default budget (4 GiB) d=2, k=2 fits at n=13, an estimated
-    # 1804 MiB, not at n=14, 7180 MiB: the dense state with its product
-    # check, 28 bytes per entry of the 16384-square matrix, fills the
-    # budget alone; neither chain is built
+    # at the default budget (4 GiB) no dim-square array is the route's: d=2,
+    # k=2 needs about 12 MiB at n=13 and at the cap n=14, and d=4, n=7 fits
+    # at k=3 (1842 MiB), not at k=4, where the orbit arrays alone exceed it
     monkeypatch.delenv("FLAB_MAX_DIM", raising=False)
-    check_dense_sector_budget(QuditSystem(2, 13), 2)
-    refusal = r"estimated 7180 MiB \(dense state and its product check \(16384-square\) 7168 MiB"
+    for n in (13, 14):
+        check_dense_sector_budget(QuditSystem(2, n), 2)
+    check_dense_sector_budget(QuditSystem(4, 7), 3)
+    refusal = r"estimated 21590 MiB \(3876 x 45536 orbit values and their weighted copy 5386 MiB"
     with pytest.raises(DimensionBudgetError, match=refusal):
-        check_dense_sector_budget(QuditSystem(2, 14), 2)
+        check_dense_sector_budget(QuditSystem(4, 7), 4)
     # degrees above n have no words: k=3 at n=2 counts 1 + 3 + 6 of them,
     # on the 10 multisets of 2 joint labels out of 4
     pair = QuditSystem(2, 2)
@@ -735,22 +757,22 @@ def test_dense_sector_spectrum_refused_before_building(monkeypatch):
 
     site = random_positive_density(2, task_rng(22), min_eigenvalue=0.05)
     system, state = QuditSystem(2, 5), product_density(site, 5)
-    # 10 words on the 28 orbits with at most 2 off-diagonal sites: the
-    # 32-square state with its product check takes 28672 bytes, the orbit
-    # arrays 41216 and a first run 12582912, 12652800 in all, between
-    # 16 * 889**2 and 16 * 890**2
-    monkeypatch.setenv("FLAB_MAX_DIM", "889")
+    # 10 words on the 28 orbits with at most 2 off-diagonal sites: the orbit
+    # arrays take 41216 bytes and a first run 12582912, 12624128 in all,
+    # between 16 * 888**2 and 16 * 889**2; the caller's state is not counted
+    monkeypatch.setenv("FLAB_MAX_DIM", "888")
     with monkeypatch.context() as spy:
         spy.setattr(operators, "symmetric_word_values", nothing_built)
         spy.setattr(geometry, "identical_site_state", nothing_built)
-        with pytest.raises(DimensionBudgetError, match="dense sector at d=2, n=5 needs an estimated"):
-            symmetric_sector_dense_spectrum(system, state, 2.0, 2)
-    monkeypatch.setenv("FLAB_MAX_DIM", "890")
+        for given in (state, site):
+            with pytest.raises(DimensionBudgetError, match="dense sector at d=2, n=5 needs an estimated 12 MiB"):
+                symmetric_sector_dense_spectrum(system, given, 2.0, 2)
+    monkeypatch.setenv("FLAB_MAX_DIM", "889")
     assert symmetric_sector_dense_spectrum(system, state, 2.0, 2).eigenvalues.shape == (10,)
 
 
-# the child reads its own peak resident set (VmHWM, in KiB) around building
-# the product state and its dense sector spectrum
+# the child builds the product state, then reads its own peak resident set
+# (VmHWM, in KiB) around the dense sector spectrum
 DENSE_PEAK = """
 import sys
 import flab
@@ -765,33 +787,50 @@ def peak():
 d, n, k = map(int, sys.argv[1:])
 site = random_positive_density(d, task_rng(5, 3), min_eigenvalue=0.05)
 system = QuditSystem(d, n)
+state = product_density(site, n)
 before = peak()
-symmetric_sector_dense_spectrum(system, product_density(site, n), 2.5, k)
+symmetric_sector_dense_spectrum(system, state, 2.5, k)
 print(1024 * (peak() - before))
 """
+
+
+class _Counted(Exception):
+    pass
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
 @pytest.mark.parametrize(
     "d, n, k, floor",
     [
-        # the 1024-square state and its last 512-square Kronecker factor
-        pytest.param(2, 10, 2, 16 * (1024**2 + 512**2), id="dense-state"),
+        # the product check of a 1024-square state: the later sites'
+        # 256-square product, beside a block of it and its modulus
+        pytest.param(2, 10, 2, 16 * 256**2, id="dense-state"),
         # the last level's parents' copy, running slot sum, one slot's
         # gathered sources and site factors and their product: 165
-        # monomials on the 657 orbits with at most 3 off-diagonal sites,
-        # beside a 243-square state of 0.9 MiB
+        # monomials on the 657 orbits with at most 3 off-diagonal sites
         pytest.param(3, 5, 3, 5 * 16 * 657 * 165, id="orbit-polynomials"),
     ],
 )
 def test_dense_sector_budget_bounds_the_measured_peak(monkeypatch, d, n, k, floor):
     # a fresh interpreter at one BLAS thread and a mixed site state: peak
-    # growth from `import flab` through the product state and the spectrum
+    # growth of the spectrum over the caller's product state, bounded by
+    # the route's estimate and that of its product check
     src = os.path.dirname(os.path.dirname(flab.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
     args = [sys.executable, "-c", DENSE_PEAK, str(d), str(n), str(k)]
     growth = int(subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout)
     parts = {}
-    monkeypatch.setattr(geometry, "check_byte_budget", lambda what, p: parts.update(p))
-    check_dense_sector_budget(QuditSystem(d, n), k)
+
+    def record(what, estimate):
+        parts.update(estimate)
+        if what.startswith("product check"):
+            raise _Counted
+
+    monkeypatch.setattr(geometry, "check_byte_budget", record)
+    monkeypatch.setattr(operators, "check_byte_budget", record)
+    system = QuditSystem(d, n)
+    check_dense_sector_budget(system, k)
+    # refused, were it over, before the state is read
+    with pytest.raises(_Counted):
+        identical_site_state(None, system)
     assert floor < growth <= sum(parts.values())

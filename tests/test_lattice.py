@@ -77,6 +77,15 @@ def test_mode_contraction_closed_form():
         assert abs(got - want) < 1e-10
 
 
+@pytest.mark.parametrize("spacing", [1e-4, 1e-6, 1e-12])
+def test_constant_mode_survives_long_smoothing(spacing):
+    # the constant mode is exactly null; the smoothing time (sigma/eps)^2 / 2
+    # reaches 2e24, so any roundoff left in its eigenvalue would move it
+    contractions = mode_contractions(RingLattice(16, spacing), 2.0, 2.0)
+    assert abs(contractions[0] - 0.5) < 1e-15
+    assert abs(contractions[1] - lattice_mode_multiplier(RingLattice(16, spacing), 2.0, 1) / 2.0) < 1e-12
+
+
 def test_dispersion_bound_dominates_multiplier_gap():
     lat = RingLattice(32, 1.0)
     sigma = 2.0

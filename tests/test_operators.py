@@ -235,6 +235,28 @@ def test_identical_site_state_rejects_correlated_and_unequal_sites():
     assert len(factor_product_state(unequal, QuditSystem(2, 2))) == 2
 
 
+def test_identical_site_state_refused_before_the_product_check(monkeypatch):
+    # at d=2, n=5 the check counts 48 bytes per entry of a 16-square
+    # matrix, 12288 bytes, between 16 * 27**2 and 16 * 28**2; the system
+    # was made at the default budget, and nothing of the check is built
+    # before the refusal, in either caller
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("product check built before the budget check")
+
+    system = QuditSystem(2, 5)
+    site = random_positive_density(2, task_rng(43), min_eigenvalue=0.05)
+    state = product_density(site, 5)
+    monkeypatch.setenv("FLAB_MAX_DIM", "27")
+    with monkeypatch.context() as spy:
+        spy.setattr(flab.operators, "product_density", nothing_built)
+        with pytest.raises(DimensionBudgetError, match="product check at d=2, n=5 needs an estimated 12288 bytes"):
+            identical_site_state(state, system)
+        with pytest.raises(DimensionBudgetError, match="product check at d=2, n=5"):
+            symmetric_klocal_basis(2, system, state)
+    monkeypatch.setenv("FLAB_MAX_DIM", "28")
+    assert_close(identical_site_state(state, system).matrix, site.matrix, tol=1e-14)
+
+
 def test_site_product_and_embed():
     system = QuditSystem(2, 3)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
