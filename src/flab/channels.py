@@ -14,8 +14,7 @@ import functools
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import DRAW_CHUNK_ENTRIES
-from .operators import FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, entry_orbits
+from .operators import DRAW_CHUNK_ENTRIES, FIRST_RUN_BYTES, QuditSystem, as_matrix, check_byte_budget, entry_orbits
 
 TRACE_PRESERVING_TOL = 1e-10
 
@@ -35,9 +34,6 @@ class Channel:
 
     def adjoint_apply(self, X) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, X) -> np.ndarray:
-        return self.apply(X)
 
 
 class DepolarizingChannel(Channel):

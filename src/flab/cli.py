@@ -47,6 +47,9 @@ from .operators import QuditSystem, basis_pure_density
 from .reporting import Report
 
 _SCALAR = (bool, int, float, str)
+# absolute allowance of the lattice verdicts: semigroup entries from the
+# eigendecomposition carry machine-level noise, unobservable below it
+SEMIGROUP_NOISE_FLOOR = 1e-13
 
 
 def _check_flat(config: dict):
@@ -365,9 +368,7 @@ def run_lattice(params: dict) -> Report:
         for k, samples in degrees:
             out = high_momentum_suppression_probe(lattice, sigma, y, cutoff, k, samples=samples, seed=seed)
             probe_rows.append({"sigma": sigma} | {key: out[key] for key in keys})
-            # absolute allowance: semigroup entries from the eigendecomposition
-            # carry machine-level noise, so bounds far below it are unobservable
-            if k == 1 and out["max_contraction"] > out["mode_bound"] * (1.0 + 1e-10) + 1e-13:
+            if k == 1 and out["max_contraction"] > out["mode_bound"] * (1.0 + 1e-10) + SEMIGROUP_NOISE_FLOOR:
                 bound_detail = (
                     f"high-momentum contraction {out['max_contraction']:.6e} exceeds the "
                     f"mode bound {out['mode_bound']:.6e}"
@@ -386,12 +387,13 @@ def run_lattice(params: dict) -> Report:
         report.add_table("pair_independence", pair_rows)
         sups = [row["sup_deviation"] for row in pair_rows]
         if len(sups) >= 2:
-            mono = all(b < a for a, b in zip(sups, sups[1:]))
-            report.add_assertion(
-                "pair-deviation-decreasing-in-smoothing",
-                mono,
-                "sup deviations " + ", ".join(f"{v:.3e}" for v in sups),
-            )
+            # two neighbours both at or below the noise floor are a tie, not a rise
+            ties = [max(a, b) <= SEMIGROUP_NOISE_FLOOR for a, b in zip(sups, sups[1:])]
+            mono = all(tie or b < a for tie, a, b in zip(ties, sups, sups[1:]))
+            detail = "sup deviations " + ", ".join(f"{v:.3e}" for v in sups)
+            if any(ties):
+                detail += f"; neighbours both at or below the {SEMIGROUP_NOISE_FLOOR:.0e} noise floor count as a tie"
+            report.add_assertion("pair-deviation-decreasing-in-smoothing", mono, detail)
     return report
 
 

@@ -28,11 +28,12 @@ splits into small problems, one per block sequence or block count
 (`_key_contraction`), all set up by `_letter_blocks`.  `beta_bound_test`,
 whose letters are set up the same way with the null cut at 0.0 (exactly
 null letters only), checks the sector-wise norm bound under sitewise
-depolarizing noise on random draws, measured as quadratic forms over the
-same key-block Grams on every support size, beside the exact supremum the
-draws sample.  `klocal_decay_check` reads the exact decay of that supremum
-in y under the homogeneous coarse graining from the top of each sector
-block.
+depolarizing noise on random draws, beside the exact supremum the draws
+sample.  The bound check owns its draws: `_bound_grams` builds the
+key-block Grams on every support size, and `sampled_norms` measures both
+norms of each draw as quadratic forms over them, without forming any
+operator.  `klocal_decay_check` reads the exact decay of that supremum in
+y under the homogeneous coarse graining from the top of each sector block.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionBudgetError, NumericalError
-from .geometry import DRAW_CHUNK_ENTRIES, sampled_norms, whiten_psd, whitened_contraction
+from .geometry import whiten_psd, whitened_contraction
 from .operators import (
+    DRAW_CHUNK_ENTRIES,
     FIRST_RUN_BYTES,
     NULL_THRESHOLD as NULL_LETTER_THRESHOLD,
     DensityMatrix,
@@ -54,6 +56,7 @@ from .operators import (
     letter_multisets,
     zero_mean_letters,
 )
+from .sampling import task_rng
 
 PERMANENT_MAX_SIZE = 8
 
@@ -263,18 +266,25 @@ def _kron_stack(mats: dict, keys: list) -> np.ndarray:
     return out.real
 
 
+def _key_bytes(keys: int, f2: int, c2: int, fc: int) -> dict:
+    """Byte-budget parts of a `_key_contraction` over `keys` keys of fine and
+    coarse sizes f and c, given the sums f2, c2 and fc of f^2, c^2 and f c.
+    Per key: three complex stacks, 16 (f^2 + c^2 + f c) bytes, and 16 (3 f^2
+    + 2 c^2) for the symmetrized copies, eigenvectors and whiteners of both
+    Grams and the fine coefficients."""
+    return {
+        f"{keys} key stacks": 16 * (f2 + c2 + fc),
+        "their whitening and eigenvectors": 16 * (3 * f2 + 2 * c2),
+    }
+
+
 def _check_key_budget(what: str, dims: dict, keys: list) -> None:
     """Refuse a `_key_contraction` before building it if its keys, with
-    dims[i] = (f, c) the shape of factor i's pairing, would not fit.  Per
-    key: three complex stacks, 16 (f^2 + c^2 + f c) bytes, and 16 (3 f^2 +
-    2 c^2) for the symmetrized copies, eigenvectors and whiteners of both
-    Grams and the fine coefficients."""
+    dims[i] = (f, c) the shape of factor i's pairing, would not fit
+    (`_key_bytes`)."""
     sizes = [[math.prod(dims[i][side] for i in key) for side in (0, 1)] for key in keys]
-    parts = {
-        f"{len(keys)} key stacks": 16 * sum(f * f + c * c + f * c for f, c in sizes),
-        "their whitening and eigenvectors": 16 * sum(3 * f * f + 2 * c * c for f, c in sizes),
-    }
-    check_byte_budget(what, parts)
+    f2, c2, fc = sum(f * f for f, _ in sizes), sum(c * c for _, c in sizes), sum(f * c for f, c in sizes)
+    check_byte_budget(what, _key_bytes(len(keys), f2, c2, fc))
 
 
 def _key_tuples(letters: list, group: list, r: int) -> np.ndarray:
@@ -558,11 +568,10 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
     f, c = np.array([pair.shape for _, _, pair in blocks]).T
     f2, c2, fc = int(f @ f), int(c @ c), int(f @ c)
     what = f"bound check at d={d}, n={n}, k={k}"
-    keys = key_bytes = whitening_bytes = products = widest = 0
+    keys = f2_sum = c2_sum = fc_sum = products = widest = 0
     for s in range(k, n + 1):
         keys += len(blocks) ** s
-        key_bytes += 16 * (f2**s + c2**s + fc**s)
-        whitening_bytes += 16 * (3 * f2**s + 2 * c2**s)
+        f2_sum, c2_sum, fc_sum = f2_sum + f2**s, c2_sum + c2**s, fc_sum + fc**s
         size = math.comb(n, s) * len(names) ** s
         products, widest = products + size, max(widest, size)
         # one draw per block until the last size, a lower bound, so a huge n
@@ -570,9 +579,8 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
         draws = max(1, DRAW_CHUNK_ENTRIES // products) if s == n else 1
         check_byte_budget(
             what,
-            {
-                f"{keys} key stacks": key_bytes,
-                "their whitening and eigenvectors": whitening_bytes,
+            _key_bytes(keys, f2_sum, c2_sum, fc_sum)
+            | {
                 f"{draws} x {products} draw-block transients": 8 * draws * (products + 4 * widest),
                 "a first run's code and buffers": FIRST_RUN_BYTES,
             },
@@ -588,6 +596,53 @@ def _bound_grams(n: int, d: int, y: float, k: int, state_1site: DensityMatrix | 
             stacks.append((members, np.ascontiguousarray(bures), reach @ reach.swapaxes(1, 2)))
         grams.append((math.comb(n, s), stacks))
     return grams, supremum
+
+
+def _per_draw(terms: np.ndarray, draws: int) -> np.ndarray:
+    """Sum of (keys, a, draws * groups) terms per draw."""
+    return terms.sum(axis=(0, 1)).reshape(draws, -1).sum(axis=1)
+
+
+def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.ndarray, np.ndarray]:
+    """Bures and pushforward norms of random combinations of a family.
+
+    The family is a sequence of groups whose Grams vanish between groups;
+    grams holds one (count, blocks) pair per run of `count` groups with the
+    same Grams.  Each of a group's blocks is a (members, bures, push) triple:
+    a (keys, a) array of member indices within the group, which every
+    member is in once, and the (keys, a, a) Gram blocks of those members;
+    entries between blocks vanish.  A draw's coefficients are
+    rng.standard_normal(N) over the family's N members, drawn in (m, N)
+    blocks, which consume the stream exactly as one draw at a time does.
+    Returns the two norms of every draw.  A squared norm negative beyond
+    roundoff raises NumericalError, as in `bures_norm` and
+    `pushforward_norm`; the pushforward's roundoff scale is its
+    triangle-inequality bound (sum_a |c_a| P_aa^{1/2})^2.
+    """
+    widths = [sum(members.size for members, _, _ in blocks) for _, blocks in grams]
+    total = sum(count * width for (count, _), width in zip(grams, widths))
+    roots = [[np.sqrt(np.clip(np.diagonal(p, axis1=1, axis2=2), 0.0, None)) for *_, p in blocks] for _, blocks in grams]
+    per_block = max(1, DRAW_CHUNK_ENTRIES // max(total, 1))
+    base_sq, push_sq, push_bound = (np.zeros(samples) for _ in range(3))
+    for start in range(0, samples, per_block):
+        stop = min(start + per_block, samples)
+        coeffs = rng.standard_normal((stop - start, total))
+        lo = 0
+        for (count, blocks), width, block_roots in zip(grams, widths, roots):
+            # the run's coefficients by member, then draw and group
+            run = coeffs[:, lo : lo + count * width].reshape(stop - start, count, width).transpose(2, 0, 1)
+            lo += count * width
+            for (members, bures, push), root in zip(blocks, block_roots):
+                # (keys, a, draws * count): one matrix product per key
+                c = run[members].reshape(*members.shape, -1)
+                base_sq[start:stop] += _per_draw((bures @ c) * c, stop - start)
+                push_sq[start:stop] += _per_draw((push @ c) * c, stop - start)
+                push_bound[start:stop] += _per_draw(np.abs(c) * root[..., None], stop - start)
+    if np.any(base_sq < -1e-12):
+        raise NumericalError(f"norm squared came out negative: {base_sq.min():.3e}")
+    if np.any(push_sq < -1e-10 * push_bound**2):
+        raise NumericalError(f"pushforward norm squared came out negative: {push_sq.min():.3e}")
+    return np.sqrt(np.maximum(base_sq, 0.0)), np.sqrt(np.maximum(push_sq, 0.0))
 
 
 def beta_bound_test(
@@ -613,8 +668,6 @@ def beta_bound_test(
     rng.standard_normal over the products of carried letters only: the
     other products vanish, so their coefficients would change neither norm.
     """
-    from .sampling import task_rng
-
     bound = beta_bound_value(d, y, k)
     grams, supremum = _bound_grams(n, d, y, k, state_1site)
     rng = task_rng(seed, (n, d, int(y * 1000), k))
@@ -648,10 +701,12 @@ def klocal_decay_check(
     |A|_N / |A| over the operators supported on more than k sites is the
     square root of the top degree-(k+1) eigenvalue of
     `symmetric_sector_spectrum`, computed once per y.  Reported per k: that
-    supremum at each y, its fitted log-log slope in y, and the sector bound
-    beta_{k+1}^{1/2}; the bound is asserted whenever its validity condition
-    y(y-1) > d holds at every y.  DimensionBudgetError, before any block is
-    built, if a sector block would not fit.
+    supremum at each y, its fitted log-log slope in y, the sector bound
+    beta_{k+1}^{1/2}, `bound_ok` if the supremum is within it at every y
+    (relative slack 1e-10), and `bound_checked` if its validity condition
+    y(y-1) > d holds at every y.  The bound is reported, not asserted.
+    DimensionBudgetError, before any block is built, if a sector block
+    would not fit.
     """
     y_values = [float(y) for y in y_values]
     if d < 2:
@@ -671,16 +726,12 @@ def klocal_decay_check(
         max_contraction = [math.sqrt(by_degree[k + 1][0]) for by_degree in blocks]
         slope = float(np.polyfit(logs_y, np.log(np.asarray(max_contraction)), 1)[0])
         bounds = [math.sqrt(beta_bound_value(d, y, k + 1)) for y in y_values]
-        bound_ok = all(e <= b * (1.0 + 1e-10) for e, b in zip(max_contraction, bounds))
-        if bound_valid and not bound_ok:
-            raise NumericalError(
-                f"sector decay bound violated at k={k}: max ratio {max_contraction} exceeds {bounds}"
-            )
         result["k"][k] = {
             "max_contraction": max_contraction,
             "slope": slope,
             "expected_slope": -(k + 1),
             "bound": bounds,
             "bound_checked": bound_valid,
+            "bound_ok": all(e <= b * (1.0 + 1e-10) for e, b in zip(max_contraction, bounds)),
         }
     return result

@@ -10,10 +10,7 @@ A channel N acts on this geometry two ways.  Pulling back through the
 Heisenberg adjoint gives the pairing matrices whitened into a finite
 eigenvalue problem (`contraction_spectrum`).  Pushing the tangent vector
 Omega_rho(A) forward through N and measuring it at N(rho) gives the
-channel-deformed norm (`pushforward_norm`).  Both norms are quadratic forms
-in the real coefficients of an operator family, so random draws from a
-family whose Grams are known are measured as quadratic forms over them
-(`sampled_norms`) rather than one operator at a time.
+channel-deformed norm (`pushforward_norm`).
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import DepolarizingChannel
 from .errors import NumericalError
 from .operators import (
     FIRST_RUN_BYTES,
@@ -51,9 +49,6 @@ SINGULAR_DIRECTION = (
     "state is singular on the requested direction; "
     "use the GNS-side formulation with a null-space quotient"
 )
-# coefficient entries per block of random draws; only bounds the size of
-# transient arrays
-DRAW_CHUNK_ENTRIES = 2**16
 
 
 def omega_apply(state: DensityMatrix, x) -> np.ndarray:
@@ -109,53 +104,6 @@ def pushforward_norm(state: DensityMatrix, channel, a) -> float:
     if val < -1e-10 * scale:
         raise NumericalError(f"pushforward norm squared came out negative: {val:.3e}")
     return math.sqrt(max(val, 0.0))
-
-
-def _per_draw(terms: np.ndarray, draws: int) -> np.ndarray:
-    """Sum of (keys, a, draws * groups) terms per draw."""
-    return terms.sum(axis=(0, 1)).reshape(draws, -1).sum(axis=1)
-
-
-def sampled_norms(rng: np.random.Generator, samples: int, grams) -> tuple[np.ndarray, np.ndarray]:
-    """Bures and pushforward norms of random combinations of a family.
-
-    The family is a sequence of groups whose Grams vanish between groups;
-    grams holds one (count, blocks) pair per run of `count` groups with the
-    same Grams.  Each of a group's blocks is a (members, bures, push) triple:
-    a (keys, a) array of member indices within the group, which every
-    member is in once, and the (keys, a, a) Gram blocks of those members;
-    entries between blocks vanish.  A draw's coefficients are
-    rng.standard_normal(N) over the family's N members, drawn in (m, N)
-    blocks, which consume the stream exactly as one draw at a time does.
-    Returns the two norms of every draw.  A squared norm negative beyond
-    roundoff raises NumericalError, as in `bures_norm` and
-    `pushforward_norm`; the pushforward's roundoff scale is its
-    triangle-inequality bound (sum_a |c_a| P_aa^{1/2})^2.
-    """
-    widths = [sum(members.size for members, _, _ in blocks) for _, blocks in grams]
-    total = sum(count * width for (count, _), width in zip(grams, widths))
-    roots = [[np.sqrt(np.clip(np.diagonal(p, axis1=1, axis2=2), 0.0, None)) for *_, p in blocks] for _, blocks in grams]
-    per_block = max(1, DRAW_CHUNK_ENTRIES // max(total, 1))
-    base_sq, push_sq, push_bound = (np.zeros(samples) for _ in range(3))
-    for start in range(0, samples, per_block):
-        stop = min(start + per_block, samples)
-        coeffs = rng.standard_normal((stop - start, total))
-        lo = 0
-        for (count, blocks), width, block_roots in zip(grams, widths, roots):
-            # the run's coefficients by member, then draw and group
-            run = coeffs[:, lo : lo + count * width].reshape(stop - start, count, width).transpose(2, 0, 1)
-            lo += count * width
-            for (members, bures, push), root in zip(blocks, block_roots):
-                # (keys, a, draws * count): one matrix product per key
-                c = run[members].reshape(*members.shape, -1)
-                base_sq[start:stop] += _per_draw((bures @ c) * c, stop - start)
-                push_sq[start:stop] += _per_draw((push @ c) * c, stop - start)
-                push_bound[start:stop] += _per_draw(np.abs(c) * root[..., None], stop - start)
-    if np.any(base_sq < -1e-12):
-        raise NumericalError(f"norm squared came out negative: {base_sq.min():.3e}")
-    if np.any(push_sq < -1e-10 * push_bound**2):
-        raise NumericalError(f"pushforward norm squared came out negative: {push_sq.min():.3e}")
-    return np.sqrt(np.maximum(base_sq, 0.0)), np.sqrt(np.maximum(push_sq, 0.0))
 
 
 def whiten_psd(gram, null_threshold: float = NULL_THRESHOLD):
@@ -432,7 +380,8 @@ def symmetric_sector_dense_spectrum(
     The chain is in the product of identical site states rho_1 = U diag(mu)
     U^dagger, and only mu is read from `state`: the site state rho_1
     itself (dimension d), or its n-fold product (dimension d^n), which
-    `identical_site_state` checks and reduces to rho_1.  Everything is
+    `identical_site_state` checks and reduces to rho_1; ValueError, before
+    any reshape, for a state of any other dimension.  Everything is
     computed in the site eigenframe U^{(x)n}: there the state is
     diag(mu)^{(x)n}, the zero-mean letters are the Gell-Mann letters
     g - (mu . diag g) 1 (`zero_mean_letters`), and the coarse graining is
@@ -465,10 +414,10 @@ def symmetric_sector_dense_spectrum(
     Gram, so no word is dropped beforehand.  DimensionBudgetError, before
     any word or product check is built, if the arrays would not fit.
     """
-    from .channels import DepolarizingChannel
-
-    check_dense_sector_budget(system, k)
     d, n = system.d, system.n
+    if state.dim not in (d, system.dim):
+        raise ValueError(f"state of dimension {state.dim} is neither the site's (d={d}) nor the chain's (d**n={d**n})")
+    check_dense_sector_budget(system, k)
     top = min(k, n)
     words = symmetric_words(d * d - 1, top)
     mu, _ = (state if state.dim == d else identical_site_state(state, system)).eigensystem()

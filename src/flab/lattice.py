@@ -31,8 +31,8 @@ import numpy as np
 
 from .channels import SwapDiffusion
 from .errors import NumericalError
-from .geometry import DRAW_CHUNK_ENTRIES
-from .operators import DensityMatrix
+from .operators import DRAW_CHUNK_ENTRIES, DensityMatrix
+from .sampling import task_rng
 
 FIELD_SYMMETRY_TOL = 1e-10
 MIN_RING_SITES = 8
@@ -182,8 +182,6 @@ def high_momentum_suppression_probe(
     Bloch blocks by one FFT over i of f_i g_{i+r}, and both norms are taken
     blockwise.
     """
-    from .sampling import task_rng
-
     if not 0.0 < cutoff <= lattice.nyquist:
         raise ValueError(f"cutoff must lie in (0, pi/eps], got {cutoff}")
     if k not in (1, 2):

@@ -32,6 +32,9 @@ DEFAULT_MAX_DIM = 2**14
 # numpy.random's lazy import), measured with numpy 2.4: 8.5-10.4 MiB for
 # `flab lattice`, 3.5-9.5 MiB for the bound check
 FIRST_RUN_BYTES = 12 * 2**20
+# coefficient entries per block of random draws; only bounds the size of
+# transient arrays
+DRAW_CHUNK_ENTRIES = 2**16
 
 
 def dense_dim_budget() -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channels import SuperoperatorChannel
 from .operators import DensityMatrix
 
 
@@ -54,8 +55,6 @@ def random_zero_mean_hermitian(state: DensityMatrix, rng: np.random.Generator) -
 
 def random_cptp_channel(dim: int, kraus_count: int, rng: np.random.Generator):
     """Random channel from a truncated Haar isometry (Stinespring picture)."""
-    from .channels import SuperoperatorChannel
-
     if kraus_count < 1:
         raise ValueError("need at least one Kraus operator")
     big = haar_unitary(dim * kraus_count, rng)

@@ -174,13 +174,19 @@ def test_criterion_5_high_locality_decay_slopes(record_criterion):
     out = klocal_decay_check(3, 2, [4.0, 8.0, 16.0, 32.0], k_max=1)
     elapsed = time.monotonic() - t0
     slopes = {k: out["k"][k]["slope"] for k in (0, 1)}
-    ok = all(slopes[k] <= -(k + 1) + 0.2 for k in (0, 1)) and elapsed < 120.0
+    # the sector bound is judged wherever its validity condition holds
+    violations = [
+        f"sector decay bound violated at k={k}: max ratio {e['max_contraction']} exceeds {e['bound']}"
+        for k, e in out["k"].items()
+        if e["bound_checked"] and not e["bound_ok"]
+    ]
+    ok = all(slopes[k] <= -(k + 1) + 0.2 for k in (0, 1)) and elapsed < 120.0 and not violations
     record_criterion(
         "criterion-5 decay exponents beyond locality k",
         ok,
-        f"slopes {slopes[0]:.3f}, {slopes[1]:.3f} vs -1, -2; {elapsed:.1f}s",
+        "; ".join([f"slopes {slopes[0]:.3f}, {slopes[1]:.3f} vs -1, -2", *violations, f"{elapsed:.1f}s"]),
     )
-    assert ok, f"slopes {slopes} too shallow or too slow ({elapsed:.1f}s)"
+    assert ok, f"slopes {slopes} too shallow or too slow ({elapsed:.1f}s), or {violations}"
 
 
 def test_criterion_6_mode_multipliers(record_criterion):

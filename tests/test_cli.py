@@ -216,6 +216,30 @@ def test_high_momentum_failure_is_an_assertion(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("spacing", [1e-4, 1e-6, 1e-12])
+def test_pair_deviations_at_roundoff_tie(tmp_path, spacing):
+    # at small spacings both sup deviations are roundoff (about 1e-30, or
+    # exactly 0): neighbours at or below the noise floor tie, and the
+    # detail names the floor
+    payload = {"L": 16, "spacing": spacing, "y": 2.0, "sigma_list": [1.0, 2.0]}
+    out = tmp_path / "report.json"
+    assert main(["lattice", "--config", write_config(tmp_path, "lat", payload), "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["assertions"]["pair-deviation-decreasing-in-smoothing"]
+    assert verdict["passed"] is True
+    assert verdict["detail"].endswith("; neighbours both at or below the 1e-13 noise floor count as a tie")
+
+
+def test_pair_deviation_rise_fails():
+    # 0.0898 then 0.1016 at sigma 1, 2: a rise far above the noise floor,
+    # judged as before, with the detail unchanged
+    payload = {"L": 16, "spacing": 1.0, "y": 2.0, "sigma_list": [1.0, 2.0]}
+    report = run_experiment("lattice", payload)
+    verdict = report.assertions["pair-deviation-decreasing-in-smoothing"]
+    sups = [row["sup_deviation"] for row in report.tables["pair_independence"]]
+    assert 0.08 < sups[0] < sups[1] < 0.11
+    assert not verdict["passed"] and verdict["detail"] == f"sup deviations {sups[0]:.3e}, {sups[1]:.3e}"
+
+
 def test_clt_failure_is_an_assertion(tmp_path, monkeypatch):
     convergence = cli.clt_convergence
 

@@ -17,7 +17,7 @@ import pytest
 import flab
 from flab import focklimit
 from flab.channels import DepolarizingChannel
-from flab.errors import DimensionBudgetError
+from flab.errors import DimensionBudgetError, NumericalError
 from flab.focklimit import (
     NULL_LETTER_THRESHOLD,
     SingleParticleSpace,
@@ -30,6 +30,7 @@ from flab.focklimit import (
     finite_limit_comparison,
     fock_block_spectrum,
     permanent,
+    sampled_norms,
     symmetric_sector_spectrum,
 )
 from flab.geometry import bures_norm, pushforward_norm, whiten_psd, whitened_contraction
@@ -564,6 +565,49 @@ def test_beta_bound_test_cell():
     assert out["violations"] == 0
     assert out["max_ratio_sq"] <= out["bound"] * (1 + 1e-10)
     assert abs(out["bound"] - 1.0 / 3.0) < 1e-15
+
+
+def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
+    # the draws run over the products of nonzero Bures norm: all of them at
+    # the mixed site, the carried ones at the pure one.  The supports of one
+    # size share their Grams and run as one, each given as one block with
+    # its members in reverse order
+    mixed = random_positive_density(2, task_rng(19, 0), min_eigenvalue=0.05).eigensystem()[0]
+    for site in (DensityMatrix(np.diag(mixed), check=False), basis_pure_density(2)):
+        matrices, supports = support_family(2, 3, site)
+        state = product_density(site, 3)
+        kept = [bures_norm(state, m) > 0.0 for m in matrices]
+        matrices, supports = matrices[kept], [s for s, keep in zip(supports, kept) if keep]
+        channel = DepolarizingChannel(3.0, QuditSystem(2, 3))
+        grams = []
+        for size in (1, 2, 3):
+            first = next(s for s in supports if len(s) == size)
+            family = [m for m, t in zip(matrices, supports) if t == first]
+            bures, push = norm_grams(np.diagonal(state.matrix).real, channel, family)
+            members = np.arange(len(bures))[::-1]
+            count = sum(len(s) == size for s in dict.fromkeys(supports))
+            block = [gram[np.ix_(members, members)][None] for gram in (bures, push)]
+            grams.append((count, [(members[None], *block)]))
+        rng = task_rng(20, 0)
+        draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
+        want_base = [bures_norm(state, a) for a in draws]
+        want_push = [pushforward_norm(state, channel, a) for a in draws]
+        # one draw per block, three per block and all in one block
+        for entries in (1, 3 * len(matrices), 2**16):
+            monkeypatch.setattr(focklimit, "DRAW_CHUNK_ENTRIES", entries)
+            base, push = sampled_norms(task_rng(20, 0), 7, grams)
+            assert_close(base, want_base, tol=1e-12, what="bures norms")
+            assert_close(push, want_push, tol=1e-12, what="pushforward norms")
+        monkeypatch.undo()
+
+
+def test_sampled_norms_reject_negative_squares():
+    rng = task_rng(22, 0)
+    members = np.arange(2)[None]
+    with pytest.raises(NumericalError, match="^norm squared came out negative"):
+        sampled_norms(rng, 3, [(1, [(members, -np.eye(2)[None], np.eye(2)[None])])])
+    with pytest.raises(NumericalError, match="pushforward norm squared came out negative"):
+        sampled_norms(rng, 3, [(1, [(members, np.eye(2)[None], -np.eye(2)[None])])])
 
 
 def _carried_members(d, n, k, site):

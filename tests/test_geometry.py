@@ -29,7 +29,6 @@ from flab.geometry import (
     omega_apply,
     omega_inverse_apply,
     pushforward_norm,
-    sampled_norms,
     symmetric_sector_dense_spectrum,
     whiten_psd,
     whitened_contraction,
@@ -342,6 +341,7 @@ def test_klocal_decay_check_output_and_validation():
     assert len(entry["max_contraction"]) == 2
     assert entry["expected_slope"] == -1
     assert entry["bound_checked"] is True
+    assert entry["bound_ok"] is True
     with pytest.raises(ValueError, match="y > 1"):
         klocal_decay_check(2, 2, [0.5, 3.0], k_max=0)
     with pytest.raises(ValueError, match="k_max"):
@@ -352,6 +352,14 @@ def test_klocal_decay_check_output_and_validation():
     for y_values in ([3.0], [3.0, 3.0]):
         with pytest.raises(ValueError, match="two distinct y values"):
             klocal_decay_check(2, 2, y_values, k_max=0)
+
+
+def test_klocal_decay_check_reports_a_failed_bound(monkeypatch):
+    # the bound is a verdict for the caller to judge, so a supremum above it
+    # reads bound_ok False and raises nothing
+    monkeypatch.setattr(focklimit, "beta_bound_value", lambda d, y, k: 1e-30)
+    out = klocal_decay_check(3, 2, [4.0, 8.0], k_max=1)
+    assert [(e["bound_checked"], e["bound_ok"]) for e in out["k"].values()] == [(True, False)] * 2
 
 
 def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
@@ -365,6 +373,7 @@ def test_klocal_decay_check_runs_past_the_dense_family(monkeypatch):
         (operators, "symmetric_word_values"),
         (focklimit, "_bound_grams"),
         (channels, "DepolarizingChannel"),
+        (geometry, "DepolarizingChannel"),
     ):
         monkeypatch.setattr(owner, name, dense_builder)
     site = random_positive_density(3, task_rng(24, 0), min_eigenvalue=0.05)
@@ -452,46 +461,6 @@ def test_norm_grams_do_not_depend_on_the_chunking(d, n, monkeypatch):
             for want, got in zip(whole, norm_grams(_diagonal(state), channel, matrices)):
                 assert_close(got, want, tol=1e-14 * np.max(np.abs(want)), what=f"{entries} entries per chunk")
             monkeypatch.undo()
-
-
-def test_sampled_norms_draw_blocks_follow_the_stream(monkeypatch):
-    # the draws run over the products of nonzero Bures norm: all of them at
-    # the mixed site, the carried ones at the pure one.  The supports of one
-    # size share their Grams and run as one, each given as one block with
-    # its members in reverse order
-    for site in (_diagonal_site(2, task_rng(19, 0)), basis_pure_density(2)):
-        system, state, matrices, supports = _support_family(2, 3, site)
-        kept = [bures_norm(state, m) > 0.0 for m in matrices]
-        matrices, supports = matrices[kept], [s for s, keep in zip(supports, kept) if keep]
-        channel = DepolarizingChannel(3.0, system)
-        grams = []
-        for size in (1, 2, 3):
-            first = next(s for s in supports if len(s) == size)
-            bures, push = norm_grams(_diagonal(state), channel, [m for m, t in zip(matrices, supports) if t == first])
-            members = np.arange(len(bures))[::-1]
-            count = sum(len(s) == size for s in dict.fromkeys(supports))
-            block = [gram[np.ix_(members, members)][None] for gram in (bures, push)]
-            grams.append((count, [(members[None], *block)]))
-        rng = task_rng(20, 0)
-        draws = [np.tensordot(rng.standard_normal(len(matrices)), matrices, axes=1) for _ in range(7)]
-        want_base = [bures_norm(state, a) for a in draws]
-        want_push = [pushforward_norm(state, channel, a) for a in draws]
-        # one draw per block, three per block and all in one block
-        for entries in (1, 3 * len(matrices), 2**16):
-            monkeypatch.setattr(geometry, "DRAW_CHUNK_ENTRIES", entries)
-            base, push = sampled_norms(task_rng(20, 0), 7, grams)
-            assert_close(base, want_base, tol=1e-12, what="bures norms")
-            assert_close(push, want_push, tol=1e-12, what="pushforward norms")
-        monkeypatch.undo()
-
-
-def test_sampled_norms_reject_negative_squares():
-    rng = task_rng(22, 0)
-    members = np.arange(2)[None]
-    with pytest.raises(NumericalError, match="^norm squared came out negative"):
-        sampled_norms(rng, 3, [(1, [(members, -np.eye(2)[None], np.eye(2)[None])])])
-    with pytest.raises(NumericalError, match="pushforward norm squared came out negative"):
-        sampled_norms(rng, 3, [(1, [(members, np.eye(2)[None], -np.eye(2)[None])])])
 
 
 def _decay_cells():
@@ -706,6 +675,18 @@ def test_dense_sector_spectrum_from_the_site_state(d, n):
             want = symmetric_sector_dense_spectrum(system, product, 2.5, k).eigenvalues
             assert got.shape == want.shape
             assert np.max(np.abs(got - want), initial=0.0) <= tol, (d, n, k)
+
+
+def test_dense_sector_spectrum_names_a_wrong_state_dimension():
+    # a state of neither the site's nor the chain's dimension is refused
+    # before the route reshapes it
+    for system, state in (
+        (QuditSystem(2, 5), product_density(basis_pure_density(2), 3)),
+        (QuditSystem(3, 3), basis_pure_density(2)),
+    ):
+        want = rf"state of dimension {state.dim} .*\(d={system.d}\) .*\(d\*\*n={system.dim}\)"
+        with pytest.raises(ValueError, match=want):
+            symmetric_sector_dense_spectrum(system, state, 2.0, 2)
 
 
 @pytest.mark.parametrize("d, n", [(2, 11), (3, 6)])

@@ -1,11 +1,15 @@
 """Every public name in src/flab has a caller that flab or its release needs,
-and every module-level import is used.
+every module-level import is used, and the modules import in one direction.
 
 A public top-level function or class of `src/flab/*.py`, and a public method
 of such a class, must be referenced from another definition in `src/flab`,
 from the acceptance criteria (`tests/test_acceptance.py`), from the
 benchmark (`benchmarks/*.py`), or be named in README.md.  A name whose only
 callers are unit tests belongs in the test that checks it.
+
+The modules of `src/flab` import in one direction: every import is at
+module level, and the graph of their `from .x import` statements has no
+cycle.
 """
 
 import ast
@@ -88,3 +92,33 @@ def test_every_module_level_import_is_used():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def test_no_import_inside_a_function():
+    nested = [
+        f"{path.stem}.{node.name} (line {sub.lineno})"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, f"imports inside functions: {nested}"
+
+
+def _package_imports(module) -> set[str]:
+    """The sibling modules a module's top-level `from .x import` statements name."""
+    return {
+        node.module for node in module.body if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_module_imports_have_no_cycle():
+    graph = {path.stem: _package_imports(ast.parse(path.read_text())) for path in SOURCES}
+    # repeatedly drop the modules that import no remaining module; a cycle
+    # is what is left when none can be dropped
+    remaining = dict(graph)
+    while leaves := [name for name, deps in remaining.items() if not deps & remaining.keys()]:
+        for name in leaves:
+            del remaining[name]
+    assert not remaining, f"modules in or importing an import cycle: {remaining}"
