@@ -50,89 +50,61 @@ _SCALAR = (bool, int, float, str)
 # absolute allowance of the lattice verdicts: semigroup entries from the
 # eigendecomposition carry machine-level noise, unobservable below it
 SEMIGROUP_NOISE_FLOOR = 1e-13
+# marks a config key without a default
+REQUIRED = object()
 
 
-def _check_flat(config: dict):
-    for key, value in config.items():
-        if isinstance(value, _SCALAR) or value is None:
-            continue
-        if isinstance(value, list) and all(isinstance(v, _SCALAR) for v in value):
-            continue
-        raise ConfigError(
-            f"config key {key!r} must be a scalar or an array of scalars"
-        )
-
-
-def _require(params: dict, key: str, kind, predicate=None, describe: str = ""):
-    if key not in params:
-        raise ConfigError(f"missing required config key {key!r}")
-    value = params[key]
+def _value(key: str, value, kind, rule=None, describe: str = ""):
+    """`value` of config key `key` as a `kind`, then checked by `rule`: an
+    int (not a bool), a finite float (an int is converted), a bool or a
+    list.  A list[int] lists sizes, integers >= 2, at least two of them; a
+    list[float] lists positive finite floats, at least one.  Both are
+    strictly increasing: each feeds a fit or a trend over its entries."""
     if kind is float:
         # json.load reads Infinity and NaN, and an integer literal may overflow a float
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
         value = float(value) if ok else value
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind is list:
-        ok = isinstance(value, list)
     else:
-        ok = isinstance(value, kind)
+        base = getattr(kind, "__origin__", kind)
+        ok = isinstance(value, base) and not (base is int and isinstance(value, bool))
     if not ok:
         raise ConfigError(f"config key {key!r} must be {'a finite' if kind is float else 'of type'} {kind.__name__}")
-    if predicate is not None and not predicate(value):
+    if kind == list[int] and not all(isinstance(v, int) and not isinstance(v, bool) and v >= 2 for v in value):
+        raise ConfigError(f"config key {key!r} must list integers >= 2")
+    if kind == list[float]:
+        value = [_value(key, v, float, lambda x: x > 0, "need positive numbers") for v in value]
+        if not value:
+            raise ConfigError(f"config key {key!r} must not be empty")
+    if isinstance(value, list) and any(b <= a for a, b in zip(value, value[1:])):
+        raise ConfigError(f"config key {key!r} must be strictly increasing")
+    if kind == list[int] and len(value) < 2:
+        raise ConfigError(f"config key {key!r} must list at least two sizes")
+    if rule is not None and not rule(value):
         raise ConfigError(f"config key {key!r} invalid: {describe}")
     return value
 
 
-def _optional(params: dict, key: str, kind, default, predicate=None, describe: str = ""):
-    if key not in params or params[key] is None:
-        return default
-    return _require(params, key, kind, predicate, describe)
-
-
-def _int_list(params: dict, key: str, minimum: int):
-    raw = _require(params, key, list)
-    out = []
-    for v in raw:
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise ConfigError(f"config key {key!r} must list integers >= {minimum}")
-        out.append(v)
-    if out != sorted(out) or len(set(out)) != len(out):
-        raise ConfigError(f"config key {key!r} must be strictly increasing")
-    # every size list feeds a fit or a trend over sizes
-    if len(out) < 2:
-        raise ConfigError(f"config key {key!r} must list at least two sizes")
-    return out
-
-
-def _float_list(params: dict, key: str):
-    raw = _require(params, key, list)
-    out = [_require({key: v}, key, float, lambda x: x > 0, "need positive numbers") for v in raw]
-    if not out:
-        raise ConfigError(f"config key {key!r} must not be empty")
-    # every value list feeds a trend over its values
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigError(f"config key {key!r} must be strictly increasing")
-    return out
-
-
-def _reject_unknown(params: dict, allowed: set[str]):
-    unknown = sorted(set(params) - allowed - {"seed"})
+def _parse(rows, params: dict) -> dict:
+    """The values of `params` by the rows (key, type, default, rule, what
+    the rule needs), in row order: ConfigError names the first fault.  A key
+    that is absent or null takes its default, unless it is REQUIRED."""
+    for key, value in params.items():
+        flat = isinstance(value, list) and all(isinstance(v, _SCALAR) for v in value)
+        if not (flat or isinstance(value, _SCALAR) or value is None):
+            raise ConfigError(f"config key {key!r} must be a scalar or an array of scalars")
+    unknown = sorted(set(params) - {row[0] for row in rows})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, kind, default, rule, describe in rows:
+        if key not in params and default is REQUIRED:
+            raise ConfigError(f"missing required config key {key!r}")
+        optional = params.get(key) is None and default is not REQUIRED
+        values[key] = default if optional else _value(key, params[key], kind, rule, describe)
+    return values
 
 
-def _seed(params: dict) -> int:
-    return _optional(params, "seed", int, 0, lambda v: v >= 0, "need seed >= 0")
-
-
-def run_spectrum(params: dict) -> Report:
-    _reject_unknown(params, {"d", "n", "y", "k"})
-    d = _require(params, "d", int, lambda v: v >= 2, "need d >= 2")
-    n = _require(params, "n", int, lambda v: v >= 2, "need n >= 2")
-    y = _require(params, "y", float, lambda v: v >= 1.0, "need y >= 1")
-    k = _require(params, "k", int, lambda v: v >= 1, "need k >= 1")
-    report = Report("spectrum", params, _seed(params))
+def run_spectrum(report: Report, d: int, n: int, y: float, k: int):
     # the route reads the site state; the chain's product state is never built
     spectrum = symmetric_sector_dense_spectrum(QuditSystem(d, n), basis_pure_density(d), y, k)
     rows = [
@@ -153,15 +125,9 @@ def run_spectrum(params: dict) -> Report:
             flat,
             "permutation averaging alone must leave symmetric words untouched",
         )
-    return report
 
 
-def run_fock(params: dict) -> Report:
-    _reject_unknown(params, {"d", "y", "k_max"})
-    d = _require(params, "d", int, lambda v: v >= 2, "need d >= 2")
-    y = _require(params, "y", float, lambda v: v >= 1.0, "need y >= 1")
-    k_max = _require(params, "k_max", int, lambda v: 1 <= v <= 4, "need 1 <= k_max <= 4")
-    report = Report("fock", params, _seed(params))
+def run_fock(report: Report, d: int, y: float, k_max: int):
     sp_fine, sp_coarse, m = depolarizing_fock_setup(d, y)
     # largest block first, so one over the dimension budget is refused
     # before any smaller block has run
@@ -176,16 +142,12 @@ def run_fock(params: dict) -> Report:
     report.add_assertion(
         "block-spectrum-in-unit-interval", worst <= 1.0 + 1e-10, f"max eigenvalue {worst:.6g}"
     )
-    return report
 
 
-def run_compare(params: dict) -> Report:
-    _reject_unknown(params, {"d", "y", "k", "n_list"})
-    d = _require(params, "d", int, lambda v: v >= 2, "need d >= 2")
-    y = _require(params, "y", float, lambda v: v > 1.0, "need y > 1")
-    k = _require(params, "k", int, lambda v: v >= 1, "need k >= 1")
-    n_list = _int_list(params, "n_list", minimum=max(2, k))
-    report = Report("compare", params, _seed(params))
+def run_compare(report: Report, d: int, y: float, k: int, n_list: list[int]):
+    # every degree up to k appears at each size
+    if n_list[0] < k:
+        raise ConfigError(f"config key 'n_list' must list integers >= {k}")
     data = finite_limit_comparison(n_list, d, y, k)
     report.add_table(
         "deviations",
@@ -226,20 +188,12 @@ def run_compare(params: dict) -> Report:
             False,
             "deviations sit at roundoff level; no 1/n scaling is measurable",
         )
-    return report
 
 
-def run_bound_check(params: dict) -> Report:
-    _reject_unknown(params, {"d", "y", "n", "k", "samples"})
-    d = _require(params, "d", int, lambda v: v >= 2, "need d >= 2")
-    y = _require(params, "y", float, lambda v: 1.0 < v < 1.79e305, "need 1 < y < 1.79e305 (draw key int(1000 y))")
-    n = _require(params, "n", int, lambda v: v >= 2, "need n >= 2")
-    k = _require(params, "k", int, lambda v: v >= 1, "need k >= 1")
-    samples = _require(params, "samples", int, lambda v: 1 <= v <= 100000, "1..100000")
+def run_bound_check(report: Report, d: int, y: float, n: int, k: int, samples: int):
     if k > n:
         raise ConfigError("config key 'k' must not exceed 'n'")
-    report = Report("bound-check", params, _seed(params))
-    data = beta_bound_test(n, d, y, k, samples, seed=_seed(params))
+    data = beta_bound_test(n, d, y, k, samples, seed=report.seed)
     report.add_table(
         "bound",
         [
@@ -262,29 +216,32 @@ def run_bound_check(params: dict) -> Report:
         data["violations"] == 0,
         f"max ratio {data['max_ratio_sq']:.6g} against bound {data['bound']:.6g}",
     )
-    return report
 
 
-def run_lattice(params: dict) -> Report:
-    _reject_unknown(params, {"L", "spacing", "y", "sigma_list", "cutoff", "pair_probe", "probe_samples"})
-    L = _require(params, "L", int, lambda v: v >= 8 and v % 2 == 0, "need even L >= 8")
-    spacing = _require(params, "spacing", float, lambda v: v > 0, "need spacing > 0")
-    y = _require(params, "y", float, lambda v: v >= 1.0, "need y >= 1")
-    sigma_list = _float_list(params, "sigma_list")
+def run_lattice(
+    report: Report,
+    L: int,
+    spacing: float,
+    y: float,
+    sigma_list: list[float],
+    cutoff: float | None,
+    pair_probe: bool,
+    probe_samples: int,
+):
+    # the degree-2 probe applies the pair semigroup to this many words per
+    # block; the budget is integer arithmetic, checked before L meets a float
+    pair_samples = max(4, probe_samples // 4) if pair_probe else 0
+    check_walker_budget(L, 2 if pair_probe else 1, pair_samples)
     lattice = RingLattice(L, spacing)
     # the probes draw profiles from the modes at or above the cutoff, and the
     # highest mode below Nyquist is L/2 - 1
     top_momentum = lattice.momentum(L // 2 - 1)
-    cutoff = _optional(
-        params,
-        "cutoff",
-        float,
-        0.5 * lattice.nyquist,
-        lambda v: 0 < v <= top_momentum,
-        f"cutoff must lie in (0, {top_momentum:.6g}], the highest sub-Nyquist momentum",
-    )
-    pair_probe = _optional(params, "pair_probe", bool, True)
-    probe_samples = _optional(params, "probe_samples", int, 32, lambda v: v >= 1, "need >= 1")
+    if cutoff is not None and not 0 < cutoff <= top_momentum:
+        raise ConfigError(
+            f"config key 'cutoff' invalid: cutoff must lie in (0, {top_momentum:.6g}], "
+            "the highest sub-Nyquist momentum"
+        )
+    cutoff = 0.5 * lattice.nyquist if cutoff is None else cutoff
     # refused before any mode is computed: each mode squares sigma p (the
     # largest at the top mode), the low-momentum check divides by
     # (sigma p)^2 / 2 at the lowest, the degree-2 probe divides by y^2, and
@@ -299,11 +256,6 @@ def run_lattice(params: dict) -> Report:
         raise ConfigError(f"config key 'y' invalid: y^2 overflows at y={y:.6g}")
     if not 0 < cutoff <= top_momentum:
         raise ConfigError(f"config key 'spacing' invalid: no sub-Nyquist mode reaches the cutoff {cutoff:.6g}")
-    # the degree-2 probe applies the pair semigroup to this many words per block
-    pair_samples = max(4, probe_samples // 4) if pair_probe else 0
-    check_walker_budget(L, 2 if pair_probe else 1, pair_samples)
-    seed = _seed(params)
-    report = Report("lattice", params, seed)
 
     # one pass over the modes of every sigma: each mode's lattice and
     # continuum multipliers feed the mode table, the closed-form and
@@ -366,7 +318,7 @@ def run_lattice(params: dict) -> Report:
     keys = ("k", "max_contraction", "mode_bound", "gaussian_claim")
     for sigma in sigma_list:
         for k, samples in degrees:
-            out = high_momentum_suppression_probe(lattice, sigma, y, cutoff, k, samples=samples, seed=seed)
+            out = high_momentum_suppression_probe(lattice, sigma, y, cutoff, k, samples=samples, seed=report.seed)
             probe_rows.append({"sigma": sigma} | {key: out[key] for key in keys})
             if k == 1 and out["max_contraction"] > out["mode_bound"] * (1.0 + 1e-10) + SEMIGROUP_NOISE_FLOOR:
                 bound_detail = (
@@ -394,17 +346,11 @@ def run_lattice(params: dict) -> Report:
             if any(ties):
                 detail += f"; neighbours both at or below the {SEMIGROUP_NOISE_FLOOR:.0e} noise floor count as a tie"
             report.add_assertion("pair-deviation-decreasing-in-smoothing", mono, detail)
-    return report
 
 
-def run_clt(params: dict) -> Report:
-    _reject_unknown(params, {"d", "n_list", "letter"})
-    d = _optional(params, "d", int, 2, lambda v: v >= 2, "need d >= 2")
-    n_list = _int_list(params, "n_list", minimum=2)
-    letter = _optional(params, "letter", int, 0, lambda v: v >= 0, "need letter >= 0")
+def run_clt(report: Report, d: int, n_list: list[int], letter: int):
     if letter >= d * d - 1:
         raise ConfigError(f"letter index {letter} out of range for d={d}")
-    report = Report("clt", params, _seed(params))
     # refused before the site state, d^2 floats, is built
     check_letter_setup(d, 1)
     sp = SingleParticleSpace.from_eigenvalues(np.eye(d)[0])
@@ -428,24 +374,63 @@ def run_clt(params: dict) -> Report:
     report.add_assertion(
         "word-metric-converges-at-one-over-n", all_ok, "; ".join(details)
     )
-    return report
 
 
+# one row per config key: (key, type, default, rule, what the rule needs)
+_SEED = ("seed", int, 0, lambda v: v >= 0, "need seed >= 0")
+_D = ("d", int, REQUIRED, lambda v: v >= 2, "need d >= 2")
+_N = ("n", int, REQUIRED, lambda v: v >= 2, "need n >= 2")
+_Y = ("y", float, REQUIRED, lambda v: v >= 1.0, "need y >= 1")
+_K = ("k", int, REQUIRED, lambda v: v >= 1, "need k >= 1")
+_N_LIST = ("n_list", list[int], REQUIRED, None, "")
+
+# each experiment's runner and the keys it takes besides the seed, parsed
+# in this order; cross-key checks are the runner's
 EXPERIMENTS = {
-    "spectrum": run_spectrum,
-    "fock": run_fock,
-    "compare": run_compare,
-    "bound-check": run_bound_check,
-    "lattice": run_lattice,
-    "clt": run_clt,
+    "spectrum": (run_spectrum, (_D, _N, _Y, _K)),
+    "fock": (run_fock, (_D, _Y, ("k_max", int, REQUIRED, lambda v: 1 <= v <= 4, "need 1 <= k_max <= 4"))),
+    "compare": (run_compare, (_D, ("y", float, REQUIRED, lambda v: v > 1.0, "need y > 1"), _K, _N_LIST)),
+    "bound-check": (
+        run_bound_check,
+        (
+            _D,
+            ("y", float, REQUIRED, lambda v: 1.0 < v < 1.79e305, "need 1 < y < 1.79e305 (draw key int(1000 y))"),
+            _N,
+            _K,
+            ("samples", int, REQUIRED, lambda v: 1 <= v <= 100000, "1..100000"),
+        ),
+    ),
+    "lattice": (
+        run_lattice,
+        (
+            ("L", int, REQUIRED, lambda v: v >= 8 and v % 2 == 0, "need even L >= 8"),
+            ("spacing", float, REQUIRED, lambda v: v > 0, "need spacing > 0"),
+            _Y,
+            ("sigma_list", list[float], REQUIRED, None, ""),
+            # None: half the Nyquist momentum of the ring
+            ("cutoff", float, None, None, ""),
+            ("pair_probe", bool, True, None, ""),
+            ("probe_samples", int, 32, lambda v: v >= 1, "need >= 1"),
+        ),
+    ),
+    "clt": (
+        run_clt,
+        (("d", int, 2, lambda v: v >= 2, "need d >= 2"), _N_LIST, ("letter", int, 0, lambda v: v >= 0, "need letter >= 0")),
+    ),
 }
 
 
 def run_experiment(name: str, params: dict) -> Report:
+    """Run experiment `name` on the flat config `params`: every key is
+    parsed by the experiment's table and the seed row, in row order, before
+    the runner computes.  The report keeps `params` as given."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
-    _check_flat(params)
-    return EXPERIMENTS[name](params)
+    runner, keys = EXPERIMENTS[name]
+    values = _parse((*keys, _SEED), params)
+    report = Report(name, params, values.pop("seed"))
+    runner(report, **values)
+    return report
 
 
 def _load_config(path: str) -> dict:

@@ -668,8 +668,9 @@ def beta_bound_test(
     rng.standard_normal over the products of carried letters only: the
     other products vanish, so their coefficients would change neither norm.
     """
-    bound = beta_bound_value(d, y, k)
+    # the Grams' budget is integer arithmetic, checked before d meets a float
     grams, supremum = _bound_grams(n, d, y, k, state_1site)
+    bound = beta_bound_value(d, y, k)
     rng = task_rng(seed, (n, d, int(y * 1000), k))
     base, pushed = sampled_norms(rng, samples, grams)
     kept = base >= 1e-12

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DepolarizingChannel
-from .errors import NumericalError
+from .errors import DimensionBudgetError, NumericalError
 from .operators import (
     FIRST_RUN_BYTES,
     NULL_THRESHOLD,
@@ -45,6 +45,8 @@ from .operators import (
 
 # relative size of eigenvalue pairs below which Omega_rho is singular
 OMEGA_REL_TOL = 1e-12
+# the orbit weights hold n! as a float; 170! is the largest below its maximum
+MAX_ORBIT_SITES = 170
 SINGULAR_DIRECTION = (
     "state is singular on the requested direction; "
     "use the GNS-side formulation with a null-space quotient"
@@ -279,6 +281,7 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
     code and buffers.  The Heisenberg images of the words are never
     formed: the pairing is the fine Gram recombined by `_image_matrix`, a
     words-square array like the Grams, which the orbit values outnumber.
+    A chain of more than MAX_ORBIT_SITES sites is refused too.
     """
     d, n = system.d, system.n
     labels, top = d * d, min(k, n)
@@ -294,6 +297,8 @@ def check_dense_sector_budget(system: QuditSystem, k: int) -> None:
             "a first run's code and buffers": FIRST_RUN_BYTES,
         },
     )
+    if n > MAX_ORBIT_SITES:
+        raise DimensionBudgetError(f"dense sector at n={n}: n! overflows a float past n={MAX_ORBIT_SITES}")
 
 
 def _orbit_weights(counts: np.ndarray, diagonal: np.ndarray) -> np.ndarray:

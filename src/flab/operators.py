@@ -198,11 +198,14 @@ def identical_site_state(state: DensityMatrix, system: QuditSystem) -> DensityMa
     otherwise), so few blocks are visited and none exceeds dim^2 / d^2
     entries.  DimensionBudgetError before the check builds anything if its
     arrays, 48 bytes per dim^2 / d^2 entries, would not fit (the state is
-    the caller's).  NumericalError naming the deviation if it exceeds
+    the caller's); then ValueError, before any reshape, if the state is not
+    of dimension d**n.  NumericalError naming the deviation if it exceeds
     PRODUCT_STATE_TOL: the state is not a product, or its sites differ.
     """
     d, n, rest = system.d, system.n, system.d ** (system.n - 1)
     check_byte_budget(f"product check at d={d}, n={n}", {f"later sites and a block ({rest}-square)": 48 * rest**2})
+    if state.dim != system.dim:
+        raise ValueError(f"state of dimension {state.dim} is not a chain state (d={d}, d**n={system.dim})")
     site = DensityMatrix(np.trace(state.matrix.reshape(d, rest, d, rest), axis1=1, axis2=3), check=False)
     first = min(n, 2) if d == 2 else 1
     others = product_density(site, n - first).matrix

@@ -377,7 +377,7 @@ def peak():
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 before = peak()
-cli.run_lattice({"L": int(sys.argv[1]), "spacing": 1.0, "y": 2.0, "sigma_list": [2.0, 4.0], "probe_samples": 32})
+cli.run_experiment("lattice", {"L": int(sys.argv[1]), "spacing": 1.0, "y": 2.0, "sigma_list": [2.0, 4.0], "probe_samples": 32})
 print(1024 * (peak() - before))
 """
 
@@ -424,9 +424,9 @@ def test_walker_budget_counts_the_pair_probe_words(monkeypatch):
     for probe_samples in (32, 1000):
         params = {"L": L, "spacing": 1.0, "y": 3.0, "sigma_list": [2.0], "probe_samples": probe_samples}
         with pytest.raises(Checked):
-            cli.run_lattice(params)
+            cli.run_experiment("lattice", params)
     with pytest.raises(Checked):
-        cli.run_lattice({**params, "pair_probe": False})
+        cli.run_experiment("lattice", {**params, "pair_probe": False})
     # the two-walker estimate is its largest stage: at 8 words per block the
     # swap probe's, at 250 the high-momentum probe's
     vecs = 16 * (L // 2 + 1) * (L - 1) ** 2

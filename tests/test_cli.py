@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +255,24 @@ def test_clt_failure_is_an_assertion(tmp_path, monkeypatch):
     # degree 1 sits exactly at its limit, so only degree 2 rises
     first, second = (row["deviation"] for row in rows[3:5])
     assert detail == f"degree 2: finite-n deviations increased: {first:.3e} -> {second:.3e}"
+
+
+def test_runners_only_compute():
+    # the config is parsed, the seed read and the report built once, in
+    # run_experiment: a runner takes the parsed values, and neither reads
+    # the config nor parses a value nor builds a report
+    tree = ast.parse(inspect.getsource(cli))
+    runners = {runner.__name__ for runner, _ in cli.EXPERIMENTS.values()}
+    found = {
+        func.name: sorted(
+            {arg.arg for arg in func.args.args} & {"params"}
+            | {sub.id for stmt in func.body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+            & {"params", "Report", "_parse", "_value"}
+        )
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name in runners
+    }
+    assert found == dict.fromkeys(runners, [])
 
 
 def test_only_main_catches_numerical_errors():
@@ -508,6 +527,8 @@ EXTREMES = [
     pytest.param("lattice", {**LATTICE, "spacing": 1.7e308}, "config key 'spacing' invalid", id="lattice-spacing=1.7e308"),
     pytest.param("clt", {"d": 10**6, "n_list": [4, 8]}, "letter setup at d=1000000 needs an", id="clt-d=1e6"),
     pytest.param("clt", {"d": 10**20, "n_list": [4, 8]}, f"letter setup at d={10**20} needs an", id="clt-d=1e20"),
+    pytest.param("bound-check", {**BOUND, "d": 10**400}, f"letter setup at d={10**400} needs an", id="bound-check-d=1e400"),
+    pytest.param("lattice", {**LATTICE, "L": 10**400}, f"on {10**400} sites needs an", id="lattice-L=1e400"),
 ]
 # these never returned: each runs in a child with a timeout and a 2 GiB
 # address space, so a regression fails here instead of hanging the suite
@@ -536,6 +557,76 @@ def test_extreme_configs_are_refused_within_a_second(tmp_path, capsys, experimen
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+
+# a small valid config per experiment, and the extremes of each declared
+# key type, a wrong type among them
+SMALL = {
+    "spectrum": {"d": 2, "n": 3, "y": 2.0, "k": 2},
+    "fock": {"d": 2, "y": 2.0, "k_max": 2},
+    "compare": {"d": 2, "y": 2.0, "k": 2, "n_list": [2, 4, 8]},
+    "bound-check": BOUND,
+    "lattice": LATTICE,
+    "clt": {"n_list": [4, 8, 16]},
+}
+TYPE_EXTREMES = {
+    int: [-1, 0, 10**400, True, "a"],
+    float: [0, 5e-324, 1.7e308, 10**400, math.inf, -math.inf, math.nan, True, "a"],
+    bool: [0, 1, "a"],
+}
+
+
+def _extremes(kind, valid):
+    """Null and the type's extremes; for a list, a scalar, the empty list,
+    the valid list reversed, its first entry twice, and the valid list with
+    each extreme of its entry type, or a fraction, appended."""
+    if kind in TYPE_EXTREMES:
+        return [None, *TYPE_EXTREMES[kind]]
+    (entry,) = kind.__args__
+    return [None, 7, [], valid[::-1], valid[:1] * 2, *(valid + [bad] for bad in [*TYPE_EXTREMES[entry], 2.5])]
+
+
+@pytest.mark.parametrize(
+    "experiment, key, kind",
+    [(name, key, kind) for name, (_, keys) in cli.EXPERIMENTS.items() for key, kind, *_ in (*keys, cli._SEED)],
+)
+def test_every_table_key_at_its_extremes(tmp_path, capsys, experiment, key, kind):
+    # one key at a time on a small valid config: an exit code, never an
+    # escaped exception, and each call within a second
+    for value in _extremes(kind, SMALL[experiment].get(key)):
+        cfg = write_config(tmp_path, experiment, SMALL[experiment] | {key: value})
+        start = time.perf_counter()
+        code = main([experiment, "--config", cfg])
+        assert code in {0, 1, 2, 3} and time.perf_counter() - start < 1.0, (value, code)
+    capsys.readouterr()
+
+
+def test_readme_lists_every_config_key():
+    # each experiment's row lists its keys in table order, each key with a
+    # default followed by it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([\w-]+)` \|.*\| (.*) \|$", readme, re.M))
+    for name, (_, keys) in cli.EXPERIMENTS.items():
+        where = [re.search(f"(^|, )`{key}`", rows[name]) for key, *_ in keys]
+        assert None not in where and where == sorted(where, key=lambda found: found.start()), name
+        defaults = [key for key, _, default, *_ in keys if default is not cli.REQUIRED]
+        assert all(f"`{key}` (default " in rows[name] for key in defaults), name
+
+
+def test_spectrum_refuses_chains_past_the_factorial_limit(tmp_path, capsys, monkeypatch):
+    # with the budget raised past d^n, n = 171 is refused before any word
+    # is built (its orbit weights would hold 171!, over the float maximum),
+    # and n = 170 runs
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("words built past the factorial limit")
+
+    monkeypatch.setenv("FLAB_MAX_DIM", str(2**200))
+    config = {"d": 2, "n": 171, "y": 2.0, "k": 2}
+    with monkeypatch.context() as spy:
+        spy.setattr(geometry, "symmetric_words", nothing_built)
+        assert main(["spectrum", "--config", write_config(tmp_path, "s", config)]) == 2
+    assert "dense sector at n=171: n! overflows a float past n=170" in capsys.readouterr().err
+    assert main(["spectrum", "--config", write_config(tmp_path, "s", config | {"n": 170})]) == 0
 
 
 def _child_address_space():

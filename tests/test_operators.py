@@ -235,6 +235,17 @@ def test_identical_site_state_rejects_correlated_and_unequal_sites():
     assert len(factor_product_state(unequal, QuditSystem(2, 2))) == 2
 
 
+def test_identical_site_state_names_a_wrong_state_dimension():
+    # a 3-site product read as a 5-site chain is refused before any reshape,
+    # directly and through the symmetric basis
+    system, state = QuditSystem(2, 5), product_density(basis_pure_density(2), 3)
+    want = r"state of dimension 8 is not a chain state \(d=2, d\*\*n=32\)"
+    with pytest.raises(ValueError, match=want):
+        identical_site_state(state, system)
+    with pytest.raises(ValueError, match=want):
+        symmetric_klocal_basis(2, system, state)
+
+
 def test_identical_site_state_refused_before_the_product_check(monkeypatch):
     # at d=2, n=5 the check counts 48 bytes per entry of a 16-square
     # matrix, 12288 bytes, between 16 * 27**2 and 16 * 28**2; the system
