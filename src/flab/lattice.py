@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .operators import DRAW_CHUNK_ENTRIES, DensityMatrix
 from .sampling import task_rng
 
 FIELD_SYMMETRY_TOL = 1e-10
+# the letter of every ContinuumField
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 MIN_RING_SITES = 8
 
 
@@ -108,10 +110,14 @@ def mode_contractions(lattice: RingLattice, sigma: float, y: float) -> dict[int,
     return {m: (1.0 / y) * float(r) for m, r in zip(modes, ratios)}
 
 
+def heat_exponent(lattice: RingLattice, sigma: float, momentum: float) -> float:
+    """Exponent (sigma/eps)^2 (1 - cos(p eps)) of the ring heat semigroup at momentum p."""
+    return (sigma / lattice.spacing) ** 2 * (1.0 - math.cos(momentum * lattice.spacing))
+
+
 def lattice_mode_multiplier(lattice: RingLattice, sigma: float, mode_index: int) -> float:
     """Heat-semigroup eigenvalue e^{-(sigma/eps)^2 (1 - cos(p eps))} of a mode."""
-    u = lattice.momentum(mode_index) * lattice.spacing
-    return math.exp(-((sigma / lattice.spacing) ** 2) * (1.0 - math.cos(u)))
+    return math.exp(-heat_exponent(lattice, sigma, lattice.momentum(mode_index)))
 
 
 def continuum_mode_multiplier(sigma: float, momentum: float) -> float:
@@ -195,8 +201,7 @@ def high_momentum_suppression_probe(
         kept = norms >= 1e-12
         evolved = sd.single_walker_apply(draws[:, kept])
         ratios = np.linalg.norm(evolved, axis=0) / norms[kept] / y
-        u = cutoff * lattice.spacing
-        hard_bound = math.exp(-((sigma / lattice.spacing) ** 2) * (1.0 - math.cos(u))) / y
+        hard_bound = math.exp(-heat_exponent(lattice, sigma, cutoff)) / y
     else:
         L = lattice.n_sites
         draws = _high_mode_profiles(modes, waves, rng, 2 * samples)
@@ -220,7 +225,7 @@ def high_momentum_suppression_probe(
 
 @dataclass
 class ContinuumField:
-    """Letter-polarized field on a circle: profile(x) times a fixed letter.
+    """Letter-polarized field on a circle: profile(x) times the letter SIGMA_X.
 
     The profile is a finite Fourier series sum_m c_m e^{2 pi i m x / length}
     with conjugate-symmetric coefficients.  Independent of any lattice; a
@@ -229,7 +234,6 @@ class ContinuumField:
 
     length: float
     coefficients: dict[int, complex]
-    letter: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if not self.length > 0:
@@ -240,10 +244,6 @@ class ContinuumField:
             if abs(np.conj(c) - partner) > FIELD_SYMMETRY_TOL * max(1.0, abs(c)):
                 raise ValueError(f"coefficients break conjugate symmetry at mode {m}")
         self.coefficients = cleaned
-        if self.letter is None:
-            self.letter = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        else:
-            self.letter = np.asarray(self.letter, dtype=complex)
 
     def max_mode(self) -> int:
         return max((abs(m) for m in self.coefficients), default=0)
@@ -271,7 +271,7 @@ def continuum_inner_convergence(
     """
     if f.length != g.length:
         raise ValueError("fields live on circles of different lengths")
-    pair_value = complex(np.trace(state_1site.matrix @ f.letter @ g.letter))
+    pair_value = complex(np.trace(state_1site.matrix @ SIGMA_X @ SIGMA_X))
     length = f.length
     # exact Fourier pairing of the two profiles: integral of profile_f profile_g
     profile_integral = 0.0 + 0.0j

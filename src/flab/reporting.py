@@ -10,7 +10,9 @@ replace, so readers never observe partial reports.
 
 from __future__ import annotations
 
+import csv
 import datetime
+import io
 import json
 import os
 import tempfile
@@ -20,27 +22,18 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _jsonify(value):
-    # exact built-ins first; np.float64 subclasses float, so it is converted below
-    if value is None or type(value) in (float, int, str, bool):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+def _plain(value):
+    """What json cannot write itself, as what it can: a numpy array as
+    nested lists, a numpy scalar as its Python value, a complex number as
+    its real part when it has no imaginary part and as {"re", "im"}
+    otherwise.  None and Python scalars pass unchanged."""
     if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+        return value.tolist()
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, complex):
-        if value.imag == 0:
-            return value.real
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (bool, int, float, str)):
+        return value.real if value.imag == 0 else {"re": value.real, "im": value.imag}
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise ConfigError(f"value of type {type(value).__name__} cannot be serialized")
 
@@ -74,17 +67,6 @@ class Report:
     def passed(self) -> bool:
         return all(a["passed"] for a in self.assertions.values())
 
-    def to_dict(self) -> dict:
-        return _jsonify(
-            {
-                "metadata": self.metadata,
-                "config": self.config,
-                "tables": self.tables,
-                "assertions": self.assertions,
-                "passed": self.passed,
-            }
-        )
-
     def summary_lines(self) -> list[str]:
         lines = [f"experiment: {self.experiment}"]
         for name, table in self.tables.items():
@@ -97,14 +79,21 @@ class Report:
         return lines
 
     def write_json(self, path: str):
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        _atomic_write(path, payload)
+        payload = {
+            "metadata": self.metadata,
+            "config": self.config,
+            "tables": self.tables,
+            "assertions": self.assertions,
+            "passed": self.passed,
+        }
+        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
 
     def write_csv(self, path: str):
         """One CSV file per table; metadata and assertions as # comments.
 
         With a single table the file is written at `path`; with several, the
-        table name is inserted before the extension.
+        table name is inserted before the extension.  Cells are quoted by the
+        csv module; a complex cell with an imaginary part reads re+imj.
         """
         stem, ext = os.path.splitext(path)
         ext = ext or ".csv"
@@ -112,32 +101,20 @@ class Report:
         for name in names:
             target = path if len(names) == 1 else f"{stem}_{name}{ext}"
             rows = self.tables.get(name, [])
-            lines = []
+            out = io.StringIO()
             for key, value in sorted(self.metadata.items()):
-                lines.append(f"# {key}={value}")
+                out.write(f"# {key}={value}\n")
             for aname, outcome in sorted(self.assertions.items()):
                 state = "pass" if outcome["passed"] else "fail"
-                lines.append(f"# assertion:{aname}={state}")
+                out.write(f"# assertion:{aname}={state}\n")
             if rows:
                 columns = list(rows[0].keys())
-                lines.append(",".join(columns))
+                writer = csv.writer(out, lineterminator="\n")
+                writer.writerow(columns)
                 for row in rows:
-                    lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
-            _atomic_write(target, "\n".join(lines) + "\n")
-
-
-def _csv_cell(value) -> str:
-    value = _jsonify(value)
-    if isinstance(value, dict):
-        return f"{value['re']}+{value['im']}j"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+                    cells = [_plain(row.get(c)) for c in columns]
+                    writer.writerow([f"{v['re']}+{v['im']}j" if isinstance(v, dict) else v for v in cells])
+            _atomic_write(target, out.getvalue())
 
 
 def _atomic_write(path: str, text: str):

@@ -19,7 +19,7 @@ import pytest
 import flab
 from flab import cli, geometry, operators
 from flab.cli import main, run_experiment
-from flab.errors import ConfigError
+from flab.errors import ConfigError, NumericalError
 from flab.lattice import RingLattice, continuum_mode_multiplier, lattice_mode_multiplier
 
 
@@ -316,6 +316,26 @@ def test_budget_maps_to_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("FLAB_MAX_DIM", "8")
     cfg = write_config(tmp_path, "big", {"d": 2, "n": 5, "y": 2.0, "k": 1})
     assert main(["spectrum", "--config", cfg]) == 2
+
+
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def failing(report, **values):
+        raise NumericalError("Gram not positive")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "spectrum", (failing, cli.EXPERIMENTS["spectrum"][1]))
+    cfg = write_config(tmp_path, "spec", {"d": 2, "n": 3, "y": 2.0, "k": 2})
+    out = tmp_path / "report.json"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: Gram not positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 4, 2), (3, 4, 3), (4, 3, 2)])
+def test_identity_channel_fixes_the_sector(d, n, k):
+    # at y = 1 only the permutation average acts, and it fixes symmetric words
+    name = "identity-channel-fixes-sector"
+    assert run_experiment("spectrum", {"d": d, "n": n, "y": 1, "k": k}).assertions[name]["passed"]
+    assert name not in run_experiment("spectrum", {"d": d, "n": n, "y": 1.5, "k": k}).assertions
 
 
 def test_spectrum_builds_no_product_state(tmp_path, monkeypatch):

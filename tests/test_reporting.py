@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from flab.errors import ConfigError
-from flab.reporting import Report, _jsonify
+from flab.reporting import Report, _plain
 
 
-def test_jsonify_numpy_and_complex():
-    out = _jsonify(
+def test_numpy_and_complex_values_are_written_as_plain_json(tmp_path):
+    rep = Report(
+        "demo",
         {
             "f": np.float64(1.5),
             "i": np.int32(3),
@@ -20,9 +21,13 @@ def test_jsonify_numpy_and_complex():
             "c": 1 + 2j,
             "creal": 2 + 0j,
             "nested": [np.int64(7), {"x": None}],
-            "rows": [{"f": np.float64(0.1), "i": np.int64(-2), "b": np.bool_(False), "plain": 0.1}],
-        }
+        },
     )
+    rep.add_table("rows", [{"f": np.float64(0.1), "i": np.int64(-2), "b": np.bool_(False), "plain": 0.1}])
+    path = tmp_path / "out.json"
+    rep.write_json(str(path))
+    data = json.loads(path.read_text())
+    out = data["config"]
     assert out["f"] == 1.5 and isinstance(out["f"], float)
     assert out["i"] == 3 and isinstance(out["i"], int)
     assert out["b"] is True
@@ -30,12 +35,40 @@ def test_jsonify_numpy_and_complex():
     assert out["c"] == {"re": 1.0, "im": 2.0}
     assert out["creal"] == 2.0
     assert out["nested"] == [7, {"x": None}]
-    # numpy scalars in a table row become exact built-ins
-    row = out["rows"][0]
+    # numpy scalars in a table row are written as exact built-ins
+    row = data["tables"]["rows"][0]
     assert row == {"f": 0.1, "i": -2, "b": False, "plain": 0.1}
     assert [type(row[key]) for key in ("f", "i", "b", "plain")] == [float, int, bool, float]
     with pytest.raises(ConfigError):
-        _jsonify(object())
+        _plain(object())
+    rep.add_table("bad", [{"x": object()}])
+    with pytest.raises(ConfigError):
+        rep.write_json(str(tmp_path / "bad.json"))
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_csv_cells(tmp_path):
+    # quoting by the csv module; floats at full precision, complex numbers
+    # as re+imj, None as an empty cell
+    rep = Report("demo", {}, seed=1)
+    row = {
+        "text": 'say "a,b"\nthen\rstop',
+        "none": None,
+        "flag": True,
+        "f": np.float64(0.1),
+        "i": np.int64(-2),
+        "b": np.bool_(False),
+        "c": 1.5 - 2j,
+        "creal": np.complex128(2 + 0j),
+        "nan": float("nan"),
+        "zero": -0.0,
+    }
+    rep.add_table("t", [row])
+    path = tmp_path / "cells.csv"
+    rep.write_csv(str(path))
+    *_, header, cells = path.read_bytes().decode().split("\n", 4)
+    assert header == ",".join(row)
+    assert cells == '"say ""a,b""\nthen\rstop",,True,0.1,-2,False,1.5+-2.0j,2.0,nan,-0.0\n'
 
 
 def test_report_assertions_and_duplicates():
